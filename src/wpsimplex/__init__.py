@@ -46,7 +46,6 @@ from .toric import (
     companion,
     excluded_pair_binomial,
     groebner_family,
-    homogenize,
     is_toric_member,
     monomial_text,
     pi_image,
@@ -59,7 +58,6 @@ from .groebner import (
     BuchbergerReport,
     InitialIdeal,
     SupportCase,
-    TermOrder,
     buchberger_verify,
     initial_ideal,
     injectivity_check,

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: points, hstar, gb (dump | verify), triangulate, sweep.
+Each verifying subcommand runs the same stage check from
+``wpsimplex.pipeline`` that the sweep runs; this module only renders.
 Exit codes are a stable contract: 0 pass, 1 usage or parameter error,
-2 verification failure, 3 enumeration budget exceeded.  All JSON output
-carries "schema": 1 and contains exact integers only, never floats.
+2 verification failure, 3 a check skipped over the enumeration budget
+while none failed.  All JSON output carries "schema": 1 and contains
+exact integers only, never floats.
 
 The gb and triangulate verifiers expose sabotage switches
 (--sabotage-tail, --include-excluded-pair, --drop-facet) that inject a
@@ -21,28 +24,25 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .errors import (
     BudgetExceeded,
+    IndexOutOfRange,
     InternalConsistency,
     ParameterOutOfRange,
     WpsimplexError,
 )
-from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
-from .groebner import buchberger_verify, initial_ideal, injectivity_check
-from .pipeline import evaluate_point
-from .simplex import build_q, lattice_points_bruteforce, lattice_points_formula
-from .toric import (
-    binomial_text,
-    groebner_family,
-    include_excluded_pair,
-    mutate_tail,
-    pi_balance_failures,
+from .ehrhart import hstar
+from .pipeline import (
+    Stage,
+    check_family,
+    check_hstar,
+    check_points,
+    check_triangulation,
+    evaluate_point,
+    point_flags,
+    verdict,
 )
-from .triangulation import (
-    Triangulation,
-    make_weight_certificate,
-    regularity_check,
-    triangulation_from_family,
-    verify_unimodular,
-)
+from .simplex import build_q, lattice_points_formula
+from .toric import binomial_text, groebner_family, include_excluded_pair, mutate_tail
+from .triangulation import drop_facet, triangulation_from_family
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -59,13 +59,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(payload: dict, json_path: str | None) -> None:
+def _exit_code(ok: bool | None) -> int:
+    if ok is None:
+        return EXIT_BUDGET
+    return EXIT_PASS if ok else EXIT_VERIFICATION
+
+
+def _emit(payload: dict, json_path: str | None, code: int = EXIT_PASS) -> int:
+    """Print or write the payload; return ``code``, or 1 when the file
+    cannot be written."""
     text = json.dumps(payload, indent=2)
-    if json_path:
+    if not json_path:
+        print(text)
+        return code
+    try:
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        print(f"error: cannot write {json_path}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
+
+
+def _conclude(payload: dict, stage: Stage, json_path: str | None) -> int:
+    """A skipped stage prints its budget message and exits 3 without a
+    payload; otherwise the payload is emitted with exit 0 or 2."""
+    if stage.verdict is None:
+        print(f"error: {next(iter(stage.skipped.values()))}", file=sys.stderr)
+        return EXIT_BUDGET
+    return _emit(payload, json_path, _exit_code(stage.verdict))
 
 
 def _parse_range(spec: str) -> tuple[int, int]:
@@ -78,198 +100,99 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 def cmd_points(args) -> int:
     q = build_q(args.r1, args.x1)
-    cfg = lattice_points_formula(q)
-    payload = {"schema": 1, **cfg.to_json_dict()}
-    code = EXIT_PASS
-    if args.verify:
-        try:
-            brute = lattice_points_bruteforce(q)
-        except BudgetExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        ok = (
-            set(cfg.columns) == brute
-            and len(cfg.columns) == q.r1 + q.d + 3
-        )
-        payload["verified"] = ok
-        if not ok:
-            code = EXIT_VERIFICATION
-    _emit(payload, args.json)
-    return code
+    payload = {"schema": 1, **lattice_points_formula(q).to_json_dict()}
+    if not args.verify:
+        return _emit(payload, args.json)
+    stage = check_points(q)
+    payload["verified"] = stage.verdict
+    return _conclude(payload, stage, args.json)
 
 
 def cmd_hstar(args) -> int:
     q = build_q(args.r1, args.x1)
-    h = hstar(q)
     payload = {
         "schema": 1,
         "params": {"r1": q.r1, "x1": q.x1},
-        "hstar": h.to_json_list(),
+        "hstar": hstar(q).to_json_list(),
     }
-    code = EXIT_PASS
-    if args.verify:
-        ok = (
-            h.coeffs[0] == 1
-            and h.coeffs[1] == q.r1 + 2
-            and sum(h.coeffs) == q.volume
-        )
-        checked = []
-        for t in (1, 2):
-            try:
-                if ehrhart_value(h, t) != ehrhart_bruteforce(q, t):
-                    ok = False
-                checked.append(t)
-            except BudgetExceeded:
-                continue  # opportunistic check; skip over budget
-        payload["verified"] = ok
-        payload["dilations_checked"] = checked
-        if not ok:
-            code = EXIT_VERIFICATION
-    _emit(payload, args.json)
-    return code
+    if not args.verify:
+        return _emit(payload, args.json)
+    stage = check_hstar(q)
+    payload["verified"] = stage.verdict
+    payload["dilations_checked"] = stage.report["dilations_checked"]
+    return _conclude(payload, stage, args.json)
 
 
-def _family_for_verify(args):
-    family = groebner_family(build_q(args.r1, args.x1))
-    if getattr(args, "sabotage_tail", None) is not None:
-        family = mutate_tail(family, args.sabotage_tail)
-    if getattr(args, "include_excluded_pair", False):
-        family = include_excluded_pair(family)
-    return family
-
-
-def cmd_gb(args) -> int:
+def cmd_gb_dump(args) -> int:
     q = build_q(args.r1, args.x1)
-    if args.gb_command == "dump":
-        family = groebner_family(q)
-        payload = {
-            "schema": 1,
-            "params": {"r1": q.r1, "x1": q.x1},
-            "num_generators": len(family.generators),
-            "generators": [
-                {
-                    "tag": tag,
-                    "text": binomial_text(g, q.r1),
-                    "lead": list(g.lead.exponents),
-                    "tail": list(g.tail.exponents),
-                }
-                for g, tag in zip(family.generators, family.tags)
-            ],
-            "b_pairs": [
-                {"pair": list(pair), "companion": list(comp)}
-                for pair, comp in family.b_pairs
-            ],
-        }
-        _emit(payload, args.json)
-        return EXIT_PASS
+    family = groebner_family(q)
+    payload = {
+        "schema": 1,
+        "params": {"r1": q.r1, "x1": q.x1},
+        "num_generators": len(family.generators),
+        "generators": [
+            {
+                "tag": tag,
+                "text": binomial_text(g, q.r1),
+                "lead": list(g.lead.exponents),
+                "tail": list(g.tail.exponents),
+            }
+            for g, tag in zip(family.generators, family.tags)
+        ],
+        "b_pairs": [
+            {"pair": list(pair), "companion": list(comp)}
+            for pair, comp in family.b_pairs
+        ],
+    }
+    return _emit(payload, args.json)
 
-    # gb verify
+
+def cmd_gb_verify(args) -> int:
+    q = build_q(args.r1, args.x1)
     payload = {"schema": 1, "params": {"r1": q.r1, "x1": q.x1}}
     try:
-        family = _family_for_verify(args)
+        family = groebner_family(q)
+        if args.sabotage_tail is not None:
+            family = mutate_tail(family, args.sabotage_tail)
+        if args.include_excluded_pair:
+            family = include_excluded_pair(family)
     except InternalConsistency as exc:
-        payload.update({"pass": False, "failure": {"stage": "construction",
-                                                   "detail": str(exc)}})
-        _emit(payload, args.json)
-        return EXIT_VERIFICATION
-
-    balance_failures = pi_balance_failures(family)
-    payload["num_generators"] = len(family.generators)
-    if balance_failures:
-        payload.update(
-            {
-                "pass": False,
-                "failure": {
-                    "stage": "pi_balance",
-                    "generators": list(balance_failures),
-                },
-            }
-        )
-        _emit(payload, args.json)
-        return EXIT_VERIFICATION
-
-    report = buchberger_verify(family)
-    in_ideal = initial_ideal(family)
-    try:
-        injective = injectivity_check(family, max_degree=args.max_degree)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    payload.update(
-        {
-            "spairs_total": report.pairs_total,
-            "spairs_reduced_to_zero": report.pairs_reduced_to_zero,
-            "squarefree": in_ideal.squarefree,
-            "injectivity_max_degree": args.max_degree,
-            "pass": report.passed and in_ideal.squarefree and injective,
-        }
-    )
-    if report.failures:
-        payload["failure"] = {
-            "stage": "buchberger",
-            "pairs": [list(p) for p in report.failures],
-        }
-    elif not in_ideal.squarefree:
-        payload["failure"] = {"stage": "squarefree"}
-    elif not injective:
-        payload["failure"] = {"stage": "injectivity"}
-    _emit(payload, args.json)
-    return EXIT_PASS if payload["pass"] else EXIT_VERIFICATION
+        payload["pass"] = False
+        payload["failure"] = {"stage": "construction", "detail": str(exc)}
+        return _emit(payload, args.json, EXIT_VERIFICATION)
+    stage = check_family(family, max_degree=args.max_degree)
+    payload.update(stage.report)
+    payload["pass"] = stage.verdict
+    if stage.failure:
+        payload["failure"] = stage.failure
+    return _conclude(payload, stage, args.json)
 
 
 def cmd_triangulate(args) -> int:
     q = build_q(args.r1, args.x1)
+    family = groebner_family(q)
+    tri = None
+    if args.drop_facet is not None:
+        tri = drop_facet(triangulation_from_family(family), args.drop_facet)
+    stage = check_triangulation(family, tri)
     payload = {"schema": 1, "params": {"r1": q.r1, "x1": q.x1}}
-    try:
-        family = groebner_family(q)
-        tri = triangulation_from_family(family)
-        if args.drop_facet is not None:
-            if not 0 <= args.drop_facet < len(tri.facets):
-                print(
-                    f"error: facet index must lie in [0, {len(tri.facets) - 1}]",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            kept = tuple(
-                f for i, f in enumerate(tri.facets) if i != args.drop_facet
-            )
-            vols = tuple(
-                v for i, v in enumerate(tri.volumes) if i != args.drop_facet
-            )
-            tri = Triangulation(facets=kept, volumes=vols)
-        unimodular = verify_unimodular(tri, q)
-        certificate = make_weight_certificate(family)
-        regular = regularity_check(tri, certificate, family.columns)
-    except WpsimplexError as exc:
-        payload.update({"pass": False, "failure": str(exc)})
-        _emit(payload, args.json)
-        return EXIT_VERIFICATION
-
-    payload.update(
-        {
-            "num_facets": len(tri.facets),
-            "all_unimodular": all(v == 1 for v in tri.volumes),
-            "volume_sum": sum(tri.volumes),
-            "regular_certified": regular,
-            "facets": [list(f) for f in tri.facets],
-        }
-    )
-    ok = unimodular and regular
-    payload["pass"] = ok
-
-    if args.format == "off":
-        cfg = lattice_points_formula(q)
-        lines = ["OFF", f"{len(cfg.columns)} {len(tri.facets)} 0"]
-        for col in cfg.columns:
-            lines.append(" ".join(str(v) for v in col))
-        for facet in tri.facets:
-            lines.append(
-                f"{len(facet)} " + " ".join(str(p - 1) for p in facet)
-            )
-        print("\n".join(lines))
-    else:
-        _emit(payload, args.json)
-    return EXIT_PASS if ok else EXIT_VERIFICATION
+    if stage.errors:
+        payload.update({"pass": False, "failure": stage.errors[0]})
+        return _emit(payload, args.json, EXIT_VERIFICATION)
+    payload.update(stage.report)
+    payload["pass"] = stage.verdict
+    code = _exit_code(stage.verdict)
+    if args.format == "json":
+        return _emit(payload, args.json, code)
+    columns = lattice_points_formula(q).columns
+    lines = ["OFF", f"{len(columns)} {len(payload['facets'])} 0"]
+    lines += [" ".join(str(v) for v in col) for col in columns]
+    lines += [
+        f"{len(facet)} " + " ".join(str(p - 1) for p in facet)
+        for facet in payload["facets"]
+    ]
+    print("\n".join(lines))
+    return code
 
 
 def cmd_sweep(args) -> int:
@@ -296,43 +219,33 @@ def cmd_sweep(args) -> int:
             return EXIT_USAGE
 
     t0 = time.perf_counter()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(
-                pool.map(
-                    evaluate_point,
-                    [p[0] for p in grid],
-                    [p[1] for p in grid],
-                    [args.max_degree] * len(grid),
-                )
-            )
-    else:
-        results = []
-        for r1, x1 in grid:
-            result = evaluate_point(r1, x1, max_degree=args.max_degree)
-            results.append(result)
-            if args.fail_fast and not result["pass"]:
+    r1s, x1s = zip(*grid)
+    degrees = [args.max_degree] * len(grid)
+    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    per_point = {}
+    flags = []
+    try:
+        # The built-in map evaluates points on demand, and the pool's
+        # pending points are cancelled on shutdown, so a break stops both.
+        entries = (pool.map if pool else map)(evaluate_point, r1s, x1s, degrees)
+        for (r1, x1), entry in zip(grid, entries):
+            per_point[f"{r1},{x1}"] = entry
+            point = point_flags(entry).values()
+            flags.extend(point)
+            if args.fail_fast and verdict(point) is not True:
                 break
-
-    per_point = {
-        f"{res['r1']},{res['x1']}": {
-            **res["flags"],
-            "timings": res["timings"],
-            **({"skipped": res["skipped"]} if "skipped" in res else {}),
-            **({"errors": res["errors"]} if "errors" in res else {}),
-        }
-        for res in results
-    }
-    overall = all(res["pass"] for res in results) and len(results) == len(grid)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    overall = verdict(flags)
     payload = {
         "schema": 1,
         "grid": [list(p) for p in grid],
         "perPoint": per_point,
-        "overallPass": overall,
+        "overallPass": overall is True,
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
-    _emit(payload, args.json)
-    return EXIT_PASS if overall else EXIT_VERIFICATION
+    return _emit(payload, args.json, _exit_code(overall))
 
 
 def build_parser() -> _Parser:
@@ -361,7 +274,7 @@ def build_parser() -> _Parser:
     gb_sub = p_gb.add_subparsers(dest="gb_command", required=True)
     p_dump = gb_sub.add_parser("dump", help="emit the generators")
     add_point_args(p_dump)
-    p_dump.set_defaults(func=cmd_gb)
+    p_dump.set_defaults(func=cmd_gb_dump)
     p_verify = gb_sub.add_parser("verify", help="run the verification stack")
     add_point_args(p_verify)
     p_verify.add_argument("--max-degree", type=int, default=3,
@@ -370,7 +283,7 @@ def build_parser() -> _Parser:
                           metavar="K", help="mutate generator K's tail")
     p_verify.add_argument("--include-excluded-pair", action="store_true",
                           help="append the excluded pair's literal binomial")
-    p_verify.set_defaults(func=cmd_gb)
+    p_verify.set_defaults(func=cmd_gb_verify)
 
     p_tri = sub.add_parser("triangulate", help="facets, volumes, regularity")
     add_point_args(p_tri)
@@ -400,12 +313,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ParameterOutOfRange as exc:
+    except (ParameterOutOfRange, IndexOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except WpsimplexError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 def entry() -> None:

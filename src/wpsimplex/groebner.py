@@ -42,31 +42,12 @@ LESS, EQUAL, GREATER = -1, 0, 1
 _MAX_REWRITE_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class TermOrder:
-    """Pure lex order given by a significance ranking of the variables.
-
-    ``ranks[0]`` is the most significant variable index.  The family
-    always uses the identity ranking (z_1 > ... > z_{r1+3} > y_1 > ... >
-    y_d matches the column order), but permuted rankings are supported
-    for order-sensitivity tests.
-    """
-
-    ranks: tuple[int, ...]
-
-    @classmethod
-    def lex_default(cls, nvars: int) -> "TermOrder":
-        return cls(tuple(range(nvars)))
-
-
-def lex_cmp(m1: Monomial, m2: Monomial, order: TermOrder | None = None) -> int:
-    """Compare in pure lex; returns LESS, EQUAL or GREATER."""
+def lex_cmp(m1: Monomial, m2: Monomial) -> int:
+    """Compare in pure lex (z_1 > ... > z_{r1+3} > y_1 > ... > y_d, the
+    column order); returns LESS, EQUAL or GREATER."""
     a, b = m1.exponents, m2.exponents
     if len(a) != len(b):
         raise DimensionMismatch("monomials over different variable counts")
-    if order is not None:
-        a = tuple(a[i] for i in order.ranks)
-        b = tuple(b[i] for i in order.ranks)
     return (a > b) - (a < b)
 
 

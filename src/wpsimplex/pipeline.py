@@ -1,21 +1,28 @@
-"""End-to-end verification of one parameter point, as used by the sweep.
+"""The certificate checks, one function per stage, and the per-point run
+that composes them.
 
-Each stage records a boolean flag; failures are collected rather than
-raised so a sweep can report every point.  Budget overruns in the
-opportunistic cross-checks (point enumeration, dilation counts) are
-recorded as skips, not failures.
+Each stage returns a ``Stage``: its flags, each True (passed), False
+(failed) or None (skipped because the enumeration budget ran out), plus
+the numbers the command line prints.  The family and triangulation
+stages take the object they check as an argument, so a caller can inject
+a known defect first.  ``evaluate_point`` runs all four stages and
+returns the sweep's per-point entry; failures are collected rather than
+raised so a sweep can report every point.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import BudgetExceeded, InternalConsistency, WpsimplexError
 from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
 from .groebner import buchberger_verify, initial_ideal, injectivity_check
-from .simplex import build_q, lattice_points_bruteforce, lattice_points_formula
-from .toric import groebner_family
+from .simplex import QVector, build_q, lattice_points_bruteforce, lattice_points_formula
+from .toric import GroebnerFamily, groebner_family, pi_balance_failures
 from .triangulation import (
+    Triangulation,
     make_weight_certificate,
     regularity_check,
     triangulation_from_family,
@@ -24,6 +31,12 @@ from .triangulation import (
 
 DEFAULT_GRID_R1 = (2, 6)
 DEFAULT_GRID_X1 = (1, 5)
+
+FAMILY_FLAGS = ("gbConstructed", "buchbergerPass", "squarefree", "injectivityPass")
+TRIANGULATION_FLAGS = ("triangulationUnimodular", "regularCertified")
+
+#: Keys of a per-point entry that are not certificate flags.
+_NOT_FLAGS = ("timings", "skipped", "errors")
 
 
 def default_grid() -> list[tuple[int, int]]:
@@ -34,6 +47,154 @@ def default_grid() -> list[tuple[int, int]]:
     ]
 
 
+def verdict(flags: Iterable[bool | None]) -> bool | None:
+    """False if any check failed, else None if any was skipped, else True."""
+    flags = tuple(flags)
+    if any(f is False for f in flags):
+        return False
+    return None if None in flags else True
+
+
+@dataclass(frozen=True)
+class Stage:
+    """Outcome of one certificate stage.
+
+    ``skipped`` maps each check skipped over budget to the budget
+    message; ``failure`` names the check that failed, as ``gb verify``
+    prints it; ``errors`` holds the messages of exceptions the stage
+    caught.
+    """
+
+    flags: dict[str, bool | None]
+    report: dict = field(default_factory=dict)
+    skipped: dict[str, str] = field(default_factory=dict)
+    failure: dict | None = None
+    errors: tuple[str, ...] = ()
+
+    @property
+    def verdict(self) -> bool | None:
+        return verdict(self.flags.values())
+
+
+def check_points(q: QVector, budget: int | None = None) -> Stage:
+    """The closed-form point list equals the enumerated one, has
+    r1 + d + 3 entries and no repeated column."""
+    columns = lattice_points_formula(q).columns
+    try:
+        brute = lattice_points_bruteforce(q, budget)
+    except BudgetExceeded as exc:
+        return Stage({"latticePointsOK": None}, skipped={"latticePoints": str(exc)})
+    ok = (
+        set(columns) == brute
+        and len(columns) == q.r1 + q.d + 3
+        and len(set(columns)) == len(columns)
+    )
+    return Stage({"latticePointsOK": ok})
+
+
+def check_hstar(q: QVector, budget: int | None = None) -> Stage:
+    """h*_0 = 1, h*_1 = r1 + 2, sum N, unimodal, and the counting
+    polynomial matches enumeration at t = 1, 2."""
+    h = hstar(q)
+    ok = (
+        h.coeffs[0] == 1
+        and h.coeffs[1] == q.r1 + 2
+        and sum(h.coeffs) == q.volume
+        and h.is_unimodal()
+    )
+    checked, skipped = [], {}
+    for t in (1, 2):
+        try:
+            if ehrhart_value(h, t) != ehrhart_bruteforce(q, t, budget):
+                ok = False
+            checked.append(t)
+        except BudgetExceeded as exc:
+            skipped[f"dilation_t{t}"] = str(exc)
+    return Stage(
+        {"hstarOK": None if ok and skipped else ok},
+        report={"hstar": h.to_json_list(), "dilations_checked": checked},
+        skipped=skipped,
+    )
+
+
+def check_family(
+    family: GroebnerFamily, max_degree: int = 3, budget: int | None = None
+) -> Stage:
+    """Pi-balance of every generator, then all S-pairs, squarefree leads
+    and completeness up to ``max_degree``.  An unbalanced family fails
+    every flag without running the rest."""
+    unbalanced = pi_balance_failures(family)
+    if unbalanced:
+        return Stage(
+            dict.fromkeys(FAMILY_FLAGS, False),
+            report={"num_generators": len(family.generators)},
+            failure={"stage": "pi_balance", "generators": list(unbalanced)},
+        )
+    report = buchberger_verify(family)
+    squarefree = initial_ideal(family).squarefree
+    skipped = {}
+    try:
+        injective = injectivity_check(family, max_degree=max_degree, budget=budget)
+    except BudgetExceeded as exc:
+        injective = None
+        skipped["injectivity"] = str(exc)
+    failure = None
+    if report.failures:
+        failure = {"stage": "buchberger", "pairs": [list(p) for p in report.failures]}
+    elif not squarefree:
+        failure = {"stage": "squarefree"}
+    elif injective is False:
+        failure = {"stage": "injectivity"}
+    return Stage(
+        dict(zip(FAMILY_FLAGS, (True, report.passed, squarefree, injective))),
+        report={
+            "num_generators": len(family.generators),
+            "spairs_total": report.pairs_total,
+            "spairs_reduced_to_zero": report.pairs_reduced_to_zero,
+            "squarefree": squarefree,
+            "injectivity_max_degree": max_degree,
+        },
+        skipped=skipped,
+        failure=failure,
+    )
+
+
+def check_triangulation(
+    family: GroebnerFamily, tri: Triangulation | None = None
+) -> Stage:
+    """Unimodular facets whose volumes sum to N, and a weight vector
+    whose lower envelope induces exactly these facets.  ``tri`` defaults
+    to the family's initial complex."""
+    flags: dict[str, bool | None] = {}
+    try:
+        if tri is None:
+            tri = triangulation_from_family(family)
+        flags["triangulationUnimodular"] = verify_unimodular(tri, family.q)
+        certificate = make_weight_certificate(family)
+        flags["regularCertified"] = regularity_check(
+            tri, certificate, family.columns
+        )
+    except WpsimplexError as exc:
+        flags.setdefault("triangulationUnimodular", False)
+        flags["regularCertified"] = False
+        return Stage(flags, errors=(str(exc),))
+    return Stage(
+        flags,
+        report={
+            "num_facets": len(tri.facets),
+            "all_unimodular": all(v == 1 for v in tri.volumes),
+            "volume_sum": sum(tri.volumes),
+            "regular_certified": flags["regularCertified"],
+            "facets": [list(f) for f in tri.facets],
+        },
+    )
+
+
+def point_flags(entry: dict) -> dict[str, bool | None]:
+    """The certificate flags of a per-point entry, in stage order."""
+    return {k: v for k, v in entry.items() if k not in _NOT_FLAGS}
+
+
 def _ms(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
@@ -41,96 +202,41 @@ def _ms(t0: float) -> int:
 def evaluate_point(
     r1: int, x1: int, max_degree: int = 3, budget: int | None = None
 ) -> dict:
-    """Run the whole pipeline at (r1, x1) and report flags and timings."""
+    """Run every stage at (r1, x1) and return the sweep's per-point
+    entry: the flags, the stage timings, and the skipped checks and
+    caught errors when there are any."""
     q = build_q(r1, x1)
-    flags: dict[str, bool] = {}
+    stages: list[Stage] = []
     timings: dict[str, int] = {}
-    skipped: list[str] = []
-    errors: list[str] = []
 
     t0 = time.perf_counter()
-    cfg = lattice_points_formula(q)
-    try:
-        brute = lattice_points_bruteforce(q, budget)
-        flags["latticePointsOK"] = (
-            set(cfg.columns) == brute
-            and len(cfg.columns) == r1 + q.d + 3
-            and len(set(cfg.columns)) == len(cfg.columns)
-        )
-    except BudgetExceeded:
-        skipped.append("latticePoints")
-        flags["latticePointsOK"] = True
+    stages.append(check_points(q, budget))
     timings["points_ms"] = _ms(t0)
 
     t0 = time.perf_counter()
-    h = hstar(q)
-    hstar_ok = (
-        h.coeffs[0] == 1
-        and h.coeffs[1] == r1 + 2
-        and sum(h.coeffs) == q.volume
-        and h.is_unimodal()
-    )
-    for t in (1, 2):
-        try:
-            if ehrhart_value(h, t) != ehrhart_bruteforce(q, t, budget):
-                hstar_ok = False
-        except BudgetExceeded:
-            skipped.append(f"dilation_t{t}")
-    flags["hstarOK"] = hstar_ok
+    stages.append(check_hstar(q, budget))
     timings["hstar_ms"] = _ms(t0)
 
     t0 = time.perf_counter()
-    family = None
     try:
         family = groebner_family(q)
-        flags["gbConstructed"] = True
     except InternalConsistency as exc:
-        flags["gbConstructed"] = False
-        errors.append(str(exc))
-    if family is not None:
-        report = buchberger_verify(family)
-        flags["buchbergerPass"] = report.passed
-        flags["squarefree"] = initial_ideal(family).squarefree
-        try:
-            flags["injectivityPass"] = injectivity_check(
-                family, max_degree=max_degree, budget=budget
-            )
-        except BudgetExceeded:
-            skipped.append("injectivity")
-            flags["injectivityPass"] = True
+        family = None
+        flags = dict.fromkeys(FAMILY_FLAGS + TRIANGULATION_FLAGS, False)
+        stages.append(Stage(flags, errors=(str(exc),)))
     else:
-        flags["buchbergerPass"] = False
-        flags["squarefree"] = False
-        flags["injectivityPass"] = False
+        stages.append(check_family(family, max_degree, budget))
     timings["gb_ms"] = _ms(t0)
 
     t0 = time.perf_counter()
     if family is not None:
-        try:
-            tri = triangulation_from_family(family)
-            flags["triangulationUnimodular"] = verify_unimodular(tri, q)
-            certificate = make_weight_certificate(family)
-            flags["regularCertified"] = regularity_check(
-                tri, certificate, family.columns
-            )
-        except WpsimplexError as exc:
-            flags.setdefault("triangulationUnimodular", False)
-            flags["regularCertified"] = False
-            errors.append(str(exc))
-    else:
-        flags["triangulationUnimodular"] = False
-        flags["regularCertified"] = False
+        stages.append(check_triangulation(family))
     timings["triangulate_ms"] = _ms(t0)
 
-    result = {
-        "r1": r1,
-        "x1": x1,
-        "flags": flags,
-        "timings": timings,
-        "pass": all(flags.values()),
-    }
-    if skipped:
-        result["skipped"] = skipped
-    if errors:
-        result["errors"] = errors
-    return result
+    entry: dict = {k: v for stage in stages for k, v in stage.flags.items()}
+    entry["timings"] = timings
+    for key in ("skipped", "errors"):
+        found = [item for stage in stages for item in getattr(stage, key)]
+        if found:
+            entry[key] = found
+    return entry

@@ -38,13 +38,23 @@ ENUM_BUDGET_ENV = "WPSIMPLEX_ENUM_BUDGET"
 
 
 def resolve_enum_budget(budget: int | None = None) -> int:
-    """Explicit argument wins, then the environment, then the default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(ENUM_BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_ENUM_BUDGET
+    """Explicit argument wins, then the environment, then the default.
+
+    Raises ParameterOutOfRange unless the budget is a non-negative integer.
+    """
+    source = os.environ.get(ENUM_BUDGET_ENV) if budget is None else budget
+    if source in (None, ""):
+        return DEFAULT_ENUM_BUDGET
+    try:
+        value = int(source)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ParameterOutOfRange(
+            f"the enumeration budget ({ENUM_BUDGET_ENV}) must be a "
+            f"non-negative integer, got {source!r}"
+        )
+    return value
 
 
 class Classification(Enum):

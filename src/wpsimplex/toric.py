@@ -34,7 +34,7 @@ from .errors import (
     InternalConsistency,
     InvalidPair,
 )
-from .simplex import PointConfiguration, QVector, lattice_points_formula
+from .simplex import QVector, lattice_points_formula
 
 
 class Monomial:
@@ -174,11 +174,6 @@ def zsupport(m: Monomial, r1: int) -> frozenset[int]:
 
 
 # -- the configuration matrix ------------------------------------------------
-
-def homogenize(cfg: PointConfiguration) -> tuple[tuple[int, ...], ...]:
-    """Columns of the configuration, each lifted to height 1."""
-    return cfg.homogenized
-
 
 def pi_image(columns: tuple[tuple[int, ...], ...], m: Monomial) -> tuple[int, ...]:
     """Push a monomial forward: the matrix-vector product of the column
@@ -414,7 +409,7 @@ def groebner_family(q: QVector) -> GroebnerFamily:
     a data-dependent condition.
     """
     r1, x1 = q.r1, q.x1
-    columns = homogenize(lattice_points_formula(q))
+    columns = lattice_points_formula(q).homogenized
     gens: list[Binomial] = []
     tags: list[str] = []
 
@@ -455,17 +450,6 @@ def groebner_family(q: QVector) -> GroebnerFamily:
     )
 
 
-def with_generators(
-    family: GroebnerFamily, generators: tuple[Binomial, ...], tags: tuple[str, ...]
-) -> GroebnerFamily:
-    """Copy of the family with a different generator list (no audit).
-
-    Exists for sabotage-style tests; regular construction always goes
-    through ``groebner_family``.
-    """
-    return replace(family, generators=generators, tags=tags)
-
-
 def mutate_tail(family: GroebnerFamily, index: int) -> GroebnerFamily:
     """Sabotage hook: shift one unit of exponent in generator ``index``'s
     tail to the cyclically next variable.  Degree is preserved but the
@@ -484,14 +468,14 @@ def mutate_tail(family: GroebnerFamily, index: int) -> GroebnerFamily:
     mutated = Binomial(victim.lead, Monomial(exps))
     gens = list(family.generators)
     gens[index] = mutated
-    return with_generators(family, tuple(gens), family.tags)
+    return replace(family, generators=tuple(gens))
 
 
 def include_excluded_pair(family: GroebnerFamily) -> GroebnerFamily:
     """Sabotage hook: append the excluded pair's literal binomial."""
     bad = excluded_pair_binomial(family.q)
-    return with_generators(
+    return replace(
         family,
-        family.generators + (bad,),
-        family.tags + ("eq1",),
+        generators=family.generators + (bad,),
+        tags=family.tags + ("eq1",),
     )

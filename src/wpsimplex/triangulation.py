@@ -17,6 +17,7 @@ from itertools import combinations
 from .errors import (
     CertificateFailure,
     DegenerateLift,
+    IndexOutOfRange,
     NonPureComplex,
     ParameterOutOfRange,
     SingularFacet,
@@ -169,6 +170,19 @@ def verify_unimodular(tri: Triangulation, q: QVector) -> bool:
     return all(v == 1 for v in tri.volumes) and sum(tri.volumes) == q.volume
 
 
+def drop_facet(tri: Triangulation, index: int) -> Triangulation:
+    """Sabotage hook: the triangulation without facet ``index``, which
+    leaves the volumes summing to less than N."""
+    if not 0 <= index < len(tri.facets):
+        raise IndexOutOfRange(
+            f"facet index must lie in [0, {len(tri.facets) - 1}]"
+        )
+    return Triangulation(
+        facets=tri.facets[:index] + tri.facets[index + 1:],
+        volumes=tri.volumes[:index] + tri.volumes[index + 1:],
+    )
+
+
 def make_weight_certificate(family: GroebnerFamily) -> WeightCertificate:
     """Geometric weights M^(n-1), ..., M, 1 with M one more than the top
     generator degree.
@@ -231,6 +245,30 @@ def facet_support_function(
     return tuple(aug[t][height] / aug[t][t] for t in range(height))
 
 
+def _is_lower_cell(
+    columns: tuple[tuple[int, ...], ...],
+    weights: tuple[int, ...],
+    cell: tuple[int, ...],
+) -> bool:
+    """Interpolate the weights on the cell's columns and test whether
+    every other column lifts strictly above that hyperplane.  Equality
+    raises DegenerateLift (heights not generic); a column lifting below
+    makes the cell not lower."""
+    psi = facet_support_function(columns, weights, cell)
+    inside = set(cell)
+    for p, col in enumerate(columns, start=1):
+        if p in inside:
+            continue
+        value = sum(c * v for c, v in zip(psi, col))
+        if value == weights[p - 1]:
+            raise DegenerateLift(
+                f"column {p} lies on the lifted hyperplane of {cell}"
+            )
+        if value > weights[p - 1]:
+            return False
+    return True
+
+
 def regularity_check(
     tri: Triangulation,
     certificate: WeightCertificate,
@@ -238,31 +276,13 @@ def regularity_check(
 ) -> bool:
     """Facet-wise lower-envelope condition.
 
-    For each facet, interpolate the weights on its columns and demand
-    every outside column lift strictly above that hyperplane.  True
-    certifies that the lifted lower envelope induces exactly these
-    facets.  Equality anywhere raises DegenerateLift (heights not
-    generic for this complex); a point lifting below makes the check
-    return False.
+    True certifies that the lifted lower envelope induces exactly these
+    facets.  Equality anywhere raises DegenerateLift; a point lifting
+    below a facet's hyperplane makes the check return False.
     """
-    weights = certificate.weights
-    npoints = len(columns)
-    for facet in tri.facets:
-        psi = facet_support_function(columns, weights, facet)
-        inside = set(facet)
-        for p in range(1, npoints + 1):
-            if p in inside:
-                continue
-            value = sum(
-                c * Fraction(v) for c, v in zip(psi, columns[p - 1])
-            )
-            if value == weights[p - 1]:
-                raise DegenerateLift(
-                    f"column {p} lies on the lifted hyperplane of {facet}"
-                )
-            if value > weights[p - 1]:
-                return False
-    return True
+    return all(
+        _is_lower_cell(columns, certificate.weights, facet) for facet in tri.facets
+    )
 
 
 def regular_subdivision_bruteforce(
@@ -277,27 +297,9 @@ def regular_subdivision_bruteforce(
         raise ParameterOutOfRange(
             "the from-scratch subdivision oracle is limited to dimension 4"
         )
-    npoints = len(columns)
     facets = []
-    for subset in combinations(range(1, npoints + 1), height):
+    for subset in combinations(range(1, len(columns) + 1), height):
         rows = [[columns[p - 1][t] for p in subset] for t in range(height)]
-        if _bareiss_det(rows) == 0:
-            continue
-        psi = facet_support_function(columns, weights, subset)
-        inside = set(subset)
-        lower = True
-        for p in range(1, npoints + 1):
-            if p in inside:
-                continue
-            value = sum(c * Fraction(v) for c, v in zip(psi, columns[p - 1]))
-            if value == weights[p - 1]:
-                raise DegenerateLift(
-                    f"column {p} lies on the lifted span of {subset}"
-                )
-            if value > weights[p - 1]:
-                lower = False
-                break
-        if lower:
-            facets.append(tuple(subset))
-    facets.sort()
+        if _bareiss_det(rows) != 0 and _is_lower_cell(columns, weights, subset):
+            facets.append(subset)
     return tuple(facets)

@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
-from wpsimplex import cli
+import pytest
+
+from wpsimplex import HStarVector, cli
+from wpsimplex.pipeline import evaluate_point, point_flags, verdict
 
 
 def run(capsys, *argv):
@@ -227,3 +230,147 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["hstar"] == [1, 4, 1]
+
+
+# -- one implementation per check ------------------------------------------------
+
+def test_cli_imports_no_check_primitive():
+    for name in (
+        "lattice_points_bruteforce",
+        "ehrhart_bruteforce",
+        "buchberger_verify",
+        "initial_ideal",
+        "injectivity_check",
+        "pi_balance_failures",
+        "verify_unimodular",
+        "make_weight_certificate",
+        "regularity_check",
+    ):
+        assert not hasattr(cli, name), name
+
+
+def test_hstar_verify_and_sweep_share_the_unimodality_test(capsys, monkeypatch):
+    monkeypatch.setattr(HStarVector, "is_unimodal", lambda self: False)
+    code, payload = run_json(capsys, "hstar", "2", "1", "--verify")
+    assert code == 2
+    assert payload["verified"] is False
+    code, payload = run_json(capsys, "sweep", "--r1", "2", "--x1", "1")
+    assert code == 2
+    assert payload["perPoint"]["2,1"]["hstarOK"] is False
+    assert payload["overallPass"] is False
+
+
+# -- a skip is never a pass ------------------------------------------------------
+
+def test_evaluate_point_2_1():
+    entry = evaluate_point(2, 1)
+    assert list(point_flags(entry)) == [
+        "latticePointsOK",
+        "hstarOK",
+        "gbConstructed",
+        "buchbergerPass",
+        "squarefree",
+        "injectivityPass",
+        "triangulationUnimodular",
+        "regularCertified",
+    ]
+    assert all(v is True for v in point_flags(entry).values())
+    assert set(entry["timings"]) == {
+        "points_ms", "hstar_ms", "gb_ms", "triangulate_ms"
+    }
+    assert "skipped" not in entry and "errors" not in entry
+
+
+def test_evaluate_point_budget_skips_are_null():
+    entry = evaluate_point(2, 1, budget=0)
+    assert entry["latticePointsOK"] is None
+    assert entry["hstarOK"] is None
+    assert entry["injectivityPass"] is None
+    assert entry["skipped"] == [
+        "latticePoints", "dilation_t1", "dilation_t2", "injectivity"
+    ]
+    # checks that need no enumeration still run
+    assert entry["buchbergerPass"] is True
+    assert entry["regularCertified"] is True
+    assert verdict(point_flags(entry).values()) is None
+
+
+def test_verdict_failure_beats_skip():
+    assert verdict([True, True]) is True
+    assert verdict([True, None]) is None
+    assert verdict([None, False, True]) is False
+    assert verdict([]) is True
+
+
+def test_sweep_budget_skip_is_not_a_pass(capsys, monkeypatch):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "50")
+    code, payload = run_json(capsys, "sweep", "--r1", "2", "--x1", "1")
+    assert code == 3
+    point = payload["perPoint"]["2,1"]
+    assert point["injectivityPass"] is None
+    assert point["skipped"] == ["injectivity"]
+    assert point["buchbergerPass"] is True
+    assert payload["overallPass"] is False
+
+
+def test_hstar_verify_dilation_skip_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "30")  # t = 1 fits, t = 2 does not
+    code, out = run(capsys, "hstar", "2", "1", "--verify")
+    assert code == 3
+    assert out == ""
+
+
+def test_gb_verify_injectivity_skip_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "50")
+    code, out = run(capsys, "gb", "verify", "2", "1")
+    assert code == 3
+    assert out == ""
+
+
+def test_gb_verify_failure_beats_skip(capsys, monkeypatch):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "50")
+    code, payload = run_json(
+        capsys, "gb", "verify", "2", "1", "--include-excluded-pair"
+    )
+    assert code == 2
+    assert payload["pass"] is False
+
+
+def test_sweep_jobs_fail_fast_stops_at_first_skip(capsys, monkeypatch):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "50")
+    argv = ("sweep", "--r1", "2..3", "--x1", "1..2", "--jobs", "2")
+    code, payload = run_json(capsys, *argv, "--fail-fast")
+    assert code == 3
+    assert list(payload["perPoint"]) == ["2,1"]
+    assert payload["perPoint"]["2,1"]["skipped"] == ["injectivity"]
+    code, payload = run_json(capsys, *argv)
+    assert code == 3
+    assert list(payload["perPoint"]) == ["2,1", "2,2", "3,1", "3,2"]
+
+
+# -- bad input exits 1 with one line ---------------------------------------------
+
+def _assert_one_line_error(capsys, argv, code=1):
+    assert cli.main(list(argv)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("budget", ["many", "-5", "2.5"])
+def test_bad_budget_exits_1(capsys, monkeypatch, budget):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", budget)
+    _assert_one_line_error(capsys, ["points", "2", "1", "--verify"])
+    _assert_one_line_error(capsys, ["sweep", "--r1", "2", "--x1", "1"])
+
+
+@pytest.mark.parametrize("index", ["99", "-1"])
+def test_gb_verify_sabotage_tail_bad_index(capsys, index):
+    _assert_one_line_error(
+        capsys, ["gb", "verify", "2", "1", "--sabotage-tail", index]
+    )
+
+
+def test_unwritable_json_path_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    _assert_one_line_error(capsys, ["points", "2", "1", "--json", str(target)])
+    assert not target.exists()

@@ -9,7 +9,6 @@ from wpsimplex import (
     companion,
     excluded_pair_binomial,
     groebner_family,
-    homogenize,
     is_toric_member,
     lattice_points_formula,
     monomial_text,
@@ -90,21 +89,21 @@ def test_zsupport():
 # -- the configuration matrix --------------------------------------------------
 
 def test_homogenize_2_1():
-    cols = homogenize(lattice_points_formula(build_q(2, 1)))
+    cols = lattice_points_formula(build_q(2, 1)).homogenized
     assert cols[2] == (-1, -1, 1)  # a3
     assert cols[4] == (0, 0, 1)  # a5, the lifted origin
     assert all(col[-1] == 1 for col in cols)
 
 
 def test_homogenize_6_4_shape():
-    cols = homogenize(lattice_points_formula(build_q(6, 4)))
+    cols = lattice_points_formula(build_q(6, 4)).homogenized
     assert len(cols) == 18
     assert all(len(col) == 10 for col in cols)
 
 
 def test_pi_image_examples():
     q = build_q(2, 1)
-    cols = homogenize(lattice_points_formula(q))
+    cols = lattice_points_formula(q).homogenized
     assert pi_image(cols, _mono(q, y1=1, y2=1)) == (1, 1, 2)
     assert pi_image(cols, _mono(q, z2=1, z4=1)) == (-1, -3, 2)
     # a different monomial with the same image: a relation in the making
@@ -112,14 +111,14 @@ def test_pi_image_examples():
 
 
 def test_pi_image_dimension_check():
-    cols = homogenize(lattice_points_formula(build_q(2, 1)))
+    cols = lattice_points_formula(build_q(2, 1)).homogenized
     with pytest.raises(DimensionMismatch):
         pi_image(cols, Monomial((1, 0)))
 
 
 def test_is_toric_member_counterexample():
     q = build_q(2, 1)
-    cols = homogenize(lattice_points_formula(q))
+    cols = lattice_points_formula(q).homogenized
     bad = Binomial(_mono(q, z2=1, z4=1), _mono(q, z2=1, z3=1))
     assert not is_toric_member(cols, bad)
 
@@ -159,7 +158,7 @@ def test_companion_rejects_non_members():
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_companion_products_balance(r1, x1):
     q = build_q(r1, x1)
-    cols = homogenize(lattice_points_formula(q))
+    cols = lattice_points_formula(q).homogenized
     for i, j in build_B(r1):
         assert is_toric_member(cols, eq1_binomial(q, i, j))
 
@@ -167,7 +166,7 @@ def test_companion_products_balance(r1, x1):
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_excluded_pair_binomial_fails_balance(r1, x1):
     q = build_q(r1, x1)
-    cols = homogenize(lattice_points_formula(q))
+    cols = lattice_points_formula(q).homogenized
     assert not is_toric_member(cols, excluded_pair_binomial(q))
 
 
@@ -206,7 +205,7 @@ def test_eq3star_deep_split_6_1():
     assert binomial_text(eq3star_binomial(q, 3), 6) == "z3*y6 - z5*z6"
     assert binomial_text(eq3star_binomial(q, 4), 6) == "z2*y6 - z5^2"
     assert binomial_text(eq3star_binomial(q, 5), 6) == "z1*y6 - z4*z5"
-    cols = homogenize(lattice_points_formula(q))
+    cols = lattice_points_formula(q).homogenized
     for k in range(6):
         assert is_toric_member(cols, eq3star_binomial(q, k))
 

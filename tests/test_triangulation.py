@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from wpsimplex.errors import (
     SingularFacet,
 )
 from wpsimplex.groebner import InitialIdeal
-from wpsimplex.toric import with_generators
 from wpsimplex.triangulation import WeightCertificate, facet_support_function
 
 from conftest import SMALL_GRID
@@ -106,14 +106,14 @@ def test_weight_certificate_first_base_3_2():
 
 def test_weight_certificate_synthetic_linear(family21):
     g = Binomial(Monomial((1, 0, 0, 0, 0, 0, 0)), Monomial((0, 1, 0, 0, 0, 0, 0)))
-    fam = with_generators(family21, (g,), ("eq1",))
+    fam = replace(family21, generators=(g,), tags=("eq1",))
     cert = make_weight_certificate(fam)
     assert cert.weights[0] > cert.weights[1]
 
 
 def test_weight_certificate_empty_family(family21):
     with pytest.raises(CertificateFailure):
-        make_weight_certificate(with_generators(family21, (), ()))
+        make_weight_certificate(replace(family21, generators=(), tags=()))
 
 
 def test_support_function_interpolates(family21, tri21):
