@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -65,19 +67,32 @@ def _exit_code(ok: bool | None) -> int:
     return EXIT_PASS if ok else EXIT_VERIFICATION
 
 
-def _emit(payload: dict, json_path: str | None, code: int = EXIT_PASS) -> int:
-    """Print or write the payload; return ``code``, or 1 when the file
-    cannot be written."""
-    text = json.dumps(payload, indent=2)
-    if not json_path:
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _probe(path: str) -> None:
+    """Raise OSError unless ``path`` can be written.  Creates nothing, so
+    a run that ends without a payload leaves no file behind."""
+    if os.path.exists(path):
+        open(path, "a", encoding="utf-8").close()
+    else:
+        tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
+
+
+def _emit(payload: dict | str, path: str | None, code: int = EXIT_PASS) -> int:
+    """Print the payload, as JSON unless it is already text, or write it
+    to ``path``; return ``code``, or 1 when the file cannot be written."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+    if not path:
         print(text)
         return code
     try:
-        with open(json_path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        print(f"error: cannot write {json_path}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
+        return _cannot_write(path, exc)
     return code
 
 
@@ -191,8 +206,7 @@ def cmd_triangulate(args) -> int:
         f"{len(facet)} " + " ".join(str(p - 1) for p in facet)
         for facet in payload["facets"]
     ]
-    print("\n".join(lines))
-    return code
+    return _emit("\n".join(lines), args.json, code)
 
 
 def cmd_sweep(args) -> int:
@@ -256,7 +270,7 @@ def build_parser() -> _Parser:
         p.add_argument("r1", type=int)
         p.add_argument("x1", type=int)
         p.add_argument("--json", metavar="FILE", default=None,
-                       help="write the JSON payload to FILE instead of stdout")
+                       help="write the output to FILE instead of stdout")
 
     p_points = sub.add_parser("points", help="lattice point list")
     add_point_args(p_points)
@@ -311,6 +325,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        try:
+            _probe(args.json)
+        except OSError as exc:
+            return _cannot_write(args.json, exc)
     try:
         return args.func(args)
     except (ParameterOutOfRange, IndexOutOfRange) as exc:

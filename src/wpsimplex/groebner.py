@@ -51,44 +51,48 @@ def lex_cmp(m1: Monomial, m2: Monomial) -> int:
     return (a > b) - (a < b)
 
 
+def _support_mask(exponents) -> int:
+    """Bit i set exactly when variable i occurs."""
+    return sum(1 << i for i, e in enumerate(exponents) if e)
+
+
 @lru_cache(maxsize=64)
 def _prepared(family: GroebnerFamily):
     """Generators as raw tuples, lex-largest lead first, with support
     masks for fast divisibility rejection."""
     entries = []
     for g in family.generators:
-        le, te = g.lead.exponents, g.tail.exponents
-        mask = 0
-        support = []
-        for i, e in enumerate(le):
-            if e:
-                mask |= 1 << i
-                support.append(i)
-        entries.append((le, te, mask, tuple(support)))
+        le = g.lead.exponents
+        support = tuple(i for i, e in enumerate(le) if e)
+        entries.append((le, g.tail.exponents, _support_mask(le), support))
     entries.sort(key=lambda ent: ent[0], reverse=True)
     return tuple(entries)
 
 
+def _divisor(exps, prepared) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Lead and tail of the first prepared generator whose lead divides
+    ``exps``, or None."""
+    # the mask is built inline, not by _support_mask: this runs once per
+    # rewrite step, where the extra call costs measurably
+    mask = sum(1 << i for i, e in enumerate(exps) if e)
+    for le, te, lmask, support in prepared:
+        if lmask & ~mask:
+            continue
+        if all(exps[i] >= le[i] for i in support):
+            return le, te
+    return None
+
+
 def _reduce_tuple(exps: tuple[int, ...], prepared) -> tuple[int, ...]:
     steps = 0
-    while True:
-        mask = 0
-        for i, e in enumerate(exps):
-            if e:
-                mask |= 1 << i
-        for le, te, lmask, support in prepared:
-            if lmask & ~mask:
-                continue
-            if all(exps[i] >= le[i] for i in support):
-                exps = tuple(e - a + b for e, a, b in zip(exps, le, te))
-                break
-        else:
-            return exps
+    while (rule := _divisor(exps, prepared)) is not None:
+        exps = tuple(e - a + b for e, a, b in zip(exps, *rule))
         steps += 1
         if steps > _MAX_REWRITE_STEPS:
             raise InternalConsistency(
                 "rewrite did not terminate; a generator must be mis-oriented"
             )
+    return exps
 
 
 def normal_form(m: Monomial, family: GroebnerFamily) -> Monomial:
@@ -102,7 +106,9 @@ def normal_form(m: Monomial, family: GroebnerFamily) -> Monomial:
 
 def is_standard(m: Monomial, family: GroebnerFamily) -> bool:
     """True when no generator's lead divides m."""
-    return all(not g.lead.divides(m) for g in family.generators)
+    if m.nvars != family.nvars:
+        raise DimensionMismatch(f"monomial in {m.nvars} variables, not {family.nvars}")
+    return _divisor(m.exponents, _prepared(family)) is None
 
 
 def s_polynomial(g1: Binomial, g2: Binomial) -> Binomial | None:
@@ -216,20 +222,13 @@ def standard_monomials(
         raise BudgetExceeded(
             f"{candidates} degree-{degree} monomials exceed the budget {limit}"
         )
-    min_leads = initial_ideal(family).generators
-    lead_data = [
-        (m.exponents, tuple(i for i, e in enumerate(m.exponents) if e))
-        for m in min_leads
-    ]
+    prepared = _prepared(family)
     out = []
     for combo in combinations_with_replacement(range(n), degree):
         exps = [0] * n
         for v in combo:
             exps[v] += 1
-        for le, support in lead_data:
-            if all(exps[i] >= le[i] for i in support):
-                break
-        else:
+        if _divisor(exps, prepared) is None:
             out.append(Monomial(exps))
     return out
 

@@ -430,24 +430,26 @@ def groebner_family(q: QVector) -> GroebnerFamily:
     gens.append(eq5_binomial(q))
     tags.append("eq5")
 
-    for idx, g in enumerate(gens):
-        if not is_toric_member(columns, g):
-            raise InternalConsistency(
-                f"generator {idx} ({tags[idx]}) {binomial_text(g, r1)} "
-                f"is not pi-balanced"
-            )
-        if not g.lead.exponents > g.tail.exponents:
-            raise InternalConsistency(
-                f"generator {idx} ({tags[idx]}) is not lex-oriented"
-            )
-
-    return GroebnerFamily(
+    family = GroebnerFamily(
         q=q,
         columns=columns,
         generators=tuple(gens),
         tags=tuple(tags),
         b_pairs=b_pairs,
     )
+    unbalanced = pi_balance_failures(family)
+    if unbalanced:
+        idx = unbalanced[0]
+        raise InternalConsistency(
+            f"generator {idx} ({tags[idx]}) {binomial_text(gens[idx], r1)} "
+            f"is not pi-balanced"
+        )
+    for idx, g in enumerate(gens):
+        if not g.lead.exponents > g.tail.exponents:
+            raise InternalConsistency(
+                f"generator {idx} ({tags[idx]}) is not lex-oriented"
+            )
+    return family
 
 
 def mutate_tail(family: GroebnerFamily, index: int) -> GroebnerFamily:

@@ -6,12 +6,13 @@ simplicial complex on the configuration columns; its maximal faces are
 the facets of a triangulation of the simplex.  Facet volumes are exact
 integer determinants, and regularity is certified by exhibiting one
 weight vector whose lifted lower envelope induces exactly these facets.
+Both rest on one fraction-free elimination, so all arithmetic is on
+plain integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     ParameterOutOfRange,
     SingularFacet,
 )
-from .groebner import InitialIdeal, initial_ideal
+from .groebner import InitialIdeal, _support_mask, initial_ideal
 from .simplex import QVector
 from .toric import GroebnerFamily
 
@@ -94,18 +95,10 @@ def initial_complex(
     A maximal face of any other size raises NonPureComplex: purity is
     part of what is being verified and is never repaired silently.
     """
-    masks = []
-    for m in in_ideal.generators:
-        mask = 0
-        for i, e in enumerate(m.exponents):
-            if e:
-                mask |= 1 << i
-        masks.append(mask)
+    masks = [_support_mask(m.exponents) for m in in_ideal.generators]
     facets = []
     for face_mask in _maximal_faces(n, masks):
-        members = tuple(
-            i + 1 for i in range(n) if face_mask >> i & 1
-        )
+        members = tuple(i + 1 for i in range(n) if face_mask >> i & 1)
         if len(members) != dim:
             raise NonPureComplex(
                 f"maximal face {members} has {len(members)} vertices, "
@@ -116,27 +109,33 @@ def initial_complex(
     return tuple(facets)
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination."""
-    n = len(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+def _eliminate(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """Gauss-Jordan elimination without fractions (Bareiss, 1968) of an
+    n x n integer matrix A, optionally augmented by a column b; ``rows``
+    is overwritten.  Returns det A and det A * A^-1 b (empty without b or
+    when det A is 0).  Every entry stays a minor of [A | b], so each
+    division is exact."""
+    size, sign, prev = len(rows), 1, 1
+    for k in range(size):
         if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
+            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if swap is None:
+                return 0, ()
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows:
+            if row is not pivot_row:
+                factor = row[k]
+                row[k + 1:] = [
+                    (pivot * a - factor * b) // prev
+                    for a, b in zip(row[k + 1:], pivot_row[k + 1:])
+                ]
         prev = pivot
-    return sign * rows[n - 1][n - 1]
+    # prev is now the determinant of the row-permuted A, and column b
+    # holds prev times the solution
+    return sign * prev, tuple(sign * row[size] for row in rows if len(row) > size)
 
 
 def facet_volume(
@@ -150,8 +149,7 @@ def facet_volume(
         raise ParameterOutOfRange(
             f"facet must select {height} columns, got {len(facet)}"
         )
-    rows = [[columns[p - 1][t] for p in facet] for t in range(height)]
-    det = _bareiss_det(rows)
+    det, _ = _eliminate([list(columns[p - 1]) for p in facet])
     if det == 0:
         raise SingularFacet(f"columns {facet} span a degenerate simplex")
     return abs(det)
@@ -188,61 +186,42 @@ def make_weight_certificate(family: GroebnerFamily) -> WeightCertificate:
     generator degree.
 
     Exponents in any monomial of degree < M are valid base-M digits, so
-    these weights realize lex on all monomials the family touches; the
-    strictness check on every generator is still run, with a doubling
-    retry, and CertificateFailure signals an orientation bug upstream.
+    these weights order every homogeneous binomial of the family exactly
+    as lex does, and no other M could change that.  The strictness check
+    on every generator is still run: CertificateFailure names the first
+    generator whose lead is not heavier than its tail, which means an
+    orientation bug upstream.
     """
     if not family.generators:
         raise CertificateFailure("cannot certify an empty family")
-    n = family.nvars
     m_base = 1 + max(g.lead.degree for g in family.generators)
-    for _ in range(8):
-        weights = tuple(m_base ** (n - 1 - i) for i in range(n))
-        ok = all(
-            sum(w * e for w, e in zip(weights, g.lead.exponents))
-            > sum(w * e for w, e in zip(weights, g.tail.exponents))
-            for g in family.generators
+    weights = tuple(m_base ** i for i in reversed(range(family.nvars)))
+    for index, g in enumerate(family.generators):
+        lead, tail = (
+            sum(w * e for w, e in zip(weights, m.exponents))
+            for m in (g.lead, g.tail)
         )
-        if ok:
-            return WeightCertificate(weights=weights)
-        m_base *= 2
-    raise CertificateFailure(
-        "no geometric weight vector separates every generator"
-    )
+        if lead <= tail:
+            raise CertificateFailure(
+                f"generator {index}'s lead is not heavier than its tail"
+            )
+    return WeightCertificate(weights=weights)
 
 
 def facet_support_function(
     columns: tuple[tuple[int, ...], ...],
     weights: tuple[int, ...],
     facet: tuple[int, ...],
-) -> tuple[Fraction, ...]:
-    """Coefficients of the unique affine function through the lifted
-    facet points, solved exactly over the rationals.
-
-    Returned as a vector c with c . column_p = weight_p for every p in
-    the facet (affine functions on the points are linear functions of
-    the homogenized columns).
+) -> tuple[int, tuple[int, ...]]:
+    """The affine function through the lifted facet points, as integers
+    ``(scale, c)`` with scale > 0 and c . column_p == scale * weight_p
+    for every p in the facet (affine functions on the points are linear
+    functions of the homogenized columns); scale is the facet volume.
     """
-    height = len(columns[0])
-    aug = [
-        [Fraction(columns[p - 1][t]) for t in range(height)]
-        + [Fraction(weights[p - 1])]
-        for p in facet
-    ]
-    size = len(aug)
-    for col in range(height):
-        pivot_row = next(
-            (r for r in range(col, size) if aug[r][col] != 0), None
-        )
-        if pivot_row is None:
-            raise SingularFacet(f"columns {facet} are affinely dependent")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col] / pivot
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[t][height] / aug[t][t] for t in range(height))
+    det, c = _eliminate([[*columns[p - 1], weights[p - 1]] for p in facet])
+    if det == 0:
+        raise SingularFacet(f"columns {facet} are affinely dependent")
+    return (det, c) if det > 0 else (-det, tuple(-v for v in c))
 
 
 def _is_lower_cell(
@@ -254,17 +233,17 @@ def _is_lower_cell(
     every other column lifts strictly above that hyperplane.  Equality
     raises DegenerateLift (heights not generic); a column lifting below
     makes the cell not lower."""
-    psi = facet_support_function(columns, weights, cell)
+    scale, psi = facet_support_function(columns, weights, cell)
     inside = set(cell)
     for p, col in enumerate(columns, start=1):
         if p in inside:
             continue
-        value = sum(c * v for c, v in zip(psi, col))
-        if value == weights[p - 1]:
+        gap = scale * weights[p - 1] - sum(c * v for c, v in zip(psi, col))
+        if gap == 0:
             raise DegenerateLift(
                 f"column {p} lies on the lifted hyperplane of {cell}"
             )
-        if value > weights[p - 1]:
+        if gap < 0:
             return False
     return True
 
@@ -299,7 +278,7 @@ def regular_subdivision_bruteforce(
         )
     facets = []
     for subset in combinations(range(1, len(columns) + 1), height):
-        rows = [[columns[p - 1][t] for p in subset] for t in range(height)]
-        if _bareiss_det(rows) != 0 and _is_lower_cell(columns, weights, subset):
+        rows = [list(columns[p - 1]) for p in subset]
+        if _eliminate(rows)[0] and _is_lower_cell(columns, weights, subset):
             facets.append(subset)
     return tuple(facets)

@@ -160,6 +160,16 @@ def test_triangulate_off_format(capsys):
     assert lines[-1].startswith("3 ")
 
 
+def test_triangulate_off_format_json_file(capsys, tmp_path):
+    _, printed = run(capsys, "triangulate", "2", "1", "--format", "off")
+    target = tmp_path / "tri.off"
+    code, out = run(
+        capsys, "triangulate", "2", "1", "--format", "off", "--json", str(target)
+    )
+    assert (code, out) == (0, "")
+    assert target.read_text() == printed
+
+
 def test_triangulate_drop_facet(capsys):
     code, payload = run_json(capsys, "triangulate", "2", "1", "--drop-facet", "0")
     assert code == 2
@@ -373,4 +383,22 @@ def test_gb_verify_sabotage_tail_bad_index(capsys, index):
 def test_unwritable_json_path_exits_1(capsys, tmp_path):
     target = tmp_path / "missing" / "out.json"
     _assert_one_line_error(capsys, ["points", "2", "1", "--json", str(target)])
+    assert not target.exists()
+
+
+def test_unwritable_json_path_exits_before_work(capsys, monkeypatch, tmp_path):
+    def fail(*args):
+        raise AssertionError("evaluate_point ran before the --json check")
+
+    monkeypatch.setattr(cli, "evaluate_point", fail)
+    target = tmp_path / "missing" / "x.json"
+    argv = ["sweep", "--r1", "2..4", "--x1", "1..3", "--json", str(target)]
+    _assert_one_line_error(capsys, argv)
+    assert not target.exists()
+
+
+def test_budget_skip_leaves_no_json_file(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "50")
+    target = tmp_path / "gb.json"
+    assert cli.main(["gb", "verify", "2", "1", "--json", str(target)]) == 3
     assert not target.exists()

@@ -87,6 +87,11 @@ def test_normal_form_chain(family21):
     assert pi_image(family21.columns, nf) == (-2, -3, 3)
 
 
+def test_is_standard_dimension_check(family21):
+    with pytest.raises(DimensionMismatch):
+        is_standard(Monomial((1, 0)), family21)
+
+
 def _all_monomials(n, degree):
     from itertools import combinations_with_replacement
 

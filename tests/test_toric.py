@@ -14,7 +14,13 @@ from wpsimplex import (
     monomial_text,
     pi_image,
 )
-from wpsimplex.errors import DimensionMismatch, IndexOutOfRange, InvalidPair
+from wpsimplex import toric
+from wpsimplex.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InternalConsistency,
+    InvalidPair,
+)
 from wpsimplex.toric import (
     eq1_binomial,
     eq2_binomial,
@@ -260,3 +266,12 @@ def test_include_excluded_pair_fails_audit(family21):
 def test_mutate_tail_index_check(family21):
     with pytest.raises(IndexOutOfRange):
         mutate_tail(family21, 99)
+
+
+def test_construction_audit_names_the_unbalanced_generator(monkeypatch):
+    # an eq5 constructor that emits the excluded pair's binomial must stop
+    # the build with the generator's index, tag and text
+    monkeypatch.setattr(toric, "eq5_binomial", excluded_pair_binomial)
+    with pytest.raises(InternalConsistency) as info:
+        toric.groebner_family.__wrapped__(build_q(2, 1))
+    assert str(info.value) == "generator 8 (eq5) z2*z4 - z2*z3 is not pi-balanced"

@@ -1,6 +1,4 @@
 from dataclasses import replace
-from fractions import Fraction
-
 import pytest
 
 from wpsimplex import (
@@ -111,6 +109,17 @@ def test_weight_certificate_synthetic_linear(family21):
     assert cert.weights[0] > cert.weights[1]
 
 
+def test_weight_certificate_rejects_mis_oriented_generator(family21):
+    # z2 - z1 has its lex-smaller side as lead: no lex-realizing weights
+    # can make the lead heavier
+    g = Binomial(Monomial((0, 1, 0, 0, 0, 0, 0)), Monomial((1, 0, 0, 0, 0, 0, 0)))
+    fam = replace(
+        family21, generators=family21.generators + (g,), tags=family21.tags + ("eq1",)
+    )
+    with pytest.raises(CertificateFailure, match="generator 9"):
+        make_weight_certificate(fam)
+
+
 def test_weight_certificate_empty_family(family21):
     with pytest.raises(CertificateFailure):
         make_weight_certificate(replace(family21, generators=(), tags=()))
@@ -119,12 +128,11 @@ def test_weight_certificate_empty_family(family21):
 def test_support_function_interpolates(family21, tri21):
     cert = make_weight_certificate(family21)
     for facet in tri21.facets:
-        psi = facet_support_function(family21.columns, cert.weights, facet)
+        scale, c = facet_support_function(family21.columns, cert.weights, facet)
+        assert scale > 0
         for p in facet:
-            value = sum(
-                c * Fraction(v) for c, v in zip(psi, family21.columns[p - 1])
-            )
-            assert value == cert.weights[p - 1]
+            value = sum(a * v for a, v in zip(c, family21.columns[p - 1]))
+            assert value == scale * cert.weights[p - 1]
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
