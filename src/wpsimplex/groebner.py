@@ -101,6 +101,8 @@ def normal_form(m: Monomial, family: GroebnerFamily) -> Monomial:
     lex-largest lead is used at every step (construction order breaks
     ties), so results are reproducible; each step strictly decreases the
     monomial in lex, so the loop terminates."""
+    if m.nvars != family.nvars:
+        raise DimensionMismatch(f"monomial in {m.nvars} variables, not {family.nvars}")
     return Monomial(_reduce_tuple(m.exponents, _prepared(family)))
 
 

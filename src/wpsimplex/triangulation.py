@@ -2,8 +2,9 @@
 and regularity certification.
 
 The lead supports of the rewrite family are the minimal non-faces of a
-simplicial complex on the configuration columns; its maximal faces are
-the facets of a triangulation of the simplex.  Facet volumes are exact
+simplicial complex on the configuration columns; its maximal faces,
+the complements of the minimal transversals of the supports, are the
+facets of a triangulation of the simplex.  Facet volumes are exact
 integer determinants, and regularity is certified by exhibiting one
 weight vector whose lifted lower envelope induces exactly these facets.
 Both rest on one fraction-free elimination, so all arithmetic is on
@@ -46,43 +47,30 @@ class WeightCertificate:
 
 
 def _maximal_faces(n: int, support_masks: list[int]) -> list[int]:
-    """Maximal subsets of {0..n-1} containing no support mask.
+    """Maximal subsets of {0..n-1} containing no support mask, of any size.
 
-    Depth-first over sorted vertex chains: every face of the complex is
-    visited exactly once (each prefix of a face is a face), and a face is
-    recorded when no vertex at all can extend it.
+    They are the complements of the minimal transversals of the supports,
+    built by Berge's incremental dualization (Berge, *Hypergraphs*, 1989,
+    ch. 2): from the empty transversal, each support ``e`` keeps the
+    transversals meeting it and grows each one missing it by every vertex
+    v of ``e``.  A grown t + v is dropped when it contains a kept set,
+    which must pass through v; it cannot contain another grown t' + v',
+    as both meet ``e`` only in v and the earlier transversals are minimal.
+    Small supports go first to keep the intermediate families small.
     """
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for mask in support_masks:
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            by_vertex[v].append(mask)
-            m &= m - 1
-
-    def addable(face_mask: int, v: int) -> bool:
-        grown = face_mask | (1 << v)
-        return all((s & grown) != s for s in by_vertex[v])
-
-    results: list[int] = []
-
-    def walk(face_mask: int, last: int, candidates: list[int]) -> None:
-        if not candidates:
-            results.append(face_mask)
-            return
-        for v in candidates:
-            if v <= last:
-                continue
-            grown = face_mask | (1 << v)
-            rest = [
-                u
-                for u in candidates
-                if u != v and addable(grown, u)
+    transversals = [0]
+    for e in sorted(support_masks, key=int.bit_count):
+        kept = [t for t in transversals if t & e]
+        missed = [t for t in transversals if not t & e]
+        grown = []
+        for v in (1 << i for i in range(n) if e >> i & 1):
+            through = [k for k in kept if k & v]
+            grown += [
+                t | v for t in missed
+                if not any(k & (t | v) == k for k in through)
             ]
-            walk(grown, v, rest)
-
-    walk(0, -1, [v for v in range(n) if addable(0, v)])
-    return results
+        transversals = kept + grown
+    return [((1 << n) - 1) ^ t for t in transversals]
 
 
 def initial_complex(
@@ -278,7 +266,9 @@ def regular_subdivision_bruteforce(
         )
     facets = []
     for subset in combinations(range(1, len(columns) + 1), height):
-        rows = [list(columns[p - 1]) for p in subset]
-        if _eliminate(rows)[0] and _is_lower_cell(columns, weights, subset):
-            facets.append(subset)
+        try:
+            if _is_lower_cell(columns, weights, subset):
+                facets.append(subset)
+        except SingularFacet:
+            pass
     return tuple(facets)

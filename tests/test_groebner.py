@@ -92,6 +92,14 @@ def test_is_standard_dimension_check(family21):
         is_standard(Monomial((1, 0)), family21)
 
 
+def test_normal_form_dimension_check(family21):
+    # the rewrite loop zips exponent tuples, so a monomial of the wrong
+    # size would otherwise come back truncated
+    for exps in ((1, 0, 0, 1), (0,) * 8):
+        with pytest.raises(DimensionMismatch):
+            normal_form(Monomial(exps), family21)
+
+
 def _all_monomials(n, degree):
     from itertools import combinations_with_replacement
 

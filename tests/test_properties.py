@@ -1,22 +1,30 @@
 """Property tests: the elimination kernel against the Leibniz
-determinant, and the normal form and the standard monomials against
-plain ``Monomial.divides``."""
+determinant, the normal form and the standard monomials against plain
+``Monomial.divides``, and the facet enumeration against a filter of all
+vertex subsets."""
 
 from itertools import combinations_with_replacement, permutations
 from math import prod
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wpsimplex import (
     Monomial,
     build_q,
     groebner_family,
+    initial_complex,
+    initial_ideal,
     normal_form,
     pi_image,
     standard_monomials,
 )
-from wpsimplex.triangulation import _eliminate
+from wpsimplex.errors import NonPureComplex
+from wpsimplex.groebner import InitialIdeal
+from wpsimplex.triangulation import _eliminate, _maximal_faces
+
+from conftest import SMALL_GRID
 
 PARAMS = st.tuples(st.integers(2, 4), st.integers(1, 3))
 
@@ -106,3 +114,74 @@ def test_standard_monomials_equal_a_brute_filter(params, degree):
     got = standard_monomials(family, degree)
     assert len(got) == len(set(got))
     assert set(got) == brute
+
+
+@st.composite
+def hypergraphs(draw):
+    """Nonempty supports on n <= 8 vertices; some are repeated and some
+    enlarged into supersets of others, so duplicate and nested supports
+    occur, and many draws leave maximal faces of mixed sizes."""
+    n = draw(st.integers(1, 8))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(1, full), max_size=12))
+    if masks:
+        for base in draw(st.lists(st.sampled_from(masks), max_size=4)):
+            masks.append(base | draw(st.integers(0, full)))
+    return n, draw(st.permutations(masks))
+
+
+def _brute_maximal_faces(n, masks):
+    faces = {s for s in range(1 << n) if not any(m & s == m for m in masks)}
+    return sorted(
+        s for s in faces
+        if all(s | 1 << v not in faces for v in range(n) if not s >> v & 1)
+    )
+
+
+# non-faces {0,1} and {0,2}: maximal faces {0} and {1,2}
+NON_PURE = (3, [0b011, 0b101])
+# a duplicate and a superset of {0,1} beside {2,3}
+NESTED = (4, [0b0011, 0b0011, 0b0111, 0b1100])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs())
+@example(NON_PURE)
+@example(NESTED)
+def test_maximal_faces_equal_a_brute_filter(graph):
+    n, masks = graph
+    assert sorted(_maximal_faces(n, masks)) == _brute_maximal_faces(n, masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hypergraphs())
+@example(NON_PURE)
+@example(NESTED)
+def test_initial_complex_is_non_pure_exactly_when_sizes_mix(graph):
+    n, masks = graph
+    brute = _brute_maximal_faces(n, masks)
+    sizes = {s.bit_count() for s in brute}
+    ideal = InitialIdeal(
+        generators=tuple(
+            Monomial(tuple(m >> i & 1 for i in range(n))) for m in masks
+        ),
+        squarefree=True,
+    )
+    dim = max(sizes)
+    if len(sizes) > 1:
+        with pytest.raises(NonPureComplex):
+            initial_complex(ideal, n, dim)
+    else:
+        expected = sorted(
+            tuple(i + 1 for i in range(n) if s >> i & 1) for s in brute
+        )
+        assert initial_complex(ideal, n, dim) == tuple(expected)
+
+
+@pytest.mark.parametrize("r1,x1", SMALL_GRID)
+def test_facets_are_sorted_distinct_column_indices(r1, x1):
+    family = groebner_family(build_q(r1, x1))
+    n = family.nvars
+    for facet in initial_complex(initial_ideal(family), n, family.q.d + 1):
+        assert list(facet) == sorted(set(facet))
+        assert all(1 <= p <= n for p in facet)

@@ -63,6 +63,16 @@ def test_non_pure_complex_detected():
         initial_complex(ideal, 3, 2)
 
 
+@pytest.mark.parametrize(
+    "r1,x1,count,size", [(10, 10, 1010, 20), (20, 5, 2020, 25)]
+)
+def test_initial_complex_at_the_frontier(r1, x1, count, size):
+    family = groebner_family(build_q(r1, x1))
+    facets = initial_complex(initial_ideal(family), family.nvars, size)
+    assert len(facets) == count == family.q.volume
+    assert all(len(f) == size for f in facets)
+
+
 def test_facet_volume_examples(family21):
     cols = family21.columns
     assert facet_volume(cols, (5, 6, 7)) == 1  # lifted origin and two units
