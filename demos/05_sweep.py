@@ -1,10 +1,12 @@
 """Run the whole verification pipeline over the default parameter grid.
 
 Per point: lattice points vs. enumeration, h* consistency and dilation
-counts, family construction and pi-balance, all-pairs S-pair reduction,
-squarefree leads, completeness at degree <= 3, unimodular facets, and the
-regularity certificate.  A check skipped over the enumeration budget
-shows as "skip" and does not count as a pass.
+counts, family construction and pi-balance, the Groebner basis certified
+by the triangulation (the buchbergerPass flag, which keeps its name but
+runs no S-pair), squarefree leads, completeness at degree <= 3 as a
+smoke test, unimodular facets, and the regularity certificate.
+A check skipped over the enumeration budget shows as "skip" and does not
+count as a pass.
 """
 
 import time

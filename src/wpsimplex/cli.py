@@ -36,6 +36,7 @@ from .pipeline import (
     Stage,
     check_family,
     check_hstar,
+    check_pi_balance,
     check_points,
     check_triangulation,
     evaluate_point,
@@ -162,7 +163,13 @@ def cmd_gb_dump(args) -> int:
     return _emit(payload, args.json)
 
 
+def _at_least(value: int, lower: int, flag: str) -> None:
+    if value < lower:
+        raise ParameterOutOfRange(f"{flag} must be >= {lower}, got {value}")
+
+
 def cmd_gb_verify(args) -> int:
+    _at_least(args.max_degree, 0, "--max-degree")
     q = build_q(args.r1, args.x1)
     payload = {"schema": 1, "params": {"r1": q.r1, "x1": q.x1}}
     try:
@@ -175,7 +182,11 @@ def cmd_gb_verify(args) -> int:
         payload["pass"] = False
         payload["failure"] = {"stage": "construction", "detail": str(exc)}
         return _emit(payload, args.json, EXIT_VERIFICATION)
-    stage = check_family(family, max_degree=args.max_degree)
+    # a sabotaged family fails the audit; only a balanced one, which the
+    # switches leave unmodified, is triangulated
+    stage = check_pi_balance(family) or check_family(
+        family, check_triangulation(family), max_degree=args.max_degree
+    )
     payload.update(stage.report)
     payload["pass"] = stage.verdict
     if stage.failure:
@@ -210,6 +221,8 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _at_least(args.max_degree, 0, "--max-degree")
+    _at_least(args.jobs, 1, "--jobs")
     try:
         r1_lo, r1_hi = _parse_range(args.r1)
         x1_lo, x1_hi = _parse_range(args.x1)
@@ -292,7 +305,8 @@ def build_parser() -> _Parser:
     p_verify = gb_sub.add_parser("verify", help="run the verification stack")
     add_point_args(p_verify)
     p_verify.add_argument("--max-degree", type=int, default=3,
-                          help="injectivity check degree bound (default 3)")
+                          help="completeness smoke-test degree bound, >= 0 "
+                               "(default 3)")
     p_verify.add_argument("--sabotage-tail", type=int, default=None,
                           metavar="K", help="mutate generator K's tail")
     p_verify.add_argument("--include-excluded-pair", action="store_true",
@@ -312,7 +326,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--max-degree", type=int, default=3)
     p_sweep.add_argument("--fail-fast", action="store_true")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (default 1)")
+                         help="worker processes, >= 1 (default 1)")
     p_sweep.add_argument("--json", metavar="FILE", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

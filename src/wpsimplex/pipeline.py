@@ -8,6 +8,19 @@ stages take the object they check as an argument, so a caller can inject
 a known defect first.  ``evaluate_point`` runs all four stages and
 returns the sweep's per-point entry; failures are collected rather than
 raised so a sweep can report every point.
+
+The family is certified as a lex Groebner basis of the toric ideal by
+the triangulation, in every degree and without S-pairs (Sturmfels,
+*Groebner Bases and Convex Polytopes*, 1996, Thm 8.3 and Cor 8.9; the
+argument is written out in ``wpsimplex.groebner``).  It combines four
+checks: (a) every generator is pi-balanced (``check_pi_balance``);
+(b) the weight certificate makes every lex lead strictly heavier than
+its tail, and (d) every facet of the lead-support complex is a lower
+cell of the lift, with unit volumes summing to N (both in
+``check_triangulation``); (c) the minimal leads are squarefree.  So the
+triangulation stage runs first, and ``check_family`` takes it:
+``buchbergerPass``, named for the S-pair run it replaced, holds exactly
+when (a), (c) and the triangulation verdict all hold.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from typing import Iterable
 
 from .errors import BudgetExceeded, InternalConsistency, WpsimplexError
 from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
-from .groebner import buchberger_verify, initial_ideal, injectivity_check
+from .groebner import initial_ideal, injectivity_check
 from .simplex import QVector, build_q, lattice_points_bruteforce, lattice_points_formula
 from .toric import GroebnerFamily, groebner_family, pi_balance_failures
 from .triangulation import (
@@ -34,6 +47,7 @@ DEFAULT_GRID_X1 = (1, 5)
 
 FAMILY_FLAGS = ("gbConstructed", "buchbergerPass", "squarefree", "injectivityPass")
 TRIANGULATION_FLAGS = ("triangulationUnimodular", "regularCertified")
+TIMINGS = ("points_ms", "hstar_ms", "gb_ms", "triangulate_ms")
 
 #: Keys of a per-point entry that are not certificate flags.
 _NOT_FLAGS = ("timings", "skipped", "errors")
@@ -117,21 +131,35 @@ def check_hstar(q: QVector, budget: int | None = None) -> Stage:
     )
 
 
-def check_family(
-    family: GroebnerFamily, max_degree: int = 3, budget: int | None = None
-) -> Stage:
-    """Pi-balance of every generator, then all S-pairs, squarefree leads
-    and completeness up to ``max_degree``.  An unbalanced family fails
-    every flag without running the rest."""
+def check_pi_balance(family: GroebnerFamily) -> Stage | None:
+    """The family stage of a family with an unbalanced generator, which
+    fails every flag, or None when every generator is pi-balanced."""
     unbalanced = pi_balance_failures(family)
+    if not unbalanced:
+        return None
+    return Stage(
+        dict.fromkeys(FAMILY_FLAGS, False),
+        report={"num_generators": len(family.generators)},
+        failure={"stage": "pi_balance", "generators": list(unbalanced)},
+    )
+
+
+def check_family(
+    family: GroebnerFamily,
+    triangulation: Stage,
+    max_degree: int = 3,
+    budget: int | None = None,
+) -> Stage:
+    """Pi-balance of every generator, squarefree minimal leads, and
+    ``triangulation``, the triangulation stage of the same family:
+    together they certify a lex Groebner basis of the toric ideal.
+    Completeness up to ``max_degree`` runs as a smoke test.  An
+    unbalanced family fails every flag without running the rest."""
+    unbalanced = check_pi_balance(family)
     if unbalanced:
-        return Stage(
-            dict.fromkeys(FAMILY_FLAGS, False),
-            report={"num_generators": len(family.generators)},
-            failure={"stage": "pi_balance", "generators": list(unbalanced)},
-        )
-    report = buchberger_verify(family)
+        return unbalanced
     squarefree = initial_ideal(family).squarefree
+    triangulated = triangulation.verdict is True
     skipped = {}
     try:
         injective = injectivity_check(family, max_degree=max_degree, budget=budget)
@@ -139,18 +167,20 @@ def check_family(
         injective = None
         skipped["injectivity"] = str(exc)
     failure = None
-    if report.failures:
-        failure = {"stage": "buchberger", "pairs": [list(p) for p in report.failures]}
+    if not triangulated:
+        failed = [name for name, ok in triangulation.flags.items() if not ok]
+        detail = triangulation.errors[0] if triangulation.errors else ", ".join(failed)
+        failure = {"stage": "triangulation", "detail": detail}
     elif not squarefree:
         failure = {"stage": "squarefree"}
     elif injective is False:
         failure = {"stage": "injectivity"}
+    certified = triangulated and squarefree
     return Stage(
-        dict(zip(FAMILY_FLAGS, (True, report.passed, squarefree, injective))),
+        dict(zip(FAMILY_FLAGS, (True, certified, squarefree, injective))),
         report={
             "num_generators": len(family.generators),
-            "spairs_total": report.pairs_total,
-            "spairs_reduced_to_zero": report.pairs_reduced_to_zero,
+            "num_facets": triangulation.report.get("num_facets"),
             "squarefree": squarefree,
             "injectivity_max_degree": max_degree,
         },
@@ -195,46 +225,41 @@ def point_flags(entry: dict) -> dict[str, bool | None]:
     return {k: v for k, v in entry.items() if k not in _NOT_FLAGS}
 
 
-def _ms(t0: float) -> int:
-    return int((time.perf_counter() - t0) * 1000)
-
-
 def evaluate_point(
     r1: int, x1: int, max_degree: int = 3, budget: int | None = None
 ) -> dict:
     """Run every stage at (r1, x1) and return the sweep's per-point
-    entry: the flags, the stage timings, and the skipped checks and
-    caught errors when there are any."""
+    entry: the flags and timings in stage order, and the skipped checks
+    and caught errors when there are any.  The triangulation stage runs
+    before the family stage, which takes its verdict."""
+    seconds = dict.fromkeys(TIMINGS, 0.0)
+
+    def timed(key, check, *args):
+        t0 = time.perf_counter()
+        try:
+            return check(*args)
+        finally:
+            seconds[key] += time.perf_counter() - t0
+
     q = build_q(r1, x1)
-    stages: list[Stage] = []
-    timings: dict[str, int] = {}
-
-    t0 = time.perf_counter()
-    stages.append(check_points(q, budget))
-    timings["points_ms"] = _ms(t0)
-
-    t0 = time.perf_counter()
-    stages.append(check_hstar(q, budget))
-    timings["hstar_ms"] = _ms(t0)
-
-    t0 = time.perf_counter()
+    stages = [
+        timed("points_ms", check_points, q, budget),
+        timed("hstar_ms", check_hstar, q, budget),
+    ]
     try:
-        family = groebner_family(q)
+        family = timed("gb_ms", groebner_family, q)
     except InternalConsistency as exc:
-        family = None
         flags = dict.fromkeys(FAMILY_FLAGS + TRIANGULATION_FLAGS, False)
         stages.append(Stage(flags, errors=(str(exc),)))
     else:
-        stages.append(check_family(family, max_degree, budget))
-    timings["gb_ms"] = _ms(t0)
-
-    t0 = time.perf_counter()
-    if family is not None:
-        stages.append(check_triangulation(family))
-    timings["triangulate_ms"] = _ms(t0)
+        triangulation = timed("triangulate_ms", check_triangulation, family)
+        stages.append(
+            timed("gb_ms", check_family, family, triangulation, max_degree, budget)
+        )
+        stages.append(triangulation)
 
     entry: dict = {k: v for stage in stages for k, v in stage.flags.items()}
-    entry["timings"] = timings
+    entry["timings"] = {k: int(s * 1000) for k, s in seconds.items()}
     for key in ("skipped", "errors"):
         found = [item for stage in stages for item in getattr(stage, key)]
         if found:

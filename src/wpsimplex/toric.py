@@ -387,9 +387,6 @@ class GroebnerFamily:
     def nvars(self) -> int:
         return len(self.columns)
 
-    def leads(self) -> tuple[Monomial, ...]:
-        return tuple(g.lead for g in self.generators)
-
 
 def pi_balance_failures(family: GroebnerFamily) -> tuple[int, ...]:
     """Indices of generators that are not pi-balanced (empty when sound)."""

@@ -104,8 +104,7 @@ def test_gb_verify(capsys):
     assert code == 0
     assert payload["pass"] is True
     assert payload["num_generators"] == 9
-    assert payload["spairs_total"] == 36
-    assert payload["spairs_reduced_to_zero"] == 36
+    assert payload["num_facets"] == 6
     assert payload["squarefree"] is True
     assert payload["injectivity_max_degree"] == 3
     _assert_integers_only(payload)
@@ -378,6 +377,16 @@ def test_gb_verify_sabotage_tail_bad_index(capsys, index):
     _assert_one_line_error(
         capsys, ["gb", "verify", "2", "1", "--sabotage-tail", index]
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["gb", "verify", "2", "1", "--max-degree", "-5"],
+    ["sweep", "--r1", "2", "--x1", "1", "--max-degree", "-1"],
+    ["sweep", "--r1", "2", "--x1", "1", "--jobs", "0"],
+    ["sweep", "--r1", "2", "--x1", "1", "--jobs", "-4"],
+])
+def test_bad_max_degree_or_jobs_exits_1(capsys, argv):
+    _assert_one_line_error(capsys, argv)
 
 
 def test_unwritable_json_path_exits_1(capsys, tmp_path):

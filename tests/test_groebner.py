@@ -202,10 +202,6 @@ def test_sympy_oracle_2_1(family21):
     assert leads == {g.lead.exponents for g in family21.generators}
 
 
-def test_buchberger_coprime_shortcut_agrees(family21):
-    assert buchberger_verify(family21, skip_coprime=True).passed
-
-
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_buchberger_passes_on_grid(r1, x1):
     report = buchberger_verify(groebner_family(build_q(r1, x1)))

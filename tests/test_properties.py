@@ -1,8 +1,9 @@
 """Property tests: the elimination kernel against the Leibniz
-determinant, the normal form and the standard monomials against plain
-``Monomial.divides``, and the facet enumeration against a filter of all
-vertex subsets."""
+determinant, the normal form, the standard monomials and the minimal
+leads against plain ``Monomial.divides``, and the facet enumeration
+against a filter of all vertex subsets."""
 
+from dataclasses import replace
 from itertools import combinations_with_replacement, permutations
 from math import prod
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wpsimplex import (
+    Binomial,
     Monomial,
     build_q,
     groebner_family,
@@ -185,3 +187,38 @@ def test_facets_are_sorted_distinct_column_indices(r1, x1):
     for facet in initial_complex(initial_ideal(family), n, family.q.d + 1):
         assert list(facet) == sorted(set(facet))
         assert all(1 <= p <= n for p in facet)
+
+
+@st.composite
+def lead_families(draw):
+    """The (2, 1) family with its generators replaced by binomials whose
+    leads are drawn at random, with repeats, multiples and non-squarefree
+    leads; the tails are pure powers of one variable."""
+    base = groebner_family(build_q(2, 1))
+    n = base.nvars
+    leads = draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any),
+        max_size=12,
+    ))
+    gens = []
+    for lead in leads:
+        degree = sum(lead)
+        tail = [0] * n
+        tail[0 if lead[0] != degree else n - 1] = degree
+        gens.append(Binomial(Monomial(lead), Monomial(tail)))
+    return replace(base, generators=tuple(gens), tags=("eq1",) * len(gens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead_families())
+def test_initial_ideal_equals_a_divides_filter(family):
+    monos = {g.lead for g in family.generators}
+    minimal = sorted(
+        (m for m in monos if not any(o != m and o.divides(m) for o in monos)),
+        key=lambda m: m.exponents,
+        reverse=True,
+    )
+    ideal = initial_ideal(family)
+    assert list(ideal.generators) == minimal
+    assert ideal.squarefree == all(m.is_squarefree() for m in minimal)
+
