@@ -7,14 +7,23 @@ the complements of the minimal transversals of the supports, are the
 facets of a triangulation of the simplex.  Facet volumes are exact
 integer determinants, and regularity is certified by exhibiting one
 weight vector whose lifted lower envelope induces exactly these facets.
-Both rest on one fraction-free elimination, so all arithmetic is on
+
+Both rest on the inverse of each facet's column matrix, found by one
+walk over the facets' dual graph (facets are neighbours when they share
+a ridge).  A start facet is inverted by one fraction-free elimination;
+each step to a neighbour swaps one column, and when the new determinant
+is again +-1 the inverse follows by a plain integer rank-1 pivot, the
+simplex method's basis update.  A facet of other volume, or one the
+walk cannot reach, is eliminated from scratch.  All arithmetic is on
 plain integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import deque
 from itertools import combinations
+from operator import mul
 
 from .errors import (
     CertificateFailure,
@@ -23,6 +32,7 @@ from .errors import (
     NonPureComplex,
     ParameterOutOfRange,
     SingularFacet,
+    WpsimplexError,
 )
 from .groebner import InitialIdeal, _support_mask, initial_ideal
 from .simplex import QVector
@@ -99,10 +109,11 @@ def initial_complex(
 
 def _eliminate(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
     """Gauss-Jordan elimination without fractions (Bareiss, 1968) of an
-    n x n integer matrix A, optionally augmented by a column b; ``rows``
-    is overwritten.  Returns det A and det A * A^-1 b (empty without b or
-    when det A is 0).  Every entry stays a minor of [A | b], so each
-    division is exact."""
+    n x n integer matrix A augmented by a block B of any width (none, a
+    right-hand side, or the identity); ``rows`` is overwritten.  Returns
+    det A and det A * A^-1 B read row by row, which for B the identity
+    is the adjugate (empty without B or when det A is 0).  Every entry
+    stays a minor of [A | B], so each division is exact."""
     size, sign, prev = len(rows), 1, 1
     for k in range(size):
         if rows[k][k] == 0:
@@ -121,9 +132,119 @@ def _eliminate(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
                     for a, b in zip(row[k + 1:], pivot_row[k + 1:])
                 ]
         prev = pivot
-    # prev is now the determinant of the row-permuted A, and column b
+    # prev is now the determinant of the row-permuted A, and block B
     # holds prev times the solution
-    return sign * prev, tuple(sign * row[size] for row in rows if len(row) > size)
+    return sign * prev, tuple(sign * x for row in rows for x in row[size:])
+
+
+#: A facet's inverse: the volume |det B| of the matrix B of its
+#: homogenized columns, and the rows of |det B| * B^-1 keyed by facet
+#: column, so column p's row n_p has n_p . column_p = |det B| and
+#: n_p . column_q = 0 for the other facet columns q.  (0, {}) when B is
+#: singular.
+FacetInverse = tuple[int, dict[int, list[int]]]
+
+
+def _facet_inverse(
+    columns: tuple[tuple[int, ...], ...], facet: tuple[int, ...]
+) -> FacetInverse:
+    """One elimination of B augmented by the identity."""
+    size = len(facet)
+    rows = [
+        [*coords, *(int(r == k) for k in range(size))]
+        for r, coords in enumerate(zip(*(columns[p - 1] for p in facet)))
+    ]
+    det, adjugate = _eliminate(rows)
+    if det == 0:
+        return 0, {}
+    sign = 1 if det > 0 else -1
+    return abs(det), {
+        p: [sign * x for x in adjugate[k * size:(k + 1) * size]]
+        for k, p in enumerate(facet)
+    }
+
+
+def _pivot(
+    inverse: dict[int, list[int]], leaving: int, entering: int,
+    column: tuple[int, ...],
+) -> FacetInverse | None:
+    """The inverse of a unimodular facet with column ``leaving`` swapped
+    for ``entering``, or None when the swap is not unimodular.
+
+    With u_p = n_p . column, the new determinant is u_leaving times the
+    old one; when u_leaving is +-1 the new rows are n_entering =
+    n_leaving / u_leaving and n_p - u_p * n_entering for the others."""
+    u = {p: sum(map(mul, row, column)) for p, row in inverse.items()}
+    ratio = u[leaving]
+    if ratio not in (1, -1):
+        return None
+    entering_row = inverse[leaving]
+    if ratio == -1:
+        entering_row = [-x for x in entering_row]
+    rows = {entering: entering_row}
+    for p, row in inverse.items():
+        if p != leaving:
+            f = u[p]
+            rows[p] = [a - f * b for a, b in zip(row, entering_row)] if f else row
+    return 1, rows
+
+
+def _walk_inverses(
+    columns: tuple[tuple[int, ...], ...], facets: tuple[tuple[int, ...], ...]
+):
+    """Yield ``(index, inverse)`` once for every facet, in walk order.
+
+    The walk goes breadth first over the dual graph from the first facet
+    not yet reached, which is inverted from scratch; a neighbour found
+    across a ridge of a unimodular facet is inverted by a pivot when the
+    swap keeps the determinant at +-1 and from scratch otherwise, and
+    only unimodular facets are walked on.  Only the frontier holds
+    inverses.  Pivots need no more than a correct neighbour, so the
+    ridge map is kept lean: each ridge maps to the XOR of (index + 1)
+    over the facets containing it, which names the other facet exactly
+    when at most two do; a name that does not contain the ridge is
+    skipped, and a facet missed that way is reached across another
+    ridge or starts a walk of its own.
+    """
+    masks = [sum(1 << p for p in facet) for facet in facets]
+    owners: dict[int, int] = {}
+    for index, (facet, mask) in enumerate(zip(facets, masks)):
+        for p in facet:
+            ridge = mask ^ (1 << p)
+            owners[ridge] = owners.get(ridge, 0) ^ (index + 1)
+    reached = bytearray(len(facets))
+    for start, facet in enumerate(facets):
+        if reached[start]:
+            continue
+        reached[start] = 1
+        inverse = _facet_inverse(columns, facet)
+        yield start, inverse
+        frontier = deque([(start, inverse[1])] if inverse[0] == 1 else [])
+        while frontier:
+            index, rows = frontier.popleft()
+            mask = masks[index]
+            for p in facets[index]:
+                ridge = mask ^ (1 << p)
+                other = (owners[ridge] ^ (index + 1)) - 1
+                if not 0 <= other < len(facets) or reached[other]:
+                    continue
+                new = masks[other] ^ ridge
+                if new & ridge or new.bit_count() != 1:
+                    continue
+                reached[other] = 1
+                entering = new.bit_length() - 1
+                step = _pivot(rows, p, entering, columns[entering - 1])
+                if step is None:
+                    step = _facet_inverse(columns, facets[other])
+                yield other, step
+                if step[0] == 1:
+                    frontier.append((other, step[1]))
+
+
+def _checked_volume(det: int, facet: tuple[int, ...]) -> int:
+    if det == 0:
+        raise SingularFacet(f"columns {facet} span a degenerate simplex")
+    return abs(det)
 
 
 def facet_volume(
@@ -138,17 +259,21 @@ def facet_volume(
             f"facet must select {height} columns, got {len(facet)}"
         )
     det, _ = _eliminate([list(columns[p - 1]) for p in facet])
-    if det == 0:
-        raise SingularFacet(f"columns {facet} span a degenerate simplex")
-    return abs(det)
+    return _checked_volume(det, facet)
 
 
 def triangulation_from_family(family: GroebnerFamily) -> Triangulation:
-    """Pipeline: lead monomials -> facets -> volumes."""
+    """Pipeline: lead monomials -> facets -> volumes; the first singular
+    facet in facet order raises SingularFacet."""
     in_ideal = initial_ideal(family)
     facets = initial_complex(in_ideal, family.nvars, family.q.d + 1)
-    volumes = tuple(facet_volume(family.columns, f) for f in facets)
-    return Triangulation(facets=facets, volumes=volumes)
+    volumes = [0] * len(facets)
+    for index, (volume, _) in _walk_inverses(family.columns, facets):
+        volumes[index] = volume
+    return Triangulation(
+        facets=facets,
+        volumes=tuple(map(_checked_volume, volumes, facets)),
+    )
 
 
 def verify_unimodular(tri: Triangulation, q: QVector) -> bool:
@@ -200,33 +325,40 @@ def facet_support_function(
     columns: tuple[tuple[int, ...], ...],
     weights: tuple[int, ...],
     facet: tuple[int, ...],
+    inverse: FacetInverse | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """The affine function through the lifted facet points, as integers
     ``(scale, c)`` with scale > 0 and c . column_p == scale * weight_p
     for every p in the facet (affine functions on the points are linear
     functions of the homogenized columns); scale is the facet volume.
+
+    c is the sum of weight_p * n_p over the rows of the facet's
+    ``inverse``, which is eliminated from scratch when not given.
     """
-    det, c = _eliminate([[*columns[p - 1], weights[p - 1]] for p in facet])
-    if det == 0:
+    scale, rows = inverse if inverse is not None else _facet_inverse(columns, facet)
+    if scale == 0:
         raise SingularFacet(f"columns {facet} are affinely dependent")
-    return (det, c) if det > 0 else (-det, tuple(-v for v in c))
+    lifts = [weights[p - 1] for p in rows]
+    return scale, tuple(sum(map(mul, lifts, col)) for col in zip(*rows.values()))
 
 
 def _is_lower_cell(
     columns: tuple[tuple[int, ...], ...],
     weights: tuple[int, ...],
     cell: tuple[int, ...],
+    inverse: FacetInverse | None = None,
 ) -> bool:
     """Interpolate the weights on the cell's columns and test whether
-    every other column lifts strictly above that hyperplane.  Equality
-    raises DegenerateLift (heights not generic); a column lifting below
-    makes the cell not lower."""
-    scale, psi = facet_support_function(columns, weights, cell)
+    every other column lifts strictly above that hyperplane: the simplex
+    method's reduced costs scale * w_p - c . column_p, in column order.
+    Equality raises DegenerateLift (heights not generic); a column
+    lifting below makes the cell not lower."""
+    scale, psi = facet_support_function(columns, weights, cell, inverse)
     inside = set(cell)
     for p, col in enumerate(columns, start=1):
         if p in inside:
             continue
-        gap = scale * weights[p - 1] - sum(c * v for c, v in zip(psi, col))
+        gap = scale * weights[p - 1] - sum(map(mul, psi, col))
         if gap == 0:
             raise DegenerateLift(
                 f"column {p} lies on the lifted hyperplane of {cell}"
@@ -245,11 +377,24 @@ def regularity_check(
 
     True certifies that the lifted lower envelope induces exactly these
     facets.  Equality anywhere raises DegenerateLift; a point lifting
-    below a facet's hyperplane makes the check return False.
+    below a facet's hyperplane makes the check return False.  Facets are
+    tested in walk order but decided in facet order: the first facet
+    that is not a lower cell gives the verdict or the error.
     """
-    return all(
-        _is_lower_cell(columns, certificate.weights, facet) for facet in tri.facets
-    )
+    outcomes: list[bool | WpsimplexError] = [True] * len(tri.facets)
+    for index, inverse in _walk_inverses(columns, tri.facets):
+        try:
+            outcomes[index] = _is_lower_cell(
+                columns, certificate.weights, tri.facets[index], inverse
+            )
+        except (DegenerateLift, SingularFacet) as exc:
+            outcomes[index] = exc
+    for outcome in outcomes:
+        if isinstance(outcome, WpsimplexError):
+            raise outcome
+        if not outcome:
+            return False
+    return True
 
 
 def regular_subdivision_bruteforce(

@@ -1,10 +1,11 @@
 """Property tests: the elimination kernel against the Leibniz
-determinant, the normal form, the standard monomials and the minimal
-leads against plain ``Monomial.divides``, and the facet enumeration
-against a filter of all vertex subsets."""
+determinant, the facet walk against facet-by-facet elimination, the
+normal form, the standard monomials and the minimal leads against plain
+``Monomial.divides``, and the facet enumeration against a filter of all
+vertex subsets."""
 
 from dataclasses import replace
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import prod
 
 import pytest
@@ -20,11 +21,20 @@ from wpsimplex import (
     initial_ideal,
     normal_form,
     pi_image,
+    regularity_check,
     standard_monomials,
 )
-from wpsimplex.errors import NonPureComplex
+from wpsimplex.errors import DegenerateLift, NonPureComplex, SingularFacet
 from wpsimplex.groebner import InitialIdeal
-from wpsimplex.triangulation import _eliminate, _maximal_faces
+from wpsimplex.triangulation import (
+    Triangulation,
+    WeightCertificate,
+    _eliminate,
+    _is_lower_cell,
+    _maximal_faces,
+    _walk_inverses,
+    facet_volume,
+)
 
 from conftest import SMALL_GRID
 
@@ -73,6 +83,64 @@ def test_elimination_matches_leibniz(system):
             assert sum(c * a for c, a in zip(scaled, row)) == det * b
     else:
         assert scaled == ()
+    n = len(rows)
+    got, adjugate = _eliminate(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    )
+    assert got == det
+    if det:
+        # the identity block gives the adjugate: A . adj == det * I
+        for i, row in enumerate(rows):
+            for j in range(n):
+                entry = sum(row[k] * adjugate[k * n + j] for k in range(n))
+                assert entry == det * (i == j)
+    else:
+        assert adjugate == ()
+
+
+COLUMNS_2_1 = groebner_family(build_q(2, 1)).columns
+
+
+@st.composite
+def facet_sets(draw):
+    """Distinct column triples of the (2, 1) configuration in any order,
+    singular and non-unimodular ones included, with small lifting
+    heights that often tie or fold; so walks are cut, restarted and
+    refused pivots, and every verdict of the regularity check occurs."""
+    triples = list(combinations(range(1, 8), 3))
+    facets = draw(st.lists(st.sampled_from(triples), max_size=12, unique=True))
+    weights = draw(st.lists(st.integers(0, 6), min_size=7, max_size=7))
+    return tuple(facets), tuple(weights)
+
+
+def _first_verdict(check):
+    try:
+        return check()
+    except (DegenerateLift, SingularFacet) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_sets())
+def test_walk_decides_as_the_facet_by_facet_check(case):
+    facets, weights = case
+    reached = {}
+    for index, (volume, _) in _walk_inverses(COLUMNS_2_1, facets):
+        assert index not in reached
+        reached[index] = volume
+    assert sorted(reached) == list(range(len(facets)))
+    for index, facet in enumerate(facets):
+        expected = _first_verdict(lambda: facet_volume(COLUMNS_2_1, facet))
+        assert reached[index] == (0 if isinstance(expected, tuple) else expected)
+
+    def one_by_one():
+        return all(_is_lower_cell(COLUMNS_2_1, weights, f) for f in facets)
+
+    tri = Triangulation(facets=facets, volumes=(1,) * len(facets))
+    cert = WeightCertificate(weights=weights)
+    assert _first_verdict(
+        lambda: regularity_check(tri, cert, COLUMNS_2_1)
+    ) == _first_verdict(one_by_one)
 
 
 @st.composite

@@ -24,7 +24,13 @@ from wpsimplex.errors import (
     SingularFacet,
 )
 from wpsimplex.groebner import InitialIdeal
-from wpsimplex.triangulation import WeightCertificate, facet_support_function
+from wpsimplex import triangulation
+from wpsimplex.triangulation import (
+    WeightCertificate,
+    _eliminate,
+    _walk_inverses,
+    facet_support_function,
+)
 
 from conftest import SMALL_GRID
 
@@ -68,9 +74,14 @@ def test_non_pure_complex_detected():
 )
 def test_initial_complex_at_the_frontier(r1, x1, count, size):
     family = groebner_family(build_q(r1, x1))
+    tri = triangulation_from_family(family)
     facets = initial_complex(initial_ideal(family), family.nvars, size)
+    assert facets == tri.facets
     assert len(facets) == count == family.q.volume
     assert all(len(f) == size for f in facets)
+    assert set(tri.volumes) == {1} and verify_unimodular(tri, family.q)
+    cert = make_weight_certificate(family)
+    assert regularity_check(tri, cert, family.columns)
 
 
 def test_facet_volume_examples(family21):
@@ -81,6 +92,90 @@ def test_facet_volume_examples(family21):
         facet_volume(cols, (1, 2, 4))  # three collinear points
     with pytest.raises(ParameterOutOfRange):
         facet_volume(cols, (1, 2))
+
+
+@pytest.fixture
+def scratch_eliminations(monkeypatch):
+    """Counts the facets the walk inverts from scratch."""
+    calls = []
+    from_scratch = triangulation._facet_inverse
+
+    def counted(columns, facet):
+        calls.append(facet)
+        return from_scratch(columns, facet)
+
+    monkeypatch.setattr(triangulation, "_facet_inverse", counted)
+    return calls
+
+
+def _walk(columns, facets):
+    """The walk's inverses in facet order."""
+    found = dict(_walk_inverses(columns, facets))
+    assert sorted(found) == list(range(len(facets)))
+    return [found[index] for index in range(len(facets))]
+
+
+@pytest.mark.parametrize("r1,x1", SMALL_GRID + [(10, 10)])
+def test_walk_matches_elimination_from_scratch(r1, x1, scratch_eliminations):
+    family = groebner_family(build_q(r1, x1))
+    facets = initial_complex(initial_ideal(family), family.nvars, family.q.d + 1)
+    weights = make_weight_certificate(family).weights
+    for facet, inverse in zip(facets, _walk(family.columns, facets)):
+        assert inverse[0] == facet_volume(family.columns, facet)
+        det, c = _eliminate(
+            [[*family.columns[p - 1], weights[p - 1]] for p in facet]
+        )
+        expected = (det, c) if det > 0 else (-det, tuple(-v for v in c))
+        assert facet_support_function(
+            family.columns, weights, facet, inverse
+        ) == expected
+    # one start facet; every other facet is reached by a pivot
+    assert scratch_eliminations == [facets[0]]
+
+
+def test_walk_refuses_a_pivot_to_a_larger_volume(family21, scratch_eliminations):
+    # the vertex simplex (1, 6, 7) shares the ridge {6, 7} with (5, 6, 7)
+    facets = FACETS_2_1 + ((1, 6, 7),)
+    inverses = _walk(family21.columns, facets)
+    assert [volume for volume, _ in inverses] == [1] * 6 + [6]
+    assert scratch_eliminations == [(1, 2, 3), (1, 6, 7)]
+    cert = make_weight_certificate(family21)
+    for facet, inverse in zip(facets, inverses):
+        assert facet_support_function(
+            family21.columns, cert.weights, facet, inverse
+        ) == facet_support_function(family21.columns, cert.weights, facet)
+    tri = Triangulation(facets=facets, volumes=(1,) * 6 + (6,))
+    assert not verify_unimodular(tri, family21.q)
+    assert not regularity_check(tri, cert, family21.columns)
+
+
+def test_walk_restarts_where_no_ridge_is_shared(family21, scratch_eliminations):
+    facets = ((1, 2, 3), (5, 6, 7))
+    assert [v for v, _ in _walk(family21.columns, facets)] == [1, 1]
+    assert scratch_eliminations == list(facets)
+    tri = Triangulation(facets=facets, volumes=(1, 1))
+    cert = make_weight_certificate(family21)
+    assert regularity_check(tri, cert, family21.columns)
+
+
+def test_singular_facet_is_named_in_facet_order(family21, monkeypatch):
+    # both (4, 5, 6) and (1, 2, 4) are singular; the walk from (1, 2, 3)
+    # reaches (1, 2, 4) across the ridge {1, 2} before (4, 5, 6), which
+    # comes first in facet order and so is the one named
+    facets = ((1, 2, 3), (4, 5, 6)) + FACETS_2_1[1:] + ((1, 2, 4),)
+    order = [facets[i] for i, _ in _walk_inverses(family21.columns, facets)]
+    assert order.index((1, 2, 4)) < order.index((4, 5, 6))
+    cert = make_weight_certificate(family21)
+    tri = Triangulation(facets=facets, volumes=(1,) * len(facets))
+    with pytest.raises(SingularFacet, match=r"columns \(4, 5, 6\) are"):
+        regularity_check(tri, cert, family21.columns)
+    monkeypatch.setattr(triangulation, "initial_complex", lambda *a: facets)
+    with pytest.raises(SingularFacet, match=r"columns \(4, 5, 6\) span"):
+        triangulation_from_family(family21)
+    swapped = ((1, 2, 3), (1, 2, 4)) + FACETS_2_1[1:] + ((4, 5, 6),)
+    tri = Triangulation(facets=swapped, volumes=(1,) * len(swapped))
+    with pytest.raises(SingularFacet, match=r"columns \(1, 2, 4\) are"):
+        regularity_check(tri, cert, family21.columns)
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
