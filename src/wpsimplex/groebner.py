@@ -26,6 +26,14 @@ in_lex(I_A): the family is a lex Groebner basis, in every degree.
 independent oracle for the tests and the demos; no certificate runs it.
 Counting standard monomials per degree against the dilation polynomial
 (``injectivity_check``) stays as a bounded-degree smoke test.
+
+The standard monomials form an order ideal: every divisor of a standard
+monomial is standard.  ``_order_ideal`` therefore grows degree t from
+degree t - 1 instead of scanning all C(n + t - 1, t) monomials: w is
+standard exactly when it is not itself a lead and every divisor w / x_v
+is standard.  The test is exact for any lead set, Groebner or not,
+squarefree or not, because a lead that properly divides w divides one
+of those degree-(t - 1) divisors.
 """
 
 from __future__ import annotations
@@ -33,8 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import islice
 from math import comb
+from operator import add
 
 from .errors import (
     BudgetExceeded,
@@ -48,7 +57,6 @@ from .toric import (
     Binomial,
     GroebnerFamily,
     Monomial,
-    pi_image,
     zsupport,
 )
 
@@ -224,37 +232,74 @@ def initial_ideal(family: GroebnerFamily) -> InitialIdeal:
     )
 
 
-def standard_monomials(
-    family: GroebnerFamily, degree: int, budget: int | None = None
-) -> list[Monomial]:
-    """All monomials of the given total degree divisible by no lead.
-
-    The candidate count C(n + degree - 1, degree) is checked against the
-    enumeration budget up front.
-    """
-    if degree < 0:
-        raise ParameterOutOfRange(f"degree must be >= 0, got {degree}")
-    n = family.nvars
-    candidates = comb(n + degree - 1, degree)
+def _check_budget(nvars: int, degree: int, budget: int | None) -> None:
+    """Raise BudgetExceeded when the C(n + degree - 1, degree) monomials
+    of the degree exceed the enumeration budget."""
+    candidates = comb(nvars + degree - 1, degree)
     limit = resolve_enum_budget(budget)
     if candidates > limit:
         raise BudgetExceeded(
             f"{candidates} degree-{degree} monomials exceed the budget {limit}"
         )
-    prepared = _prepared(family)
+
+
+def _order_ideal(family: GroebnerFamily):
+    """Yield the standard monomials degree by degree, from degree 0 up,
+    each layer a list of sorted tuples of variable indices in
+    ``combinations_with_replacement`` order.
+
+    Every standard w of degree t is c + (v,) for the standard c = w[:-1]
+    and a variable v >= c[-1]; the candidate is kept by the order-ideal
+    test of the module docstring.  Each layer is built only when asked
+    for.
+    """
+    n = family.nvars
+    leads = {
+        tuple(i for i, e in enumerate(g.lead.exponents) for _ in range(e))
+        for g in family.generators
+    }
+    layer = [] if () in leads else [()]
+    while True:
+        yield layer
+        standard = set(layer)
+        grown = []
+        for c in layer:
+            # dropping the last variable gives c, standard by construction
+            drops = range(len(c))
+            for v in range(c[-1] if c else 0, n):
+                w = c + (v,)
+                if w not in leads and all(
+                    w[:i] + w[i + 1:] in standard for i in drops
+                ):
+                    grown.append(w)
+        layer = grown
+
+
+def standard_monomials(
+    family: GroebnerFamily, degree: int, budget: int | None = None
+) -> list[Monomial]:
+    """All monomials of the given total degree divisible by no lead, in
+    ``combinations_with_replacement`` order of their variables.
+
+    The candidate count C(n + degree - 1, degree) is checked against the
+    enumeration budget up front; the monomials themselves are grown from
+    the lower degrees as an order ideal (``_order_ideal``).
+    """
+    if degree < 0:
+        raise ParameterOutOfRange(f"degree must be >= 0, got {degree}")
+    n = family.nvars
+    _check_budget(n, degree, budget)
     out = []
-    for combo in combinations_with_replacement(range(n), degree):
+    for w in next(islice(_order_ideal(family), degree, None)):
         exps = [0] * n
-        for v in combo:
+        for v in w:
             exps[v] += 1
-        if _divisor(exps, prepared) is None:
-            out.append(Monomial(exps))
+        out.append(Monomial(exps))
     return out
 
 
 def injectivity_check(
     family: GroebnerFamily,
-    columns: tuple[tuple[int, ...], ...] | None = None,
     max_degree: int = 3,
     budget: int | None = None,
 ) -> bool:
@@ -264,21 +309,24 @@ def injectivity_check(
     pairwise distinct pushforwards AND their count must equal the
     dilation polynomial at t.  The count equality is what ties the
     family to the full relation ideal: it says no relation at that
-    degree is missing.
+    degree is missing.  Each degree is checked against the enumeration
+    budget before it is built, and each pushforward is its parent's
+    plus one column, in exact integers.
     """
-    if columns is None:
-        columns = family.columns
+    columns = family.columns
     h = hstar(family.q)
+    layers = _order_ideal(family)
+    images = {w: (0,) * len(columns[0]) for w in next(layers)}
     for t in range(1, max_degree + 1):
-        std = standard_monomials(family, t, budget)
-        if len(std) != ehrhart_value(h, t):
+        _check_budget(family.nvars, t, budget)
+        layer = next(layers)
+        if len(layer) != ehrhart_value(h, t):
             return False
-        images = set()
-        for m in std:
-            img = pi_image(columns, m)
-            if img in images:
-                return False
-            images.add(img)
+        images = {
+            w: tuple(map(add, images[w[:-1]], columns[w[-1]])) for w in layer
+        }
+        if len(set(images.values())) != len(layer):
+            return False
     return True
 
 

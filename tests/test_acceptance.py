@@ -256,6 +256,8 @@ def test_criterion_07_standard_monomial_completeness(families):
         for t in (1, 2, 3):
             std = standard_monomials(family, t)
             assert len(std) == ehrhart_value(h, t), (r1, x1, t)
+            # one pi_image per monomial: the independent oracle for the
+            # incremental pushforwards of injectivity_check
             images = {pi_image(family.columns, m) for m in std}
             assert len(images) == len(std), (r1, x1, t)
     fam21 = families[(2, 1)]

@@ -336,6 +336,25 @@ def test_gb_verify_injectivity_skip_exits_3(capsys, monkeypatch):
     assert out == ""
 
 
+def test_injectivity_skip_names_the_degree_over_budget(capsys, monkeypatch):
+    # degrees 1 and 2 fit a budget of 50 at (2, 1) and (3, 1); degree 3
+    # has C(9, 3) = 84 and C(11, 3) = 165 candidates
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "50")
+    assert cli.main(["gb", "verify", "2", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: 84 degree-3 monomials exceed the budget 50\n"
+    code, payload = run_json(capsys, "sweep", "--r1", "2..3", "--x1", "1")
+    assert code == 3
+    skipped = {k: point["skipped"] for k, point in payload["perPoint"].items()}
+    assert skipped == {
+        "2,1": ["injectivity"],
+        "3,1": ["dilation_t2", "injectivity"],
+    }
+    assert all(
+        point["injectivityPass"] is None for point in payload["perPoint"].values()
+    )
+
+
 def test_gb_verify_failure_beats_skip(capsys, monkeypatch):
     monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "50")
     code, payload = run_json(

@@ -25,9 +25,9 @@ from wpsimplex import (
     zsupport_shape,
 )
 from wpsimplex.errors import BudgetExceeded, DimensionMismatch
-from wpsimplex.groebner import SupportCase, is_standard
+from wpsimplex.groebner import SupportCase, _order_ideal, is_standard
 
-from conftest import SMALL_GRID
+from conftest import SMALL_GRID, without
 
 
 def _mono_of_text(n, *factors):
@@ -283,8 +283,31 @@ def test_standard_monomials_are_standard(family21):
 
 
 def test_standard_monomials_budget(family21):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as caught:
         standard_monomials(family21, 3, budget=10)
+    assert str(caught.value) == "84 degree-3 monomials exceed the budget 10"
+    # only the requested degree is checked: C(7 + 1, 2) = 28 fits
+    assert len(standard_monomials(family21, 2, budget=28)) == 19
+
+
+def test_injectivity_checks_each_degree_before_the_next_budget(family21):
+    # degree 1 fits a budget of 10, degree 2 does not
+    with pytest.raises(BudgetExceeded) as caught:
+        injectivity_check(family21, max_degree=3, budget=10)
+    assert str(caught.value) == "28 degree-2 monomials exceed the budget 10"
+    # the budget is checked before the degree-2 count, which fails here
+    crippled = without(family21, family21.tags.index("eq4"))
+    with pytest.raises(BudgetExceeded):
+        injectivity_check(crippled, max_degree=3, budget=10)
+    # a linear lead z1 - z2 makes the degree-1 count fail first
+    n = family21.nvars
+    linear = Binomial(Monomial.variable(0, n), Monomial.variable(1, n))
+    cut = replace(
+        family21,
+        generators=family21.generators + (linear,),
+        tags=family21.tags + ("eq1",),
+    )
+    assert injectivity_check(cut, max_degree=3, budget=10) is False
 
 
 def test_counts_match_dilation(family21):
@@ -297,6 +320,16 @@ def test_injectivity(family21):
     assert injectivity_check(family21, max_degree=3)
     assert injectivity_check(family21, max_degree=0)
     assert injectivity_check(groebner_family(build_q(3, 2)), max_degree=2)
+
+
+@pytest.mark.parametrize("r1,x1", [(30, 5), (40, 3)])
+def test_injectivity_at_the_frontier(r1, x1):
+    family = groebner_family(build_q(r1, x1))
+    assert injectivity_check(family) is True
+    h = hstar(family.q)
+    layers = _order_ideal(family)
+    counts = [len(next(layers)) for _ in range(4)]
+    assert counts == [ehrhart_value(h, t) for t in range(4)]
 
 
 def test_injectivity_detects_missing_generator(family21):

@@ -3,8 +3,6 @@ stage, and that certificate has teeth: a family missing any one
 generator fails it, including the deletions that the all-pairs S-pair
 run and the degree <= 3 completeness count both let through."""
 
-from dataclasses import replace
-
 import pytest
 
 from wpsimplex import (
@@ -24,15 +22,7 @@ from wpsimplex.pipeline import (
     point_flags,
 )
 
-from conftest import SMALL_GRID
-
-
-def _without(family, k):
-    return replace(
-        family,
-        generators=family.generators[:k] + family.generators[k + 1:],
-        tags=family.tags[:k] + family.tags[k + 1:],
-    )
+from conftest import SMALL_GRID, scanned_injectivity, without
 
 
 def _family_stage(family):
@@ -45,11 +35,25 @@ def test_every_single_generator_deletion_fails_the_family_stage():
         family = groebner_family(build_q(r1, x1))
         assert _family_stage(family).verdict is True
         for k in range(len(family.generators)):
-            stage = _family_stage(_without(family, k))
+            stage = _family_stage(without(family, k))
             assert stage.verdict is False, (r1, x1, k)
             assert stage.flags["buchbergerPass"] is False, (r1, x1, k)
             deletions += 1
     assert deletions == 137
+
+
+def test_every_single_generator_deletion_gets_the_scanned_smoke_verdict():
+    verdicts = []
+    for r1, x1 in SMALL_GRID:
+        family = groebner_family(build_q(r1, x1))
+        for k in range(len(family.generators)):
+            dropped = without(family, k)
+            verdict = injectivity_check(dropped, max_degree=3)
+            assert verdict == scanned_injectivity(dropped, 3), (r1, x1, k)
+            verdicts.append(verdict)
+    assert len(verdicts) == 137
+    # the count catches most deletions and misses a few
+    assert 0 < verdicts.count(True) < 137
 
 
 @pytest.mark.parametrize("r1,x1,k,text", [
@@ -61,7 +65,7 @@ def test_every_single_generator_deletion_fails_the_family_stage():
 def test_deletions_the_s_pair_run_misses_fail_the_triangulation(r1, x1, k, text):
     family = groebner_family(build_q(r1, x1))
     assert binomial_text(family.generators[k], r1) == text
-    dropped = _without(family, k)
+    dropped = without(family, k)
     # every S-pair reduces to zero and the counts agree up to degree 3:
     # the missing relation has a higher degree
     assert buchberger_verify(dropped).passed

@@ -26,6 +26,7 @@ from wpsimplex import (
 )
 from wpsimplex.errors import DegenerateLift, NonPureComplex, SingularFacet
 from wpsimplex.groebner import InitialIdeal
+from wpsimplex.toric import include_excluded_pair, mutate_tail
 from wpsimplex.triangulation import (
     Triangulation,
     WeightCertificate,
@@ -36,7 +37,7 @@ from wpsimplex.triangulation import (
     facet_volume,
 )
 
-from conftest import SMALL_GRID
+from conftest import SMALL_GRID, scanned_standard_monomials, without
 
 PARAMS = st.tuples(st.integers(2, 4), st.integers(1, 3))
 
@@ -290,3 +291,50 @@ def test_initial_ideal_equals_a_divides_filter(family):
     assert list(ideal.generators) == minimal
     assert ideal.squarefree == all(m.is_squarefree() for m in minimal)
 
+
+
+def _with_square_lead(family):
+    """The family plus y_1^2 - y_d^2, a non-squarefree lead that divides
+    standard monomials of the family from degree 2 on."""
+    n = family.nvars
+    lead = [0] * n
+    lead[family.q.r1 + 3] = 2
+    tail = [0] * n
+    tail[n - 1] = 2
+    return replace(
+        family,
+        generators=family.generators + (Binomial(Monomial(lead), Monomial(tail)),),
+        tags=family.tags + ("eq1",),
+    )
+
+
+@st.composite
+def lead_sources(draw):
+    """A ``SMALL_GRID`` family as built, with one generator dropped,
+    sabotaged by either hook, or with a non-squarefree lead added."""
+    family = groebner_family(build_q(*draw(st.sampled_from(SMALL_GRID))))
+    source = draw(st.sampled_from(
+        ["built", "dropped", "excluded_pair", "mutated_tail", "square_lead"]
+    ))
+    last = len(family.generators) - 1
+    if source == "dropped":
+        return without(family, draw(st.integers(0, last)))
+    if source == "excluded_pair":
+        return include_excluded_pair(family)
+    if source == "mutated_tail":
+        return mutate_tail(family, draw(st.integers(0, last)))
+    if source == "square_lead":
+        return _with_square_lead(family)
+    return family
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(lead_sources(), lead_families()), st.integers(0, 3))
+@example(_with_square_lead(groebner_family(build_q(2, 1))), 3)
+def test_standard_monomials_grow_as_the_scan_finds_them(family, degree):
+    # the order ideal built degree by degree lists exactly the monomials
+    # that no lead divides, in combinations_with_replacement order, for
+    # any lead set: Groebner or not, squarefree or not
+    assert standard_monomials(family, degree) == scanned_standard_monomials(
+        family, degree
+    )
