@@ -17,10 +17,12 @@ checks: (a) every generator is pi-balanced (``check_pi_balance``);
 (b) the weight certificate makes every lex lead strictly heavier than
 its tail, and (d) every facet of the lead-support complex is a lower
 cell of the lift, with unit volumes summing to N (both in
-``check_triangulation``); (c) the minimal leads are squarefree.  So the
-triangulation stage runs first, and ``check_family`` takes it:
-``buchbergerPass``, named for the S-pair run it replaced, holds exactly
-when (a), (c) and the triangulation verdict all hold.
+``check_triangulation``, which reads the volumes and the lower-cell
+outcomes that one walk over the facets gave); (c) the minimal leads
+are squarefree.  So the triangulation stage runs first, and
+``check_family`` takes it: ``buchbergerPass``, named for the S-pair run
+it replaced, holds exactly when (a), (c) and the triangulation verdict
+all hold.
 """
 
 from __future__ import annotations
@@ -34,13 +36,7 @@ from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
 from .groebner import initial_ideal, injectivity_check
 from .simplex import QVector, build_q, lattice_points_bruteforce, lattice_points_formula
 from .toric import GroebnerFamily, groebner_family, pi_balance_failures
-from .triangulation import (
-    Triangulation,
-    make_weight_certificate,
-    regularity_check,
-    triangulation_from_family,
-    verify_unimodular,
-)
+from .triangulation import Triangulation, triangulation_from_family, verify_unimodular
 
 DEFAULT_GRID_R1 = (2, 6)
 DEFAULT_GRID_X1 = (1, 5)
@@ -194,16 +190,14 @@ def check_triangulation(
 ) -> Stage:
     """Unimodular facets whose volumes sum to N, and a weight vector
     whose lower envelope induces exactly these facets.  ``tri`` defaults
-    to the family's initial complex."""
+    to the family's initial complex; its lower-cell outcomes are read,
+    so one built by hand, which has none, is never certified regular."""
     flags: dict[str, bool | None] = {}
     try:
         if tri is None:
             tri = triangulation_from_family(family)
         flags["triangulationUnimodular"] = verify_unimodular(tri, family.q)
-        certificate = make_weight_certificate(family)
-        flags["regularCertified"] = regularity_check(
-            tri, certificate, family.columns
-        )
+        flags["regularCertified"] = tri.regular
     except WpsimplexError as exc:
         flags.setdefault("triangulationUnimodular", False)
         flags["regularCertified"] = False

@@ -15,12 +15,12 @@ each step to a neighbour swaps one column, and when the new determinant
 is again +-1 the inverse follows by a plain integer rank-1 pivot, the
 simplex method's basis update.  A facet of other volume, or one the
 walk cannot reach, is eliminated from scratch.  All arithmetic is on
-plain integers.
+plain integers.  One walk gives each facet's volume and lower cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections import deque
 from itertools import combinations
 from operator import mul
@@ -42,10 +42,28 @@ from .toric import GroebnerFamily
 @dataclass(frozen=True)
 class Triangulation:
     """Facets as sorted tuples of 1-based column indices, with their
-    normalized volumes (absolute homogenized determinants)."""
+    normalized volumes (absolute homogenized determinants) and, when
+    built from a family, each facet's lower-cell outcome under its weight
+    certificate: True, False, or the DegenerateLift or SingularFacet the
+    test raised."""
 
     facets: tuple[tuple[int, ...], ...]
     volumes: tuple[int, ...]
+    lower: tuple[bool | WpsimplexError, ...] = ()
+
+    @property
+    def regular(self) -> bool:
+        """The outcomes decided in facet order: the first error is raised,
+        the first False returned.  False without an outcome for every
+        facet, as for a hand-built triangulation."""
+        if len(self.lower) != len(self.facets):
+            return False
+        for outcome in self.lower:
+            if isinstance(outcome, WpsimplexError):
+                raise outcome
+            if not outcome:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -262,17 +280,38 @@ def facet_volume(
     return _checked_volume(det, facet)
 
 
+def _walk_facets(
+    columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...],
+    facets: tuple[tuple[int, ...], ...],
+) -> tuple[list[int], tuple[bool | WpsimplexError, ...]]:
+    """Each facet's volume (0 when singular) and lower-cell outcome under
+    ``weights``, in facet order, both from the facet's inverse."""
+    volumes = [0] * len(facets)
+    lower: list[bool | WpsimplexError] = [True] * len(facets)
+    for index, inverse in _walk_inverses(columns, facets):
+        volumes[index] = inverse[0]
+        try:
+            lower[index] = _is_lower_cell(columns, weights, facets[index], inverse)
+        except (DegenerateLift, SingularFacet) as exc:
+            lower[index] = exc
+    return volumes, tuple(lower)
+
+
 def triangulation_from_family(family: GroebnerFamily) -> Triangulation:
-    """Pipeline: lead monomials -> facets -> volumes; the first singular
-    facet in facet order raises SingularFacet."""
+    """Pipeline: lead monomials -> facets -> volumes and lower cells under
+    the family's weight certificate, whose failure is every facet's
+    outcome; the first singular facet in facet order raises SingularFacet."""
     in_ideal = initial_ideal(family)
     facets = initial_complex(in_ideal, family.nvars, family.q.d + 1)
-    volumes = [0] * len(facets)
-    for index, (volume, _) in _walk_inverses(family.columns, facets):
-        volumes[index] = volume
+    try:
+        weights, failure = make_weight_certificate(family).weights, None
+    except CertificateFailure as exc:
+        weights, failure = (0,) * family.nvars, exc
+    volumes, lower = _walk_facets(family.columns, weights, facets)
     return Triangulation(
         facets=facets,
         volumes=tuple(map(_checked_volume, volumes, facets)),
+        lower=(failure,) * len(facets) if failure else lower,
     )
 
 
@@ -291,6 +330,7 @@ def drop_facet(tri: Triangulation, index: int) -> Triangulation:
     return Triangulation(
         facets=tri.facets[:index] + tri.facets[index + 1:],
         volumes=tri.volumes[:index] + tri.volumes[index + 1:],
+        lower=tri.lower[:index] + tri.lower[index + 1:],
     )
 
 
@@ -381,20 +421,8 @@ def regularity_check(
     tested in walk order but decided in facet order: the first facet
     that is not a lower cell gives the verdict or the error.
     """
-    outcomes: list[bool | WpsimplexError] = [True] * len(tri.facets)
-    for index, inverse in _walk_inverses(columns, tri.facets):
-        try:
-            outcomes[index] = _is_lower_cell(
-                columns, certificate.weights, tri.facets[index], inverse
-            )
-        except (DegenerateLift, SingularFacet) as exc:
-            outcomes[index] = exc
-    for outcome in outcomes:
-        if isinstance(outcome, WpsimplexError):
-            raise outcome
-        if not outcome:
-            return False
-    return True
+    _, lower = _walk_facets(columns, certificate.weights, tri.facets)
+    return replace(tri, lower=lower).regular
 
 
 def regular_subdivision_bruteforce(

@@ -33,6 +33,7 @@ from wpsimplex.triangulation import (
     _eliminate,
     _is_lower_cell,
     _maximal_faces,
+    _walk_facets,
     _walk_inverses,
     facet_volume,
 )
@@ -130,9 +131,16 @@ def test_walk_decides_as_the_facet_by_facet_check(case):
         assert index not in reached
         reached[index] = volume
     assert sorted(reached) == list(range(len(facets)))
+    volumes, lower = _walk_facets(COLUMNS_2_1, weights, facets)
+    assert volumes == [reached[index] for index in range(len(facets))]
     for index, facet in enumerate(facets):
         expected = _first_verdict(lambda: facet_volume(COLUMNS_2_1, facet))
         assert reached[index] == (0 if isinstance(expected, tuple) else expected)
+        expected = _first_verdict(lambda: _is_lower_cell(COLUMNS_2_1, weights, facet))
+        outcome = lower[index]
+        if isinstance(outcome, Exception):
+            outcome = type(outcome), str(outcome)
+        assert outcome == expected
 
     def one_by_one():
         return all(_is_lower_cell(COLUMNS_2_1, weights, f) for f in facets)

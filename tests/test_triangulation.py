@@ -6,6 +6,7 @@ from wpsimplex import (
     Monomial,
     Triangulation,
     build_q,
+    cli,
     facet_volume,
     groebner_family,
     initial_complex,
@@ -28,9 +29,12 @@ from wpsimplex import triangulation
 from wpsimplex.triangulation import (
     WeightCertificate,
     _eliminate,
+    _walk_facets,
     _walk_inverses,
+    drop_facet,
     facet_support_function,
 )
+from wpsimplex.pipeline import check_triangulation, evaluate_point
 
 from conftest import SMALL_GRID
 
@@ -176,6 +180,84 @@ def test_singular_facet_is_named_in_facet_order(family21, monkeypatch):
     tri = Triangulation(facets=swapped, volumes=(1,) * len(swapped))
     with pytest.raises(SingularFacet, match=r"columns \(1, 2, 4\) are"):
         regularity_check(tri, cert, family21.columns)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts the walks over the facets' dual graph."""
+    calls = []
+    walk = triangulation._walk_inverses
+
+    def counted(columns, facets):
+        calls.append(len(facets))
+        return walk(columns, facets)
+
+    monkeypatch.setattr(triangulation, "_walk_inverses", counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda: check_triangulation(groebner_family(build_q(2, 1))),
+    lambda: check_triangulation(groebner_family(build_q(10, 10))),
+    lambda: evaluate_point(2, 1),
+    lambda: cli.main(["gb", "verify", "2", "1"]),
+    lambda: cli.main(["triangulate", "2", "1", "--drop-facet", "0"]),
+], ids=["check 2,1", "check 10,10", "evaluate_point", "gb verify", "drop-facet"])
+def test_one_walk_gives_volumes_and_lower_cells(run, walks, capsys):
+    run()
+    assert len(walks) == 1
+
+
+def test_flat_weights_keep_the_volume_flag(family21, monkeypatch):
+    monkeypatch.setattr(
+        triangulation, "make_weight_certificate",
+        lambda family: WeightCertificate(weights=(1,) * family.nvars),
+    )
+    stage = check_triangulation(family21)
+    assert stage.flags == {
+        "triangulationUnimodular": True, "regularCertified": False,
+    }
+    assert stage.errors == ("column 4 lies on the lifted hyperplane of (1, 2, 3)",)
+
+
+def test_failed_certificate_keeps_the_volume_flag(family21):
+    # the lead of z2*z5*z7 - z1^3 is a multiple of the lead z2*z5, so the
+    # facets stand, but it is lex-lighter than its tail
+    g = Binomial(Monomial((0, 1, 0, 0, 1, 0, 1)), Monomial((3, 0, 0, 0, 0, 0, 0)))
+    fam = replace(
+        family21, generators=family21.generators + (g,), tags=family21.tags + ("eq1",)
+    )
+    stage = check_triangulation(fam)
+    assert stage.flags == {
+        "triangulationUnimodular": True, "regularCertified": False,
+    }
+    assert stage.errors == ("generator 9's lead is not heavier than its tail",)
+
+
+def test_dropped_facet_keeps_the_other_outcomes(family21, tri21):
+    cert = make_weight_certificate(family21)
+    spiked = WeightCertificate(weights=(1,) + (1000,) * 6)
+    for weights in (cert, spiked):
+        _, lower = _walk_facets(family21.columns, weights.weights, tri21.facets)
+        tri = replace(tri21, lower=lower)
+        for k in range(len(tri.facets)):
+            short = Triangulation(
+                facets=tri.facets[:k] + tri.facets[k + 1:],
+                volumes=tri.volumes[:k] + tri.volumes[k + 1:],
+            )
+            assert drop_facet(tri, k).regular == regularity_check(
+                short, weights, family21.columns
+            )
+
+
+def test_hand_built_triangulation_is_not_certified_regular(family21, tri21):
+    assert tri21.regular
+    bare = Triangulation(facets=tri21.facets, volumes=tri21.volumes)
+    assert not bare.regular
+    stage = check_triangulation(family21, bare)
+    assert stage.flags == {
+        "triangulationUnimodular": True, "regularCertified": False,
+    }
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
