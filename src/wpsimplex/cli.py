@@ -20,9 +20,7 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import (
     BudgetExceeded,
@@ -75,8 +73,11 @@ def _cannot_write(path: str, exc: OSError) -> int:
 
 def _probe(path: str) -> None:
     """Raise OSError unless ``path`` can be written.  Creates nothing, so
-    a run that ends without a payload leaves no file behind."""
-    if os.path.exists(path):
+    a run that ends without a payload leaves no file behind.  An empty
+    path names no file, so opening it raises."""
+    import tempfile
+
+    if not path or os.path.exists(path):
         open(path, "a", encoding="utf-8").close()
     else:
         tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
@@ -86,7 +87,7 @@ def _emit(payload: dict | str, path: str | None, code: int = EXIT_PASS) -> int:
     """Print the payload, as JSON unless it is already text, or write it
     to ``path``; return ``code``, or 1 when the file cannot be written."""
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
-    if not path:
+    if path is None:
         print(text)
         return code
     try:
@@ -248,7 +249,12 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     r1s, x1s = zip(*grid)
     degrees = [args.max_degree] * len(grid)
-    pool = ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else None
+    pool = None
+    if args.jobs > 1:
+        # only a parallel sweep pays for importing the pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=args.jobs)
     per_point = {}
     flags = []
     try:
@@ -339,7 +345,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.json:
+    if args.json is not None:
         try:
             _probe(args.json)
         except OSError as exc:

@@ -28,8 +28,8 @@ all hold.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import BudgetExceeded, InternalConsistency, WpsimplexError
 from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import wpsimplex
 from wpsimplex import HStarVector, cli
 from wpsimplex.pipeline import evaluate_point, point_flags, verdict
 
@@ -241,6 +243,31 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["hstar"] == [1, 4, 1]
 
 
+_STARTUP_PROBE = """
+import contextlib, io, sys
+from wpsimplex import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["triangulate", "2", "1"]) == 0
+    assert cli.main(["gb", "verify", "2", "1"]) == 0
+print(sorted(m for m in ("concurrent.futures", "multiprocessing", "tempfile")
+             if m in sys.modules))
+"""
+
+
+def test_single_point_commands_import_no_process_pool():
+    # -S keeps site from preloading modules the commands must not need;
+    # only sweep --jobs N with N > 1 imports the pool
+    package_root = os.path.dirname(os.path.dirname(wpsimplex.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _STARTUP_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # -- one implementation per check ------------------------------------------------
 
 def test_cli_imports_no_check_primitive():
@@ -430,3 +457,21 @@ def test_budget_skip_leaves_no_json_file(capsys, monkeypatch, tmp_path):
     target = tmp_path / "gb.json"
     assert cli.main(["gb", "verify", "2", "1", "--json", str(target)]) == 3
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gb", "dump", "2", "1"],
+    ["sweep", "--r1", "2..3", "--x1", "1..2"],
+])
+def test_empty_json_path_exits_1_before_work(capsys, monkeypatch, tmp_path, argv):
+    def fail(*args):
+        raise AssertionError("work ran before the --json check")
+
+    monkeypatch.setattr(cli, "evaluate_point", fail)
+    monkeypatch.setattr(cli, "groebner_family", fail)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--json", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -169,6 +170,22 @@ def test_s_polynomial_orientation(family21):
             s = s_polynomial(g1, g2)
             if s is not None:
                 assert s.lead.exponents > s.tail.exponents
+
+
+def test_every_s_pair_is_pi_balanced():
+    # a balanced pair of binomials has a balanced S-pair, on the 5 x 5 grid
+    pairs = 0
+    for r1 in range(2, 7):
+        for x1 in range(1, 6):
+            family = groebner_family(build_q(r1, x1))
+            for g1, g2 in combinations(family.generators, 2):
+                pairs += 1
+                s = s_polynomial(g1, g2)
+                if s is not None:
+                    assert pi_image(family.columns, s.lead) == pi_image(
+                        family.columns, s.tail
+                    ), (r1, x1, g1, g2)
+    assert pairs == 6315
 
 
 def test_buchberger_2_1(family21):

@@ -1,6 +1,7 @@
-"""Property tests: the elimination kernel against the Leibniz
-determinant, the facet walk against facet-by-facet elimination, the
-normal form, the standard monomials and the minimal leads against plain
+"""Property tests: the closed-form lattice points against the
+enumerator, the elimination kernel against the Leibniz determinant, the
+facet walk against facet-by-facet elimination, the normal form, the
+standard monomials and the minimal leads against plain
 ``Monomial.divides``, and the facet enumeration against a filter of all
 vertex subsets."""
 
@@ -19,6 +20,8 @@ from wpsimplex import (
     groebner_family,
     initial_complex,
     initial_ideal,
+    lattice_points_bruteforce,
+    lattice_points_formula,
     normal_form,
     pi_image,
     regularity_check,
@@ -41,6 +44,14 @@ from wpsimplex.triangulation import (
 from conftest import SMALL_GRID, scanned_standard_monomials, without
 
 PARAMS = st.tuples(st.integers(2, 4), st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 15), st.integers(1, 15))
+@example(15, 15)
+def test_formula_points_equal_the_enumerators(r1, x1):
+    q = build_q(r1, x1)
+    assert set(lattice_points_formula(q).columns) == lattice_points_bruteforce(q)
 
 
 def _leibniz_det(rows):
