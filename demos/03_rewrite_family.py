@@ -11,15 +11,13 @@ counts as a smoke test at the low degrees.
 
 from wpsimplex import (
     binomial_text,
-    buchberger_verify,
     build_q,
     groebner_family,
     initial_ideal,
     injectivity_check,
     monomial_text,
-    normal_form,
-    standard_monomials,
 )
+from wpsimplex.oracles import buchberger_verify, normal_form, standard_monomials
 from wpsimplex.pipeline import check_family, check_triangulation
 from wpsimplex.toric import Monomial
 

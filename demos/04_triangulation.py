@@ -11,11 +11,10 @@ from wpsimplex import (
     build_q,
     groebner_family,
     make_weight_certificate,
-    regular_subdivision_bruteforce,
-    regularity_check,
     triangulation_from_family,
     verify_unimodular,
 )
+from wpsimplex.oracles import regular_subdivision_bruteforce, regularity_check
 from wpsimplex.toric import var_name
 
 q = build_q(2, 2)

@@ -52,29 +52,17 @@ from .toric import (
     zsupport,
 )
 from .groebner import (
-    EQUAL,
-    GREATER,
-    LESS,
-    BuchbergerReport,
     InitialIdeal,
     SupportCase,
-    buchberger_verify,
     initial_ideal,
     injectivity_check,
-    lex_cmp,
-    normal_form,
-    s_polynomial,
-    standard_monomials,
     zsupport_shape,
 )
 from .triangulation import (
     Triangulation,
     WeightCertificate,
-    facet_volume,
     initial_complex,
     make_weight_certificate,
-    regular_subdivision_bruteforce,
-    regularity_check,
     triangulation_from_family,
     verify_unimodular,
 )

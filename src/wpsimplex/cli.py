@@ -249,12 +249,14 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     r1s, x1s = zip(*grid)
     degrees = [args.max_degree] * len(grid)
+    # the pool starts every worker at once, so ask for no more than the
+    # grid has points; only a parallel sweep pays for importing it
+    workers = min(args.jobs, len(grid))
     pool = None
-    if args.jobs > 1:
-        # only a parallel sweep pays for importing the pool
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=args.jobs)
+        pool = ProcessPoolExecutor(max_workers=workers)
     per_point = {}
     flags = []
     try:

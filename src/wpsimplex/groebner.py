@@ -1,11 +1,12 @@
-"""Lex order, binomial rewriting, the initial ideal and the standard
-monomials.
+"""The initial ideal, the standard monomials and their support shapes.
 
-Everything here works on exponent tuples with coefficients +-1, which is
-all a binomial rewrite family needs.  The family is certified as a lex
-Groebner basis of the toric ideal I_A by the triangulation argument of
-Sturmfels (*Groebner Bases and Convex Polytopes*, 1996, Thm 8.3 and
-Cor 8.9), from four checks that ``wpsimplex.pipeline`` composes:
+Everything here works on the exponent tuples of a binomial rewrite
+family, ordered by pure lex (z_1 > ... > z_{r1+3} > y_1 > ... > y_d, the
+column order), which is Python's tuple order on the exponents.  The
+family is certified as a lex Groebner basis of the toric ideal I_A by
+the triangulation argument of Sturmfels (*Groebner Bases and Convex
+Polytopes*, 1996, Thm 8.3 and Cor 8.9), from four checks that
+``wpsimplex.pipeline`` composes:
 
   (a) every generator is pi-balanced, so the family lies in I_A;
   (b) the weight certificate w makes every lex lead strictly heavier
@@ -22,9 +23,9 @@ I_A for that order, hence generates I_A, and its lead ideal, an initial
 ideal of I_A inside in_lex(I_A) with the same Hilbert function, equals
 in_lex(I_A): the family is a lex Groebner basis, in every degree.
 
-``buchberger_verify``, the all-pairs S-pair reduction, is kept as an
-independent oracle for the tests and the demos; no certificate runs it.
-Counting standard monomials per degree against the dilation polynomial
+No S-pair is reduced: the S-pair oracle and rewriting to normal form
+live in ``wpsimplex.oracles``, for the tests and the demos.  Counting
+standard monomials per degree against the dilation polynomial
 (``injectivity_check``) stays as a bounded-degree smoke test.
 
 The standard monomials form an order ideal: every divisor of a standard
@@ -41,164 +42,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
 from math import comb
 from operator import add
 
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    InternalConsistency,
-    ParameterOutOfRange,
-)
+from .errors import BudgetExceeded
 from .ehrhart import ehrhart_value, hstar
 from .simplex import QVector, resolve_enum_budget
-from .toric import (
-    Binomial,
-    GroebnerFamily,
-    Monomial,
-    zsupport,
-)
-
-LESS, EQUAL, GREATER = -1, 0, 1
-
-#: Hard cap on rewrite steps for a single monomial; hitting it means a
-#: mis-oriented generator slipped past construction.
-_MAX_REWRITE_STEPS = 100_000
-
-
-def lex_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Compare in pure lex (z_1 > ... > z_{r1+3} > y_1 > ... > y_d, the
-    column order); returns LESS, EQUAL or GREATER."""
-    a, b = m1.exponents, m2.exponents
-    if len(a) != len(b):
-        raise DimensionMismatch("monomials over different variable counts")
-    return (a > b) - (a < b)
+from .toric import GroebnerFamily, Monomial, zsupport
 
 
 def _support_mask(exponents) -> int:
     """Bit i set exactly when variable i occurs."""
     return sum(1 << i for i, e in enumerate(exponents) if e)
-
-
-@lru_cache(maxsize=64)
-def _prepared(family: GroebnerFamily):
-    """Generators as raw tuples, lex-largest lead first, with support
-    masks for fast divisibility rejection."""
-    entries = []
-    for g in family.generators:
-        le = g.lead.exponents
-        support = tuple(i for i, e in enumerate(le) if e)
-        entries.append((le, g.tail.exponents, _support_mask(le), support))
-    entries.sort(key=lambda ent: ent[0], reverse=True)
-    return tuple(entries)
-
-
-def _divisor(exps, prepared) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Lead and tail of the first prepared generator whose lead divides
-    ``exps``, or None."""
-    # the mask is built inline, not by _support_mask: this runs once per
-    # rewrite step, where the extra call costs measurably
-    mask = sum(1 << i for i, e in enumerate(exps) if e)
-    for le, te, lmask, support in prepared:
-        if lmask & ~mask:
-            continue
-        if all(exps[i] >= le[i] for i in support):
-            return le, te
-    return None
-
-
-def _reduce_tuple(exps: tuple[int, ...], prepared) -> tuple[int, ...]:
-    steps = 0
-    while (rule := _divisor(exps, prepared)) is not None:
-        exps = tuple(e - a + b for e, a, b in zip(exps, *rule))
-        steps += 1
-        if steps > _MAX_REWRITE_STEPS:
-            raise InternalConsistency(
-                "rewrite did not terminate; a generator must be mis-oriented"
-            )
-    return exps
-
-
-def normal_form(m: Monomial, family: GroebnerFamily) -> Monomial:
-    """Fully rewrite a monomial: while some generator's lead divides it,
-    swap that lead for the tail.  The applicable generator with the
-    lex-largest lead is used at every step (construction order breaks
-    ties), so results are reproducible; each step strictly decreases the
-    monomial in lex, so the loop terminates."""
-    if m.nvars != family.nvars:
-        raise DimensionMismatch(f"monomial in {m.nvars} variables, not {family.nvars}")
-    return Monomial(_reduce_tuple(m.exponents, _prepared(family)))
-
-
-def is_standard(m: Monomial, family: GroebnerFamily) -> bool:
-    """True when no generator's lead divides m."""
-    if m.nvars != family.nvars:
-        raise DimensionMismatch(f"monomial in {m.nvars} variables, not {family.nvars}")
-    return _divisor(m.exponents, _prepared(family)) is None
-
-
-def s_polynomial(g1: Binomial, g2: Binomial) -> Binomial | None:
-    """The S-pair binomial, lex-oriented, or None when it cancels.
-
-    Cross-multiplying the tails up to the lead lcm keeps everything a
-    difference of two monomials; if the two products coincide the S-pair
-    is identically zero.
-    """
-    if g1 == g2:
-        return None
-    l1, l2 = g1.lead.exponents, g2.lead.exponents
-    lcm = tuple(max(a, b) for a, b in zip(l1, l2))
-    p1 = tuple(c - a + b for c, a, b in zip(lcm, l1, g1.tail.exponents))
-    p2 = tuple(c - a + b for c, a, b in zip(lcm, l2, g2.tail.exponents))
-    if p1 == p2:
-        return None
-    if p1 > p2:
-        return Binomial(Monomial(p1), Monomial(p2))
-    return Binomial(Monomial(p2), Monomial(p1))
-
-
-@dataclass(frozen=True)
-class BuchbergerReport:
-    """Outcome of the all-pairs S-pair reduction."""
-
-    pairs_total: int
-    pairs_reduced_to_zero: int
-    failures: tuple[tuple[int, int], ...]
-    passed: bool
-
-
-def buchberger_verify(family: GroebnerFamily) -> BuchbergerReport:
-    """Reduce every S-pair and report.
-
-    PASS certifies the family is a Groebner basis of the ideal it
-    generates.  This is the reference oracle: quadratic in the
-    generators, and run by the tests and demos only.
-    """
-    prepared = _prepared(family)
-    gens = family.generators
-    total = 0
-    zero = 0
-    failures: list[tuple[int, int]] = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            total += 1
-            s = s_polynomial(gens[i], gens[j])
-            if s is None:
-                zero += 1
-                continue
-            nf1 = _reduce_tuple(s.lead.exponents, prepared)
-            nf2 = _reduce_tuple(s.tail.exponents, prepared)
-            if nf1 == nf2:
-                zero += 1
-            else:
-                failures.append((i, j))
-    return BuchbergerReport(
-        pairs_total=total,
-        pairs_reduced_to_zero=zero,
-        failures=tuple(failures),
-        passed=not failures,
-    )
 
 
 @dataclass(frozen=True)
@@ -212,8 +67,8 @@ class InitialIdeal:
 @lru_cache(maxsize=64)
 def initial_ideal(family: GroebnerFamily) -> InitialIdeal:
     """Collect the lead monomials and drop the non-minimal ones, lex-largest
-    first.  Cached per family, like ``_prepared``, so the family and
-    triangulation stages of one point share a single build."""
+    first.  Cached per family, so the family and triangulation stages of
+    one point share a single build."""
     leads = sorted({g.lead.exponents for g in family.generators}, reverse=True)
     masks = [_support_mask(le) for le in leads]
     minimal = [
@@ -273,29 +128,6 @@ def _order_ideal(family: GroebnerFamily):
                 ):
                     grown.append(w)
         layer = grown
-
-
-def standard_monomials(
-    family: GroebnerFamily, degree: int, budget: int | None = None
-) -> list[Monomial]:
-    """All monomials of the given total degree divisible by no lead, in
-    ``combinations_with_replacement`` order of their variables.
-
-    The candidate count C(n + degree - 1, degree) is checked against the
-    enumeration budget up front; the monomials themselves are grown from
-    the lower degrees as an order ideal (``_order_ideal``).
-    """
-    if degree < 0:
-        raise ParameterOutOfRange(f"degree must be >= 0, got {degree}")
-    n = family.nvars
-    _check_budget(n, degree, budget)
-    out = []
-    for w in next(islice(_order_ideal(family), degree, None)):
-        exps = [0] * n
-        for v in w:
-            exps[v] += 1
-        out.append(Monomial(exps))
-    return out
 
 
 def injectivity_check(

@@ -49,10 +49,6 @@ class Monomial:
         self.exponents = exps
 
     @classmethod
-    def one(cls, nvars: int) -> "Monomial":
-        return cls((0,) * nvars)
-
-    @classmethod
     def variable(cls, index: int, nvars: int) -> "Monomial":
         return cls(tuple(1 if i == index else 0 for i in range(nvars)))
 
@@ -78,15 +74,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check_compatible(other)
         return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
-
-    def quotient(self, other: "Monomial") -> "Monomial":
-        """Exact division; raises ValueError if ``other`` does not divide."""
-        self._check_compatible(other)
-        return Monomial(a - b for a, b in zip(self.exponents, other.exponents))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check_compatible(other)
-        return Monomial(max(a, b) for a, b in zip(self.exponents, other.exponents))
 
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exponents)

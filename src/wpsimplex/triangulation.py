@@ -16,13 +16,15 @@ is again +-1 the inverse follows by a plain integer rank-1 pivot, the
 simplex method's basis update.  A facet of other volume, or one the
 walk cannot reach, is eliminated from scratch.  All arithmetic is on
 plain integers.  One walk gives each facet's volume and lower cell.
+The from-scratch checks that the tests hold this against, one facet's
+volume and the brute-force lower envelope among them, are in
+``wpsimplex.oracles``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from collections import deque
-from itertools import combinations
 from operator import mul
 
 from .errors import (
@@ -30,7 +32,6 @@ from .errors import (
     DegenerateLift,
     IndexOutOfRange,
     NonPureComplex,
-    ParameterOutOfRange,
     SingularFacet,
     WpsimplexError,
 )
@@ -265,21 +266,6 @@ def _checked_volume(det: int, facet: tuple[int, ...]) -> int:
     return abs(det)
 
 
-def facet_volume(
-    columns: tuple[tuple[int, ...], ...], facet: tuple[int, ...]
-) -> int:
-    """Absolute determinant of the homogenized columns selected by a
-    (1-based) facet; SingularFacet when the columns are affinely
-    dependent."""
-    height = len(columns[0])
-    if len(facet) != height:
-        raise ParameterOutOfRange(
-            f"facet must select {height} columns, got {len(facet)}"
-        )
-    det, _ = _eliminate([list(columns[p - 1]) for p in facet])
-    return _checked_volume(det, facet)
-
-
 def _walk_facets(
     columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...],
     facets: tuple[tuple[int, ...], ...],
@@ -406,42 +392,3 @@ def _is_lower_cell(
         if gap < 0:
             return False
     return True
-
-
-def regularity_check(
-    tri: Triangulation,
-    certificate: WeightCertificate,
-    columns: tuple[tuple[int, ...], ...],
-) -> bool:
-    """Facet-wise lower-envelope condition.
-
-    True certifies that the lifted lower envelope induces exactly these
-    facets.  Equality anywhere raises DegenerateLift; a point lifting
-    below a facet's hyperplane makes the check return False.  Facets are
-    tested in walk order but decided in facet order: the first facet
-    that is not a lower cell gives the verdict or the error.
-    """
-    _, lower = _walk_facets(columns, certificate.weights, tri.facets)
-    return replace(tri, lower=lower).regular
-
-
-def regular_subdivision_bruteforce(
-    columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """From-scratch oracle: the full-dimensional lower-envelope cells of
-    the lifted configuration, found by testing every column subset of the
-    right size.  Guarded to ambient dimension <= 4 (the check is
-    exponential); the facet-wise check above is the scalable path."""
-    height = len(columns[0])
-    if height - 1 > 4:
-        raise ParameterOutOfRange(
-            "the from-scratch subdivision oracle is limited to dimension 4"
-        )
-    facets = []
-    for subset in combinations(range(1, len(columns) + 1), height):
-        try:
-            if _is_lower_cell(columns, weights, subset):
-                facets.append(subset)
-        except SingularFacet:
-            pass
-    return tuple(facets)

@@ -5,7 +5,7 @@ import pytest
 
 from wpsimplex import Monomial, build_q, groebner_family, pi_image
 from wpsimplex.ehrhart import ehrhart_value, hstar
-from wpsimplex.groebner import _divisor, _prepared
+from wpsimplex.oracles import _divisor, _prepared
 
 # Small sweep used by the unit tests; the acceptance suite runs the full
 # 2 <= r1 <= 6, 1 <= x1 <= 5 grid.

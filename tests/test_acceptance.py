@@ -15,7 +15,6 @@ from math import comb
 import pytest
 
 from wpsimplex import (
-    buchberger_verify,
     build_q,
     cli,
     ehrhart_bruteforce,
@@ -29,14 +28,17 @@ from wpsimplex import (
     lattice_points_formula,
     make_weight_certificate,
     pi_image,
-    regularity_check,
-    standard_monomials,
     triangulation_from_family,
     verify_unimodular,
     zsupport_shape,
 )
 from wpsimplex.errors import BudgetExceeded
 from wpsimplex.groebner import SupportCase
+from wpsimplex.oracles import (
+    buchberger_verify,
+    regularity_check,
+    standard_monomials,
+)
 from wpsimplex.toric import build_B, excluded_pair, total_vars
 
 GRID = [(r1, x1) for r1 in range(2, 7) for x1 in range(1, 6)]

@@ -209,6 +209,36 @@ def test_sweep_single_value_ranges(capsys):
     assert payload["grid"] == [[2, 1]]
 
 
+def test_sweep_asks_for_no_more_workers_than_points(capsys, monkeypatch):
+    import concurrent.futures
+
+    requested = []
+
+    class InProcessPool:
+        """Records the worker count asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    code, payload = run_json(capsys, "sweep", "--r1", "2", "--x1", "1..2",
+                             "--jobs", "64")
+    assert code == 0
+    assert list(payload["perPoint"]) == ["2,1", "2,2"]
+    assert requested == [2]
+    # one point needs one worker, which runs in this process
+    code, payload = run_json(capsys, "sweep", "--r1", "2", "--x1", "1",
+                             "--jobs", "64")
+    assert code == 0
+    assert requested == [2]
+
+
 def test_sweep_empty_range(capsys):
     assert cli.main(["sweep", "--r1", "3..2", "--x1", "1..1"]) == 1
 
@@ -249,14 +279,17 @@ from wpsimplex import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["triangulate", "2", "1"]) == 0
     assert cli.main(["gb", "verify", "2", "1"]) == 0
-print(sorted(m for m in ("concurrent.futures", "multiprocessing", "tempfile")
+    assert cli.main(["sweep", "--r1", "2", "--x1", "1", "--jobs", "4"]) == 0
+print(sorted(m for m in ("concurrent.futures", "multiprocessing", "tempfile",
+                         "wpsimplex.oracles")
              if m in sys.modules))
 """
 
 
 def test_single_point_commands_import_no_process_pool():
     # -S keeps site from preloading modules the commands must not need;
-    # only sweep --jobs N with N > 1 imports the pool
+    # only a sweep with more than one worker imports the pool, a one-point
+    # grid needs one whatever --jobs says, and no command loads the oracles
     package_root = os.path.dirname(os.path.dirname(wpsimplex.__file__))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _STARTUP_PROBE],

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script, and the README's library example, runs to completion."""
 
 import os
 import subprocess
@@ -19,3 +19,10 @@ def test_demo_exits_zero(script):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1]
+    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})

@@ -5,15 +5,20 @@ run and the degree <= 3 completeness count both let through."""
 
 import pytest
 
+import wpsimplex
 from wpsimplex import (
     binomial_text,
-    buchberger_verify,
     build_q,
     cli,
+    ehrhart,
     groebner,
     groebner_family,
     injectivity_check,
+    oracles,
     pipeline,
+    simplex,
+    toric,
+    triangulation,
 )
 from wpsimplex.pipeline import (
     check_family,
@@ -21,6 +26,7 @@ from wpsimplex.pipeline import (
     evaluate_point,
     point_flags,
 )
+from wpsimplex.oracles import buchberger_verify
 
 from conftest import SMALL_GRID, scanned_injectivity, without
 
@@ -80,10 +86,20 @@ def test_the_pipeline_runs_no_s_pair_reduction(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("buchberger_verify ran in the pipeline")
 
-    monkeypatch.setattr(groebner, "buchberger_verify", fail)
+    monkeypatch.setattr(oracles, "buchberger_verify", fail)
     assert not hasattr(pipeline, "buchberger_verify")
     assert not hasattr(cli, "buchberger_verify")
     entry = evaluate_point(2, 1)
     assert all(v is True for v in point_flags(entry).values())
     assert cli.main(["gb", "verify", "2", "1"]) == 0
     assert '"pass": true' in capsys.readouterr().out
+
+
+def test_the_certified_path_leaves_the_oracles_to_their_module():
+    names = [name for name, value in vars(oracles).items()
+             if getattr(value, "__module__", None) == oracles.__name__]
+    assert "buchberger_verify" in names and "facet_volume" in names
+    for module in (wpsimplex, simplex, ehrhart, toric, groebner,
+                   triangulation, pipeline, cli):
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)

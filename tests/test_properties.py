@@ -22,13 +22,16 @@ from wpsimplex import (
     initial_ideal,
     lattice_points_bruteforce,
     lattice_points_formula,
-    normal_form,
     pi_image,
-    regularity_check,
-    standard_monomials,
 )
 from wpsimplex.errors import DegenerateLift, NonPureComplex, SingularFacet
 from wpsimplex.groebner import InitialIdeal
+from wpsimplex.oracles import (
+    facet_volume,
+    normal_form,
+    regularity_check,
+    standard_monomials,
+)
 from wpsimplex.toric import include_excluded_pair, mutate_tail
 from wpsimplex.triangulation import (
     Triangulation,
@@ -38,7 +41,6 @@ from wpsimplex.triangulation import (
     _maximal_faces,
     _walk_facets,
     _walk_inverses,
-    facet_volume,
 )
 
 from conftest import SMALL_GRID, scanned_standard_monomials, without

@@ -14,7 +14,7 @@ from wpsimplex.errors import (
     ParameterOutOfRange,
     PointOutsideSimplex,
 )
-from wpsimplex.triangulation import facet_volume
+from wpsimplex.oracles import facet_volume
 
 from conftest import SMALL_GRID
 

@@ -1,3 +1,5 @@
+from operator import sub
+
 import pytest
 
 from wpsimplex import (
@@ -56,12 +58,14 @@ def test_monomial_arithmetic():
     a = Monomial((1, 0, 2))
     b = Monomial((0, 1, 1))
     assert (a * b).exponents == (1, 1, 3)
-    assert a.lcm(b).exponents == (1, 1, 2)
+    lcm = Monomial(map(max, a.exponents, b.exponents))
+    assert lcm.exponents == (1, 1, 2)
+    assert a.divides(lcm) and b.divides(lcm)
     assert not a.divides(b)
     assert b.divides(a * b)
-    assert (a * b).quotient(b) == a
+    assert Monomial(map(sub, (a * b).exponents, b.exponents)) == a
     assert a.degree == 3
-    assert Monomial.one(3).degree == 0
+    assert Monomial((0,) * 3).degree == 0
     assert Monomial.variable(1, 3).exponents == (0, 1, 0)
 
 
@@ -81,7 +85,7 @@ def test_binomial_validation():
 
 def test_monomial_text():
     q = build_q(2, 1)
-    assert monomial_text(Monomial.one(7), 2) == "1"
+    assert monomial_text(Monomial((0,) * 7), 2) == "1"
     assert monomial_text(_mono(q, z2=2), 2) == "z2^2"
     assert monomial_text(_mono(q, z1=1, y2=1), 2) == "z1*y2"
 

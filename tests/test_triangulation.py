@@ -7,13 +7,10 @@ from wpsimplex import (
     Triangulation,
     build_q,
     cli,
-    facet_volume,
     groebner_family,
     initial_complex,
     initial_ideal,
     make_weight_certificate,
-    regular_subdivision_bruteforce,
-    regularity_check,
     triangulation_from_family,
     verify_unimodular,
 )
@@ -23,6 +20,11 @@ from wpsimplex.errors import (
     NonPureComplex,
     ParameterOutOfRange,
     SingularFacet,
+)
+from wpsimplex.oracles import (
+    facet_volume,
+    regular_subdivision_bruteforce,
+    regularity_check,
 )
 from wpsimplex.groebner import InitialIdeal
 from wpsimplex import triangulation
