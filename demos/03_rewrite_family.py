@@ -19,7 +19,6 @@ from wpsimplex import (
 )
 from wpsimplex.oracles import buchberger_verify, normal_form, standard_monomials
 from wpsimplex.pipeline import check_family, check_triangulation
-from wpsimplex.toric import Monomial
 
 q = build_q(3, 2)
 family = groebner_family(q)
@@ -51,6 +50,6 @@ print("counts of standard monomials per degree:",
 print("smoke test, completeness at degree <= 3:", injectivity_check(family))
 
 # A sample rewrite: the normal form of a non-standard monomial.
-m = Monomial((1, 0, 1, 0, 1, 0, 0, 0, 0, 0))  # z1 * z3 * z5
+m = (1, 0, 1, 0, 1, 0, 0, 0, 0, 0)  # z1 * z3 * z5, as its exponent tuple
 print(f"\nnormal form of {monomial_text(m, q.r1)} is "
       f"{monomial_text(normal_form(m, family), q.r1)}")

@@ -40,7 +40,6 @@ from .ehrhart import (
 from .toric import (
     Binomial,
     GroebnerFamily,
-    Monomial,
     binomial_text,
     build_B,
     companion,

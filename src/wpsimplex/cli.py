@@ -151,8 +151,8 @@ def cmd_gb_dump(args) -> int:
             {
                 "tag": tag,
                 "text": binomial_text(g, q.r1),
-                "lead": list(g.lead.exponents),
-                "tail": list(g.tail.exponents),
+                "lead": list(g.lead),
+                "tail": list(g.tail),
             }
             for g, tag in zip(family.generators, family.tags)
         ],

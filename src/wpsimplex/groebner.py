@@ -48,7 +48,7 @@ from operator import add
 from .errors import BudgetExceeded
 from .ehrhart import ehrhart_value, hstar
 from .simplex import QVector, resolve_enum_budget
-from .toric import GroebnerFamily, Monomial, zsupport
+from .toric import GroebnerFamily, zsupport
 
 
 def _support_mask(exponents) -> int:
@@ -60,7 +60,7 @@ def _support_mask(exponents) -> int:
 class InitialIdeal:
     """Inclusion-minimal lead monomials of the family."""
 
-    generators: tuple[Monomial, ...]
+    generators: tuple[tuple[int, ...], ...]
     squarefree: bool
 
 
@@ -69,10 +69,10 @@ def initial_ideal(family: GroebnerFamily) -> InitialIdeal:
     """Collect the lead monomials and drop the non-minimal ones, lex-largest
     first.  Cached per family, so the family and triangulation stages of
     one point share a single build."""
-    leads = sorted({g.lead.exponents for g in family.generators}, reverse=True)
+    leads = sorted({g.lead for g in family.generators}, reverse=True)
     masks = [_support_mask(le) for le in leads]
     minimal = [
-        Monomial(le)
+        le
         for le, mask in zip(leads, masks)
         if not any(
             not other_mask & ~mask
@@ -83,7 +83,7 @@ def initial_ideal(family: GroebnerFamily) -> InitialIdeal:
     ]
     return InitialIdeal(
         generators=tuple(minimal),
-        squarefree=all(m.is_squarefree() for m in minimal),
+        squarefree=all(e <= 1 for m in minimal for e in m),
     )
 
 
@@ -110,7 +110,7 @@ def _order_ideal(family: GroebnerFamily):
     """
     n = family.nvars
     leads = {
-        tuple(i for i, e in enumerate(g.lead.exponents) for _ in range(e))
+        tuple(i for i, e in enumerate(g.lead) for _ in range(e))
         for g in family.generators
     }
     layer = [] if () in leads else [()]
@@ -184,7 +184,7 @@ class ZSupportShape:
     zsupport: frozenset[int]
 
 
-def zsupport_shape(m: Monomial, q: QVector) -> ZSupportShape:
+def zsupport_shape(m: tuple[int, ...], q: QVector) -> ZSupportShape:
     """Classify the z-support of a monomial (meaningful for standard ones).
 
     Every standard monomial with nonempty z-support must land in exactly

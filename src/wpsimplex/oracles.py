@@ -22,7 +22,7 @@ from .errors import (
     SingularFacet,
 )
 from .groebner import _check_budget, _order_ideal, _support_mask
-from .toric import Binomial, GroebnerFamily, Monomial
+from .toric import Binomial, GroebnerFamily
 from .triangulation import (
     Triangulation,
     WeightCertificate,
@@ -43,9 +43,9 @@ def _prepared(family: GroebnerFamily):
     masks for fast divisibility rejection."""
     entries = []
     for g in family.generators:
-        le = g.lead.exponents
+        le = g.lead
         support = tuple(i for i, e in enumerate(le) if e)
-        entries.append((le, g.tail.exponents, _support_mask(le), support))
+        entries.append((le, g.tail, _support_mask(le), support))
     entries.sort(key=lambda ent: ent[0], reverse=True)
     return tuple(entries)
 
@@ -76,22 +76,22 @@ def _reduce_tuple(exps: tuple[int, ...], prepared) -> tuple[int, ...]:
     return exps
 
 
-def normal_form(m: Monomial, family: GroebnerFamily) -> Monomial:
+def normal_form(m: tuple[int, ...], family: GroebnerFamily) -> tuple[int, ...]:
     """Fully rewrite a monomial: while some generator's lead divides it,
     swap that lead for the tail.  The applicable generator with the
     lex-largest lead is used at every step (construction order breaks
     ties), so results are reproducible; each step strictly decreases the
     monomial in lex, so the loop terminates."""
-    if m.nvars != family.nvars:
-        raise DimensionMismatch(f"monomial in {m.nvars} variables, not {family.nvars}")
-    return Monomial(_reduce_tuple(m.exponents, _prepared(family)))
+    if len(m) != family.nvars:
+        raise DimensionMismatch(f"monomial in {len(m)} variables, not {family.nvars}")
+    return _reduce_tuple(m, _prepared(family))
 
 
-def is_standard(m: Monomial, family: GroebnerFamily) -> bool:
+def is_standard(m: tuple[int, ...], family: GroebnerFamily) -> bool:
     """True when no generator's lead divides m."""
-    if m.nvars != family.nvars:
-        raise DimensionMismatch(f"monomial in {m.nvars} variables, not {family.nvars}")
-    return _divisor(m.exponents, _prepared(family)) is None
+    if len(m) != family.nvars:
+        raise DimensionMismatch(f"monomial in {len(m)} variables, not {family.nvars}")
+    return _divisor(m, _prepared(family)) is None
 
 
 def s_polynomial(g1: Binomial, g2: Binomial) -> Binomial | None:
@@ -103,15 +103,13 @@ def s_polynomial(g1: Binomial, g2: Binomial) -> Binomial | None:
     """
     if g1 == g2:
         return None
-    l1, l2 = g1.lead.exponents, g2.lead.exponents
+    l1, l2 = g1.lead, g2.lead
     lcm = tuple(max(a, b) for a, b in zip(l1, l2))
-    p1 = tuple(c - a + b for c, a, b in zip(lcm, l1, g1.tail.exponents))
-    p2 = tuple(c - a + b for c, a, b in zip(lcm, l2, g2.tail.exponents))
+    p1 = tuple(c - a + b for c, a, b in zip(lcm, l1, g1.tail))
+    p2 = tuple(c - a + b for c, a, b in zip(lcm, l2, g2.tail))
     if p1 == p2:
         return None
-    if p1 > p2:
-        return Binomial(Monomial(p1), Monomial(p2))
-    return Binomial(Monomial(p2), Monomial(p1))
+    return Binomial(p1, p2) if p1 > p2 else Binomial(p2, p1)
 
 
 @dataclass(frozen=True)
@@ -143,8 +141,8 @@ def buchberger_verify(family: GroebnerFamily) -> BuchbergerReport:
             if s is None:
                 zero += 1
                 continue
-            nf1 = _reduce_tuple(s.lead.exponents, prepared)
-            nf2 = _reduce_tuple(s.tail.exponents, prepared)
+            nf1 = _reduce_tuple(s.lead, prepared)
+            nf2 = _reduce_tuple(s.tail, prepared)
             if nf1 == nf2:
                 zero += 1
             else:
@@ -159,7 +157,7 @@ def buchberger_verify(family: GroebnerFamily) -> BuchbergerReport:
 
 def standard_monomials(
     family: GroebnerFamily, degree: int, budget: int | None = None
-) -> list[Monomial]:
+) -> list[tuple[int, ...]]:
     """All monomials of the given total degree divisible by no lead, in
     ``combinations_with_replacement`` order of their variables.
 
@@ -176,7 +174,7 @@ def standard_monomials(
         exps = [0] * n
         for v in w:
             exps[v] += 1
-        out.append(Monomial(exps))
+        out.append(tuple(exps))
     return out
 
 

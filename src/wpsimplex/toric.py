@@ -3,9 +3,14 @@
 The configuration matrix has one column per lattice point, lifted to
 height 1.  Ring variables follow the column order: z_1..z_{r1+3} for the
 a-block, then y_1..y_d for the b-block, so n = r1 + d + 3 variables in
-total.  A binomial lead - tail is a valid relation exactly when both
-sides push forward to the same exponent vector under the configuration
-matrix; we call that pi-balance and enforce it at construction time.
+total.  A monomial is its exponent tuple over these n variables, so
+Python's tuple order is pure lex, and a ``Binomial`` is a (lead, tail)
+pair of such tuples.  A binomial lead - tail is a valid relation exactly
+when both sides push forward to the same vector under the configuration
+matrix; we call that pi-balance.  Its last coordinate is the degree, so
+a pi-balanced binomial is homogeneous.  ``groebner_family`` audits every
+generator it builds for pi-balance and for the lex orientation
+lead > tail.
 
 The rewrite family consists of five groups:
 
@@ -25,6 +30,7 @@ regression test.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -37,84 +43,8 @@ from .errors import (
 from .simplex import QVector, lattice_points_formula
 
 
-class Monomial:
-    """Exponent vector over the n ring variables (z-block then y-block)."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents):
-        exps = tuple(exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        self.exponents = exps
-
-    @classmethod
-    def variable(cls, index: int, nvars: int) -> "Monomial":
-        return cls(tuple(1 if i == index else 0 for i in range(nvars)))
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.exponents)
-
-    def _check_compatible(self, other: "Monomial") -> None:
-        if len(self.exponents) != len(other.exponents):
-            raise DimensionMismatch(
-                f"monomials over {len(self.exponents)} and "
-                f"{len(other.exponents)} variables"
-            )
-
-    def divides(self, other: "Monomial") -> bool:
-        self._check_compatible(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        self._check_compatible(other)
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
-
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash(self.exponents)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.exponents})"
-
-
-class Binomial:
-    """Oriented binomial lead - tail over a common variable set."""
-
-    __slots__ = ("lead", "tail")
-
-    def __init__(self, lead: Monomial, tail: Monomial):
-        if lead.nvars != tail.nvars:
-            raise DimensionMismatch("lead and tail over different variable sets")
-        if lead == tail:
-            raise ValueError("lead and tail must differ")
-        if lead.degree != tail.degree:
-            raise ValueError("binomial must be homogeneous")
-        self.lead = lead
-        self.tail = tail
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Binomial)
-            and self.lead == other.lead
-            and self.tail == other.tail
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lead, self.tail))
-
-    def __repr__(self) -> str:
-        return f"Binomial({self.lead!r}, {self.tail!r})"
+#: The binomial lead - tail, both sides exponent tuples.
+Binomial = namedtuple("Binomial", "lead tail")
 
 
 # -- variable bookkeeping ---------------------------------------------------
@@ -139,9 +69,9 @@ def var_name(index: int, r1: int) -> str:
     return f"y{index - r1 - 2}"
 
 
-def monomial_text(m: Monomial, r1: int) -> str:
+def monomial_text(m: tuple[int, ...], r1: int) -> str:
     parts = []
-    for i, e in enumerate(m.exponents):
+    for i, e in enumerate(m):
         if e == 1:
             parts.append(var_name(i, r1))
         elif e > 1:
@@ -153,25 +83,25 @@ def binomial_text(b: Binomial, r1: int) -> str:
     return f"{monomial_text(b.lead, r1)} - {monomial_text(b.tail, r1)}"
 
 
-def zsupport(m: Monomial, r1: int) -> frozenset[int]:
+def zsupport(m: tuple[int, ...], r1: int) -> frozenset[int]:
     """1-based z-indices with positive exponent."""
-    return frozenset(
-        i + 1 for i in range(r1 + 3) if m.exponents[i] > 0
-    )
+    return frozenset(i + 1 for i in range(r1 + 3) if m[i] > 0)
 
 
 # -- the configuration matrix ------------------------------------------------
 
-def pi_image(columns: tuple[tuple[int, ...], ...], m: Monomial) -> tuple[int, ...]:
+def pi_image(
+    columns: tuple[tuple[int, ...], ...], m: tuple[int, ...]
+) -> tuple[int, ...]:
     """Push a monomial forward: the matrix-vector product of the column
     matrix with the exponent vector."""
-    if len(columns) != m.nvars:
+    if len(columns) != len(m):
         raise DimensionMismatch(
-            f"monomial has {m.nvars} variables, configuration has {len(columns)}"
+            f"monomial has {len(m)} variables, configuration has {len(columns)}"
         )
     height = len(columns[0])
     acc = [0] * height
-    for col, e in zip(columns, m.exponents):
+    for col, e in zip(columns, m):
         if e:
             for t in range(height):
                 acc[t] += e * col[t]
@@ -180,7 +110,7 @@ def pi_image(columns: tuple[tuple[int, ...], ...], m: Monomial) -> tuple[int, ..
 
 def is_toric_member(columns: tuple[tuple[int, ...], ...], b: Binomial) -> bool:
     """True iff the binomial is pi-balanced (hence a valid relation)."""
-    return b.lead.degree == b.tail.degree and pi_image(columns, b.lead) == pi_image(
+    return sum(b.lead) == sum(b.tail) and pi_image(columns, b.lead) == pi_image(
         columns, b.tail
     )
 
@@ -192,19 +122,29 @@ def excluded_pair(r1: int) -> tuple[int, int]:
     return (r1, r1 + 2)
 
 
+def _in_B(i: int, j: int, r1: int) -> bool:
+    """Membership in B: j - i >= 2, 1 <= i <= r1, j <= r1 + 3 and
+    j != r1 + 1, and (i, j) is not the excluded pair (r1, r1 + 2)."""
+    return (
+        j - i >= 2
+        and 1 <= i <= r1
+        and j <= r1 + 3
+        and j != r1 + 1
+        and (i, j) != excluded_pair(r1)
+    )
+
+
 @lru_cache(maxsize=None)
 def build_B(r1: int) -> tuple[tuple[int, int], ...]:
-    """All pairs (i, j) with j - i >= 2, 1 <= i <= r1, j <= r1 + 3 and
-    j != r1 + 1, minus the excluded pair (r1, r1 + 2)."""
+    """All pairs (i, j) of B (see ``_in_B``), in lex order."""
     if r1 < 2:
         raise InvalidPair(f"need r1 >= 2, got {r1}")
-    pairs = []
-    for i in range(1, r1 + 1):
-        for j in range(i + 2, r1 + 4):
-            if j == r1 + 1 or (i, j) == excluded_pair(r1):
-                continue
-            pairs.append((i, j))
-    return tuple(pairs)
+    return tuple(
+        (i, j)
+        for i in range(1, r1 + 1)
+        for j in range(i + 2, r1 + 4)
+        if _in_B(i, j, r1)
+    )
 
 
 def _companion_rule(i: int, j: int, r1: int) -> tuple[int, int]:
@@ -222,7 +162,7 @@ def companion(i: int, j: int, r1: int) -> tuple[int, int]:
 
     Raises InvalidPair when (i, j) is not a member of B.
     """
-    if (i, j) not in build_B(r1):
+    if r1 < 2 or not _in_B(i, j, r1):
         raise InvalidPair(f"({i}, {j}) is not in the pair set for r1={r1}")
     return _companion_rule(i, j, r1)
 
@@ -233,13 +173,8 @@ def excluded_pair_binomial(q: QVector) -> Binomial:
     It is z_{r1} z_{r1+2} - z_{r1} z_{r1+1}, which fails pi-balance;
     kept constructible so the exclusion stays pinned by tests.
     """
-    r1 = q.r1
-    n = total_vars(q)
-    i, j = excluded_pair(r1)
-    k, l = _companion_rule(i, j, r1)
-    lead = Monomial.variable(z_index(i), n) * Monomial.variable(z_index(j), n)
-    tail = Monomial.variable(z_index(k), n) * Monomial.variable(z_index(l), n)
-    return Binomial(lead, tail)
+    pair = excluded_pair(q.r1)
+    return _quadric(q, pair, _companion_rule(*pair, q.r1))
 
 
 # -- generator constructors ----------------------------------------------------
@@ -249,49 +184,44 @@ def _check_k(k: int, upper: int) -> None:
         raise IndexOutOfRange(f"k must lie in [0, {upper}], got {k}")
 
 
+def _monomial(q: QVector, z_powers, ys=()) -> tuple[int, ...]:
+    """Exponent tuple of the product of z_i^e over (i, e) in ``z_powers``
+    and of y_j over j in ``ys`` (1-based indices)."""
+    exps = [0] * total_vars(q)
+    for i, e in z_powers:
+        exps[z_index(i)] += e
+    for j in ys:
+        exps[y_index(q.r1, j)] = 1
+    return tuple(exps)
+
+
+def _quadric(q: QVector, pair, comp) -> Binomial:
+    """z_i z_j - z_k z_l for (i, j) = pair and (k, l) = comp."""
+    (i, j), (k, l) = pair, comp
+    return Binomial(
+        _monomial(q, ((i, 1), (j, 1))), _monomial(q, ((k, 1), (l, 1)))
+    )
+
+
 def eq1_binomial(q: QVector, i: int, j: int) -> Binomial:
     """z_i z_j - z_k z_l for a pair (i, j) in B."""
-    n = total_vars(q)
-    k, l = companion(i, j, q.r1)
-    lead = Monomial.variable(z_index(i), n) * Monomial.variable(z_index(j), n)
-    tail = Monomial.variable(z_index(k), n) * Monomial.variable(z_index(l), n)
-    return Binomial(lead, tail)
-
-
-def _head_y_block(q: QVector) -> list[int]:
-    """Exponent template for y_1 .. y_{r1-1}."""
-    exps = [0] * total_vars(q)
-    for j in range(1, q.r1):
-        exps[y_index(q.r1, j)] = 1
-    return exps
-
-
-def _tail_y_block(q: QVector) -> list[int]:
-    """Exponent template for y_{r1} .. y_d."""
-    exps = [0] * total_vars(q)
-    for j in range(q.r1, q.d + 1):
-        exps[y_index(q.r1, j)] = 1
-    return exps
+    return _quadric(q, (i, j), companion(i, j, q.r1))
 
 
 def eq2_binomial(q: QVector, k: int) -> Binomial:
     """z_{k+1} y_1..y_{r1-1} - z_{r1+1}^{r1-k} z_{r1+3}^k, 0 <= k <= r1-1."""
     _check_k(k, q.r1 - 1)
-    r1, n = q.r1, total_vars(q)
-    lead = _head_y_block(q)
-    lead[z_index(k + 1)] = 1
-    tail = [0] * n
-    tail[z_index(r1 + 1)] = r1 - k
-    tail[z_index(r1 + 3)] = k
-    return Binomial(Monomial(lead), Monomial(tail))
+    r1 = q.r1
+    return Binomial(
+        _monomial(q, ((k + 1, 1),), range(1, r1)),
+        _monomial(q, ((r1 + 1, r1 - k), (r1 + 3, k))),
+    )
 
 
-def eq3_lead(q: QVector, k: int) -> Monomial:
+def eq3_lead(q: QVector, k: int) -> tuple[int, ...]:
     """Shared lead z_{r1-k} y_{r1}..y_d of the k-th eq3/eq3* binomial."""
     _check_k(k, q.r1 - 1)
-    lead = _tail_y_block(q)
-    lead[z_index(q.r1 - k)] = 1
-    return Monomial(lead)
+    return _monomial(q, ((q.r1 - k, 1),), range(q.r1, q.d + 1))
 
 
 def eq3_binomial(q: QVector, k: int) -> Binomial:
@@ -305,10 +235,8 @@ def eq3_binomial(q: QVector, k: int) -> Binomial:
         raise IndexOutOfRange(
             f"k={k} exceeds x1+1={q.x1 + 1}; use the sliding-tail variant"
         )
-    tail = [0] * total_vars(q)
-    tail[z_index(q.r1)] = k
-    tail[z_index(q.r1 + 2)] = q.x1 + 1 - k
-    return Binomial(eq3_lead(q, k), Monomial(tail))
+    tail = _monomial(q, ((q.r1, k), (q.r1 + 2, q.x1 + 1 - k)))
+    return Binomial(eq3_lead(q, k), tail)
 
 
 def eq3star_binomial(q: QVector, k: int) -> Binomial:
@@ -324,33 +252,28 @@ def eq3star_binomial(q: QVector, k: int) -> Binomial:
     _check_k(k, q.r1 - 1)
     if k <= q.x1 + 1:
         return eq3_binomial(q, k)
-    tail = [0] * total_vars(q)
     s = (k - 1) // (q.x1 + 1)
     a = k - s * (q.x1 + 1)
-    tail[z_index(q.r1 - s)] = a
-    tail[z_index(q.r1 - s + 1)] += q.x1 + 1 - a
-    return Binomial(eq3_lead(q, k), Monomial(tail))
+    tail = _monomial(q, ((q.r1 - s, a), (q.r1 - s + 1, q.x1 + 1 - a)))
+    return Binomial(eq3_lead(q, k), tail)
 
 
 def eq4_binomial(q: QVector) -> Binomial:
     """z_{r1+2} y_1..y_{r1-1} - z_{r1+3}^{r1}."""
-    r1, n = q.r1, total_vars(q)
-    lead = _head_y_block(q)
-    lead[z_index(r1 + 2)] = 1
-    tail = [0] * n
-    tail[z_index(r1 + 3)] = r1
-    return Binomial(Monomial(lead), Monomial(tail))
+    r1 = q.r1
+    return Binomial(
+        _monomial(q, ((r1 + 2, 1),), range(1, r1)),
+        _monomial(q, ((r1 + 3, r1),)),
+    )
 
 
 def eq5_binomial(q: QVector) -> Binomial:
     """z_{r1+1} y_{r1}..y_d - z_{r1+2}^{x1} z_{r1+3}."""
-    r1, n = q.r1, total_vars(q)
-    lead = _tail_y_block(q)
-    lead[z_index(r1 + 1)] = 1
-    tail = [0] * n
-    tail[z_index(r1 + 2)] = q.x1
-    tail[z_index(r1 + 3)] = 1
-    return Binomial(Monomial(lead), Monomial(tail))
+    r1 = q.r1
+    return Binomial(
+        _monomial(q, ((r1 + 1, 1),), range(r1, q.d + 1)),
+        _monomial(q, ((r1 + 2, q.x1), (r1 + 3, 1))),
+    )
 
 
 # -- the assembled family -------------------------------------------------------
@@ -361,7 +284,7 @@ class GroebnerFamily:
 
     ``tags[i]`` records which group generator i came from; ``b_pairs``
     lists each eq1 pair with its companion.  Generators are pi-balanced
-    and lex-oriented (lead > tail) by construction.
+    and lex-oriented (lead > tail): ``groebner_family`` audits both.
     """
 
     q: QVector
@@ -397,10 +320,9 @@ def groebner_family(q: QVector) -> GroebnerFamily:
     gens: list[Binomial] = []
     tags: list[str] = []
 
-    pairs = build_B(r1)
-    b_pairs = tuple(((i, j), companion(i, j, r1)) for i, j in pairs)
-    for i, j in pairs:
-        gens.append(eq1_binomial(q, i, j))
+    b_pairs = tuple(((i, j), companion(i, j, r1)) for i, j in build_B(r1))
+    for pair, comp in b_pairs:
+        gens.append(_quadric(q, pair, comp))
         tags.append("eq1")
     for k in range(r1):
         gens.append(eq2_binomial(q, k))
@@ -429,7 +351,7 @@ def groebner_family(q: QVector) -> GroebnerFamily:
             f"is not pi-balanced"
         )
     for idx, g in enumerate(gens):
-        if not g.lead.exponents > g.tail.exponents:
+        if not g.lead > g.tail:
             raise InternalConsistency(
                 f"generator {idx} ({tags[idx]}) is not lex-oriented"
             )
@@ -446,14 +368,13 @@ def mutate_tail(family: GroebnerFamily, index: int) -> GroebnerFamily:
             f"generator index must lie in [0, {len(family.generators) - 1}]"
         )
     victim = family.generators[index]
-    exps = list(victim.tail.exponents)
+    exps = list(victim.tail)
     src = next(i for i, e in enumerate(exps) if e > 0)
     dst = (src + 1) % len(exps)
     exps[src] -= 1
     exps[dst] += 1
-    mutated = Binomial(victim.lead, Monomial(exps))
     gens = list(family.generators)
-    gens[index] = mutated
+    gens[index] = Binomial(victim.lead, tuple(exps))
     return replace(family, generators=tuple(gens))
 
 

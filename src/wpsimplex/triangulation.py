@@ -112,7 +112,7 @@ def initial_complex(
     A maximal face of any other size raises NonPureComplex: purity is
     part of what is being verified and is never repaired silently.
     """
-    masks = [_support_mask(m.exponents) for m in in_ideal.generators]
+    masks = [_support_mask(m) for m in in_ideal.generators]
     facets = []
     for face_mask in _maximal_faces(n, masks):
         members = tuple(i + 1 for i in range(n) if face_mask >> i & 1)
@@ -333,13 +333,10 @@ def make_weight_certificate(family: GroebnerFamily) -> WeightCertificate:
     """
     if not family.generators:
         raise CertificateFailure("cannot certify an empty family")
-    m_base = 1 + max(g.lead.degree for g in family.generators)
+    m_base = 1 + max(sum(g.lead) for g in family.generators)
     weights = tuple(m_base ** i for i in reversed(range(family.nvars)))
     for index, g in enumerate(family.generators):
-        lead, tail = (
-            sum(w * e for w, e in zip(weights, m.exponents))
-            for m in (g.lead, g.tail)
-        )
+        lead, tail = (sum(w * e for w, e in zip(weights, m)) for m in g)
         if lead <= tail:
             raise CertificateFailure(
                 f"generator {index}'s lead is not heavier than its tail"

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from wpsimplex import Monomial, build_q, groebner_family, pi_image
+from wpsimplex import build_q, groebner_family, pi_image
 from wpsimplex.ehrhart import ehrhart_value, hstar
 from wpsimplex.oracles import _divisor, _prepared
 
@@ -39,7 +39,7 @@ def scanned_standard_monomials(family, degree):
         for v in combo:
             exps[v] += 1
         if _divisor(exps, prepared) is None:
-            out.append(Monomial(exps))
+            out.append(tuple(exps))
     return out
 
 

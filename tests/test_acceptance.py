@@ -141,7 +141,7 @@ def test_criterion_03_hstar():
 def test_criterion_04_family_construction(families):
     for (r1, x1), family in families.items():
         for g in family.generators:
-            assert g.lead.degree == g.tail.degree, (r1, x1)
+            assert sum(g.lead) == sum(g.tail), (r1, x1)
             assert is_toric_member(family.columns, g), (r1, x1)
         q = family.q
         assert excluded_pair(r1) not in build_B(r1)
@@ -223,7 +223,7 @@ def test_criterion_05_pinned_small_case_counts(families):
     rep = buchberger_verify(family)
     non_faces = _minimal_non_faces(FACETS_2_1)
     lead_supports = {
-        frozenset(i + 1 for i, e in enumerate(g.lead.exponents) if e)
+        frozenset(i + 1 for i, e in enumerate(g.lead) if e)
         for g in family.generators
     }
     assert len(non_faces) == 9
@@ -244,7 +244,7 @@ def test_criterion_06_squarefree(families):
         ideal = initial_ideal(family)
         assert ideal.squarefree, point
         for g in family.generators:
-            assert g.lead.is_squarefree(), point
+            assert max(g.lead) <= 1, point
     report(6, True, "all lead monomials squarefree on the full grid")
 
 

@@ -1,10 +1,7 @@
-from operator import sub
-
 import pytest
 
 from wpsimplex import (
     Binomial,
-    Monomial,
     binomial_text,
     build_B,
     build_q,
@@ -49,43 +46,14 @@ def _mono(q, **powers):
     for name, e in powers.items():
         idx = int(name[1:])
         exps[z_index(idx) if name[0] == "z" else y_index(q.r1, idx)] = e
-    return Monomial(exps)
+    return tuple(exps)
 
 
-# -- monomial and binomial basics --------------------------------------------
-
-def test_monomial_arithmetic():
-    a = Monomial((1, 0, 2))
-    b = Monomial((0, 1, 1))
-    assert (a * b).exponents == (1, 1, 3)
-    lcm = Monomial(map(max, a.exponents, b.exponents))
-    assert lcm.exponents == (1, 1, 2)
-    assert a.divides(lcm) and b.divides(lcm)
-    assert not a.divides(b)
-    assert b.divides(a * b)
-    assert Monomial(map(sub, (a * b).exponents, b.exponents)) == a
-    assert a.degree == 3
-    assert Monomial((0,) * 3).degree == 0
-    assert Monomial.variable(1, 3).exponents == (0, 1, 0)
-
-
-def test_monomial_rejects_negative():
-    with pytest.raises(ValueError):
-        Monomial((1, -1))
-
-
-def test_binomial_validation():
-    with pytest.raises(ValueError):
-        Binomial(Monomial((1, 0)), Monomial((1, 0)))
-    with pytest.raises(ValueError):
-        Binomial(Monomial((2, 0)), Monomial((0, 1)))  # inhomogeneous
-    with pytest.raises(DimensionMismatch):
-        Binomial(Monomial((1, 0)), Monomial((0, 1, 0)))
-
+# -- monomials as exponent tuples ----------------------------------------------
 
 def test_monomial_text():
     q = build_q(2, 1)
-    assert monomial_text(Monomial((0,) * 7), 2) == "1"
+    assert monomial_text((0,) * 7, 2) == "1"
     assert monomial_text(_mono(q, z2=2), 2) == "z2^2"
     assert monomial_text(_mono(q, z1=1, y2=1), 2) == "z1*y2"
 
@@ -123,7 +91,7 @@ def test_pi_image_examples():
 def test_pi_image_dimension_check():
     cols = lattice_points_formula(build_q(2, 1)).homogenized
     with pytest.raises(DimensionMismatch):
-        pi_image(cols, Monomial((1, 0)))
+        pi_image(cols, (1, 0))
 
 
 def test_is_toric_member_counterexample():
@@ -163,6 +131,18 @@ def test_companion_rejects_non_members():
         companion(2, 4, 2)  # the excluded pair
     with pytest.raises(InvalidPair):
         companion(1, 3, 2)  # j = r1 + 1
+
+
+@pytest.mark.parametrize("r1", range(2, 10))
+def test_companion_accepts_exactly_the_pair_set(r1):
+    members = set(build_B(r1))
+    for i in range(r1 + 5):
+        for j in range(r1 + 6):
+            if (i, j) in members:
+                companion(i, j, r1)
+            else:
+                with pytest.raises(InvalidPair):
+                    companion(i, j, r1)
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
@@ -243,10 +223,10 @@ def test_family_tag_counts(r1, x1):
 def test_family_generators_sound(r1, x1):
     family = groebner_family(build_q(r1, x1))
     for g in family.generators:
-        assert g.lead.degree == g.tail.degree
+        assert sum(g.lead) == sum(g.tail)
         assert is_toric_member(family.columns, g)
-        assert g.lead.exponents > g.tail.exponents  # lex-oriented
-        assert g.lead.is_squarefree()
+        assert g.lead > g.tail  # lex-oriented
+        assert max(g.lead) <= 1  # squarefree
     assert pi_balance_failures(family) == ()
 
 
@@ -279,3 +259,27 @@ def test_construction_audit_names_the_unbalanced_generator(monkeypatch):
     with pytest.raises(InternalConsistency) as info:
         toric.groebner_family.__wrapped__(build_q(2, 1))
     assert str(info.value) == "generator 8 (eq5) z2*z4 - z2*z3 is not pi-balanced"
+
+
+def test_construction_audit_rejects_an_inhomogeneous_generator(monkeypatch):
+    # eq4 with its tail z5^2 cut to z5 stays lex-oriented but has degrees
+    # 2 and 1; the last homogenized coordinate is the degree, so
+    # pi-balance fails
+    q = build_q(2, 1)
+    skewed = Binomial(_mono(q, z4=1, y1=1), _mono(q, z5=1))
+    monkeypatch.setattr(toric, "eq4_binomial", lambda q: skewed)
+    with pytest.raises(InternalConsistency) as info:
+        toric.groebner_family.__wrapped__(q)
+    assert str(info.value) == "generator 7 (eq4) z4*y1 - z5 is not pi-balanced"
+
+
+def test_construction_audit_rejects_a_generator_with_lead_equal_to_tail(
+    monkeypatch,
+):
+    # lead == tail is trivially pi-balanced, but not lex-oriented
+    q = build_q(2, 1)
+    square = _mono(q, z3=2)
+    monkeypatch.setattr(toric, "eq2_binomial", lambda q, k: Binomial(square, square))
+    with pytest.raises(InternalConsistency) as info:
+        toric.groebner_family.__wrapped__(q)
+    assert str(info.value) == "generator 3 (eq2) is not lex-oriented"
