@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from operator import add
 
 from .errors import BudgetExceeded
 from .ehrhart import ehrhart_value, hstar
@@ -130,6 +129,23 @@ def _order_ideal(family: GroebnerFamily):
         layer = grown
 
 
+def _packed_columns(
+    columns: tuple[tuple[int, ...], ...], max_degree: int
+) -> list[int]:
+    """Each column v as the one integer sum_k v_k * R^k, with the radix
+    R = 2 * max(max_degree, 1) * max|entry| + 1.
+
+    Packing is linear, so a monomial's packed pushforward is the sum of
+    its columns' packed values.  A pushforward of degree t <= max_degree
+    has coordinates of absolute value at most t * max|entry| <= (R - 1)
+    / 2, which are its signed base-R digits; those digits are unique, so
+    two such pushforwards are equal exactly when their packed values
+    are."""
+    bound = max(max_degree, 1) * max(abs(x) for col in columns for x in col)
+    radix = 2 * bound + 1
+    return [sum(x * radix**k for k, x in enumerate(col)) for col in columns]
+
+
 def injectivity_check(
     family: GroebnerFamily,
     max_degree: int = 3,
@@ -142,21 +158,21 @@ def injectivity_check(
     dilation polynomial at t.  The count equality is what ties the
     family to the full relation ideal: it says no relation at that
     degree is missing.  Each degree is checked against the enumeration
-    budget before it is built, and each pushforward is its parent's
-    plus one column, in exact integers.
+    budget before it is built.  Each pushforward is its parent's plus
+    one column, packed into one exact integer by ``_packed_columns``
+    (whose radix exceeds twice any coordinate up to ``max_degree``), so
+    the distinctness test compares integers and stays exact.
     """
-    columns = family.columns
+    packed = _packed_columns(family.columns, max_degree)
     h = hstar(family.q)
     layers = _order_ideal(family)
-    images = {w: (0,) * len(columns[0]) for w in next(layers)}
+    images = dict.fromkeys(next(layers), 0)
     for t in range(1, max_degree + 1):
         _check_budget(family.nvars, t, budget)
         layer = next(layers)
         if len(layer) != ehrhart_value(h, t):
             return False
-        images = {
-            w: tuple(map(add, images[w[:-1]], columns[w[-1]])) for w in layer
-        }
+        images = {w: images[w[:-1]] + packed[w[-1]] for w in layer}
         if len(set(images.values())) != len(layer):
             return False
     return True

@@ -298,8 +298,14 @@ class GroebnerFamily:
         return len(self.columns)
 
 
+@lru_cache(maxsize=64)
 def pi_balance_failures(family: GroebnerFamily) -> tuple[int, ...]:
-    """Indices of generators that are not pi-balanced (empty when sound)."""
+    """Indices of generators that are not pi-balanced (empty when sound).
+
+    Cached per family, like ``groebner.initial_ideal``: the construction
+    audit, the command line's guard and the family stage of one point
+    share a single audit.  A family changed by a sabotage hook is a new
+    object with other generators, so it is audited afresh."""
     return tuple(
         i
         for i, g in enumerate(family.generators)

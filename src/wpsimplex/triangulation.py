@@ -14,8 +14,12 @@ a ridge).  A start facet is inverted by one fraction-free elimination;
 each step to a neighbour swaps one column, and when the new determinant
 is again +-1 the inverse follows by a plain integer rank-1 pivot, the
 simplex method's basis update.  A facet of other volume, or one the
-walk cannot reach, is eliminated from scratch.  All arithmetic is on
-plain integers.  One walk gives each facet's volume and lower cell.
+walk cannot reach, is eliminated from scratch.  Each row of an inverse
+is stored sparse, as its nonzero entries by coordinate, so a pivot and
+the weight contraction cost what the nonzeros cost; rows a pivot leaves
+alone are shared with the facet it came from, never changed in place.
+All arithmetic is on plain integers.  One walk gives each facet's
+volume and lower cell.
 The from-scratch checks that the tests hold this against, one facet's
 volume and the brute-force lower envelope among them, are in
 ``wpsimplex.oracles``.
@@ -159,9 +163,10 @@ def _eliminate(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
 #: A facet's inverse: the volume |det B| of the matrix B of its
 #: homogenized columns, and the rows of |det B| * B^-1 keyed by facet
 #: column, so column p's row n_p has n_p . column_p = |det B| and
-#: n_p . column_q = 0 for the other facet columns q.  (0, {}) when B is
-#: singular.
-FacetInverse = tuple[int, dict[int, list[int]]]
+#: n_p . column_q = 0 for the other facet columns q.  Each row is sparse,
+#: a dict from coordinate to nonzero entry; a row with no nonzero entry
+#: cannot occur, as B^-1 is invertible.  (0, {}) when B is singular.
+FacetInverse = tuple[int, dict[int, dict[int, int]]]
 
 
 def _facet_inverse(
@@ -178,13 +183,16 @@ def _facet_inverse(
         return 0, {}
     sign = 1 if det > 0 else -1
     return abs(det), {
-        p: [sign * x for x in adjugate[k * size:(k + 1) * size]]
-        for k, p in enumerate(facet)
+        p: {
+            k: sign * x
+            for k, x in enumerate(adjugate[i * size:(i + 1) * size]) if x
+        }
+        for i, p in enumerate(facet)
     }
 
 
 def _pivot(
-    inverse: dict[int, list[int]], leaving: int, entering: int,
+    inverse: dict[int, dict[int, int]], leaving: int, entering: int,
     column: tuple[int, ...],
 ) -> FacetInverse | None:
     """The inverse of a unimodular facet with column ``leaving`` swapped
@@ -192,19 +200,29 @@ def _pivot(
 
     With u_p = n_p . column, the new determinant is u_leaving times the
     old one; when u_leaving is +-1 the new rows are n_entering =
-    n_leaving / u_leaving and n_p - u_p * n_entering for the others."""
-    u = {p: sum(map(mul, row, column)) for p, row in inverse.items()}
-    ratio = u[leaving]
+    n_leaving / u_leaving and n_p - u_p * n_entering for the others.
+    Both products run over the nonzero entries only.  A row with u_p = 0
+    is shared with ``inverse``, so no row of it is changed in place."""
+    entering_row = inverse[leaving]
+    ratio = sum([x * column[k] for k, x in entering_row.items()])
     if ratio not in (1, -1):
         return None
-    entering_row = inverse[leaving]
     if ratio == -1:
-        entering_row = [-x for x in entering_row]
+        entering_row = {k: -x for k, x in entering_row.items()}
     rows = {entering: entering_row}
     for p, row in inverse.items():
-        if p != leaving:
-            f = u[p]
-            rows[p] = [a - f * b for a, b in zip(row, entering_row)] if f else row
+        if p == leaving:
+            continue
+        f = sum([x * column[k] for k, x in row.items()])
+        if f:
+            row = dict(row)
+            for k, x in entering_row.items():
+                y = row.get(k, 0) - f * x
+                if y:
+                    row[k] = y
+                else:
+                    del row[k]
+        rows[p] = row
     return 1, rows
 
 
@@ -355,14 +373,19 @@ def facet_support_function(
     for every p in the facet (affine functions on the points are linear
     functions of the homogenized columns); scale is the facet volume.
 
-    c is the sum of weight_p * n_p over the rows of the facet's
-    ``inverse``, which is eliminated from scratch when not given.
+    c is the sum of weight_p * n_p over the nonzero entries of the rows
+    of the facet's ``inverse``, which is eliminated from scratch when not
+    given.
     """
     scale, rows = inverse if inverse is not None else _facet_inverse(columns, facet)
     if scale == 0:
         raise SingularFacet(f"columns {facet} are affinely dependent")
-    lifts = [weights[p - 1] for p in rows]
-    return scale, tuple(sum(map(mul, lifts, col)) for col in zip(*rows.values()))
+    c = [0] * len(columns[0])
+    for p, row in rows.items():
+        w = weights[p - 1]
+        for k, x in row.items():
+            c[k] += w * x
+    return scale, tuple(c)
 
 
 def _is_lower_cell(

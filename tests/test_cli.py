@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import wpsimplex
-from wpsimplex import HStarVector, cli
+from wpsimplex import HStarVector, build_q, cli, groebner_family, toric
 from wpsimplex.pipeline import evaluate_point, point_flags, verdict
 
 
@@ -132,6 +132,44 @@ def test_gb_verify_excluded_pair(capsys):
     assert code == 2
     assert payload["failure"]["stage"] == "pi_balance"
     assert payload["failure"]["generators"] == [9]
+
+
+@pytest.fixture
+def audited(monkeypatch):
+    """The generators ``toric.is_toric_member`` is asked about, counted
+    from an empty pi-balance cache with the (16, 1) family already
+    built."""
+    calls = []
+    member = toric.is_toric_member
+
+    def counted(columns, b):
+        calls.append(b)
+        return member(columns, b)
+
+    groebner_family(build_q(16, 1))
+    monkeypatch.setattr(toric, "is_toric_member", counted)
+    toric.pi_balance_failures.cache_clear()
+    return calls
+
+
+def test_gb_verify_audits_the_family_once(capsys, audited):
+    code, payload = run_json(capsys, "gb", "verify", "16", "1")
+    assert code == 0 and payload["pass"] is True
+    # the command line's guard and the family stage share one audit
+    family = groebner_family(build_q(16, 1))
+    assert sorted(audited) == sorted(family.generators)
+    assert len(audited) == payload["num_generators"] == 170
+
+
+@pytest.mark.parametrize("switch, generator", [
+    (("--sabotage-tail", "0"), 0),
+    (("--include-excluded-pair",), 170),
+])
+def test_gb_verify_audits_a_sabotaged_family_afresh(capsys, audited, switch, generator):
+    code, payload = run_json(capsys, "gb", "verify", "16", "1", *switch)
+    assert code == 2 and payload["pass"] is False
+    assert payload["failure"] == {"stage": "pi_balance", "generators": [generator]}
+    assert len(audited) == payload["num_generators"]
 
 
 def test_triangulate(capsys):

@@ -27,7 +27,7 @@ from wpsimplex.oracles import (
     standard_monomials,
 )
 
-from conftest import SMALL_GRID, without
+from conftest import SMALL_GRID, scanned_injectivity, without
 
 
 def _mono_of_text(n, *factors):
@@ -359,6 +359,27 @@ def test_injectivity_detects_missing_generator(family21):
     crippled = replace(family21, generators=kept, tags=tags)
     assert len(standard_monomials(crippled, 2)) == 20
     assert not injectivity_check(crippled, max_degree=2)
+
+
+@pytest.mark.parametrize("moved, column", [
+    # z5 onto z4's point: the degree-1 pushforwards coincide
+    (4, (0, -1, 1)),
+    # z7 onto 2 * z6 - z4: z4 z7 and z6^2 coincide in degree 2
+    (6, (0, 3, 1)),
+], ids=["degree 1", "degree 2"])
+def test_injectivity_detects_coinciding_pushforwards(family21, moved, column):
+    columns = list(family21.columns)
+    columns[moved] = column
+    collided = replace(family21, columns=tuple(columns))
+    # the leads are unchanged, so every degree count still matches and
+    # only the distinctness test can fail
+    h = hstar(collided.q)
+    layers = _order_ideal(collided)
+    assert [len(next(layers)) for _ in range(4)] == [
+        ehrhart_value(h, t) for t in range(4)
+    ]
+    assert injectivity_check(collided) is False
+    assert scanned_injectivity(collided) is False
 
 
 # -- support shapes --------------------------------------------------------------

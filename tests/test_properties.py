@@ -24,7 +24,7 @@ from wpsimplex import (
     pi_image,
 )
 from wpsimplex.errors import DegenerateLift, NonPureComplex, SingularFacet
-from wpsimplex.groebner import InitialIdeal
+from wpsimplex.groebner import InitialIdeal, _packed_columns
 from wpsimplex.oracles import (
     facet_volume,
     normal_form,
@@ -360,3 +360,38 @@ def test_standard_monomials_grow_as_the_scan_finds_them(family, degree):
     assert standard_monomials(family, degree) == scanned_standard_monomials(
         family, degree
     )
+
+
+@st.composite
+def packed_configurations(draw):
+    """Integer columns with negative entries, bounded by M in absolute
+    value, one entry equal to +-M, and a degree bound t; so x^t for that
+    column has a coordinate of absolute value t * M, the most a
+    pushforward of degree t can have."""
+    t = draw(st.integers(1, 3))
+    height = draw(st.integers(1, 3))
+    bound = draw(st.integers(1, 5))
+    entry = st.integers(-bound, bound)
+    columns = draw(st.lists(
+        st.lists(entry, min_size=height, max_size=height), min_size=1, max_size=4
+    ))
+    columns[0][draw(st.integers(0, height - 1))] = draw(st.sampled_from((bound, -bound)))
+    return tuple(map(tuple, columns)), t, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_configurations())
+def test_packed_pushforwards_are_equal_exactly_when_the_images_are(case):
+    columns, t, bound = case
+    n = len(columns)
+    packed = _packed_columns(columns, t)
+    monomials = []
+    for degree in range(t + 1):
+        for combo in combinations_with_replacement(range(n), degree):
+            monomials.append(tuple(combo.count(v) for v in range(n)))
+    images = [pi_image(columns, m) for m in monomials]
+    assert max(abs(x) for image in images for x in image) == t * bound
+    packs = [sum(e * p for e, p in zip(m, packed)) for m in monomials]
+    # equal packs exactly for equal images: the pairs are a bijection
+    pairs = set(zip(packs, images))
+    assert len(pairs) == len(set(packs)) == len(set(images))

@@ -30,6 +30,8 @@ from wpsimplex import triangulation
 from wpsimplex.triangulation import (
     WeightCertificate,
     _eliminate,
+    _facet_inverse,
+    _pivot,
     _walk_facets,
     _walk_inverses,
     drop_facet,
@@ -120,13 +122,27 @@ def _walk(columns, facets):
     return [found[index] for index in range(len(facets))]
 
 
+def _dense(inverse, height):
+    """A sparse facet inverse with every row written out in full."""
+    volume, rows = inverse
+    return volume, {
+        p: [row.get(k, 0) for k in range(height)] for p, row in rows.items()
+    }
+
+
 @pytest.mark.parametrize("r1,x1", SMALL_GRID + [(10, 10)])
 def test_walk_matches_elimination_from_scratch(r1, x1, scratch_eliminations):
     family = groebner_family(build_q(r1, x1))
-    facets = initial_complex(initial_ideal(family), family.nvars, family.q.d + 1)
+    height = family.q.d + 1
+    facets = initial_complex(initial_ideal(family), family.nvars, height)
     weights = make_weight_certificate(family).weights
     for facet, inverse in zip(facets, _walk(family.columns, facets)):
         assert inverse[0] == facet_volume(family.columns, facet)
+        # the sparse rows store no zero and are the eliminated inverse's
+        assert all(x for row in inverse[1].values() for x in row.values())
+        assert _dense(inverse, height) == _dense(
+            _facet_inverse(family.columns, facet), height
+        )
         det, c = _eliminate(
             [[*family.columns[p - 1], weights[p - 1]] for p in facet]
         )
@@ -136,6 +152,19 @@ def test_walk_matches_elimination_from_scratch(r1, x1, scratch_eliminations):
         ) == expected
     # one start facet; every other facet is reached by a pivot
     assert scratch_eliminations == [facets[0]]
+
+
+def test_pivot_shares_rows_without_changing_them(family21):
+    # (1, 2, 3) -> (2, 3, 4) across the ridge {2, 3}
+    columns = family21.columns
+    volume, rows = _facet_inverse(columns, (1, 2, 3))
+    before = {p: dict(row) for p, row in rows.items()}
+    step = _pivot(rows, 1, 4, columns[3])
+    assert rows == before and volume == 1
+    assert step == _facet_inverse(columns, (2, 3, 4))
+    # z4's column is orthogonal to row 3, which is shared; row 2 is not
+    # and was updated in a copy
+    assert step[1][3] is rows[3] and step[1][2] is not rows[2]
 
 
 def test_walk_refuses_a_pivot_to_a_larger_volume(family21, scratch_eliminations):
