@@ -42,7 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 from math import comb
+from operator import itemgetter
 
 from .errors import BudgetExceeded
 from .ehrhart import ehrhart_value, hstar
@@ -67,19 +69,29 @@ class InitialIdeal:
 def initial_ideal(family: GroebnerFamily) -> InitialIdeal:
     """Collect the lead monomials and drop the non-minimal ones, lex-largest
     first.  Cached per family, so the family and triangulation stages of
-    one point share a single build."""
+    one point share a single build.
+
+    A distinct monomial of equal or higher total degree cannot divide a
+    lead, so the leads are decided by degree, lowest first, each against
+    the minimal leads of strictly lower degree: a lower lead that divides
+    it is divided by one of those."""
     leads = sorted({g.lead for g in family.generators}, reverse=True)
-    masks = [_support_mask(le) for le in leads]
-    minimal = [
-        le
-        for le, mask in zip(leads, masks)
-        if not any(
-            not other_mask & ~mask
-            and other != le
-            and all(a <= b for a, b in zip(other, le))
-            for other, other_mask in zip(leads, masks)
-        )
-    ]
+    by_degree: dict[int, list[tuple[int, ...]]] = {}
+    for le in leads:
+        by_degree.setdefault(sum(le), []).append(le)
+    kept: list[tuple[tuple[int, ...], int]] = []  # (lead, support mask)
+    for degree in sorted(by_degree):
+        batch = [(le, _support_mask(le)) for le in by_degree[degree]]
+        kept += [
+            (le, mask)
+            for le, mask in batch
+            if not any(
+                not other_mask & ~mask
+                and all(a <= b for a, b in zip(other, le))
+                for other, other_mask in kept
+            )
+        ]
+    minimal = sorted((le for le, _ in kept), reverse=True)
     return InitialIdeal(
         generators=tuple(minimal),
         squarefree=all(e <= 1 for m in minimal for e in m),
@@ -102,30 +114,42 @@ def _order_ideal(family: GroebnerFamily):
     each layer a list of sorted tuples of variable indices in
     ``combinations_with_replacement`` order.
 
-    Every standard w of degree t is c + (v,) for the standard c = w[:-1]
-    and a variable v >= c[-1]; the candidate is kept by the order-ideal
-    test of the module docstring.  Each layer is built only when asked
-    for.
+    Every standard w = c + (v,) of degree t >= 2, with c = w[:-1] and
+    v >= c[-1], drops to c[:-1] + (v,): a standard *sibling* of c, with
+    the same prefix, that sits in c's run of the previous layer.  So the
+    candidates v come from the last variables of c's siblings from c on
+    (the Apriori join of Agrawal and Srikant, 1994), and each is kept by
+    the lead test and the drop tests of the module docstring that the
+    join does not settle.  Each layer is built only when asked for.
     """
     n = family.nvars
     leads = {
-        tuple(i for i, e in enumerate(g.lead) for _ in range(e))
+        tuple(i for i, e in enumerate(g.lead) if e for _ in range(e))
         for g in family.generators
     }
     layer = [] if () in leads else [()]
+    yield layer
+    layer = [(v,) for v in range(n) if (v,) not in leads] if layer else []
     while True:
         yield layer
         standard = set(layer)
         grown = []
-        for c in layer:
-            # dropping the last variable gives c, standard by construction
-            drops = range(len(c))
-            for v in range(c[-1] if c else 0, n):
-                w = c + (v,)
-                if w not in leads and all(
-                    w[:i] + w[i + 1:] in standard for i in drops
-                ):
-                    grown.append(w)
+        for prefix, run in groupby(layer, itemgetter(slice(-1))):
+            # dropping either of the last two variables gives c or a
+            # sibling; the other drops leave a shorter prefix, then u, v
+            shorter = [prefix[:i] + prefix[i + 1:] for i in range(len(prefix))]
+            lasts = [c[-1] for c in run]
+            for k, u in enumerate(lasts):
+                c = prefix + (u,)
+                for v in lasts[k:]:
+                    w = c + (v,)
+                    if w in leads:
+                        continue
+                    for p in shorter:
+                        if p + (u, v) not in standard:
+                            break
+                    else:
+                        grown.append(w)
         layer = grown
 
 

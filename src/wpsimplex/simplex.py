@@ -22,6 +22,9 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import comb
+from operator import mul
 
 from .errors import (
     BudgetExceeded,
@@ -223,64 +226,81 @@ def enumerate_dilation_points(
 ) -> set[tuple[int, ...]]:
     """All integer points with every facet functional at most t.
 
-    The inequality with index k <= d reads sum(p) - (1 + c_k)*p_k <= t
-    (c_k is the negated diagonal coefficient), so for a fixed coordinate
-    sum s the feasible set is exactly { p : sum(p) = s, p_k >=
-    ceil((s - t)/(1 + c_k)) }.  The scan walks s from -t*sum(q) (the
-    apex) up to t and emits each slice as a shifted composition; the
-    slice lower bounds never leave the bounding box prod_i [-t*q_i, t].
-    Every emitted point is re-verified against the raw inequalities, so
-    a transcription slip in the slice algebra cannot pass silently.
+    The inequality with index k <= d reads sum(p) - D_k*p_k <= t, where
+    D_k = 1 - row_k[k] is read from the raw rows, so for a fixed
+    coordinate sum s the feasible set is exactly { p : sum(p) = s, p_k >=
+    ceil((s - t)/D_k) }.  The scan walks s from -t*sum(q) (the apex) up
+    to t; the coordinates are grouped by denominator, so a slice costs
+    one ceil division per distinct D_k (two for this family), and a
+    slice whose lower bounds leave a remainder r = s - sum(lows) >= 0 is
+    emitted as the lower bounds plus every multiset of r coordinate
+    indices.  The slice lower bounds never leave the bounding box
+    prod_i [-t*q_i, t].
 
-    ``budget`` caps the number of enumeration steps (slices plus emitted
-    points); exceeding it raises BudgetExceeded.
+    Every emitted point is re-verified against the raw inequalities, so
+    a transcription slip in the slice algebra cannot pass silently.  Each
+    row is read as the last row plus its nonzero differences from it,
+    so every row's value row . p is computed exactly, in O(d) per point
+    for this family, where each row differs from the last in one entry.
+
+    ``budget`` caps the number of enumeration steps: one per slice, plus
+    one per node of the composition tree that distributes a slice's
+    remainder r >= 0 over the d coordinates, which has C(r + d, d - 1)
+    nodes.  Exceeding it raises BudgetExceeded.
     """
     if t < 0:
         raise ParameterOutOfRange(f"dilation factor must be >= 0, got {t}")
     limit = resolve_enum_budget(budget)
     rows = h_description(q).functionals
     d = q.d
-    # 1 + c_k: one plus the negated diagonal coefficient of inequality k
     denoms = [1 - rows[k][k] for k in range(d)]
+    distinct = sorted(set(denoms))
+    counts = [denoms.count(dk) for dk in distinct]
+    slot = [distinct.index(dk) for dk in denoms]
+
+    # each row as the base row plus its differences from it; rows with at
+    # most one difference are checked together, the others one by one
+    base = rows[-1]
+    cols: list[int] = []
+    deltas: list[int] = []
+    multi: list[list[tuple[int, int]]] = []
+    for row in rows:
+        diff = [(j, c - b) for j, (c, b) in enumerate(zip(row, base)) if c != b]
+        if len(diff) > 1:
+            multi.append(diff)
+        else:
+            j, delta = diff[0] if diff else (0, 0)
+            cols.append(j)
+            deltas.append(delta)
 
     visited = 0
-    found: list[tuple[int, ...]] = []
-    point = [0] * d
-
-    def emit() -> None:
-        p = tuple(point)
-        for row in rows:
-            if sum(c * v for c, v in zip(row, p)) > t:
+    found: set[tuple[int, ...]] = set()
+    for s in range(-t * sum(q.entries), t + 1):
+        # ceil((s - t) / denom) with positive denom, once per denominator
+        low = [-((t - s) // dk) for dk in distinct]
+        remaining = s - sum(map(mul, low, counts))
+        visited += 1 if remaining < 0 else 1 + comb(remaining + d, d - 1)
+        if visited > limit:
+            raise BudgetExceeded(f"enumeration visited more than {limit} cells")
+        if remaining < 0:
+            continue
+        lows = list(map(low.__getitem__, slot))
+        for combo in combinations_with_replacement(range(d), remaining):
+            point = lows.copy()
+            for i in combo:
+                point[i] += 1
+            p = tuple(point)
+            value = sum(map(mul, base, p))
+            worst = max(map(mul, deltas, map(p.__getitem__, cols)))
+            if value + worst > t or any(
+                value + sum(delta * p[j] for j, delta in diff) > t
+                for diff in multi
+            ):
                 raise InternalConsistency(
                     f"slice enumeration emitted an infeasible point {p}"
                 )
-        found.append(p)
-
-    def distribute(i: int, lows: list[int], remaining: int) -> None:
-        nonlocal visited
-        visited += 1
-        if visited > limit:
-            raise BudgetExceeded(
-                f"enumeration visited more than {limit} cells"
-            )
-        if i == d - 1:
-            point[i] = lows[i] + remaining
-            emit()
-            return
-        for share in range(remaining + 1):
-            point[i] = lows[i] + share
-            distribute(i + 1, lows, remaining - share)
-
-    for s in range(-t * sum(q.entries), t + 1):
-        visited += 1
-        if visited > limit:
-            raise BudgetExceeded(f"enumeration visited more than {limit} cells")
-        # ceil((s - t) / denom) with positive denom
-        lows = [-((t - s) // dk) for dk in denoms]
-        remaining = s - sum(lows)
-        if remaining >= 0:
-            distribute(0, lows, remaining)
-    return set(found)
+            found.add(p)
+    return found
 
 
 def lattice_points_bruteforce(

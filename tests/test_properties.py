@@ -1,13 +1,20 @@
 """Property tests: the closed-form lattice points against the
-enumerator, the elimination kernel against the Leibniz determinant, the
-facet walk against facet-by-facet elimination, the normal form, the
-standard monomials and the minimal leads against a plain entrywise
-divisibility test (``_divides``), and the facet enumeration against a
-filter of all vertex subsets."""
+enumerator, the enumerator against a scan of its bounding box, the
+elimination kernel against the Leibniz determinant, the facet walk
+against facet-by-facet elimination, the normal form, the standard
+monomials and the minimal leads against a plain entrywise divisibility
+test (``_divides``), and the facet enumeration against a filter of all
+vertex subsets."""
 
 from dataclasses import replace
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    permutations,
+    product,
+)
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +23,9 @@ from hypothesis import strategies as st
 from wpsimplex import (
     Binomial,
     build_q,
+    enumerate_dilation_points,
     groebner_family,
+    h_description,
     initial_complex,
     initial_ideal,
     lattice_points_bruteforce,
@@ -53,6 +62,37 @@ PARAMS = st.tuples(st.integers(2, 4), st.integers(1, 3))
 def test_formula_points_equal_the_enumerators(r1, x1):
     q = build_q(r1, x1)
     assert set(lattice_points_formula(q).columns) == lattice_points_bruteforce(q)
+
+
+def _box_size(q, t):
+    return prod(t * e + t + 1 for e in q.entries)
+
+
+@st.composite
+def dilations(draw):
+    """A small family member and a dilation factor t <= 3 whose bounding
+    box prod_i [-t*q_i, t] holds at most 2 * 10^5 points."""
+    t = draw(st.integers(0, 3))
+    q = draw(st.builds(build_q, st.integers(2, 5), st.integers(1, 4)).filter(
+        lambda q: _box_size(q, t) <= 200_000
+    ))
+    return q, t
+
+
+@settings(max_examples=30, deadline=None)
+@given(dilations())
+@example((build_q(2, 1), 0))
+@example((build_q(3, 2), 3))
+@example((build_q(2, 4), 2))
+def test_dilation_points_equal_a_scan_of_the_box(case):
+    # every point of the bounding box, kept when no raw facet row exceeds t
+    q, t = case
+    rows = h_description(q).functionals
+    box = product(*(range(-t * e, t + 1) for e in q.entries))
+    scanned = {
+        p for p in box if all(sum(map(mul, row, p)) <= t for row in rows)
+    }
+    assert enumerate_dilation_points(q, t) == scanned
 
 
 def _leibniz_det(rows):
@@ -315,19 +355,27 @@ def test_initial_ideal_equals_a_divides_filter(family):
 
 
 
+def _with_power_leads(family, variables, power):
+    """The family plus x_v^power - y_d^power for each v in ``variables``."""
+    n = family.nvars
+    added = []
+    for v in variables:
+        lead = [0] * n
+        lead[v] = power
+        tail = [0] * n
+        tail[n - 1] = power
+        added.append(Binomial(tuple(lead), tuple(tail)))
+    return replace(
+        family,
+        generators=family.generators + tuple(added),
+        tags=family.tags + ("eq1",) * len(added),
+    )
+
+
 def _with_square_lead(family):
     """The family plus y_1^2 - y_d^2, a non-squarefree lead that divides
     standard monomials of the family from degree 2 on."""
-    n = family.nvars
-    lead = [0] * n
-    lead[family.q.r1 + 3] = 2
-    tail = [0] * n
-    tail[n - 1] = 2
-    return replace(
-        family,
-        generators=family.generators + (Binomial(tuple(lead), tuple(tail)),),
-        tags=family.tags + ("eq1",),
-    )
+    return _with_power_leads(family, [family.q.r1 + 3], 2)
 
 
 @st.composite
@@ -353,6 +401,13 @@ def lead_sources(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(lead_sources(), lead_families()), st.integers(0, 3))
 @example(_with_square_lead(groebner_family(build_q(2, 1))), 3)
+# a single-variable lead prunes the degree-1 layer, so the join of the
+# later layers never sees that variable
+@example(_with_power_leads(groebner_family(build_q(3, 1)), [1], 1), 3)
+# squared leads: (v, v) is missing from the degree-2 run of prefix (v,)
+@example(_with_power_leads(groebner_family(build_q(2, 1)), [0, 5], 2), 3)
+# every variable a lead: the degree-1 layer and every sibling list are empty
+@example(_with_power_leads(groebner_family(build_q(2, 1)), range(7), 1), 3)
 def test_standard_monomials_grow_as_the_scan_finds_them(family, degree):
     # the order ideal built degree by degree lists exactly the monomials
     # that no lead divides, in combinations_with_replacement order, for

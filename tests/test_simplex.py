@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
+from wpsimplex import simplex
 from wpsimplex import (
     Classification,
     build_q,
     classify_2supported,
+    enumerate_dilation_points,
     h_description,
     lattice_points_bruteforce,
     lattice_points_formula,
@@ -11,6 +15,7 @@ from wpsimplex import (
 )
 from wpsimplex.errors import (
     BudgetExceeded,
+    InternalConsistency,
     ParameterOutOfRange,
     PointOutsideSimplex,
 )
@@ -169,6 +174,39 @@ def test_vertices_are_lattice_points(r1, x1):
 def test_bruteforce_budget():
     with pytest.raises(BudgetExceeded):
         lattice_points_bruteforce(build_q(4, 3), budget=5)
+
+
+@pytest.mark.parametrize("r1,x1,t,total", [
+    (2, 1, 1, 20),
+    (2, 1, 2, 44),
+    (3, 1, 2, 104),
+    (3, 2, 2, 183),
+    (6, 5, 2, 1328),
+])
+def test_dilation_budget_counts_slices_and_tree_nodes(r1, x1, t, total):
+    # one step per slice plus C(r + d, d - 1) per slice with remainder
+    # r >= 0: the node count of the tree that distributes r over d
+    # coordinates, so the smallest passing budget is exactly the total
+    q = build_q(r1, x1)
+    points = enumerate_dilation_points(q, t)
+    assert enumerate_dilation_points(q, t, budget=total) == points
+    with pytest.raises(BudgetExceeded):
+        enumerate_dilation_points(q, t, budget=total - 1)
+
+
+def test_dilation_recheck_rejects_a_point_the_slices_emit(monkeypatch):
+    # the slice bounds read only the diagonal of each row, so raising an
+    # off-diagonal entry makes them emit points that the raised row
+    # rejects: the re-check against the raw rows must catch one
+    q = build_q(2, 1)
+    rows = [list(row) for row in h_description(q).functionals]
+    rows[0][1] += 1
+    sabotaged = replace(
+        h_description(q), functionals=tuple(map(tuple, rows))
+    )
+    monkeypatch.setattr(simplex, "h_description", lambda _: sabotaged)
+    with pytest.raises(InternalConsistency, match="infeasible point"):
+        enumerate_dilation_points(q, 1)
 
 
 @pytest.mark.parametrize("r1,x1", [(2, 1), (3, 2), (4, 1)])
