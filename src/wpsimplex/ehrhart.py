@@ -9,16 +9,15 @@ the facet inequalities serves as the independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InternalConsistency, ParameterOutOfRange
 from .simplex import QVector, enumerate_dilation_points
 
 
-@dataclass(frozen=True)
-class HStarVector:
+class HStarVector(NamedTuple):
     """Coefficients h*_0..h*_d; always h*_0 = 1 and sum = N(q)."""
 
     coeffs: tuple[int, ...]

@@ -39,12 +39,12 @@ of those degree-(t - 1) divisors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import groupby
 from math import comb
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import BudgetExceeded
 from .ehrhart import ehrhart_value, hstar
@@ -57,8 +57,7 @@ def _support_mask(exponents) -> int:
     return sum(1 << i for i, e in enumerate(exponents) if e)
 
 
-@dataclass(frozen=True)
-class InitialIdeal:
+class InitialIdeal(NamedTuple):
     """Inclusion-minimal lead monomials of the family."""
 
     generators: tuple[tuple[int, ...], ...]
@@ -218,8 +217,7 @@ class SupportCase(Enum):
     VIOLATION = -1
 
 
-@dataclass(frozen=True)
-class ZSupportShape:
+class ZSupportShape(NamedTuple):
     case: SupportCase
     zsupport: frozenset[int]
 

@@ -11,9 +11,9 @@ found by testing every column subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -112,8 +112,7 @@ def s_polynomial(g1: Binomial, g2: Binomial) -> Binomial | None:
     return Binomial(p1, p2) if p1 > p2 else Binomial(p2, p1)
 
 
-@dataclass(frozen=True)
-class BuchbergerReport:
+class BuchbergerReport(NamedTuple):
     """Outcome of the all-pairs S-pair reduction."""
 
     pairs_total: int
@@ -207,7 +206,7 @@ def regularity_check(
     that is not a lower cell gives the verdict or the error.
     """
     _, lower = _walk_facets(columns, certificate.weights, tri.facets)
-    return replace(tri, lower=lower).regular
+    return tri._replace(lower=lower).regular
 
 
 def regular_subdivision_bruteforce(

@@ -28,8 +28,8 @@ all hold.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, InternalConsistency, WpsimplexError
 from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
@@ -49,6 +49,29 @@ TIMINGS = ("points_ms", "hstar_ms", "gb_ms", "triangulate_ms")
 _NOT_FLAGS = ("timings", "skipped", "errors")
 
 
+class _EmptyMapping(Mapping):
+    """The default ``report`` and ``skipped`` of a ``Stage``.  Every such
+    stage shares one instance, so it is read-only; unlike an empty
+    ``types.MappingProxyType`` it pickles."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "_EmptyMapping()"
+
+
+_NOTHING = _EmptyMapping()
+
+
 def default_grid() -> list[tuple[int, int]]:
     return [
         (r1, x1)
@@ -65,19 +88,19 @@ def verdict(flags: Iterable[bool | None]) -> bool | None:
     return None if None in flags else True
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """Outcome of one certificate stage.
 
     ``skipped`` maps each check skipped over budget to the budget
     message; ``failure`` names the check that failed, as ``gb verify``
     prints it; ``errors`` holds the messages of exceptions the stage
-    caught.
+    caught.  ``report`` and ``skipped`` default to an empty read-only
+    mapping.
     """
 
     flags: dict[str, bool | None]
-    report: dict = field(default_factory=dict)
-    skipped: dict[str, str] = field(default_factory=dict)
+    report: Mapping = _NOTHING
+    skipped: Mapping[str, str] = _NOTHING
     failure: dict | None = None
     errors: tuple[str, ...] = ()
 

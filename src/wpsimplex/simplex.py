@@ -19,12 +19,12 @@ exact: plain Python integers throughout, so overflow cannot occur.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -68,8 +68,7 @@ class Classification(Enum):
     NOT_REFLEXIVE_IDP = "NotReflexiveIDP"
 
 
-@dataclass(frozen=True)
-class QVector:
+class QVector(NamedTuple):
     """Defining data of one member of the simplex family.
 
     ``entries`` is weakly increasing with exactly two distinct values
@@ -84,8 +83,7 @@ class QVector:
     volume: int
 
 
-@dataclass(frozen=True)
-class HalfspaceDescription:
+class HalfspaceDescription(NamedTuple):
     """Irredundant facet inequalities ``functional(p) <= rhs``.
 
     There are d + 1 functionals.  For 1 <= k <= x1 the k-th has
@@ -98,8 +96,7 @@ class HalfspaceDescription:
     rhs: int = 1
 
 
-@dataclass(frozen=True)
-class PointConfiguration:
+class PointConfiguration(NamedTuple):
     """Ordered lattice point list of the simplex.
 
     Columns come in two blocks: a1..a{r1+3} (the collinear interior ray
@@ -223,7 +220,7 @@ def tightness_profile(q: QVector, p: tuple[int, ...]) -> frozenset[int]:
 
 def enumerate_dilation_points(
     q: QVector, t: int, budget: int | None = None
-) -> set[tuple[int, ...]]:
+) -> frozenset[tuple[int, ...]]:
     """All integer points with every facet functional at most t.
 
     The inequality with index k <= d reads sum(p) - D_k*p_k <= t, where
@@ -247,11 +244,24 @@ def enumerate_dilation_points(
     one per node of the composition tree that distributes a slice's
     remainder r >= 0 over the d coordinates, which has C(r + d, d - 1)
     nodes.  Exceeding it raises BudgetExceeded.
+
+    The last enumeration is kept, keyed on all it reads (q, the rows, t
+    and the resolved budget), so the point check and the h* check share
+    the t = 1 one; keeping only one set holds no t = 2 set of a sweep
+    past the next point.
     """
     if t < 0:
         raise ParameterOutOfRange(f"dilation factor must be >= 0, got {t}")
-    limit = resolve_enum_budget(budget)
-    rows = h_description(q).functionals
+    return _dilation_points(
+        q, h_description(q).functionals, t, resolve_enum_budget(budget)
+    )
+
+
+@lru_cache(maxsize=1)
+def _dilation_points(
+    q: QVector, rows: tuple[tuple[int, ...], ...], t: int, limit: int
+) -> frozenset[tuple[int, ...]]:
+    """The enumeration of ``enumerate_dilation_points``."""
     d = q.d
     denoms = [1 - rows[k][k] for k in range(d)]
     distinct = sorted(set(denoms))
@@ -274,7 +284,7 @@ def enumerate_dilation_points(
             deltas.append(delta)
 
     visited = 0
-    found: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
     for s in range(-t * sum(q.entries), t + 1):
         # ceil((s - t) / denom) with positive denom, once per denominator
         low = [-((t - s) // dk) for dk in distinct]
@@ -299,13 +309,13 @@ def enumerate_dilation_points(
                 raise InternalConsistency(
                     f"slice enumeration emitted an infeasible point {p}"
                 )
-            found.add(p)
-    return found
+            found.append(p)
+    return frozenset(found)
 
 
 def lattice_points_bruteforce(
     q: QVector, budget: int | None = None
-) -> set[tuple[int, ...]]:
+) -> frozenset[tuple[int, ...]]:
     """Independent oracle: enumerate the simplex's lattice points directly
     from the facet inequalities, without using the closed-form list."""
     return enumerate_dilation_points(q, 1, budget)

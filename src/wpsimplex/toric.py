@@ -31,8 +31,8 @@ regression test.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -278,8 +278,7 @@ def eq5_binomial(q: QVector) -> Binomial:
 
 # -- the assembled family -------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroebnerFamily:
+class GroebnerFamily(NamedTuple):
     """The full rewrite family for one parameter point, with provenance.
 
     ``tags[i]`` records which group generator i came from; ``b_pairs``
@@ -381,14 +380,13 @@ def mutate_tail(family: GroebnerFamily, index: int) -> GroebnerFamily:
     exps[dst] += 1
     gens = list(family.generators)
     gens[index] = Binomial(victim.lead, tuple(exps))
-    return replace(family, generators=tuple(gens))
+    return family._replace(generators=tuple(gens))
 
 
 def include_excluded_pair(family: GroebnerFamily) -> GroebnerFamily:
     """Sabotage hook: append the excluded pair's literal binomial."""
     bad = excluded_pair_binomial(family.q)
-    return replace(
-        family,
+    return family._replace(
         generators=family.generators + (bad,),
         tags=family.tags + ("eq1",),
     )

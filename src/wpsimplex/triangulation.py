@@ -27,9 +27,9 @@ volume and the brute-force lower envelope among them, are in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import deque
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (
     CertificateFailure,
@@ -44,8 +44,7 @@ from .simplex import QVector
 from .toric import GroebnerFamily
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(NamedTuple):
     """Facets as sorted tuples of 1-based column indices, with their
     normalized volumes (absolute homogenized determinants) and, when
     built from a family, each facet's lower-cell outcome under its weight
@@ -71,8 +70,7 @@ class Triangulation:
         return True
 
 
-@dataclass(frozen=True)
-class WeightCertificate:
+class WeightCertificate(NamedTuple):
     """Per-variable lifting heights; valid when every generator's lead is
     strictly heavier than its tail."""
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -19,8 +18,7 @@ def family21():
 
 def without(family, k):
     """The family with generator k deleted."""
-    return replace(
-        family,
+    return family._replace(
         generators=family.generators[:k] + family.generators[k + 1:],
         tags=family.tags[:k] + family.tags[k + 1:],
     )

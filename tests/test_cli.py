@@ -339,6 +339,37 @@ def test_single_point_commands_import_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
+#: The modules ``triangulate`` and ``--help`` run on: all but the oracles.
+_COMMAND_MODULES = {
+    "wpsimplex", "wpsimplex.cli", "wpsimplex.errors", "wpsimplex.simplex",
+    "wpsimplex.ehrhart", "wpsimplex.toric", "wpsimplex.groebner",
+    "wpsimplex.triangulation", "wpsimplex.pipeline",
+}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["triangulate", "2", "1"]])
+def test_cold_start_imports_no_dataclasses_inspect_or_ast(argv):
+    # -X importtime lists every module the process imports; -S keeps the
+    # .pth files of site-packages out of the list, and the environment
+    # holds no PYTHON* variable but the path to the package
+    package_root = os.path.dirname(os.path.dirname(wpsimplex.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "wpsimplex", *argv],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert not imported & {"dataclasses", "inspect", "ast"}
+    assert {m for m in imported if m.startswith("wpsimplex")} == _COMMAND_MODULES
+
+
 # -- one implementation per check ------------------------------------------------
 
 def test_cli_imports_no_check_primitive():

@@ -103,3 +103,13 @@ def test_the_certified_path_leaves_the_oracles_to_their_module():
                    triangulation, pipeline, cli):
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_a_point_enumerates_the_t1_dilation_once():
+    # the point check and the h* check share the t = 1 enumeration; the
+    # t = 2 one is the only other
+    simplex._dilation_points.cache_clear()
+    entry = evaluate_point(3, 2)
+    assert entry["latticePointsOK"] is True and entry["hstarOK"] is True
+    info = simplex._dilation_points.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)

@@ -6,7 +6,6 @@ monomials and the minimal leads against a plain entrywise divisibility
 test (``_divides``), and the facet enumeration against a filter of all
 vertex subsets."""
 
-from dataclasses import replace
 from itertools import (
     combinations,
     combinations_with_replacement,
@@ -338,7 +337,7 @@ def lead_families(draw):
         tail = [0] * n
         tail[0 if lead[0] != degree else n - 1] = degree
         gens.append(Binomial(tuple(lead), tuple(tail)))
-    return replace(base, generators=tuple(gens), tags=("eq1",) * len(gens))
+    return base._replace(generators=tuple(gens), tags=("eq1",) * len(gens))
 
 
 @settings(max_examples=200, deadline=None)
@@ -365,8 +364,7 @@ def _with_power_leads(family, variables, power):
         tail = [0] * n
         tail[n - 1] = power
         added.append(Binomial(tuple(lead), tuple(tail)))
-    return replace(
-        family,
+    return family._replace(
         generators=family.generators + tuple(added),
         tags=family.tags + ("eq1",) * len(added),
     )

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from wpsimplex import simplex
@@ -197,12 +195,14 @@ def test_dilation_budget_counts_slices_and_tree_nodes(r1, x1, t, total):
 def test_dilation_recheck_rejects_a_point_the_slices_emit(monkeypatch):
     # the slice bounds read only the diagonal of each row, so raising an
     # off-diagonal entry makes them emit points that the raised row
-    # rejects: the re-check against the raw rows must catch one
+    # rejects: the re-check against the raw rows must catch one, also
+    # right after the sound rows' enumeration was kept
     q = build_q(2, 1)
+    enumerate_dilation_points(q, 1)
     rows = [list(row) for row in h_description(q).functionals]
     rows[0][1] += 1
-    sabotaged = replace(
-        h_description(q), functionals=tuple(map(tuple, rows))
+    sabotaged = h_description(q)._replace(
+        functionals=tuple(map(tuple, rows))
     )
     monkeypatch.setattr(simplex, "h_description", lambda _: sabotaged)
     with pytest.raises(InternalConsistency, match="infeasible point"):
