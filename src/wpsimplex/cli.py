@@ -17,6 +17,7 @@ verifiers have teeth.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -366,4 +367,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script and ``python -m wpsimplex``.  The heap is
+    frozen on the way out, ``--help``'s SystemExit included, so that
+    interpreter teardown does not run full collections over every
+    long-lived object; atexit handlers, stream flushes and finalizers
+    still run."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import groupby
+from itertools import compress, groupby
 from math import comb
 from operator import itemgetter
 from typing import NamedTuple
@@ -49,7 +49,7 @@ from typing import NamedTuple
 from .errors import BudgetExceeded
 from .ehrhart import ehrhart_value, hstar
 from .simplex import QVector, resolve_enum_budget
-from .toric import GroebnerFamily, zsupport
+from .toric import GroebnerFamily, _packed_columns, zsupport
 
 
 def _support_mask(exponents) -> int:
@@ -108,10 +108,12 @@ def _check_budget(nvars: int, degree: int, budget: int | None) -> None:
         )
 
 
-def _order_ideal(family: GroebnerFamily):
+def _order_ideal(family: GroebnerFamily, packed: list[int] | None = None):
     """Yield the standard monomials degree by degree, from degree 0 up,
     each layer a list of sorted tuples of variable indices in
-    ``combinations_with_replacement`` order.
+    ``combinations_with_replacement`` order, with the list of their
+    packed pushforwards (all 0 without ``packed``, the columns packed by
+    ``toric._packed_columns``).
 
     Every standard w = c + (v,) of degree t >= 2, with c = w[:-1] and
     v >= c[-1], drops to c[:-1] + (v,): a standard *sibling* of c, with
@@ -119,20 +121,26 @@ def _order_ideal(family: GroebnerFamily):
     candidates v come from the last variables of c's siblings from c on
     (the Apriori join of Agrawal and Srikant, 1994), and each is kept by
     the lead test and the drop tests of the module docstring that the
-    join does not settle.  Each layer is built only when asked for.
+    join does not settle.  A kept w's pushforward is c's plus column v,
+    read where the join finds c.  Each layer is built only when asked
+    for.
     """
     n = family.nvars
+    packed = packed or [0] * n
     leads = {
-        tuple(i for i, e in enumerate(g.lead) if e for _ in range(e))
+        tuple(i for i in compress(range(n), g.lead) for _ in range(g.lead[i]))
         for g in family.generators
     }
     layer = [] if () in leads else [()]
-    yield layer
+    yield layer, [0] * len(layer)
     layer = [(v,) for v in range(n) if (v,) not in leads] if layer else []
+    images = [packed[v] for (v,) in layer]
     while True:
-        yield layer
+        yield layer, images
         standard = set(layer)
         grown = []
+        grown_images = []
+        start = 0
         for prefix, run in groupby(layer, itemgetter(slice(-1))):
             # dropping either of the last two variables gives c or a
             # sibling; the other drops leave a shorter prefix, then u, v
@@ -140,6 +148,7 @@ def _order_ideal(family: GroebnerFamily):
             lasts = [c[-1] for c in run]
             for k, u in enumerate(lasts):
                 c = prefix + (u,)
+                image = images[start + k]
                 for v in lasts[k:]:
                     w = c + (v,)
                     if w in leads:
@@ -149,24 +158,9 @@ def _order_ideal(family: GroebnerFamily):
                             break
                     else:
                         grown.append(w)
-        layer = grown
-
-
-def _packed_columns(
-    columns: tuple[tuple[int, ...], ...], max_degree: int
-) -> list[int]:
-    """Each column v as the one integer sum_k v_k * R^k, with the radix
-    R = 2 * max(max_degree, 1) * max|entry| + 1.
-
-    Packing is linear, so a monomial's packed pushforward is the sum of
-    its columns' packed values.  A pushforward of degree t <= max_degree
-    has coordinates of absolute value at most t * max|entry| <= (R - 1)
-    / 2, which are its signed base-R digits; those digits are unique, so
-    two such pushforwards are equal exactly when their packed values
-    are."""
-    bound = max(max_degree, 1) * max(abs(x) for col in columns for x in col)
-    radix = 2 * bound + 1
-    return [sum(x * radix**k for k, x in enumerate(col)) for col in columns]
+                        grown_images.append(image + packed[v])
+            start += len(lasts)
+        layer, images = grown, grown_images
 
 
 def injectivity_check(
@@ -182,21 +176,20 @@ def injectivity_check(
     family to the full relation ideal: it says no relation at that
     degree is missing.  Each degree is checked against the enumeration
     budget before it is built.  Each pushforward is its parent's plus
-    one column, packed into one exact integer by ``_packed_columns``
-    (whose radix exceeds twice any coordinate up to ``max_degree``), so
-    the distinctness test compares integers and stays exact.
+    one column, packed into one exact integer by ``toric._packed_columns``
+    (whose radix exceeds twice any coordinate up to ``max_degree``) and
+    summed while ``_order_ideal`` joins the layer, so the distinctness
+    test compares integers and stays exact.
     """
-    packed = _packed_columns(family.columns, max_degree)
     h = hstar(family.q)
-    layers = _order_ideal(family)
-    images = dict.fromkeys(next(layers), 0)
+    layers = _order_ideal(family, _packed_columns(family.columns, max_degree))
+    next(layers)
     for t in range(1, max_degree + 1):
         _check_budget(family.nvars, t, budget)
-        layer = next(layers)
+        layer, images = next(layers)
         if len(layer) != ehrhart_value(h, t):
             return False
-        images = {w: images[w[:-1]] + packed[w[-1]] for w in layer}
-        if len(set(images.values())) != len(layer):
+        if len(set(images)) != len(layer):
             return False
     return True
 

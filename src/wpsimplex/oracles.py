@@ -4,18 +4,21 @@
 independent oracle for the tests and the demos; no certificate runs it,
 and no module of the certified path imports this one.  Beside it sit
 rewriting to normal form, the standard monomials of one degree, a
-facet's volume eliminated from scratch, the facet-wise regularity check
-of a given triangulation and weight certificate, and the lower envelope
-found by testing every column subset.
+facet's volume eliminated from scratch, one facet's lower-cell test by
+dense reduced costs, the facet-wise regularity check of a given
+triangulation and weight certificate, and the lower envelope found by
+testing every column subset.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, islice
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
+    DegenerateLift,
     DimensionMismatch,
     InternalConsistency,
     ParameterOutOfRange,
@@ -28,8 +31,8 @@ from .triangulation import (
     WeightCertificate,
     _checked_volume,
     _eliminate,
-    _is_lower_cell,
     _walk_facets,
+    facet_support_function,
 )
 
 #: Hard cap on rewrite steps for a single monomial; hitting it means a
@@ -169,7 +172,8 @@ def standard_monomials(
     n = family.nvars
     _check_budget(n, degree, budget)
     out = []
-    for w in next(islice(_order_ideal(family), degree, None)):
+    layer, _ = next(islice(_order_ideal(family), degree, None))
+    for w in layer:
         exps = [0] * n
         for v in w:
             exps[v] += 1
@@ -190,6 +194,32 @@ def facet_volume(
         )
     det, _ = _eliminate([list(columns[p - 1]) for p in facet])
     return _checked_volume(det, facet)
+
+
+def is_lower_cell(
+    columns: tuple[tuple[int, ...], ...],
+    weights: tuple[int, ...],
+    cell: tuple[int, ...],
+) -> bool:
+    """The reference lower-cell test: eliminate the cell from scratch,
+    interpolate the weights on its columns and compute every other
+    column's reduced cost scale * w_p - c . column_p as a dense dot
+    product, in column order.  Equality raises DegenerateLift; a column
+    lifting below makes the cell not lower.  The walk reads the same
+    reduced costs through a factorization of the columns."""
+    scale, psi = facet_support_function(columns, weights, cell)
+    inside = set(cell)
+    for p, col in enumerate(columns, start=1):
+        if p in inside:
+            continue
+        gap = scale * weights[p - 1] - sum(map(mul, psi, col))
+        if gap == 0:
+            raise DegenerateLift(
+                f"column {p} lies on the lifted hyperplane of {cell}"
+            )
+        if gap < 0:
+            return False
+    return True
 
 
 def regularity_check(
@@ -225,7 +255,7 @@ def regular_subdivision_bruteforce(
     facets = []
     for subset in combinations(range(1, len(columns) + 1), height):
         try:
-            if _is_lower_cell(columns, weights, subset):
+            if is_lower_cell(columns, weights, subset):
                 facets.append(subset)
         except SingularFacet:
             pass

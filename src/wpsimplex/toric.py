@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import compress
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -108,11 +110,45 @@ def pi_image(
     return tuple(acc)
 
 
+def _packed_columns(
+    columns: tuple[tuple[int, ...], ...], max_degree: int
+) -> list[int]:
+    """Each column v as the one integer sum_k v_k * R^k, with the radix
+    R = 2 * max(max_degree, 1) * max|entry| + 1.
+
+    Packing is linear, so a monomial's packed pushforward is the sum of
+    its columns' packed values.  A pushforward of degree t <= max_degree
+    has coordinates of absolute value at most t * max|entry| <= (R - 1)
+    / 2, which are its signed base-R digits; those digits are unique, so
+    two such pushforwards are equal exactly when their packed values
+    are."""
+    bound = max(max_degree, 1) * max(abs(x) for col in columns for x in col)
+    radix = 2 * bound + 1
+    powers = [radix**k for k in range(len(columns[0]))]
+    return [sum(map(mul, col, powers)) for col in columns]
+
+
+def _packed_image(packed: list[int], m: tuple[int, ...]) -> int:
+    """The packed pushforward of a monomial, over its nonzero exponents."""
+    if len(packed) != len(m):
+        raise DimensionMismatch(
+            f"monomial has {len(m)} variables, configuration has {len(packed)}"
+        )
+    return sum(map(mul, compress(m, m), compress(packed, m)))
+
+
+def _balanced(packed: list[int], b: Binomial) -> bool:
+    """Pi-balance of a binomial whose lead has at most the degree the
+    columns were ``packed`` for: equal degrees, then equal packed
+    images, which are exact at that degree."""
+    return sum(b.lead) == sum(b.tail) and _packed_image(
+        packed, b.lead
+    ) == _packed_image(packed, b.tail)
+
+
 def is_toric_member(columns: tuple[tuple[int, ...], ...], b: Binomial) -> bool:
     """True iff the binomial is pi-balanced (hence a valid relation)."""
-    return sum(b.lead) == sum(b.tail) and pi_image(columns, b.lead) == pi_image(
-        columns, b.tail
-    )
+    return _balanced(_packed_columns(columns, sum(b.lead)), b)
 
 
 # -- the pair set B and its companions ----------------------------------------
@@ -304,12 +340,15 @@ def pi_balance_failures(family: GroebnerFamily) -> tuple[int, ...]:
     Cached per family, like ``groebner.initial_ideal``: the construction
     audit, the command line's guard and the family stage of one point
     share a single audit.  A family changed by a sabotage hook is a new
-    object with other generators, so it is audited afresh."""
-    return tuple(
-        i
-        for i, g in enumerate(family.generators)
-        if not is_toric_member(family.columns, g)
+    object with other generators, so it is audited afresh.
+
+    The columns are packed once, for the highest lead degree, so each
+    generator costs two sums over its nonzero exponents."""
+    gens = family.generators
+    packed = _packed_columns(
+        family.columns, max((sum(g.lead) for g in gens), default=0)
     )
+    return tuple(i for i, g in enumerate(gens) if not _balanced(packed, g))
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,15 @@ the weight contraction cost what the nonzeros cost; rows a pivot leaves
 alone are shared with the facet it came from, never changed in place.
 All arithmetic is on plain integers.  One walk gives each facet's
 volume and lower cell.
+The lower-cell test is the simplex method's reduced-cost check, read
+through a factorization A = B * C of the homogenized columns: the
+facet's support function is projected once on each vector of B, after
+which each off-facet column costs the few nonzero terms of its column
+of C.  The family's columns factor through two dense directions and
+the unit vectors, at most three terms each (``Factorization``); any
+other configuration is scanned through the identity, one term per
+nonzero entry.  B * C is checked against the columns entry by entry
+before the walk.
 The from-scratch checks that the tests hold this against, one facet's
 volume and the brute-force lower envelope among them, are in
 ``wpsimplex.oracles``.
@@ -28,19 +37,22 @@ volume and the brute-force lower envelope among them, are in
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 from operator import mul
 from typing import NamedTuple
 
 from .errors import (
     CertificateFailure,
     DegenerateLift,
+    DimensionMismatch,
     IndexOutOfRange,
+    InternalConsistency,
     NonPureComplex,
     SingularFacet,
     WpsimplexError,
 )
 from .groebner import InitialIdeal, _support_mask, initial_ideal
-from .simplex import QVector
+from .simplex import Factorization, QVector, lattice_points_formula
 from .toric import GroebnerFamily
 
 
@@ -282,18 +294,68 @@ def _checked_volume(det: int, facet: tuple[int, ...]) -> int:
     return abs(det)
 
 
+def _check_factorization(
+    columns: tuple[tuple[int, ...], ...], factorization: Factorization
+) -> None:
+    """Raise InternalConsistency unless B * C equals the homogenized
+    ``columns`` entry by entry.  C is laid out row by row, so row t of
+    B * C is row e_t of C plus a multiple of each row of C on a
+    direction, compared with coordinate t of every column at once."""
+    directions, terms = factorization
+    if len(terms) != len(columns):
+        raise InternalConsistency(
+            f"the factorization has {len(terms)} columns, not {len(columns)}"
+        )
+    # a negative slot names the same vector of B here and in the scan
+    c_rows = [[0] * len(columns) for _ in range(len(directions) + len(columns[0]))]
+    try:
+        for p, col_terms in enumerate(terms):
+            for k, c in col_terms:
+                c_rows[k][p] += c
+    except IndexError:
+        raise InternalConsistency(
+            f"column {p + 1} names a slot outside B"
+        ) from None
+    for t, coordinate in enumerate(zip(*columns)):
+        expanded = c_rows[len(directions) + t]
+        for direction, c_row in zip(directions, c_rows):
+            if direction[t]:
+                expanded = [e + direction[t] * c for e, c in zip(expanded, c_row)]
+        if tuple(expanded) != coordinate:
+            p = next(p for p, (e, a) in enumerate(zip(expanded, coordinate)) if e != a)
+            raise InternalConsistency(
+                f"the factorization gives {expanded[p]} at coordinate {t} "
+                f"of column {p + 1}, not {coordinate[p]}"
+            )
+
+
 def _walk_facets(
     columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...],
     facets: tuple[tuple[int, ...], ...],
+    factorization: Factorization | None = None,
 ) -> tuple[list[int], tuple[bool | WpsimplexError, ...]]:
     """Each facet's volume (0 when singular) and lower-cell outcome under
-    ``weights``, in facet order, both from the facet's inverse."""
+    ``weights``, in facet order, both from the facet's inverse.  The
+    reduced costs go through ``factorization``, checked against
+    ``columns`` before the walk; without one, B is the identity and each
+    column's terms are its own nonzero entries."""
+    if len(weights) != len(columns):
+        raise DimensionMismatch(
+            f"{len(weights)} weights for {len(columns)} columns"
+        )
+    if factorization is None:
+        factorization = Factorization((), tuple(
+            tuple((k, x) for k, x in enumerate(col) if x) for col in columns
+        ))
+    _check_factorization(columns, factorization)
     volumes = [0] * len(facets)
     lower: list[bool | WpsimplexError] = [True] * len(facets)
     for index, inverse in _walk_inverses(columns, facets):
         volumes[index] = inverse[0]
         try:
-            lower[index] = _is_lower_cell(columns, weights, facets[index], inverse)
+            lower[index] = _is_lower_cell(
+                columns, weights, facets[index], inverse, factorization
+            )
         except (DegenerateLift, SingularFacet) as exc:
             lower[index] = exc
     return volumes, tuple(lower)
@@ -309,7 +371,10 @@ def triangulation_from_family(family: GroebnerFamily) -> Triangulation:
         weights, failure = make_weight_certificate(family).weights, None
     except CertificateFailure as exc:
         weights, failure = (0,) * family.nvars, exc
-    volumes, lower = _walk_facets(family.columns, weights, facets)
+    volumes, lower = _walk_facets(
+        family.columns, weights, facets,
+        lattice_points_formula(family.q).factorization,
+    )
     return Triangulation(
         facets=facets,
         volumes=tuple(map(_checked_volume, volumes, facets)),
@@ -390,19 +455,30 @@ def _is_lower_cell(
     columns: tuple[tuple[int, ...], ...],
     weights: tuple[int, ...],
     cell: tuple[int, ...],
-    inverse: FacetInverse | None = None,
+    inverse: FacetInverse,
+    factorization: Factorization,
 ) -> bool:
     """Interpolate the weights on the cell's columns and test whether
     every other column lifts strictly above that hyperplane: the simplex
     method's reduced costs scale * w_p - c . column_p, in column order.
     Equality raises DegenerateLift (heights not generic); a column
-    lifting below makes the cell not lower."""
+    lifting below makes the cell not lower.
+
+    c . column_p is read through the checked factorization A = B * C:
+    c is projected once on each vector of B, which for a unit vector
+    e_t is c_t itself, and then each column costs its few terms of C.
+    """
     scale, psi = facet_support_function(columns, weights, cell, inverse)
+    directions, terms = factorization
+    proj = [sum(map(mul, psi, v)) for v in directions]
+    proj += psi
     inside = set(cell)
-    for p, col in enumerate(columns, start=1):
+    for p, w, col_terms in zip(count(1), weights, terms):
         if p in inside:
             continue
-        gap = scale * weights[p - 1] - sum(map(mul, psi, col))
+        gap = scale * w
+        for k, c in col_terms:
+            gap -= proj[k] * c
         if gap == 0:
             raise DegenerateLift(
                 f"column {p} lies on the lifted hyperplane of {cell}"

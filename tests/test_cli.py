@@ -136,18 +136,18 @@ def test_gb_verify_excluded_pair(capsys):
 
 @pytest.fixture
 def audited(monkeypatch):
-    """The generators ``toric.is_toric_member`` is asked about, counted
-    from an empty pi-balance cache with the (16, 1) family already
-    built."""
+    """The generators the pi-balance audit (``toric._balanced``) is asked
+    about, counted from an empty pi-balance cache with the (16, 1)
+    family already built."""
     calls = []
-    member = toric.is_toric_member
+    balanced = toric._balanced
 
-    def counted(columns, b):
+    def counted(packed, b):
         calls.append(b)
-        return member(columns, b)
+        return balanced(packed, b)
 
     groebner_family(build_q(16, 1))
-    monkeypatch.setattr(toric, "is_toric_member", counted)
+    monkeypatch.setattr(toric, "_balanced", counted)
     toric.pi_balance_failures.cache_clear()
     return calls
 
@@ -309,6 +309,35 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["hstar"] == [1, 4, 1]
+
+
+@pytest.mark.parametrize("outcome, code", [
+    (SystemExit(0), 0),  # --help exits inside main
+    (2, 2),
+])
+def test_entry_freezes_the_heap_on_every_way_out(monkeypatch, outcome, code):
+    frozen = []
+
+    def fake_main():
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == code
+    assert frozen == [True]
+
+
+def test_help_through_the_module_entry_exits_zero():
+    proc = subprocess.run(
+        [sys.executable, "-m", "wpsimplex", "--help"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: wpsimplex")
+    assert proc.stderr == ""
 
 
 _STARTUP_PROBE = """

@@ -343,7 +343,7 @@ def test_injectivity_at_the_frontier(r1, x1):
     assert injectivity_check(family) is True
     h = hstar(family.q)
     layers = _order_ideal(family)
-    counts = [len(next(layers)) for _ in range(4)]
+    counts = [len(next(layers)[0]) for _ in range(4)]
     assert counts == [ehrhart_value(h, t) for t in range(4)]
 
 
@@ -373,7 +373,7 @@ def test_injectivity_detects_coinciding_pushforwards(family21, moved, column):
     # only the distinctness test can fail
     h = hstar(collided.q)
     layers = _order_ideal(collided)
-    assert [len(next(layers)) for _ in range(4)] == [
+    assert [len(next(layers)[0]) for _ in range(4)] == [
         ehrhart_value(h, t) for t in range(4)
     ]
     assert injectivity_check(collided) is False
@@ -410,3 +410,71 @@ def test_standard_monomials_never_violate(r1, x1):
     for t in (1, 2, 3):
         for m in standard_monomials(family, t):
             assert zsupport_shape(m, q).case is not SupportCase.VIOLATION
+
+
+# -- reducedness: the tails are pinned --------------------------------------------
+# The certificate fixes the leads and fiber membership, not the tails: a
+# tail swapped for a non-standard monomial of the same fiber, lex-below
+# the lead, still passes the family and triangulation stages.  The
+# family printed as the paper's is the reduced basis, checked here.
+
+GRID = [(r1, x1) for r1 in range(2, 7) for x1 in range(1, 6)]
+
+
+def _support(m):
+    return sum(1 << i for i, e in enumerate(m) if e)
+
+
+def reducedness_failures(family):
+    """Indices of generators whose lead another generator's lead divides,
+    or whose tail some lead divides.  The leads are squarefree, so a
+    lead divides a tail exactly when its support lies inside the
+    tail's."""
+    leads = [g.lead for g in family.generators]
+    assert all(e <= 1 for lead in leads for e in lead)
+    supports = [_support(lead) for lead in leads]
+    failures = []
+    for i, g in enumerate(family.generators):
+        tail = _support(g.tail)
+        if any(
+            j != i and not s & ~supports[i] for j, s in enumerate(supports)
+        ) or any(not s & ~tail for s in supports):
+            failures.append(i)
+    return failures
+
+
+@pytest.mark.parametrize("r1,x1", GRID)
+def test_family_is_reduced(r1, x1):
+    assert reducedness_failures(groebner_family(build_q(r1, x1))) == []
+
+
+def test_reducedness_catches_a_fiber_mate_tail():
+    from wpsimplex.pipeline import check_family, check_triangulation
+
+    family = groebner_family(build_q(3, 2))
+    g = family.generators[11]
+    assert monomial_text(g.tail, 3) == "z3^2*z5"
+    # z2*z5^2: same degree and pushforward, lex-below the lead z1*y3*y4,
+    # and divisible by the lead z2*z5 of another generator
+    mate = _mono_of_text(family.nvars, (1, 1), (4, 2))
+    assert pi_image(family.columns, mate) == pi_image(family.columns, g.tail)
+    assert g.tail < mate < g.lead
+    gens = list(family.generators)
+    gens[11] = Binomial(g.lead, mate)
+    sabotaged = family._replace(generators=tuple(gens))
+    triangulation = check_triangulation(sabotaged)
+    assert triangulation.verdict is True
+    assert check_family(sabotaged, triangulation).verdict is True
+    assert reducedness_failures(sabotaged) == [11]
+
+
+@pytest.mark.parametrize("r1,x1", [(2, 1), (3, 2), (5, 2)])
+def test_order_ideal_images_are_the_packed_pushforwards(r1, x1):
+    from wpsimplex.toric import _packed_columns
+
+    family = groebner_family(build_q(r1, x1))
+    packed = _packed_columns(family.columns, 3)
+    layers = _order_ideal(family, packed)
+    for _ in range(4):
+        layer, images = next(layers)
+        assert images == [sum(packed[v] for v in w) for w in layer]

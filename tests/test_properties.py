@@ -29,22 +29,24 @@ from wpsimplex import (
     initial_ideal,
     lattice_points_bruteforce,
     lattice_points_formula,
+    make_weight_certificate,
     pi_image,
+    triangulation_from_family,
 )
 from wpsimplex.errors import DegenerateLift, NonPureComplex, SingularFacet
-from wpsimplex.groebner import InitialIdeal, _packed_columns
+from wpsimplex.groebner import InitialIdeal
 from wpsimplex.oracles import (
     facet_volume,
+    is_lower_cell,
     normal_form,
     regularity_check,
     standard_monomials,
 )
-from wpsimplex.toric import include_excluded_pair, mutate_tail
+from wpsimplex.toric import _packed_columns, include_excluded_pair, mutate_tail
 from wpsimplex.triangulation import (
     Triangulation,
     WeightCertificate,
     _eliminate,
-    _is_lower_cell,
     _maximal_faces,
     _walk_facets,
     _walk_inverses,
@@ -187,20 +189,63 @@ def test_walk_decides_as_the_facet_by_facet_check(case):
     for index, facet in enumerate(facets):
         expected = _first_verdict(lambda: facet_volume(COLUMNS_2_1, facet))
         assert reached[index] == (0 if isinstance(expected, tuple) else expected)
-        expected = _first_verdict(lambda: _is_lower_cell(COLUMNS_2_1, weights, facet))
+        expected = _first_verdict(lambda: is_lower_cell(COLUMNS_2_1, weights, facet))
         outcome = lower[index]
         if isinstance(outcome, Exception):
             outcome = type(outcome), str(outcome)
         assert outcome == expected
 
     def one_by_one():
-        return all(_is_lower_cell(COLUMNS_2_1, weights, f) for f in facets)
+        return all(is_lower_cell(COLUMNS_2_1, weights, f) for f in facets)
 
     tri = Triangulation(facets=facets, volumes=(1,) * len(facets))
     cert = WeightCertificate(weights=weights)
     assert _first_verdict(
         lambda: regularity_check(tri, cert, COLUMNS_2_1)
     ) == _first_verdict(one_by_one)
+
+
+@st.composite
+def weighted_points(draw):
+    """A grid point with its facets and one of four weight vectors: the
+    certificate's, its reverse, a flat one (every cell degenerate) and
+    small random heights that tie or fold."""
+    r1, x1 = draw(st.tuples(st.integers(2, 6), st.integers(1, 5)))
+    family = groebner_family(build_q(r1, x1))
+    facets = triangulation_from_family(family).facets
+    weights = make_weight_certificate(family).weights
+    kind = draw(st.sampled_from(("certificate", "reversed", "flat", "random")))
+    if kind == "reversed":
+        weights = weights[::-1]
+    elif kind == "flat":
+        weights = (1,) * len(weights)
+    elif kind == "random":
+        weights = tuple(draw(st.lists(
+            st.integers(0, 30), min_size=len(weights), max_size=len(weights)
+        )))
+    return family, facets, weights
+
+
+def _outcomes(lower):
+    return [
+        (type(x), str(x)) if isinstance(x, Exception) else x for x in lower
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_points())
+def test_factored_scan_decides_as_the_identity_and_the_dense_reference(case):
+    family, facets, weights = case
+    factored = lattice_points_formula(family.q).factorization
+    volumes, lower = _walk_facets(family.columns, weights, facets, factored)
+    identity_volumes, identity_lower = _walk_facets(family.columns, weights, facets)
+    assert volumes == identity_volumes
+    assert _outcomes(lower) == _outcomes(identity_lower)
+    for facet, volume, outcome in zip(facets, volumes, _outcomes(lower)):
+        assert volume == facet_volume(family.columns, facet)
+        assert outcome == _first_verdict(
+            lambda: is_lower_cell(family.columns, weights, facet)
+        )
 
 
 @st.composite

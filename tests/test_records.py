@@ -30,6 +30,7 @@ def _records():
         q,
         h_description(q),
         lattice_points_formula(q),
+        lattice_points_formula(q).factorization,
         hstar(q),
         family,
         initial_ideal(family),

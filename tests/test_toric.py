@@ -283,3 +283,35 @@ def test_construction_audit_rejects_a_generator_with_lead_equal_to_tail(
     with pytest.raises(InternalConsistency) as info:
         toric.groebner_family.__wrapped__(q)
     assert str(info.value) == "generator 3 (eq2) is not lex-oriented"
+
+
+def _unbalanced_by_pi_image(family):
+    return tuple(
+        i for i, g in enumerate(family.generators)
+        if sum(g.lead) != sum(g.tail)
+        or pi_image(family.columns, g.lead) != pi_image(family.columns, g.tail)
+    )
+
+
+@pytest.mark.parametrize("r1,x1", SMALL_GRID + [(12, 3), (30, 1)])
+def test_packed_audit_flags_what_pi_image_flags(r1, x1):
+    # the audit compares packed images over nonzero exponents; pi_image,
+    # dense over every exponent, is the oracle, on the sound family, on
+    # every sabotaged tail and with the excluded pair appended
+    family = groebner_family(build_q(r1, x1))
+    cases = [family, include_excluded_pair(family)]
+    cases += [mutate_tail(family, k) for k in range(0, len(family.generators), 3)]
+    for case in cases:
+        assert pi_balance_failures(case) == _unbalanced_by_pi_image(case)
+    assert pi_balance_failures(include_excluded_pair(family)) == (
+        len(family.generators),
+    )
+
+
+def test_packed_audit_rejects_a_monomial_of_the_wrong_length(family21):
+    g = family21.generators[0]
+    short = family21._replace(
+        generators=(Binomial(g.lead[:-1], g.tail[:-1]),) + family21.generators[1:]
+    )
+    with pytest.raises(DimensionMismatch):
+        pi_balance_failures(short)
