@@ -12,8 +12,8 @@ from wpsimplex import (
     h_description,
     lattice_points_bruteforce,
     lattice_points_formula,
-    tightness_profile,
 )
+from wpsimplex.oracles import tightness_profile
 
 q = build_q(6, 4)
 print(f"q = {q.entries}")
@@ -28,9 +28,9 @@ for t in range(q.d):
     print(f"row {t + 1} {row}")
 
 # The facet inequalities all have right-hand side 1.
-hd = h_description(q)
-print(f"\n{len(hd.functionals)} facet inequalities, e.g. the first:")
-print(" ", hd.functionals[0], "<= 1")
+rows = h_description(q)
+print(f"\n{len(rows)} facet inequalities, e.g. the first:")
+print(" ", rows[0], "<= 1")
 
 # Independent cross-check: enumerate points straight from the inequalities.
 brute = lattice_points_bruteforce(q)

@@ -10,9 +10,9 @@ from wpsimplex import (
     ehrhart_bruteforce,
     ehrhart_value,
     hstar,
-    lattice_point_count_from_h1,
     weight,
 )
+from wpsimplex.oracles import lattice_point_count_from_h1
 
 q = build_q(3, 2)
 print(f"q = {q.entries}, d = {q.d}, N = {q.volume}")

@@ -18,7 +18,6 @@ from .errors import (
 )
 from .simplex import (
     Classification,
-    HalfspaceDescription,
     PointConfiguration,
     QVector,
     build_q,
@@ -27,14 +26,12 @@ from .simplex import (
     h_description,
     lattice_points_bruteforce,
     lattice_points_formula,
-    tightness_profile,
 )
 from .ehrhart import (
     HStarVector,
     ehrhart_bruteforce,
     ehrhart_value,
     hstar,
-    lattice_point_count_from_h1,
     weight,
 )
 from .toric import (
@@ -45,17 +42,12 @@ from .toric import (
     companion,
     excluded_pair_binomial,
     groebner_family,
-    is_toric_member,
     monomial_text,
-    pi_image,
-    zsupport,
 )
 from .groebner import (
     InitialIdeal,
-    SupportCase,
     initial_ideal,
     injectivity_check,
-    zsupport_shape,
 )
 from .triangulation import (
     Triangulation,

@@ -42,7 +42,7 @@ from .pipeline import (
     point_flags,
     verdict,
 )
-from .simplex import build_q, lattice_points_formula
+from .simplex import build_q, lattice_points_formula, resolve_enum_budget
 from .toric import binomial_text, groebner_family, include_excluded_pair, mutate_tail
 from .triangulation import drop_facet, triangulation_from_family
 
@@ -354,6 +354,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             return _cannot_write(args.json, exc)
     try:
+        # a malformed budget is a usage error for every subcommand, also
+        # one that never enumerates
+        resolve_enum_budget()
         return args.func(args)
     except (ParameterOutOfRange, IndexOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ The number of lattice points in the t-fold dilate of a simplex from this
 family is a degree-d polynomial in t whose generating-series numerator
 coefficients (the h*-vector) come from a closed-form floor-function
 weight on residues b in [0, N).  A brute-force dilation counter built on
-the facet inequalities serves as the independent cross-check.
+the facet inequalities serves as the independent cross-check.  The point
+count read off h*_1, a lemma check for the tests, lives in
+``wpsimplex.oracles``.
 """
 
 from __future__ import annotations
@@ -62,12 +64,6 @@ def hstar(q: QVector) -> HStarVector:
     return HStarVector(coeffs=tuple(coeffs))
 
 
-def lattice_point_count_from_h1(q: QVector) -> int:
-    """Lattice point count of the simplex recovered from the linear
-    coefficient: h*_1 + d + 1, which equals r1 + d + 3 for this family."""
-    return hstar(q).coeffs[1] + q.d + 1
-
-
 def ehrhart_value(h: HStarVector, t: int) -> int:
     """Number of lattice points in the t-fold dilate:
     sum_i h*_i * C(t + d - i, d)."""
@@ -77,7 +73,7 @@ def ehrhart_value(h: HStarVector, t: int) -> int:
     return sum(c * comb(t + d - i, d) for i, c in enumerate(h.coeffs))
 
 
-def ehrhart_bruteforce(q: QVector, t: int, budget: int | None = None) -> int:
+def ehrhart_bruteforce(q: QVector, t: int) -> int:
     """Independent oracle: count points of the t-fold dilate by scanning
     the scaled facet inequalities."""
-    return len(enumerate_dilation_points(q, t, budget))
+    return len(enumerate_dilation_points(q, t))

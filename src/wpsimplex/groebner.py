@@ -1,4 +1,4 @@
-"""The initial ideal, the standard monomials and their support shapes.
+"""The initial ideal and the standard monomials.
 
 Everything here works on the exponent tuples of a binomial rewrite
 family, ordered by pure lex (z_1 > ... > z_{r1+3} > y_1 > ... > y_d, the
@@ -28,6 +28,9 @@ live in ``wpsimplex.oracles``, for the tests and the demos.  Counting
 standard monomials per degree against the dilation polynomial
 (``injectivity_check``) stays as a bounded-degree smoke test.
 
+The support shapes of standard monomials, a lemma of the paper, are
+checked by ``wpsimplex.oracles.zsupport_shape`` in the tests.
+
 The standard monomials form an order ideal: every divisor of a standard
 monomial is standard.  ``_order_ideal`` therefore grows degree t from
 degree t - 1 instead of scanning all C(n + t - 1, t) monomials: w is
@@ -39,7 +42,6 @@ of those degree-(t - 1) divisors.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from itertools import compress, groupby
 from math import comb
@@ -48,8 +50,8 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded
 from .ehrhart import ehrhart_value, hstar
-from .simplex import QVector, resolve_enum_budget
-from .toric import GroebnerFamily, _packed_columns, zsupport
+from .simplex import resolve_enum_budget
+from .toric import GroebnerFamily, _packed_columns
 
 
 def _support_mask(exponents) -> int:
@@ -97,11 +99,11 @@ def initial_ideal(family: GroebnerFamily) -> InitialIdeal:
     )
 
 
-def _check_budget(nvars: int, degree: int, budget: int | None) -> None:
+def _check_budget(nvars: int, degree: int) -> None:
     """Raise BudgetExceeded when the C(n + degree - 1, degree) monomials
     of the degree exceed the enumeration budget."""
     candidates = comb(nvars + degree - 1, degree)
-    limit = resolve_enum_budget(budget)
+    limit = resolve_enum_budget()
     if candidates > limit:
         raise BudgetExceeded(
             f"{candidates} degree-{degree} monomials exceed the budget {limit}"
@@ -163,11 +165,7 @@ def _order_ideal(family: GroebnerFamily, packed: list[int] | None = None):
         layer, images = grown, grown_images
 
 
-def injectivity_check(
-    family: GroebnerFamily,
-    max_degree: int = 3,
-    budget: int | None = None,
-) -> bool:
+def injectivity_check(family: GroebnerFamily, max_degree: int = 3) -> bool:
     """Bounded-degree completeness check.
 
     For every degree t <= max_degree the standard monomials must have
@@ -185,60 +183,10 @@ def injectivity_check(
     layers = _order_ideal(family, _packed_columns(family.columns, max_degree))
     next(layers)
     for t in range(1, max_degree + 1):
-        _check_budget(family.nvars, t, budget)
+        _check_budget(family.nvars, t)
         layer, images = next(layers)
         if len(layer) != ehrhart_value(h, t):
             return False
         if len(set(images)) != len(layer):
             return False
     return True
-
-
-class SupportCase(Enum):
-    """Shape classes for the z-support of a standard monomial.
-
-    EMPTY: no z-variable occurs.  CASE1: minimal z-index m <= r1 - 1 and
-    support within {m, m+1, r1+1}.  CASE2: m = r1 and support within
-    {r1, r1+1, r1+2}.  CASE3: m >= r1 + 1 (support then automatically
-    sits inside {r1+1, r1+2, r1+3}).  VIOLATION: none of the above.
-    """
-
-    EMPTY = 0
-    CASE1 = 1
-    CASE2 = 2
-    CASE3 = 3
-    VIOLATION = -1
-
-
-class ZSupportShape(NamedTuple):
-    case: SupportCase
-    zsupport: frozenset[int]
-
-
-def zsupport_shape(m: tuple[int, ...], q: QVector) -> ZSupportShape:
-    """Classify the z-support of a monomial (meaningful for standard ones).
-
-    Every standard monomial with nonempty z-support must land in exactly
-    one of the three cases; VIOLATION never occurs for them, and the
-    sweep tests assert exactly that.
-    """
-    supp = zsupport(m, q.r1)
-    if not supp:
-        return ZSupportShape(SupportCase.EMPTY, supp)
-    mn = min(supp)
-    r1 = q.r1
-    if mn <= r1 - 1:
-        case = (
-            SupportCase.CASE1
-            if supp <= {mn, mn + 1, r1 + 1}
-            else SupportCase.VIOLATION
-        )
-    elif mn == r1:
-        case = (
-            SupportCase.CASE2
-            if supp <= {r1, r1 + 1, r1 + 2}
-            else SupportCase.VIOLATION
-        )
-    else:
-        case = SupportCase.CASE3
-    return ZSupportShape(case, supp)

@@ -1,4 +1,5 @@
-"""Independent reference oracles, for the tests and the demos only.
+"""Independent reference oracles and the paper's lemma checks, for the
+tests and the demos only.
 
 ``buchberger_verify``, the all-pairs S-pair reduction, is kept as an
 independent oracle for the tests and the demos; no certificate runs it,
@@ -8,24 +9,34 @@ facet's volume eliminated from scratch, one facet's lower-cell test by
 dense reduced costs, the facet-wise regularity check of a given
 triangulation and weight certificate, and the lower envelope found by
 testing every column subset.
+
+The lemma checks follow: the facet functionals' values and tightness
+at a point, the point count read off h*_1, a monomial's pushforward and
+the pi-balance of one binomial, and the z-support shapes of standard
+monomials.  No command calls them; the tests check the paper's lemmas
+with them.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from functools import lru_cache
 from itertools import combinations, islice
 from operator import mul
 from typing import NamedTuple
 
+from .ehrhart import hstar
 from .errors import (
     DegenerateLift,
     DimensionMismatch,
     InternalConsistency,
     ParameterOutOfRange,
+    PointOutsideSimplex,
     SingularFacet,
 )
 from .groebner import _check_budget, _order_ideal, _support_mask
-from .toric import Binomial, GroebnerFamily
+from .simplex import QVector, h_description
+from .toric import Binomial, GroebnerFamily, _balanced, _packed_columns
 from .triangulation import (
     Triangulation,
     WeightCertificate,
@@ -157,9 +168,7 @@ def buchberger_verify(family: GroebnerFamily) -> BuchbergerReport:
     )
 
 
-def standard_monomials(
-    family: GroebnerFamily, degree: int, budget: int | None = None
-) -> list[tuple[int, ...]]:
+def standard_monomials(family: GroebnerFamily, degree: int) -> list[tuple[int, ...]]:
     """All monomials of the given total degree divisible by no lead, in
     ``combinations_with_replacement`` order of their variables.
 
@@ -170,7 +179,7 @@ def standard_monomials(
     if degree < 0:
         raise ParameterOutOfRange(f"degree must be >= 0, got {degree}")
     n = family.nvars
-    _check_budget(n, degree, budget)
+    _check_budget(n, degree)
     out = []
     layer, _ = next(islice(_order_ideal(family), degree, None))
     for w in layer:
@@ -260,3 +269,108 @@ def regular_subdivision_bruteforce(
         except SingularFacet:
             pass
     return tuple(facets)
+
+
+# -- the paper's lemma checks ---------------------------------------------------
+
+def functional_values(q: QVector, p: tuple[int, ...]) -> tuple[int, ...]:
+    """Evaluate all d + 1 facet functionals at p."""
+    return tuple(sum(c * v for c, v in zip(row, p)) for row in h_description(q))
+
+
+def tightness_profile(q: QVector, p: tuple[int, ...]) -> frozenset[int]:
+    """Indices k (1-based) whose inequality p satisfies with equality.
+
+    Raises PointOutsideSimplex if any functional exceeds 1.
+    """
+    values = functional_values(q, p)
+    for k, val in enumerate(values, start=1):
+        if val > 1:
+            raise PointOutsideSimplex(
+                f"functional {k} takes value {val} > 1 at {p}"
+            )
+    return frozenset(k for k, val in enumerate(values, start=1) if val == 1)
+
+
+def lattice_point_count_from_h1(q: QVector) -> int:
+    """Lattice point count of the simplex recovered from the linear
+    coefficient: h*_1 + d + 1, which equals r1 + d + 3 for this family."""
+    return hstar(q).coeffs[1] + q.d + 1
+
+
+def zsupport(m: tuple[int, ...], r1: int) -> frozenset[int]:
+    """1-based z-indices with positive exponent."""
+    return frozenset(i + 1 for i in range(r1 + 3) if m[i] > 0)
+
+
+def pi_image(
+    columns: tuple[tuple[int, ...], ...], m: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Push a monomial forward: the matrix-vector product of the column
+    matrix with the exponent vector."""
+    if len(columns) != len(m):
+        raise DimensionMismatch(
+            f"monomial has {len(m)} variables, configuration has {len(columns)}"
+        )
+    height = len(columns[0])
+    acc = [0] * height
+    for col, e in zip(columns, m):
+        if e:
+            for t in range(height):
+                acc[t] += e * col[t]
+    return tuple(acc)
+
+
+def is_toric_member(columns: tuple[tuple[int, ...], ...], b: Binomial) -> bool:
+    """True iff the binomial is pi-balanced (hence a valid relation)."""
+    return _balanced(_packed_columns(columns, sum(b.lead)), b)
+
+
+class SupportCase(Enum):
+    """Shape classes for the z-support of a standard monomial.
+
+    EMPTY: no z-variable occurs.  CASE1: minimal z-index m <= r1 - 1 and
+    support within {m, m+1, r1+1}.  CASE2: m = r1 and support within
+    {r1, r1+1, r1+2}.  CASE3: m >= r1 + 1 (support then automatically
+    sits inside {r1+1, r1+2, r1+3}).  VIOLATION: none of the above.
+    """
+
+    EMPTY = 0
+    CASE1 = 1
+    CASE2 = 2
+    CASE3 = 3
+    VIOLATION = -1
+
+
+class ZSupportShape(NamedTuple):
+    case: SupportCase
+    zsupport: frozenset[int]
+
+
+def zsupport_shape(m: tuple[int, ...], q: QVector) -> ZSupportShape:
+    """Classify the z-support of a monomial (meaningful for standard ones).
+
+    Every standard monomial with nonempty z-support must land in exactly
+    one of the three cases; VIOLATION never occurs for them, and the
+    sweep tests assert exactly that.
+    """
+    supp = zsupport(m, q.r1)
+    if not supp:
+        return ZSupportShape(SupportCase.EMPTY, supp)
+    mn = min(supp)
+    r1 = q.r1
+    if mn <= r1 - 1:
+        case = (
+            SupportCase.CASE1
+            if supp <= {mn, mn + 1, r1 + 1}
+            else SupportCase.VIOLATION
+        )
+    elif mn == r1:
+        case = (
+            SupportCase.CASE2
+            if supp <= {r1, r1 + 1, r1 + 2}
+            else SupportCase.VIOLATION
+        )
+    else:
+        case = SupportCase.CASE3
+    return ZSupportShape(case, supp)

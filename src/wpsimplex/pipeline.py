@@ -109,12 +109,12 @@ class Stage(NamedTuple):
         return verdict(self.flags.values())
 
 
-def check_points(q: QVector, budget: int | None = None) -> Stage:
+def check_points(q: QVector) -> Stage:
     """The closed-form point list equals the enumerated one, has
     r1 + d + 3 entries and no repeated column."""
     columns = lattice_points_formula(q).columns
     try:
-        brute = lattice_points_bruteforce(q, budget)
+        brute = lattice_points_bruteforce(q)
     except BudgetExceeded as exc:
         return Stage({"latticePointsOK": None}, skipped={"latticePoints": str(exc)})
     ok = (
@@ -125,7 +125,7 @@ def check_points(q: QVector, budget: int | None = None) -> Stage:
     return Stage({"latticePointsOK": ok})
 
 
-def check_hstar(q: QVector, budget: int | None = None) -> Stage:
+def check_hstar(q: QVector) -> Stage:
     """h*_0 = 1, h*_1 = r1 + 2, sum N, unimodal, and the counting
     polynomial matches enumeration at t = 1, 2."""
     h = hstar(q)
@@ -138,7 +138,7 @@ def check_hstar(q: QVector, budget: int | None = None) -> Stage:
     checked, skipped = [], {}
     for t in (1, 2):
         try:
-            if ehrhart_value(h, t) != ehrhart_bruteforce(q, t, budget):
+            if ehrhart_value(h, t) != ehrhart_bruteforce(q, t):
                 ok = False
             checked.append(t)
         except BudgetExceeded as exc:
@@ -164,10 +164,7 @@ def check_pi_balance(family: GroebnerFamily) -> Stage | None:
 
 
 def check_family(
-    family: GroebnerFamily,
-    triangulation: Stage,
-    max_degree: int = 3,
-    budget: int | None = None,
+    family: GroebnerFamily, triangulation: Stage, max_degree: int = 3
 ) -> Stage:
     """Pi-balance of every generator, squarefree minimal leads, and
     ``triangulation``, the triangulation stage of the same family:
@@ -181,7 +178,7 @@ def check_family(
     triangulated = triangulation.verdict is True
     skipped = {}
     try:
-        injective = injectivity_check(family, max_degree=max_degree, budget=budget)
+        injective = injectivity_check(family, max_degree=max_degree)
     except BudgetExceeded as exc:
         injective = None
         skipped["injectivity"] = str(exc)
@@ -242,9 +239,7 @@ def point_flags(entry: dict) -> dict[str, bool | None]:
     return {k: v for k, v in entry.items() if k not in _NOT_FLAGS}
 
 
-def evaluate_point(
-    r1: int, x1: int, max_degree: int = 3, budget: int | None = None
-) -> dict:
+def evaluate_point(r1: int, x1: int, max_degree: int = 3) -> dict:
     """Run every stage at (r1, x1) and return the sweep's per-point
     entry: the flags and timings in stage order, and the skipped checks
     and caught errors when there are any.  The triangulation stage runs
@@ -260,8 +255,8 @@ def evaluate_point(
 
     q = build_q(r1, x1)
     stages = [
-        timed("points_ms", check_points, q, budget),
-        timed("hstar_ms", check_hstar, q, budget),
+        timed("points_ms", check_points, q),
+        timed("hstar_ms", check_hstar, q),
     ]
     try:
         family = timed("gb_ms", groebner_family, q)
@@ -271,7 +266,7 @@ def evaluate_point(
     else:
         triangulation = timed("triangulate_ms", check_triangulation, family)
         stages.append(
-            timed("gb_ms", check_family, family, triangulation, max_degree, budget)
+            timed("gb_ms", check_family, family, triangulation, max_degree)
         )
         stages.append(triangulation)
 

@@ -13,9 +13,15 @@ reflexive; its normalized volume is N = r1 * (x1*r1 + 1).
 This module builds q, the facet inequalities, and the closed-form list
 of all lattice points of the simplex with its factorization through two
 directions (which the triangulation's lower-cell scan reads), and
-provides an independent
-brute-force enumerator used to cross-check that list.  All arithmetic is
-exact: plain Python integers throughout, so overflow cannot occur.
+provides an independent brute-force enumerator used to cross-check that
+list.  All arithmetic is exact: plain Python integers throughout, so
+overflow cannot occur.
+
+The enumeration budget has one source, the environment variable
+``WPSIMPLEX_ENUM_BUDGET``, read on every call by ``resolve_enum_budget``;
+no function takes a budget argument.  The facet functionals' values and
+tightness profiles at a point, lemma checks for the tests, live in
+``wpsimplex.oracles``.
 """
 
 from __future__ import annotations
@@ -28,12 +34,7 @@ from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .errors import (
-    BudgetExceeded,
-    InternalConsistency,
-    ParameterOutOfRange,
-    PointOutsideSimplex,
-)
+from .errors import BudgetExceeded, InternalConsistency, ParameterOutOfRange
 
 #: Default cap on the number of steps an enumeration may take.
 DEFAULT_ENUM_BUDGET = 10_000_000
@@ -42,13 +43,14 @@ DEFAULT_ENUM_BUDGET = 10_000_000
 ENUM_BUDGET_ENV = "WPSIMPLEX_ENUM_BUDGET"
 
 
-def resolve_enum_budget(budget: int | None = None) -> int:
-    """Explicit argument wins, then the environment, then the default.
+def resolve_enum_budget() -> int:
+    """The enumeration budget: the environment variable, read on every
+    call, or the default when it is unset or empty.
 
     Raises ParameterOutOfRange unless the budget is a non-negative integer.
     """
-    source = os.environ.get(ENUM_BUDGET_ENV) if budget is None else budget
-    if source in (None, ""):
+    source = os.environ.get(ENUM_BUDGET_ENV, "")
+    if not source:
         return DEFAULT_ENUM_BUDGET
     try:
         value = int(source)
@@ -83,19 +85,6 @@ class QVector(NamedTuple):
     d: int
     entries: tuple[int, ...]
     volume: int
-
-
-class HalfspaceDescription(NamedTuple):
-    """Irredundant facet inequalities ``functional(p) <= rhs``.
-
-    There are d + 1 functionals.  For 1 <= k <= x1 the k-th has
-    coefficient -x1*r1 at position k and 1 elsewhere; for
-    x1 + 1 <= k <= d it has -(r1 - 1) at position k and 1 elsewhere;
-    the last one is all ones.
-    """
-
-    functionals: tuple[tuple[int, ...], ...]
-    rhs: int = 1
 
 
 class Factorization(NamedTuple):
@@ -180,15 +169,21 @@ def build_q(r1: int, x1: int) -> QVector:
 
 
 @lru_cache(maxsize=None)
-def h_description(q: QVector) -> HalfspaceDescription:
-    """Facet inequalities of the simplex, all with right-hand side 1."""
+def h_description(q: QVector) -> tuple[tuple[int, ...], ...]:
+    """The d + 1 irredundant facet functionals, each read as
+    ``functional(p) <= 1``.
+
+    For 1 <= k <= x1 the k-th has coefficient -x1*r1 at position k and 1
+    elsewhere; for x1 + 1 <= k <= d it has -(r1 - 1) at position k and 1
+    elsewhere; the last one is all ones.
+    """
     r1, x1, d = q.r1, q.x1, q.d
     rows = []
     for k in range(d):
         coeff = -x1 * r1 if k < x1 else -(r1 - 1)
         rows.append(tuple(coeff if j == k else 1 for j in range(d)))
     rows.append((1,) * d)
-    return HalfspaceDescription(functionals=tuple(rows))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -234,30 +229,7 @@ def lattice_points_formula(q: QVector) -> PointConfiguration:
     )
 
 
-def functional_values(q: QVector, p: tuple[int, ...]) -> tuple[int, ...]:
-    """Evaluate all d + 1 facet functionals at p."""
-    return tuple(
-        sum(c * v for c, v in zip(row, p)) for row in h_description(q).functionals
-    )
-
-
-def tightness_profile(q: QVector, p: tuple[int, ...]) -> frozenset[int]:
-    """Indices k (1-based) whose inequality p satisfies with equality.
-
-    Raises PointOutsideSimplex if any functional exceeds 1.
-    """
-    values = functional_values(q, p)
-    for k, val in enumerate(values, start=1):
-        if val > 1:
-            raise PointOutsideSimplex(
-                f"functional {k} takes value {val} > 1 at {p}"
-            )
-    return frozenset(k for k, val in enumerate(values, start=1) if val == 1)
-
-
-def enumerate_dilation_points(
-    q: QVector, t: int, budget: int | None = None
-) -> frozenset[tuple[int, ...]]:
+def enumerate_dilation_points(q: QVector, t: int) -> frozenset[tuple[int, ...]]:
     """All integer points with every facet functional at most t.
 
     The inequality with index k <= d reads sum(p) - D_k*p_k <= t, where
@@ -277,7 +249,7 @@ def enumerate_dilation_points(
     so every row's value row . p is computed exactly, in O(d) per point
     for this family, where each row differs from the last in one entry.
 
-    ``budget`` caps the number of enumeration steps: one per slice, plus
+    The enumeration budget caps the number of steps: one per slice, plus
     one per node of the composition tree that distributes a slice's
     remainder r >= 0 over the d coordinates, which has C(r + d, d - 1)
     nodes.  Exceeding it raises BudgetExceeded.
@@ -289,9 +261,7 @@ def enumerate_dilation_points(
     """
     if t < 0:
         raise ParameterOutOfRange(f"dilation factor must be >= 0, got {t}")
-    return _dilation_points(
-        q, h_description(q).functionals, t, resolve_enum_budget(budget)
-    )
+    return _dilation_points(q, h_description(q), t, resolve_enum_budget())
 
 
 @lru_cache(maxsize=1)
@@ -350,9 +320,7 @@ def _dilation_points(
     return frozenset(found)
 
 
-def lattice_points_bruteforce(
-    q: QVector, budget: int | None = None
-) -> frozenset[tuple[int, ...]]:
+def lattice_points_bruteforce(q: QVector) -> frozenset[tuple[int, ...]]:
     """Independent oracle: enumerate the simplex's lattice points directly
     from the facet inequalities, without using the closed-form list."""
-    return enumerate_dilation_points(q, 1, budget)
+    return enumerate_dilation_points(q, 1)

@@ -9,8 +9,10 @@ pair of such tuples.  A binomial lead - tail is a valid relation exactly
 when both sides push forward to the same vector under the configuration
 matrix; we call that pi-balance.  Its last coordinate is the degree, so
 a pi-balanced binomial is homogeneous.  ``groebner_family`` audits every
-generator it builds for pi-balance and for the lex orientation
-lead > tail.
+generator it builds for pi-balance, comparing packed pushforwards, and
+for the lex orientation lead > tail.  The plain pushforward
+``pi_image``, the one-binomial test ``is_toric_member`` and the z-support
+of a monomial are lemma checks for the tests, in ``wpsimplex.oracles``.
 
 The rewrite family consists of five groups:
 
@@ -85,30 +87,7 @@ def binomial_text(b: Binomial, r1: int) -> str:
     return f"{monomial_text(b.lead, r1)} - {monomial_text(b.tail, r1)}"
 
 
-def zsupport(m: tuple[int, ...], r1: int) -> frozenset[int]:
-    """1-based z-indices with positive exponent."""
-    return frozenset(i + 1 for i in range(r1 + 3) if m[i] > 0)
-
-
-# -- the configuration matrix ------------------------------------------------
-
-def pi_image(
-    columns: tuple[tuple[int, ...], ...], m: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Push a monomial forward: the matrix-vector product of the column
-    matrix with the exponent vector."""
-    if len(columns) != len(m):
-        raise DimensionMismatch(
-            f"monomial has {len(m)} variables, configuration has {len(columns)}"
-        )
-    height = len(columns[0])
-    acc = [0] * height
-    for col, e in zip(columns, m):
-        if e:
-            for t in range(height):
-                acc[t] += e * col[t]
-    return tuple(acc)
-
+# -- packed pushforwards -------------------------------------------------------
 
 def _packed_columns(
     columns: tuple[tuple[int, ...], ...], max_degree: int
@@ -144,11 +123,6 @@ def _balanced(packed: list[int], b: Binomial) -> bool:
     return sum(b.lead) == sum(b.tail) and _packed_image(
         packed, b.lead
     ) == _packed_image(packed, b.tail)
-
-
-def is_toric_member(columns: tuple[tuple[int, ...], ...], b: Binomial) -> bool:
-    """True iff the binomial is pi-balanced (hence a valid relation)."""
-    return _balanced(_packed_columns(columns, sum(b.lead)), b)
 
 
 # -- the pair set B and its companions ----------------------------------------

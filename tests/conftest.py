@@ -2,9 +2,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from wpsimplex import build_q, groebner_family, pi_image
+from wpsimplex import build_q, groebner_family
 from wpsimplex.ehrhart import ehrhart_value, hstar
-from wpsimplex.oracles import _divisor, _prepared
+from wpsimplex.oracles import _divisor, _prepared, pi_image
 
 # Small sweep used by the unit tests; the acceptance suite runs the full
 # 2 <= r1 <= 6, 1 <= x1 <= 5 grid.

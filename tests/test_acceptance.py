@@ -23,21 +23,21 @@ from wpsimplex import (
     groebner_family,
     hstar,
     initial_ideal,
-    is_toric_member,
     lattice_points_bruteforce,
     lattice_points_formula,
     make_weight_certificate,
-    pi_image,
     triangulation_from_family,
     verify_unimodular,
-    zsupport_shape,
 )
 from wpsimplex.errors import BudgetExceeded
-from wpsimplex.groebner import SupportCase
 from wpsimplex.oracles import (
+    SupportCase,
     buchberger_verify,
+    is_toric_member,
+    pi_image,
     regularity_check,
     standard_monomials,
+    zsupport_shape,
 )
 from wpsimplex.toric import build_B, excluded_pair, total_vars
 

@@ -448,8 +448,9 @@ def test_evaluate_point_2_1():
     assert "skipped" not in entry and "errors" not in entry
 
 
-def test_evaluate_point_budget_skips_are_null():
-    entry = evaluate_point(2, 1, budget=0)
+def test_evaluate_point_budget_skips_are_null(monkeypatch):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "0")
+    entry = evaluate_point(2, 1)
     assert entry["latticePointsOK"] is None
     assert entry["hstarOK"] is None
     assert entry["injectivityPass"] is None
@@ -544,9 +545,28 @@ def _assert_one_line_error(capsys, argv, code=1):
 
 @pytest.mark.parametrize("budget", ["many", "-5", "2.5"])
 def test_bad_budget_exits_1(capsys, monkeypatch, budget):
+    # the variable is checked before any work, so the subcommands that
+    # never enumerate reject it too, and none prints a payload
     monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", budget)
-    _assert_one_line_error(capsys, ["points", "2", "1", "--verify"])
-    _assert_one_line_error(capsys, ["sweep", "--r1", "2", "--x1", "1"])
+    for argv in (
+        ["points", "2", "1"],
+        ["points", "2", "1", "--verify"],
+        ["hstar", "2", "1"],
+        ["hstar", "2", "1", "--verify"],
+        ["gb", "dump", "2", "1"],
+        ["gb", "verify", "2", "1"],
+        ["gb", "verify", "2", "1", "--max-degree", "0"],
+        ["triangulate", "2", "1"],
+        ["triangulate", "2", "1", "--format", "off"],
+        ["sweep", "--r1", "2", "--x1", "1"],
+    ):
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == (
+            "error: the enumeration budget (WPSIMPLEX_ENUM_BUDGET) must be "
+            f"a non-negative integer, got {budget!r}\n"
+        ), argv
 
 
 @pytest.mark.parametrize("index", ["99", "-1"])

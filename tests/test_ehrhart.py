@@ -5,11 +5,11 @@ from wpsimplex import (
     ehrhart_bruteforce,
     ehrhart_value,
     hstar,
-    lattice_point_count_from_h1,
     lattice_points_formula,
     weight,
 )
 from wpsimplex.errors import BudgetExceeded, IndexOutOfRange, ParameterOutOfRange
+from wpsimplex.oracles import lattice_point_count_from_h1
 
 from conftest import SMALL_GRID
 
@@ -96,6 +96,7 @@ def test_value_matches_bruteforce(r1, x1, t):
     assert ehrhart_value(hstar(q), t) == ehrhart_bruteforce(q, t)
 
 
-def test_bruteforce_budget():
+def test_bruteforce_budget(monkeypatch):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "3")
     with pytest.raises(BudgetExceeded):
-        ehrhart_bruteforce(build_q(3, 2), 2, budget=3)
+        ehrhart_bruteforce(build_q(3, 2), 2)

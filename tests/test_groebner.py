@@ -13,17 +13,18 @@ from wpsimplex import (
     initial_ideal,
     injectivity_check,
     monomial_text,
-    pi_image,
-    zsupport_shape,
 )
 from wpsimplex.errors import BudgetExceeded, DimensionMismatch
-from wpsimplex.groebner import SupportCase, _order_ideal
+from wpsimplex.groebner import _order_ideal
 from wpsimplex.oracles import (
+    SupportCase,
     buchberger_verify,
     is_standard,
     normal_form,
+    pi_image,
     s_polynomial,
     standard_monomials,
+    zsupport_shape,
 )
 
 from conftest import SMALL_GRID, scanned_injectivity, without
@@ -298,23 +299,28 @@ def test_standard_monomials_are_standard(family21):
         assert is_standard(m, family21)
 
 
-def test_standard_monomials_budget(family21):
+def test_standard_monomials_budget(family21, monkeypatch):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "10")
     with pytest.raises(BudgetExceeded) as caught:
-        standard_monomials(family21, 3, budget=10)
+        standard_monomials(family21, 3)
     assert str(caught.value) == "84 degree-3 monomials exceed the budget 10"
     # only the requested degree is checked: C(7 + 1, 2) = 28 fits
-    assert len(standard_monomials(family21, 2, budget=28)) == 19
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "28")
+    assert len(standard_monomials(family21, 2)) == 19
 
 
-def test_injectivity_checks_each_degree_before_the_next_budget(family21):
+def test_injectivity_checks_each_degree_before_the_next_budget(
+    family21, monkeypatch
+):
     # degree 1 fits a budget of 10, degree 2 does not
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "10")
     with pytest.raises(BudgetExceeded) as caught:
-        injectivity_check(family21, max_degree=3, budget=10)
+        injectivity_check(family21, max_degree=3)
     assert str(caught.value) == "28 degree-2 monomials exceed the budget 10"
     # the budget is checked before the degree-2 count, which fails here
     crippled = without(family21, family21.tags.index("eq4"))
     with pytest.raises(BudgetExceeded):
-        injectivity_check(crippled, max_degree=3, budget=10)
+        injectivity_check(crippled, max_degree=3)
     # a linear lead z1 - z2 makes the degree-1 count fail first
     n = family21.nvars
     linear = Binomial(_mono_of_text(n, (0, 1)), _mono_of_text(n, (1, 1)))
@@ -322,7 +328,7 @@ def test_injectivity_checks_each_degree_before_the_next_budget(family21):
         generators=family21.generators + (linear,),
         tags=family21.tags + ("eq1",),
     )
-    assert injectivity_check(cut, max_degree=3, budget=10) is False
+    assert injectivity_check(cut, max_degree=3) is False
 
 
 def test_counts_match_dilation(family21):

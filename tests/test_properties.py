@@ -30,7 +30,6 @@ from wpsimplex import (
     lattice_points_bruteforce,
     lattice_points_formula,
     make_weight_certificate,
-    pi_image,
     triangulation_from_family,
 )
 from wpsimplex.errors import DegenerateLift, NonPureComplex, SingularFacet
@@ -39,6 +38,7 @@ from wpsimplex.oracles import (
     facet_volume,
     is_lower_cell,
     normal_form,
+    pi_image,
     regularity_check,
     standard_monomials,
 )
@@ -88,7 +88,7 @@ def dilations(draw):
 def test_dilation_points_equal_a_scan_of_the_box(case):
     # every point of the bounding box, kept when no raw facet row exceeds t
     q, t = case
-    rows = h_description(q).functionals
+    rows = h_description(q)
     box = product(*(range(-t * e, t + 1) for e in q.entries))
     scanned = {
         p for p in box if all(sum(map(mul, row, p)) <= t for row in rows)

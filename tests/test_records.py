@@ -10,15 +10,13 @@ import pytest
 from wpsimplex import (
     build_q,
     groebner_family,
-    h_description,
     hstar,
     initial_ideal,
     lattice_points_formula,
     make_weight_certificate,
     triangulation_from_family,
-    zsupport_shape,
 )
-from wpsimplex.oracles import buchberger_verify
+from wpsimplex.oracles import buchberger_verify, zsupport_shape
 from wpsimplex.pipeline import Stage, check_hstar
 from wpsimplex.toric import include_excluded_pair, mutate_tail, pi_balance_failures
 
@@ -28,7 +26,6 @@ def _records():
     family = groebner_family(q)
     return [
         q,
-        h_description(q),
         lattice_points_formula(q),
         lattice_points_formula(q).factorization,
         hstar(q),

@@ -9,7 +9,6 @@ from wpsimplex import (
     h_description,
     lattice_points_bruteforce,
     lattice_points_formula,
-    tightness_profile,
 )
 from wpsimplex.errors import (
     BudgetExceeded,
@@ -17,7 +16,7 @@ from wpsimplex.errors import (
     ParameterOutOfRange,
     PointOutsideSimplex,
 )
-from wpsimplex.oracles import facet_volume
+from wpsimplex.oracles import facet_volume, tightness_profile
 
 from conftest import SMALL_GRID
 
@@ -79,15 +78,13 @@ def test_build_q_rejects(r1, x1):
 
 
 def test_h_description_2_1():
-    hd = h_description(build_q(2, 1))
-    assert hd.functionals == ((-2, 1), (1, -1), (1, 1))
-    assert hd.rhs == 1
+    assert h_description(build_q(2, 1)) == ((-2, 1), (1, -1), (1, 1))
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_h_description_on_unit_vectors(r1, x1):
     q = build_q(r1, x1)
-    rows = h_description(q).functionals
+    rows = h_description(q)
     for j in range(q.d):
         e = tuple(1 if i == j else 0 for i in range(q.d))
         for k, row in enumerate(rows):
@@ -101,7 +98,7 @@ def test_h_description_on_unit_vectors(r1, x1):
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_h_description_on_minus_q(r1, x1):
     q = build_q(r1, x1)
-    rows = h_description(q).functionals
+    rows = h_description(q)
     p = tuple(-e for e in q.entries)
     for k, row in enumerate(rows):
         value = sum(c * v for c, v in zip(row, p))
@@ -169,9 +166,10 @@ def test_vertices_are_lattice_points(r1, x1):
         assert tuple(1 if i == j else 0 for i in range(q.d)) in points
 
 
-def test_bruteforce_budget():
+def test_bruteforce_budget(monkeypatch):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "5")
     with pytest.raises(BudgetExceeded):
-        lattice_points_bruteforce(build_q(4, 3), budget=5)
+        lattice_points_bruteforce(build_q(4, 3))
 
 
 @pytest.mark.parametrize("r1,x1,t,total", [
@@ -181,15 +179,19 @@ def test_bruteforce_budget():
     (3, 2, 2, 183),
     (6, 5, 2, 1328),
 ])
-def test_dilation_budget_counts_slices_and_tree_nodes(r1, x1, t, total):
+def test_dilation_budget_counts_slices_and_tree_nodes(
+    monkeypatch, r1, x1, t, total
+):
     # one step per slice plus C(r + d, d - 1) per slice with remainder
     # r >= 0: the node count of the tree that distributes r over d
     # coordinates, so the smallest passing budget is exactly the total
     q = build_q(r1, x1)
     points = enumerate_dilation_points(q, t)
-    assert enumerate_dilation_points(q, t, budget=total) == points
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", str(total))
+    assert enumerate_dilation_points(q, t) == points
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", str(total - 1))
     with pytest.raises(BudgetExceeded):
-        enumerate_dilation_points(q, t, budget=total - 1)
+        enumerate_dilation_points(q, t)
 
 
 def test_dilation_recheck_rejects_a_point_the_slices_emit(monkeypatch):
@@ -199,11 +201,9 @@ def test_dilation_recheck_rejects_a_point_the_slices_emit(monkeypatch):
     # right after the sound rows' enumeration was kept
     q = build_q(2, 1)
     enumerate_dilation_points(q, 1)
-    rows = [list(row) for row in h_description(q).functionals]
+    rows = [list(row) for row in h_description(q)]
     rows[0][1] += 1
-    sabotaged = h_description(q)._replace(
-        functionals=tuple(map(tuple, rows))
-    )
+    sabotaged = tuple(map(tuple, rows))
     monkeypatch.setattr(simplex, "h_description", lambda _: sabotaged)
     with pytest.raises(InternalConsistency, match="infeasible point"):
         enumerate_dilation_points(q, 1)

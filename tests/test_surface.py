@@ -1,0 +1,74 @@
+"""The command modules' surface: the enumeration budget has one source,
+the environment variable, and the paper's lemma checks live with the
+oracles, which no command imports."""
+
+import inspect
+
+import pytest
+
+import wpsimplex
+from wpsimplex import (
+    cli,
+    ehrhart,
+    groebner,
+    oracles,
+    pipeline,
+    simplex,
+    toric,
+    triangulation,
+)
+
+COMMAND_MODULES = (cli, pipeline, simplex, ehrhart, toric, groebner, triangulation)
+
+#: The lemma checks that left the command modules for the oracles.
+MOVED = (
+    "functional_values",
+    "tightness_profile",
+    "lattice_point_count_from_h1",
+    "pi_image",
+    "is_toric_member",
+    "zsupport",
+    "SupportCase",
+    "ZSupportShape",
+    "zsupport_shape",
+)
+
+
+def _callables(module):
+    """The functions and classes a module defines, private ones too."""
+    for name, value in vars(module).items():
+        if callable(value) and getattr(value, "__module__", None) == module.__name__:
+            yield name, value
+
+
+@pytest.mark.parametrize("module", COMMAND_MODULES, ids=lambda m: m.__name__)
+def test_no_command_callable_takes_a_budget(module):
+    for name, value in _callables(module):
+        try:
+            parameters = inspect.signature(value).parameters
+        except ValueError:  # an exception class has no signature
+            continue
+        assert "budget" not in parameters, f"{module.__name__}.{name}"
+
+
+def test_budget_is_read_from_the_environment_on_every_call(monkeypatch):
+    monkeypatch.setenv(simplex.ENUM_BUDGET_ENV, "7")
+    assert simplex.resolve_enum_budget() == 7
+    monkeypatch.setenv(simplex.ENUM_BUDGET_ENV, "")
+    assert simplex.resolve_enum_budget() == simplex.DEFAULT_ENUM_BUDGET
+    monkeypatch.delenv(simplex.ENUM_BUDGET_ENV)
+    assert simplex.resolve_enum_budget() == simplex.DEFAULT_ENUM_BUDGET
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_lemma_checks_live_in_the_oracles_only(name):
+    assert callable(getattr(oracles, name))
+    assert not hasattr(wpsimplex, name)
+    for module in COMMAND_MODULES:
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_no_halfspace_record():
+    # h_description returns the rows themselves (see test_simplex)
+    assert not hasattr(wpsimplex, "HalfspaceDescription")
+    assert not hasattr(simplex, "HalfspaceDescription")

@@ -8,10 +8,8 @@ from wpsimplex import (
     companion,
     excluded_pair_binomial,
     groebner_family,
-    is_toric_member,
     lattice_points_formula,
     monomial_text,
-    pi_image,
 )
 from wpsimplex import toric
 from wpsimplex.errors import (
@@ -34,8 +32,8 @@ from wpsimplex.toric import (
     total_vars,
     y_index,
     z_index,
-    zsupport,
 )
+from wpsimplex.oracles import is_toric_member, pi_image, zsupport
 
 from conftest import SMALL_GRID
 
