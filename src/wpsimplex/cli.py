@@ -32,6 +32,8 @@ from .errors import (
 )
 from .ehrhart import hstar
 from .pipeline import (
+    DEFAULT_GRID_R1,
+    DEFAULT_GRID_X1,
     Stage,
     check_family,
     check_hstar,
@@ -39,6 +41,7 @@ from .pipeline import (
     check_points,
     check_triangulation,
     evaluate_point,
+    grid_points,
     point_flags,
     verdict,
 )
@@ -226,16 +229,10 @@ def cmd_sweep(args) -> int:
     _at_least(args.max_degree, 0, "--max-degree")
     _at_least(args.jobs, 1, "--jobs")
     try:
-        r1_lo, r1_hi = _parse_range(args.r1)
-        x1_lo, x1_hi = _parse_range(args.x1)
+        grid = grid_points(_parse_range(args.r1), _parse_range(args.x1))
     except ValueError as exc:
         print(f"error: bad range: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    grid = [
-        (r1, x1)
-        for r1 in range(r1_lo, r1_hi + 1)
-        for x1 in range(x1_lo, x1_hi + 1)
-    ]
     if not grid:
         print("error: empty sweep grid", file=sys.stderr)
         return EXIT_USAGE
@@ -330,8 +327,9 @@ def build_parser() -> _Parser:
     p_tri.set_defaults(func=cmd_triangulate)
 
     p_sweep = sub.add_parser("sweep", help="full pipeline over a grid")
-    p_sweep.add_argument("--r1", default="2..6", help="range, e.g. 2..6")
-    p_sweep.add_argument("--x1", default="1..5", help="range, e.g. 1..5")
+    for flag, bounds in (("--r1", DEFAULT_GRID_R1), ("--x1", DEFAULT_GRID_X1)):
+        default = "{}..{}".format(*bounds)
+        p_sweep.add_argument(flag, default=default, help=f"range, e.g. {default}")
     p_sweep.add_argument("--max-degree", type=int, default=3)
     p_sweep.add_argument("--fail-fast", action="store_true")
     p_sweep.add_argument("--jobs", type=int, default=1,

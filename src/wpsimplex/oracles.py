@@ -215,7 +215,8 @@ def is_lower_cell(
     column's reduced cost scale * w_p - c . column_p as a dense dot
     product, in column order.  Equality raises DegenerateLift; a column
     lifting below makes the cell not lower.  The walk reads the same
-    reduced costs through a factorization of the columns."""
+    reduced costs in the difference coordinates of
+    ``triangulation._difference_terms``."""
     scale, psi = facet_support_function(columns, weights, cell)
     inside = set(cell)
     for p, col in enumerate(columns, start=1):

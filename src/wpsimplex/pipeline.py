@@ -72,12 +72,20 @@ class _EmptyMapping(Mapping):
 _NOTHING = _EmptyMapping()
 
 
-def default_grid() -> list[tuple[int, int]]:
+def grid_points(
+    r1_range: tuple[int, int], x1_range: tuple[int, int]
+) -> list[tuple[int, int]]:
+    """Every (r1, x1) with both in their closed ranges, r1 major."""
+    (r1_lo, r1_hi), (x1_lo, x1_hi) = r1_range, x1_range
     return [
         (r1, x1)
-        for r1 in range(DEFAULT_GRID_R1[0], DEFAULT_GRID_R1[1] + 1)
-        for x1 in range(DEFAULT_GRID_X1[0], DEFAULT_GRID_X1[1] + 1)
+        for r1 in range(r1_lo, r1_hi + 1)
+        for x1 in range(x1_lo, x1_hi + 1)
     ]
+
+
+def default_grid() -> list[tuple[int, int]]:
+    return grid_points(DEFAULT_GRID_R1, DEFAULT_GRID_X1)
 
 
 def verdict(flags: Iterable[bool | None]) -> bool | None:

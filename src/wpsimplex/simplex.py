@@ -11,11 +11,9 @@ simplex is the convex hull of the d standard basis vectors together with
 reflexive; its normalized volume is N = r1 * (x1*r1 + 1).
 
 This module builds q, the facet inequalities, and the closed-form list
-of all lattice points of the simplex with its factorization through two
-directions (which the triangulation's lower-cell scan reads), and
-provides an independent brute-force enumerator used to cross-check that
-list.  All arithmetic is exact: plain Python integers throughout, so
-overflow cannot occur.
+of all lattice points of the simplex, and provides an independent
+brute-force enumerator used to cross-check that list.  All arithmetic
+is exact: plain Python integers throughout, so overflow cannot occur.
 
 The enumeration budget has one source, the environment variable
 ``WPSIMPLEX_ENUM_BUDGET``, read on every call by ``resolve_enum_budget``;
@@ -87,36 +85,18 @@ class QVector(NamedTuple):
     volume: int
 
 
-class Factorization(NamedTuple):
-    """Homogenized columns written as A = B * C.
-
-    B is the dense ``directions`` followed by the unit vectors e_0, ...,
-    e_d of the homogenized coordinates, so slot k < len(directions)
-    names a direction and slot len(directions) + t names e_t.
-    ``terms[p]`` is column p of C: the (slot, coefficient) pairs of its
-    nonzero entries, so homogenized column p equals the sum of
-    coefficient * B[slot] over them.
-    """
-
-    directions: tuple[tuple[int, ...], ...]
-    terms: tuple[tuple[tuple[int, int], ...], ...]
-
-
 class PointConfiguration(NamedTuple):
     """Ordered lattice point list of the simplex.
 
     Columns come in two blocks: a1..a{r1+3} (the collinear interior ray
     from -q down to the origin, plus its two generators), then b1..bd
     (the standard basis vectors, in reversed coordinate order:
-    bj = e_{d-j+1}).  ``factorization`` writes the homogenized columns
-    through the two directions the a-block spans (see
-    ``lattice_points_formula``).
+    bj = e_{d-j+1}).
     """
 
     q: QVector
     labels: tuple[str, ...]
     columns: tuple[tuple[int, ...], ...]
-    factorization: Factorization
 
     @property
     def homogenized(self) -> tuple[tuple[int, ...], ...]:
@@ -193,40 +173,24 @@ def lattice_points_formula(q: QVector) -> PointConfiguration:
     a_{r1+1} = inner = ((-1)^x1, (-x1)^(r1-1)), a_{r1+2} = step =
     (0^x1, (-1)^(r1-1)), a_{r1+3} = 0, a_i = (r1-i+1)*inner + step for
     i <= r1 (so a_1 = -q), and b_j = e_{d-j+1}.  Each column is built
-    from its coefficients m on inner, s on step and its unit vector, and
-    the same coefficients, with the homogenizing unit vector, are the
-    column's terms in the factorization over B = [inner, step, e_0, ...,
-    e_d]: at most three nonzeros per column.
+    from its coefficients m on inner, s on step and its unit vector.
     """
     r1, x1, d = q.r1, q.x1, q.d
     inner = (-1,) * x1 + (-x1,) * (r1 - 1)
     step = (0,) * x1 + (-1,) * (r1 - 1)
     # (m, s, u): the column m * inner + s * step + e_u, where u = d
-    # means no unit vector; slot 2 + t of B is e_t, so slot 2 + d is the
-    # homogenizing coordinate every column has
+    # means no unit vector
     shapes = [(r1 - i + 1, 1, d) for i in range(1, r1 + 1)]
     shapes += [(1, 0, d), (0, 1, d), (0, 0, d)]
     shapes += [(0, 0, d - j) for j in range(1, d + 1)]
-    cols: list[tuple[int, ...]] = []
-    terms: list[tuple[tuple[int, int], ...]] = []
-    for m, s, u in shapes:
-        cols.append(tuple(
-            m * a + s * b + (t == u)
-            for t, (a, b) in enumerate(zip(inner, step))
-        ))
-        unit = ((2 + u, 1),) if u < d else ()
-        terms.append(
-            tuple((k, c) for k, c in ((0, m), (1, s)) if c) + unit + ((2 + d, 1),)
-        )
+    cols = tuple(
+        tuple(m * a + s * b + (t == u) for t, (a, b) in enumerate(zip(inner, step)))
+        for m, s, u in shapes
+    )
     labels = tuple(f"a{i}" for i in range(1, r1 + 4)) + tuple(
         f"b{j}" for j in range(1, d + 1)
     )
-    return PointConfiguration(
-        q=q, labels=labels, columns=tuple(cols),
-        factorization=Factorization(
-            directions=(inner + (0,), step + (0,)), terms=tuple(terms)
-        ),
-    )
+    return PointConfiguration(q=q, labels=labels, columns=cols)
 
 
 def enumerate_dilation_points(q: QVector, t: int) -> frozenset[tuple[int, ...]]:

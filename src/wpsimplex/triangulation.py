@@ -21,14 +21,14 @@ alone are shared with the facet it came from, never changed in place.
 All arithmetic is on plain integers.  One walk gives each facet's
 volume and lower cell.
 The lower-cell test is the simplex method's reduced-cost check, read
-through a factorization A = B * C of the homogenized columns: the
-facet's support function is projected once on each vector of B, after
-which each off-facet column costs the few nonzero terms of its column
-of C.  The family's columns factor through two dense directions and
-the unit vectors, at most three terms each (``Factorization``); any
-other configuration is scanned through the identity, one term per
-nonzero entry.  B * C is checked against the columns entry by entry
-before the walk.
+in the difference coordinates y_t = x_t - x_{t+1} (t < d - 1),
+y_{d-1} = x_{d-1}, y_d = x_d of the homogenized columns.  The change of
+coordinates U is bidiagonal with unit diagonal, so psi . a =
+(psi . U^-1) . (U . a) exactly; psi . U^-1 is the prefix sums of psi
+over coordinates 0..d-1 followed by psi_d, one pass of additions per
+facet, and U . a, computed once from the columns themselves, has at
+most three nonzeros for every column of the family.  Any other
+configuration goes through the same scan, and it stays exact.
 The from-scratch checks that the tests hold this against, one facet's
 volume and the brute-force lower envelope among them, are in
 ``wpsimplex.oracles``.
@@ -37,8 +37,7 @@ volume and the brute-force lower envelope among them, are in
 from __future__ import annotations
 
 from collections import deque
-from itertools import count
-from operator import mul
+from itertools import accumulate, count
 from typing import NamedTuple
 
 from .errors import (
@@ -46,13 +45,12 @@ from .errors import (
     DegenerateLift,
     DimensionMismatch,
     IndexOutOfRange,
-    InternalConsistency,
     NonPureComplex,
     SingularFacet,
     WpsimplexError,
 )
 from .groebner import InitialIdeal, _support_mask, initial_ideal
-from .simplex import Factorization, QVector, lattice_points_formula
+from .simplex import QVector
 from .toric import GroebnerFamily
 
 
@@ -294,67 +292,40 @@ def _checked_volume(det: int, facet: tuple[int, ...]) -> int:
     return abs(det)
 
 
-def _check_factorization(
-    columns: tuple[tuple[int, ...], ...], factorization: Factorization
-) -> None:
-    """Raise InternalConsistency unless B * C equals the homogenized
-    ``columns`` entry by entry.  C is laid out row by row, so row t of
-    B * C is row e_t of C plus a multiple of each row of C on a
-    direction, compared with coordinate t of every column at once."""
-    directions, terms = factorization
-    if len(terms) != len(columns):
-        raise InternalConsistency(
-            f"the factorization has {len(terms)} columns, not {len(columns)}"
-        )
-    # a negative slot names the same vector of B here and in the scan
-    c_rows = [[0] * len(columns) for _ in range(len(directions) + len(columns[0]))]
-    try:
-        for p, col_terms in enumerate(terms):
-            for k, c in col_terms:
-                c_rows[k][p] += c
-    except IndexError:
-        raise InternalConsistency(
-            f"column {p + 1} names a slot outside B"
-        ) from None
-    for t, coordinate in enumerate(zip(*columns)):
-        expanded = c_rows[len(directions) + t]
-        for direction, c_row in zip(directions, c_rows):
-            if direction[t]:
-                expanded = [e + direction[t] * c for e, c in zip(expanded, c_row)]
-        if tuple(expanded) != coordinate:
-            p = next(p for p, (e, a) in enumerate(zip(expanded, coordinate)) if e != a)
-            raise InternalConsistency(
-                f"the factorization gives {expanded[p]} at coordinate {t} "
-                f"of column {p + 1}, not {coordinate[p]}"
-            )
+def _difference_terms(
+    columns: tuple[tuple[int, ...], ...]
+) -> list[tuple[tuple[int, int], ...]]:
+    """Each column's nonzero entries (t, y_t) in the difference
+    coordinates y_t = x_t - x_{t+1} for t < d - 1, y_{d-1} = x_{d-1} and
+    y_d = x_d: at most three for a family column, at positions x1 - 1,
+    d - 1 and d for the a-block and t - 1, t and d for b_j = e_t."""
+    terms = []
+    for *head, last in columns:
+        diffs = [x - y for x, y in zip(head, head[1:] + [0])]
+        terms.append(tuple((t, y) for t, y in enumerate(diffs + [last]) if y))
+    return terms
 
 
 def _walk_facets(
     columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...],
     facets: tuple[tuple[int, ...], ...],
-    factorization: Factorization | None = None,
 ) -> tuple[list[int], tuple[bool | WpsimplexError, ...]]:
     """Each facet's volume (0 when singular) and lower-cell outcome under
     ``weights``, in facet order, both from the facet's inverse.  The
-    reduced costs go through ``factorization``, checked against
-    ``columns`` before the walk; without one, B is the identity and each
-    column's terms are its own nonzero entries."""
+    reduced costs are read in the difference coordinates of
+    ``_difference_terms``."""
     if len(weights) != len(columns):
         raise DimensionMismatch(
             f"{len(weights)} weights for {len(columns)} columns"
         )
-    if factorization is None:
-        factorization = Factorization((), tuple(
-            tuple((k, x) for k, x in enumerate(col) if x) for col in columns
-        ))
-    _check_factorization(columns, factorization)
+    terms = _difference_terms(columns)
     volumes = [0] * len(facets)
     lower: list[bool | WpsimplexError] = [True] * len(facets)
     for index, inverse in _walk_inverses(columns, facets):
         volumes[index] = inverse[0]
         try:
             lower[index] = _is_lower_cell(
-                columns, weights, facets[index], inverse, factorization
+                columns, weights, facets[index], inverse, terms
             )
         except (DegenerateLift, SingularFacet) as exc:
             lower[index] = exc
@@ -371,10 +342,7 @@ def triangulation_from_family(family: GroebnerFamily) -> Triangulation:
         weights, failure = make_weight_certificate(family).weights, None
     except CertificateFailure as exc:
         weights, failure = (0,) * family.nvars, exc
-    volumes, lower = _walk_facets(
-        family.columns, weights, facets,
-        lattice_points_formula(family.q).factorization,
-    )
+    volumes, lower = _walk_facets(family.columns, weights, facets)
     return Triangulation(
         facets=facets,
         volumes=tuple(map(_checked_volume, volumes, facets)),
@@ -456,7 +424,7 @@ def _is_lower_cell(
     weights: tuple[int, ...],
     cell: tuple[int, ...],
     inverse: FacetInverse,
-    factorization: Factorization,
+    terms: list[tuple[tuple[int, int], ...]],
 ) -> bool:
     """Interpolate the weights on the cell's columns and test whether
     every other column lifts strictly above that hyperplane: the simplex
@@ -464,14 +432,12 @@ def _is_lower_cell(
     Equality raises DegenerateLift (heights not generic); a column
     lifting below makes the cell not lower.
 
-    c . column_p is read through the checked factorization A = B * C:
-    c is projected once on each vector of B, which for a unit vector
-    e_t is c_t itself, and then each column costs its few terms of C.
+    c . column_p is read in the difference coordinates: c . U^-1 is the
+    prefix sums of c over every coordinate but the last, then the last,
+    and each column costs its few ``terms`` of U . column_p.
     """
     scale, psi = facet_support_function(columns, weights, cell, inverse)
-    directions, terms = factorization
-    proj = [sum(map(mul, psi, v)) for v in directions]
-    proj += psi
+    proj = [*accumulate(psi[:-1]), psi[-1]]
     inside = set(cell)
     for p, w, col_terms in zip(count(1), weights, terms):
         if p in inside:

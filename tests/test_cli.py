@@ -6,8 +6,18 @@ import sys
 import pytest
 
 import wpsimplex
-from wpsimplex import HStarVector, build_q, cli, groebner_family, toric
+from wpsimplex import (
+    HStarVector,
+    build_q,
+    cli,
+    ehrhart,
+    groebner_family,
+    pipeline,
+    toric,
+)
 from wpsimplex.pipeline import evaluate_point, point_flags, verdict
+
+from conftest import without
 
 
 def run(capsys, *argv):
@@ -626,3 +636,67 @@ def test_empty_json_path_exits_1_before_work(capsys, monkeypatch, tmp_path, argv
     assert out == ""
     assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []
+
+
+# -- the caught failures: exact output and exit code ---------------------------
+
+def _payload_text(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_gb_verify_reports_a_failed_family_build(capsys, monkeypatch):
+    # an eq5 constructor that emits the excluded pair's binomial stops the
+    # build; the uncached constructor runs so no cached family is reused
+    monkeypatch.setattr(toric, "eq5_binomial", wpsimplex.excluded_pair_binomial)
+    monkeypatch.setattr(cli, "groebner_family", toric.groebner_family.__wrapped__)
+    code = cli.main(["gb", "verify", "2", "1"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert out == _payload_text({
+        "schema": 1,
+        "params": {"r1": 2, "x1": 1},
+        "pass": False,
+        "failure": {
+            "stage": "construction",
+            "detail": "generator 8 (eq5) z2*z4 - z2*z3 is not pi-balanced",
+        },
+    })
+
+
+def test_triangulate_reports_the_error_its_stage_caught(capsys, monkeypatch):
+    # without generator 0 the lead-support complex is not pure
+    family = without(groebner_family(build_q(2, 1)), 0)
+    monkeypatch.setattr(cli, "groebner_family", lambda q: family)
+    code = cli.main(["triangulate", "2", "1"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert out == _payload_text({
+        "schema": 1,
+        "params": {"r1": 2, "x1": 1},
+        "pass": False,
+        "failure": "maximal face (1, 2, 3, 4) has 4 vertices, expected 3",
+    })
+
+
+def test_sweep_bad_range_exits_1(capsys):
+    code = cli.main(["sweep", "--r1", "a..b"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: bad range: invalid literal for int() with base 10: 'a'\n"
+
+
+def test_hstar_verify_wrong_dilation_count_exits_2(capsys, monkeypatch):
+    def one_too_many(q, t):
+        return ehrhart.ehrhart_bruteforce(q, t) + (t == 2)
+
+    monkeypatch.setattr(pipeline, "ehrhart_bruteforce", one_too_many)
+    code = cli.main(["hstar", "2", "1", "--verify"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    assert out == _payload_text({
+        "schema": 1,
+        "params": {"r1": 2, "x1": 1},
+        "hstar": [1, 4, 1],
+        "verified": False,
+        "dilations_checked": [1, 2],
+    })

@@ -113,3 +113,21 @@ def test_a_point_enumerates_the_t1_dilation_once():
     assert entry["latticePointsOK"] is True and entry["hstarOK"] is True
     info = simplex._dilation_points.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
+
+
+def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
+    # an eq5 constructor that emits the excluded pair's binomial stops the
+    # build; the uncached constructor runs so no cached family is reused
+    monkeypatch.setattr(toric, "eq5_binomial", wpsimplex.excluded_pair_binomial)
+    monkeypatch.setattr(
+        pipeline, "groebner_family", toric.groebner_family.__wrapped__
+    )
+    entry = evaluate_point(2, 1)
+    assert set(entry["timings"]) == set(pipeline.TIMINGS)
+    del entry["timings"]
+    assert entry == {
+        "latticePointsOK": True,
+        "hstarOK": True,
+        **dict.fromkeys(pipeline.FAMILY_FLAGS + pipeline.TRIANGULATION_FLAGS, False),
+        "errors": ["generator 8 (eq5) z2*z4 - z2*z3 is not pi-balanced"],
+    }

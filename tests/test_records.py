@@ -27,7 +27,6 @@ def _records():
     return [
         q,
         lattice_points_formula(q),
-        lattice_points_formula(q).factorization,
         hstar(q),
         family,
         initial_ideal(family),

@@ -1,6 +1,7 @@
 """The command modules' surface: the enumeration budget has one source,
-the environment variable, and the paper's lemma checks live with the
-oracles, which no command imports."""
+the environment variable, the paper's lemma checks live with the
+oracles, which no command imports, and the facet walk reads its reduced
+costs without a factorization of the configuration."""
 
 import inspect
 
@@ -72,3 +73,14 @@ def test_no_halfspace_record():
     # h_description returns the rows themselves (see test_simplex)
     assert not hasattr(wpsimplex, "HalfspaceDescription")
     assert not hasattr(simplex, "HalfspaceDescription")
+
+
+def test_reduced_costs_need_no_factorization():
+    # the walk reads the reduced costs in difference coordinates computed
+    # from its own columns, so there is no second representation to check
+    assert not hasattr(wpsimplex, "Factorization")
+    assert not hasattr(simplex, "Factorization")
+    assert "factorization" not in simplex.PointConfiguration._fields
+    assert not hasattr(triangulation, "_check_factorization")
+    parameters = inspect.signature(triangulation._walk_facets).parameters
+    assert "factorization" not in parameters

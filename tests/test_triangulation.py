@@ -16,7 +16,7 @@ from wpsimplex import (
 from wpsimplex.errors import (
     CertificateFailure,
     DegenerateLift,
-    InternalConsistency,
+    DimensionMismatch,
     NonPureComplex,
     ParameterOutOfRange,
     SingularFacet,
@@ -30,7 +30,7 @@ from wpsimplex.groebner import InitialIdeal
 from wpsimplex import triangulation
 from wpsimplex.triangulation import (
     WeightCertificate,
-    _check_factorization,
+    _difference_terms,
     _eliminate,
     _facet_inverse,
     _pivot,
@@ -429,56 +429,36 @@ def test_last_interior_column_is_not_a_cone_point(family21, tri21):
     assert any(origin_col not in facet for facet in tri21.facets)
 
 
-# -- the factored reduced costs ------------------------------------------------
+# -- the reduced costs in difference coordinates ------------------------------
 
-def _with_term(factorization, column, index, term):
-    terms = list(factorization.terms)
-    col_terms = list(terms[column])
-    col_terms[index] = term
-    terms[column] = tuple(col_terms)
-    return factorization._replace(terms=tuple(terms))
+#: The six points the benchmark's gb_wide and tri_ladder workloads run.
+BENCHMARK_POINTS = [(16, 1), (14, 2), (12, 3), (4, 12), (6, 7), (8, 4)]
 
 
-def test_family_factorization_has_at_most_three_terms_per_column():
-    for r1, x1 in SMALL_GRID:
+def test_family_difference_terms_have_at_most_three_per_column():
+    for r1, x1 in SMALL_GRID + BENCHMARK_POINTS:
         config = lattice_points_formula(build_q(r1, x1))
-        factorization = config.factorization
-        assert len(factorization.directions) == 2
-        assert all(1 <= len(t) <= 3 for t in factorization.terms)
-        assert all(c for t in factorization.terms for _, c in t)
-        _check_factorization(config.homogenized, factorization)
+        d = config.q.d
+        columns = config.homogenized
+        terms = _difference_terms(columns)
+        assert len(terms) == len(columns)
+        for label, column, col_terms in zip(config.labels, columns, terms):
+            assert 1 <= len(col_terms) <= 3
+            assert all(y for _, y in col_terms)
+            if label.startswith("a"):
+                allowed = {x1 - 1, d - 1, d}
+            else:
+                t = d - int(label[1:])  # b_j = e_{d-j+1} at coordinate t
+                allowed = {t - 1, t, d}
+            assert {k for k, _ in col_terms} <= allowed
+            # undo U: x_t is the sum of y_t..y_{d-1}, and x_d = y_d
+            y = [0] * (d + 1)
+            for k, value in col_terms:
+                y[k] = value
+            assert tuple(sum(y[t:d]) for t in range(d)) + (y[d],) == column
 
 
-@pytest.mark.parametrize("column, index, term, message", [
-    # a_1 = 3 inner + step at (3,2): one coefficient off by one
-    (0, 0, (0, 4), "at coordinate 0 of column 1, not -3"),
-    # b_1 = e_3: the unit vector of a neighbouring coordinate
-    (6, 0, (4, 1), "at coordinate 2 of column 7, not 0"),
-    # a slot past the last unit vector
-    (9, 1, (7, 1), "column 10 names a slot outside B"),
-])
-def test_a_wrong_entry_of_c_is_caught_before_the_walk(column, index, term, message):
-    family = groebner_family(build_q(3, 2))
-    factorization = lattice_points_formula(family.q).factorization
-    broken = _with_term(factorization, column, index, term)
-    weights = make_weight_certificate(family).weights
-    facets = triangulation_from_family(family).facets
-    with pytest.raises(InternalConsistency, match=message):
-        _walk_facets(family.columns, weights, facets, broken)
-
-
-def test_a_wrong_direction_is_caught_before_the_walk(family21, tri21):
-    factorization = lattice_points_formula(family21.q).factorization
-    inner, step = factorization.directions
-    broken = factorization._replace(directions=(inner, step[:-1] + (1,)))
-    weights = make_weight_certificate(family21).weights
-    with pytest.raises(InternalConsistency):
-        _walk_facets(family21.columns, weights, tri21.facets, broken)
-
-
-def test_factorization_must_cover_every_column(family21, tri21):
-    factorization = lattice_points_formula(family21.q).factorization
-    short = factorization._replace(terms=factorization.terms[:-1])
-    weights = make_weight_certificate(family21).weights
-    with pytest.raises(InternalConsistency, match="has 6 columns, not 7"):
-        _walk_facets(family21.columns, weights, tri21.facets, short)
+def test_walk_refuses_one_weight_short(family21, tri21):
+    weights = make_weight_certificate(family21).weights[:-1]
+    with pytest.raises(DimensionMismatch, match="6 weights for 7 columns"):
+        _walk_facets(family21.columns, weights, tri21.facets)
