@@ -89,10 +89,18 @@ def _probe(path: str) -> None:
 
 def _emit(payload: dict | str, path: str | None, code: int = EXIT_PASS) -> int:
     """Print the payload, as JSON unless it is already text, or write it
-    to ``path``; return ``code``, or 1 when the file cannot be written."""
+    to ``path``; return ``code``, or 1 when the file or stdout cannot be
+    written.  A reader that closed stdout leaves it pointed at the null
+    device, so the flush at exit stays silent."""
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if path is None:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError as exc:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return _cannot_write("stdout", exc)
         return code
     try:
         with open(path, "w", encoding="utf-8") as fh:

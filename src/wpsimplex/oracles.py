@@ -43,7 +43,6 @@ from .triangulation import (
     _checked_volume,
     _eliminate,
     _walk_facets,
-    facet_support_function,
 )
 
 #: Hard cap on rewrite steps for a single monomial; hitting it means a
@@ -210,19 +209,25 @@ def is_lower_cell(
     weights: tuple[int, ...],
     cell: tuple[int, ...],
 ) -> bool:
-    """The reference lower-cell test: eliminate the cell from scratch,
-    interpolate the weights on its columns and compute every other
-    column's reduced cost scale * w_p - c . column_p as a dense dot
-    product, in column order.  Equality raises DegenerateLift; a column
-    lifting below makes the cell not lower.  The walk reads the same
-    reduced costs in the difference coordinates of
-    ``triangulation._difference_terms``."""
-    scale, psi = facet_support_function(columns, weights, cell)
+    """The reference lower-cell test: eliminate the cell's full columns
+    with the weights as right-hand side, which gives integers (scale, c)
+    with scale = |det| and c . column_p = scale * w_p on the cell, and
+    compute every other column's reduced cost scale * w_p - c . column_p
+    as a dense dot product, in column order.  A zero determinant raises
+    SingularFacet, a zero reduced cost DegenerateLift; a column lifting
+    below makes the cell not lower.  It shares only ``_eliminate`` with
+    the walk, which solves a smaller system in slack coordinates."""
+    det, c = _eliminate([[*columns[p - 1], weights[p - 1]] for p in cell])
+    if det == 0:
+        raise SingularFacet(f"columns {cell} are affinely dependent")
+    scale = abs(det)
+    if det < 0:
+        c = tuple(-x for x in c)
     inside = set(cell)
     for p, col in enumerate(columns, start=1):
         if p in inside:
             continue
-        gap = scale * weights[p - 1] - sum(map(mul, psi, col))
+        gap = scale * weights[p - 1] - sum(map(mul, c, col))
         if gap == 0:
             raise DegenerateLift(
                 f"column {p} lies on the lifted hyperplane of {cell}"
@@ -241,9 +246,10 @@ def regularity_check(
 
     True certifies that the lifted lower envelope induces exactly these
     facets.  Equality anywhere raises DegenerateLift; a point lifting
-    below a facet's hyperplane makes the check return False.  Facets are
-    tested in walk order but decided in facet order: the first facet
-    that is not a lower cell gives the verdict or the error.
+    below a facet's hyperplane makes the check return False.  Every
+    facet is tested on its own and the outcomes are decided in facet
+    order: the first facet that is not a lower cell gives the verdict or
+    the error.
     """
     _, lower = _walk_facets(columns, certificate.weights, tri.facets)
     return tri._replace(lower=lower).regular

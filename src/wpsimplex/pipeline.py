@@ -18,7 +18,7 @@ checks: (a) every generator is pi-balanced (``check_pi_balance``);
 its tail, and (d) every facet of the lead-support complex is a lower
 cell of the lift, with unit volumes summing to N (both in
 ``check_triangulation``, which reads the volumes and the lower-cell
-outcomes that one walk over the facets gave); (c) the minimal leads
+outcomes of one pass over the facets); (c) the minimal leads
 are squarefree.  So the triangulation stage runs first, and
 ``check_family`` takes it: ``buchbergerPass``, named for the S-pair run
 it replaced, holds exactly when (a), (c) and the triangulation verdict

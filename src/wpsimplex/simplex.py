@@ -204,8 +204,10 @@ def enumerate_dilation_points(q: QVector, t: int) -> frozenset[tuple[int, ...]]:
     one ceil division per distinct D_k (two for this family), and a
     slice whose lower bounds leave a remainder r = s - sum(lows) >= 0 is
     emitted as the lower bounds plus every multiset of r coordinate
-    indices.  The slice lower bounds never leave the bounding box
-    prod_i [-t*q_i, t].
+    indices.  From an empty slice (r < 0) the scan jumps over the run of
+    empty slices that follows it: r rises by one per slice and falls
+    only where some s = t + 1 (mod D_k).  The slice lower bounds never
+    leave the bounding box prod_i [-t*q_i, t].
 
     Every emitted point is re-verified against the raw inequalities, so
     a transcription slip in the slice algebra cannot pass silently.  Each
@@ -256,11 +258,22 @@ def _dilation_points(
 
     visited = 0
     found: list[tuple[int, ...]] = []
-    for s in range(-t * sum(q.entries), t + 1):
+    s, stop = -t * sum(q.entries), t + 1
+    while s < stop:
         # ceil((s - t) / denom) with positive denom, once per denominator
         low = [-((t - s) // dk) for dk in distinct]
         remaining = s - sum(map(mul, low, counts))
-        visited += 1 if remaining < 0 else 1 + comb(remaining + d, d - 1)
+        if remaining < 0:
+            # every slice before the next s = t + 1 (mod D), where a
+            # lower bound rises, and before s - remaining is empty too
+            empty_to = min(
+                s - remaining, stop, *(s + 1 + (t - s) % dk for dk in distinct)
+            )
+            visited += empty_to - s
+            s = empty_to
+        else:
+            visited += 1 + comb(remaining + d, d - 1)
+            s += 1
         if visited > limit:
             raise BudgetExceeded(f"enumeration visited more than {limit} cells")
         if remaining < 0:

@@ -8,27 +8,21 @@ facets of a triangulation of the simplex.  Facet volumes are exact
 integer determinants, and regularity is certified by exhibiting one
 weight vector whose lifted lower envelope induces exactly these facets.
 
-Both rest on the inverse of each facet's column matrix, found by one
-walk over the facets' dual graph (facets are neighbours when they share
-a ridge).  A start facet is inverted by one fraction-free elimination;
-each step to a neighbour swaps one column, and when the new determinant
-is again +-1 the inverse follows by a plain integer rank-1 pivot, the
-simplex method's basis update.  A facet of other volume, or one the
-walk cannot reach, is eliminated from scratch.  Each row of an inverse
-is stored sparse, as its nonzero entries by coordinate, so a pivot and
-the weight contraction cost what the nonzeros cost; rows a pivot leaves
-alone are shared with the facet it came from, never changed in place.
-All arithmetic is on plain integers.  One walk gives each facet's
-volume and lower cell.
-The lower-cell test is the simplex method's reduced-cost check, read
-in the difference coordinates y_t = x_t - x_{t+1} (t < d - 1),
-y_{d-1} = x_{d-1}, y_d = x_d of the homogenized columns.  The change of
-coordinates U is bidiagonal with unit diagonal, so psi . a =
-(psi . U^-1) . (U . a) exactly; psi . U^-1 is the prefix sums of psi
-over coordinates 0..d-1 followed by psi_d, one pass of additions per
-facet, and U . a, computed once from the columns themselves, has at
-most three nonzeros for every column of the family.  Any other
-configuration goes through the same scan, and it stays exact.
+Both are read facet by facet in the slack coordinates y = (x_0, ...,
+x_{d-1}, h - sum(x)) of the homogenized columns, a change of
+determinant 1 that keeps every determinant and reduced cost.  There the
+unit vectors b_j = (e_t, 1) and the origin (0, 1) of the family become
+the d + 1 unit columns of y, the simplex method's slack basis (Chvatal,
+*Linear Programming*, 1983).  A facet's slacks cover rows T; on the
+other k rows R it has as many other columns K, its determinant is
++-det Y[R, K], and its affine function is fixed on T by the slack
+weights and on R by one fraction-free elimination of the k x k system
+with the weights less their slack part as right-hand side.  Each other
+column's reduced cost then costs k products against a base computed
+once per configuration, and every family facet has k <= 3.  A
+configuration without slacks gets k = d + 1, the full elimination; all
+arithmetic is on plain integers, so any configuration is exact.  Facets
+are independent of one another.
 The from-scratch checks that the tests hold this against, one facet's
 volume and the brute-force lower envelope among them, are in
 ``wpsimplex.oracles``.
@@ -36,8 +30,8 @@ volume and the brute-force lower envelope among them, are in
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import accumulate, count
+from itertools import filterfalse, repeat
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -168,142 +162,36 @@ def _eliminate(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
     return sign * prev, tuple(sign * x for row in rows for x in row[size:])
 
 
-#: A facet's inverse: the volume |det B| of the matrix B of its
-#: homogenized columns, and the rows of |det B| * B^-1 keyed by facet
-#: column, so column p's row n_p has n_p . column_p = |det B| and
-#: n_p . column_q = 0 for the other facet columns q.  Each row is sparse,
-#: a dict from coordinate to nonzero entry; a row with no nonzero entry
-#: cannot occur, as B^-1 is invertible.  (0, {}) when B is singular.
-FacetInverse = tuple[int, dict[int, dict[int, int]]]
-
-
-def _facet_inverse(
-    columns: tuple[tuple[int, ...], ...], facet: tuple[int, ...]
-) -> FacetInverse:
-    """One elimination of B augmented by the identity."""
-    size = len(facet)
-    rows = [
-        [*coords, *(int(r == k) for k in range(size))]
-        for r, coords in enumerate(zip(*(columns[p - 1] for p in facet)))
-    ]
-    det, adjugate = _eliminate(rows)
-    if det == 0:
-        return 0, {}
-    sign = 1 if det > 0 else -1
-    return abs(det), {
-        p: {
-            k: sign * x
-            for k, x in enumerate(adjugate[i * size:(i + 1) * size]) if x
-        }
-        for i, p in enumerate(facet)
-    }
-
-
-def _pivot(
-    inverse: dict[int, dict[int, int]], leaving: int, entering: int,
-    column: tuple[int, ...],
-) -> FacetInverse | None:
-    """The inverse of a unimodular facet with column ``leaving`` swapped
-    for ``entering``, or None when the swap is not unimodular.
-
-    With u_p = n_p . column, the new determinant is u_leaving times the
-    old one; when u_leaving is +-1 the new rows are n_entering =
-    n_leaving / u_leaving and n_p - u_p * n_entering for the others.
-    Both products run over the nonzero entries only.  A row with u_p = 0
-    is shared with ``inverse``, so no row of it is changed in place."""
-    entering_row = inverse[leaving]
-    ratio = sum([x * column[k] for k, x in entering_row.items()])
-    if ratio not in (1, -1):
-        return None
-    if ratio == -1:
-        entering_row = {k: -x for k, x in entering_row.items()}
-    rows = {entering: entering_row}
-    for p, row in inverse.items():
-        if p == leaving:
-            continue
-        f = sum([x * column[k] for k, x in row.items()])
-        if f:
-            row = dict(row)
-            for k, x in entering_row.items():
-                y = row.get(k, 0) - f * x
-                if y:
-                    row[k] = y
-                else:
-                    del row[k]
-        rows[p] = row
-    return 1, rows
-
-
-def _walk_inverses(
-    columns: tuple[tuple[int, ...], ...], facets: tuple[tuple[int, ...], ...]
-):
-    """Yield ``(index, inverse)`` once for every facet, in walk order.
-
-    The walk goes breadth first over the dual graph from the first facet
-    not yet reached, which is inverted from scratch; a neighbour found
-    across a ridge of a unimodular facet is inverted by a pivot when the
-    swap keeps the determinant at +-1 and from scratch otherwise, and
-    only unimodular facets are walked on.  Only the frontier holds
-    inverses.  Pivots need no more than a correct neighbour, so the
-    ridge map is kept lean: each ridge maps to the XOR of (index + 1)
-    over the facets containing it, which names the other facet exactly
-    when at most two do; a name that does not contain the ridge is
-    skipped, and a facet missed that way is reached across another
-    ridge or starts a walk of its own.
-    """
-    masks = [sum(1 << p for p in facet) for facet in facets]
-    owners: dict[int, int] = {}
-    for index, (facet, mask) in enumerate(zip(facets, masks)):
-        for p in facet:
-            ridge = mask ^ (1 << p)
-            owners[ridge] = owners.get(ridge, 0) ^ (index + 1)
-    reached = bytearray(len(facets))
-    for start, facet in enumerate(facets):
-        if reached[start]:
-            continue
-        reached[start] = 1
-        inverse = _facet_inverse(columns, facet)
-        yield start, inverse
-        frontier = deque([(start, inverse[1])] if inverse[0] == 1 else [])
-        while frontier:
-            index, rows = frontier.popleft()
-            mask = masks[index]
-            for p in facets[index]:
-                ridge = mask ^ (1 << p)
-                other = (owners[ridge] ^ (index + 1)) - 1
-                if not 0 <= other < len(facets) or reached[other]:
-                    continue
-                new = masks[other] ^ ridge
-                if new & ridge or new.bit_count() != 1:
-                    continue
-                reached[other] = 1
-                entering = new.bit_length() - 1
-                step = _pivot(rows, p, entering, columns[entering - 1])
-                if step is None:
-                    step = _facet_inverse(columns, facets[other])
-                yield other, step
-                if step[0] == 1:
-                    frontier.append((other, step[1]))
-
-
 def _checked_volume(det: int, facet: tuple[int, ...]) -> int:
     if det == 0:
         raise SingularFacet(f"columns {facet} span a degenerate simplex")
     return abs(det)
 
 
-def _difference_terms(
-    columns: tuple[tuple[int, ...], ...]
-) -> list[tuple[tuple[int, int], ...]]:
-    """Each column's nonzero entries (t, y_t) in the difference
-    coordinates y_t = x_t - x_{t+1} for t < d - 1, y_{d-1} = x_{d-1} and
-    y_d = x_d: at most three for a family column, at positions x1 - 1,
-    d - 1 and d for the a-block and t - 1, t and d for b_j = e_t."""
-    terms = []
-    for *head, last in columns:
-        diffs = [x - y for x, y in zip(head, head[1:] + [0])]
-        terms.append(tuple((t, y) for t, y in enumerate(diffs + [last]) if y))
-    return terms
+#: A configuration in the slack coordinates y = (x_0, ..., x_{d-1},
+#: h - sum(x)) of its homogenized columns x = (x_0, ..., x_{d-1}, h), as
+#: ``(rows, slack, base)``: ``rows[t]`` holds y_t of every column,
+#: ``slack`` maps each slack column (1-based) to its row t, the first
+#: column whose y is the unit vector e_t, and ``base[q]`` is
+#: w_q - sum_t h_t * y_t(q) for the slack heights h_t, the weight of row
+#: t's slack (0 for a row without one).  The change to y has
+#: determinant 1, so it keeps every determinant and reduced cost.
+_SlackFrame = tuple[list[tuple[int, ...]], dict[int, int], list[int]]
+
+
+def _slack_frame(
+    columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...]
+) -> _SlackFrame:
+    ys = [(*col[:-1], col[-1] - sum(col[:-1])) for col in columns]
+    first: dict[int, int] = {}
+    for p, y in enumerate(ys, start=1):
+        if sum(map(abs, y)) == 1 and 1 in y:
+            first.setdefault(y.index(1), p)
+    heights = [0] * len(ys[0]) if ys else []
+    for t, p in first.items():
+        heights[t] = weights[p - 1]
+    base = [w - sum(map(mul, heights, y)) for w, y in zip(weights, ys)]
+    return list(zip(*ys)), {p: t for t, p in first.items()}, base
 
 
 def _walk_facets(
@@ -311,24 +199,22 @@ def _walk_facets(
     facets: tuple[tuple[int, ...], ...],
 ) -> tuple[list[int], tuple[bool | WpsimplexError, ...]]:
     """Each facet's volume (0 when singular) and lower-cell outcome under
-    ``weights``, in facet order, both from the facet's inverse.  The
-    reduced costs are read in the difference coordinates of
-    ``_difference_terms``."""
+    ``weights``, in facet order, both from one ``facet_support_function``
+    solve per facet in the slack coordinates."""
     if len(weights) != len(columns):
         raise DimensionMismatch(
             f"{len(weights)} weights for {len(columns)} columns"
         )
-    terms = _difference_terms(columns)
+    frame = _slack_frame(columns, weights)
     volumes = [0] * len(facets)
-    lower: list[bool | WpsimplexError] = [True] * len(facets)
-    for index, inverse in _walk_inverses(columns, facets):
-        volumes[index] = inverse[0]
+    lower: list[bool | WpsimplexError] = []
+    for index, facet in enumerate(facets):
         try:
-            lower[index] = _is_lower_cell(
-                columns, weights, facets[index], inverse, terms
-            )
+            support = facet_support_function(columns, weights, facet, frame)
+            volumes[index] = support[0]
+            lower.append(_is_lower_cell(frame, facet, support))
         except (DegenerateLift, SingularFacet) as exc:
-            lower[index] = exc
+            lower.append(exc)
     return volumes, tuple(lower)
 
 
@@ -397,58 +283,58 @@ def facet_support_function(
     columns: tuple[tuple[int, ...], ...],
     weights: tuple[int, ...],
     facet: tuple[int, ...],
-    inverse: FacetInverse | None = None,
-) -> tuple[int, tuple[int, ...]]:
+    frame: _SlackFrame | None = None,
+) -> tuple[int, dict[int, int]]:
     """The affine function through the lifted facet points, as integers
-    ``(scale, c)`` with scale > 0 and c . column_p == scale * weight_p
-    for every p in the facet (affine functions on the points are linear
-    functions of the homogenized columns); scale is the facet volume.
+    ``(scale, delta)`` with scale > 0 the facet volume: in the slack
+    coordinates of ``frame`` it is psi_t = h_t + delta.get(t, 0) / scale,
+    so every column q has the reduced cost
 
-    c is the sum of weight_p * n_p over the nonzero entries of the rows
-    of the facet's ``inverse``, which is eliminated from scratch when not
-    given.
+        scale * w_q - scale * psi . y(q) = scale * base_q - delta . y(q),
+
+    which is zero on the facet.  The facet's slacks fix psi on their rows
+    T; on the other rows R it solves Y[R, K]^T delta = scale * base_K for
+    the other facet columns K, one elimination of a k x k system with
+    k = |R| = |K|, whose determinant is +- that of the facet's
+    homogenized columns.  The frame is built from ``columns`` and
+    ``weights`` when not given.
     """
-    scale, rows = inverse if inverse is not None else _facet_inverse(columns, facet)
-    if scale == 0:
+    rows, slack, base = frame or _slack_frame(columns, weights)
+    free = sorted(set(range(len(rows))).difference(map(slack.get, facet)))
+    det, scaled = _eliminate([
+        [*(rows[t][p - 1] for t in free), base[p - 1]]
+        for p in filterfalse(slack.__contains__, facet)
+    ])
+    if det == 0:
         raise SingularFacet(f"columns {facet} are affinely dependent")
-    c = [0] * len(columns[0])
-    for p, row in rows.items():
-        w = weights[p - 1]
-        for k, x in row.items():
-            c[k] += w * x
-    return scale, tuple(c)
+    sign = 1 if det > 0 else -1
+    return abs(det), {t: sign * x for t, x in zip(free, scaled) if x}
 
 
 def _is_lower_cell(
-    columns: tuple[tuple[int, ...], ...],
-    weights: tuple[int, ...],
-    cell: tuple[int, ...],
-    inverse: FacetInverse,
-    terms: list[tuple[tuple[int, int], ...]],
+    frame: _SlackFrame, cell: tuple[int, ...], support: tuple[int, dict[int, int]]
 ) -> bool:
-    """Interpolate the weights on the cell's columns and test whether
-    every other column lifts strictly above that hyperplane: the simplex
-    method's reduced costs scale * w_p - c . column_p, in column order.
-    Equality raises DegenerateLift (heights not generic); a column
-    lifting below makes the cell not lower.
-
-    c . column_p is read in the difference coordinates: c . U^-1 is the
-    prefix sums of c over every coordinate but the last, then the last,
-    and each column costs its few ``terms`` of U . column_p.
-    """
-    scale, psi = facet_support_function(columns, weights, cell, inverse)
-    proj = [*accumulate(psi[:-1]), psi[-1]]
+    """Test whether every column off the cell lifts strictly above the
+    hyperplane of ``support``: the simplex method's reduced costs
+    scale * base_q - delta . y(q), k products each, computed for all
+    columns at once and read in column order when one is not positive.
+    Zero raises DegenerateLift (heights not generic); a column lifting
+    below makes the cell not lower.  Cell columns cost exactly zero."""
+    rows, _, base = frame
+    scale, delta = support
+    gaps = base if scale == 1 else map(mul, base, repeat(scale))
+    for t, x in delta.items():
+        gaps = map(sub, gaps, map(mul, rows[t], repeat(x)))
+    gaps = list(gaps)
+    if min(gaps) >= 0 and gaps.count(0) == len(cell):
+        return True
     inside = set(cell)
-    for p, w, col_terms in zip(count(1), weights, terms):
-        if p in inside:
+    for p, gap in enumerate(gaps, start=1):
+        if p in inside or gap > 0:
             continue
-        gap = scale * w
-        for k, c in col_terms:
-            gap -= proj[k] * c
         if gap == 0:
             raise DegenerateLift(
                 f"column {p} lies on the lifted hyperplane of {cell}"
             )
-        if gap < 0:
-            return False
+        return False
     return True

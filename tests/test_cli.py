@@ -350,6 +350,21 @@ def test_help_through_the_module_entry_exits_zero():
     assert proc.stderr == ""
 
 
+def test_closed_stdout_is_one_error_line_not_a_traceback():
+    # the reader goes away after one line, as `| head -1` does; the dump
+    # (about 300 kB) is larger than a pipe holds, so the write must fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wpsimplex", "gb", "dump", "20", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == "error: cannot write stdout: Broken pipe\n"
+
+
 _STARTUP_PROBE = """
 import contextlib, io, sys
 from wpsimplex import cli

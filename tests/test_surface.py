@@ -1,7 +1,8 @@
 """The command modules' surface: the enumeration budget has one source,
 the environment variable, the paper's lemma checks live with the
 oracles, which no command imports, and the facet walk reads its reduced
-costs without a factorization of the configuration."""
+costs without a factorization of the configuration or an inverse carried
+from one facet to the next."""
 
 import inspect
 
@@ -76,11 +77,19 @@ def test_no_halfspace_record():
 
 
 def test_reduced_costs_need_no_factorization():
-    # the walk reads the reduced costs in difference coordinates computed
-    # from its own columns, so there is no second representation to check
+    # the walk reads the reduced costs in slack coordinates computed from
+    # its own columns, so there is no second representation to check
     assert not hasattr(wpsimplex, "Factorization")
     assert not hasattr(simplex, "Factorization")
     assert "factorization" not in simplex.PointConfiguration._fields
     assert not hasattr(triangulation, "_check_factorization")
     parameters = inspect.signature(triangulation._walk_facets).parameters
     assert "factorization" not in parameters
+
+
+def test_no_inverse_walk():
+    # every facet is solved on its own from a k x k kernel, so nothing
+    # carries an inverse from one facet to the next
+    for name in ("_walk_inverses", "_pivot", "_facet_inverse",
+                 "_difference_terms", "FacetInverse"):
+        assert not hasattr(triangulation, name), name

@@ -30,12 +30,9 @@ from wpsimplex.groebner import InitialIdeal
 from wpsimplex import triangulation
 from wpsimplex.triangulation import (
     WeightCertificate,
-    _difference_terms,
     _eliminate,
-    _facet_inverse,
-    _pivot,
+    _slack_frame,
     _walk_facets,
-    _walk_inverses,
     drop_facet,
     facet_support_function,
 )
@@ -103,105 +100,74 @@ def test_facet_volume_examples(family21):
         facet_volume(cols, (1, 2))
 
 
-@pytest.fixture
-def scratch_eliminations(monkeypatch):
-    """Counts the facets the walk inverts from scratch."""
-    calls = []
-    from_scratch = triangulation._facet_inverse
-
-    def counted(columns, facet):
-        calls.append(facet)
-        return from_scratch(columns, facet)
-
-    monkeypatch.setattr(triangulation, "_facet_inverse", counted)
-    return calls
+def _slack_heights(columns, weights):
+    """Each row's slack height: the weight of the first column (e_t, 1)
+    for t < d, of the origin (0, ..., 0, 1) for t = d, 0 without one."""
+    height = len(columns[0])
+    heights = []
+    for t in range(height):
+        unit = tuple(int(k == t or k == height - 1) for k in range(height))
+        p = next((p for p, col in enumerate(columns) if col == unit), None)
+        heights.append(0 if p is None else weights[p])
+    return heights
 
 
-def _walk(columns, facets):
-    """The walk's inverses in facet order."""
-    found = dict(_walk_inverses(columns, facets))
-    assert sorted(found) == list(range(len(facets)))
-    return [found[index] for index in range(len(facets))]
-
-
-def _dense(inverse, height):
-    """A sparse facet inverse with every row written out in full."""
-    volume, rows = inverse
-    return volume, {
-        p: [row.get(k, 0) for k in range(height)] for p, row in rows.items()
-    }
+def _in_columns(heights, support):
+    """``facet_support_function``'s (scale, delta) as (scale, c) in the
+    columns' own coordinates: scale * psi = scale * h + delta in
+    y = (x_0, ..., x_{d-1}, h - sum x) reads c = (scale * psi_t -
+    scale * psi_d for t < d, scale * psi_d)."""
+    scale, delta = support
+    psi = [scale * h + delta.get(t, 0) for t, h in enumerate(heights)]
+    return scale, tuple(x - psi[-1] for x in psi[:-1]) + (psi[-1],)
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID + [(10, 10)])
-def test_walk_matches_elimination_from_scratch(r1, x1, scratch_eliminations):
+def test_walk_matches_elimination_from_scratch(r1, x1):
     family = groebner_family(build_q(r1, x1))
-    height = family.q.d + 1
-    facets = initial_complex(initial_ideal(family), family.nvars, height)
+    facets = initial_complex(initial_ideal(family), family.nvars, family.q.d + 1)
     weights = make_weight_certificate(family).weights
-    for facet, inverse in zip(facets, _walk(family.columns, facets)):
-        assert inverse[0] == facet_volume(family.columns, facet)
-        # the sparse rows store no zero and are the eliminated inverse's
-        assert all(x for row in inverse[1].values() for x in row.values())
-        assert _dense(inverse, height) == _dense(
-            _facet_inverse(family.columns, facet), height
-        )
+    heights = _slack_heights(family.columns, weights)
+    volumes, lower = _walk_facets(family.columns, weights, facets)
+    assert lower == (True,) * len(facets)
+    for facet, volume in zip(facets, volumes):
+        assert volume == facet_volume(family.columns, facet)
         det, c = _eliminate(
             [[*family.columns[p - 1], weights[p - 1]] for p in facet]
         )
         expected = (det, c) if det > 0 else (-det, tuple(-v for v in c))
-        assert facet_support_function(
-            family.columns, weights, facet, inverse
-        ) == expected
-    # one start facet; every other facet is reached by a pivot
-    assert scratch_eliminations == [facets[0]]
+        assert _in_columns(heights, facet_support_function(
+            family.columns, weights, facet
+        )) == expected
 
 
-def test_pivot_shares_rows_without_changing_them(family21):
-    # (1, 2, 3) -> (2, 3, 4) across the ridge {2, 3}
-    columns = family21.columns
-    volume, rows = _facet_inverse(columns, (1, 2, 3))
-    before = {p: dict(row) for p, row in rows.items()}
-    step = _pivot(rows, 1, 4, columns[3])
-    assert rows == before and volume == 1
-    assert step == _facet_inverse(columns, (2, 3, 4))
-    # z4's column is orthogonal to row 3, which is shared; row 2 is not
-    # and was updated in a copy
-    assert step[1][3] is rows[3] and step[1][2] is not rows[2]
-
-
-def test_walk_refuses_a_pivot_to_a_larger_volume(family21, scratch_eliminations):
-    # the vertex simplex (1, 6, 7) shares the ridge {6, 7} with (5, 6, 7)
-    facets = FACETS_2_1 + ((1, 6, 7),)
-    inverses = _walk(family21.columns, facets)
-    assert [volume for volume, _ in inverses] == [1] * 6 + [6]
-    assert scratch_eliminations == [(1, 2, 3), (1, 6, 7)]
+def test_walk_reads_each_facet_on_its_own(family21):
+    # the vertex simplex (1, 6, 7) has volume 6 and is no lower cell; a
+    # set of facets sharing no ridge is read like any other
     cert = make_weight_certificate(family21)
-    for facet, inverse in zip(facets, inverses):
-        assert facet_support_function(
-            family21.columns, cert.weights, facet, inverse
-        ) == facet_support_function(family21.columns, cert.weights, facet)
-    tri = Triangulation(facets=facets, volumes=(1,) * 6 + (6,))
+    facets = FACETS_2_1 + ((1, 6, 7),)
+    volumes, lower = _walk_facets(family21.columns, cert.weights, facets)
+    assert volumes == [1] * 6 + [6]
+    assert volumes == [facet_volume(family21.columns, f) for f in facets]
+    assert lower == (True,) * 6 + (False,)
+    tri = Triangulation(facets=facets, volumes=tuple(volumes))
     assert not verify_unimodular(tri, family21.q)
     assert not regularity_check(tri, cert, family21.columns)
-
-
-def test_walk_restarts_where_no_ridge_is_shared(family21, scratch_eliminations):
-    facets = ((1, 2, 3), (5, 6, 7))
-    assert [v for v, _ in _walk(family21.columns, facets)] == [1, 1]
-    assert scratch_eliminations == list(facets)
-    tri = Triangulation(facets=facets, volumes=(1, 1))
-    cert = make_weight_certificate(family21)
-    assert regularity_check(tri, cert, family21.columns)
+    apart = ((1, 2, 3), (5, 6, 7))
+    assert _walk_facets(family21.columns, cert.weights, apart) == ([1, 1], (True, True))
 
 
 def test_singular_facet_is_named_in_facet_order(family21, monkeypatch):
-    # both (4, 5, 6) and (1, 2, 4) are singular; the walk from (1, 2, 3)
-    # reaches (1, 2, 4) across the ridge {1, 2} before (4, 5, 6), which
-    # comes first in facet order and so is the one named
+    # both (4, 5, 6) and (1, 2, 4) are singular: each reads volume 0 and
+    # its own SingularFacet, and the first in facet order is the one named
     facets = ((1, 2, 3), (4, 5, 6)) + FACETS_2_1[1:] + ((1, 2, 4),)
-    order = [facets[i] for i, _ in _walk_inverses(family21.columns, facets)]
-    assert order.index((1, 2, 4)) < order.index((4, 5, 6))
     cert = make_weight_certificate(family21)
+    volumes, lower = _walk_facets(family21.columns, cert.weights, facets)
+    assert volumes == [1, 0] + [1] * 5 + [0]
+    for index in (1, 7):
+        assert isinstance(lower[index], SingularFacet)
+        assert str(lower[index]) == f"columns {facets[index]} are affinely dependent"
+    assert lower[:1] + lower[2:7] == (True,) * 6
     tri = Triangulation(facets=facets, volumes=(1,) * len(facets))
     with pytest.raises(SingularFacet, match=r"columns \(4, 5, 6\) are"):
         regularity_check(tri, cert, family21.columns)
@@ -216,15 +182,15 @@ def test_singular_facet_is_named_in_facet_order(family21, monkeypatch):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Counts the walks over the facets' dual graph."""
+    """Counts the walks over the facets."""
     calls = []
-    walk = triangulation._walk_inverses
+    walk = triangulation._walk_facets
 
-    def counted(columns, facets):
+    def counted(columns, weights, facets):
         calls.append(len(facets))
-        return walk(columns, facets)
+        return walk(columns, weights, facets)
 
-    monkeypatch.setattr(triangulation, "_walk_inverses", counted)
+    monkeypatch.setattr(triangulation, "_walk_facets", counted)
     return calls
 
 
@@ -346,9 +312,12 @@ def test_weight_certificate_empty_family(family21):
 
 def test_support_function_interpolates(family21, tri21):
     cert = make_weight_certificate(family21)
-    for facet in tri21.facets:
-        scale, c = facet_support_function(family21.columns, cert.weights, facet)
-        assert scale > 0
+    heights = _slack_heights(family21.columns, cert.weights)
+    for facet in tri21.facets + ((1, 6, 7),):
+        scale, c = _in_columns(heights, facet_support_function(
+            family21.columns, cert.weights, facet
+        ))
+        assert scale == facet_volume(family21.columns, facet)
         for p in facet:
             value = sum(a * v for a, v in zip(c, family21.columns[p - 1]))
             assert value == scale * cert.weights[p - 1]
@@ -429,33 +398,29 @@ def test_last_interior_column_is_not_a_cone_point(family21, tri21):
     assert any(origin_col not in facet for facet in tri21.facets)
 
 
-# -- the reduced costs in difference coordinates ------------------------------
+# -- the kernel on the non-slack columns -------------------------------------
 
 #: The six points the benchmark's gb_wide and tri_ladder workloads run.
 BENCHMARK_POINTS = [(16, 1), (14, 2), (12, 3), (4, 12), (6, 7), (8, 4)]
 
 
-def test_family_difference_terms_have_at_most_three_per_column():
+def test_family_kernels_are_at_most_three_by_three():
+    # the slacks are b_1..b_d and the origin a_{r1+3}, one per row, so
+    # each facet solves for at most three rows
     for r1, x1 in SMALL_GRID + BENCHMARK_POINTS:
-        config = lattice_points_formula(build_q(r1, x1))
-        d = config.q.d
-        columns = config.homogenized
-        terms = _difference_terms(columns)
-        assert len(terms) == len(columns)
-        for label, column, col_terms in zip(config.labels, columns, terms):
-            assert 1 <= len(col_terms) <= 3
-            assert all(y for _, y in col_terms)
-            if label.startswith("a"):
-                allowed = {x1 - 1, d - 1, d}
-            else:
-                t = d - int(label[1:])  # b_j = e_{d-j+1} at coordinate t
-                allowed = {t - 1, t, d}
-            assert {k for k, _ in col_terms} <= allowed
-            # undo U: x_t is the sum of y_t..y_{d-1}, and x_d = y_d
-            y = [0] * (d + 1)
-            for k, value in col_terms:
-                y[k] = value
-            assert tuple(sum(y[t:d]) for t in range(d)) + (y[d],) == column
+        family = groebner_family(build_q(r1, x1))
+        config = lattice_points_formula(family.q)
+        weights = make_weight_certificate(family).weights
+        _, slack, _ = _slack_frame(family.columns, weights)
+        assert sorted(config.labels[p - 1] for p in slack) == sorted(
+            [f"a{r1 + 3}"] + [f"b{j}" for j in range(1, family.q.d + 1)]
+        )
+        assert sorted(slack.values()) == list(range(family.q.d + 1))
+        for facet in triangulation_from_family(family).facets:
+            k = sum(p not in slack for p in facet)
+            assert k <= 3
+            _, delta = facet_support_function(family.columns, weights, facet)
+            assert len(delta) <= k
 
 
 def test_walk_refuses_one_weight_short(family21, tri21):
