@@ -141,9 +141,9 @@ def test_walk_matches_elimination_from_scratch(r1, x1):
         )) == expected
 
 
-def test_walk_reads_each_facet_on_its_own(family21):
-    # the vertex simplex (1, 6, 7) has volume 6 and is no lower cell; a
-    # set of facets sharing no ridge is read like any other
+def test_walk_refuses_a_pivot_to_a_larger_volume(family21):
+    # the vertex simplex (1, 6, 7) shares the ridge {6, 7} with (5, 6, 7)
+    # but has volume 6 and is no lower cell; it is read on its own
     cert = make_weight_certificate(family21)
     facets = FACETS_2_1 + ((1, 6, 7),)
     volumes, lower = _walk_facets(family21.columns, cert.weights, facets)
@@ -153,8 +153,15 @@ def test_walk_reads_each_facet_on_its_own(family21):
     tri = Triangulation(facets=facets, volumes=tuple(volumes))
     assert not verify_unimodular(tri, family21.q)
     assert not regularity_check(tri, cert, family21.columns)
-    apart = ((1, 2, 3), (5, 6, 7))
-    assert _walk_facets(family21.columns, cert.weights, apart) == ([1, 1], (True, True))
+
+
+def test_walk_restarts_where_no_ridge_is_shared(family21):
+    # a set of facets sharing no ridge is read like any other
+    facets = ((1, 2, 3), (5, 6, 7))
+    cert = make_weight_certificate(family21)
+    assert _walk_facets(family21.columns, cert.weights, facets) == ([1, 1], (True, True))
+    tri = Triangulation(facets=facets, volumes=(1, 1))
+    assert regularity_check(tri, cert, family21.columns)
 
 
 def test_singular_facet_is_named_in_facet_order(family21, monkeypatch):
