@@ -8,21 +8,28 @@ facets of a triangulation of the simplex.  Facet volumes are exact
 integer determinants, and regularity is certified by exhibiting one
 weight vector whose lifted lower envelope induces exactly these facets.
 
-Both are read facet by facet in the slack coordinates y = (x_0, ...,
-x_{d-1}, h - sum(x)) of the homogenized columns, a change of
-determinant 1 that keeps every determinant and reduced cost.  There the
-unit vectors b_j = (e_t, 1) and the origin (0, 1) of the family become
-the d + 1 unit columns of y, the simplex method's slack basis (Chvatal,
-*Linear Programming*, 1983).  A facet's slacks cover rows T; on the
-other k rows R it has as many other columns K, its determinant is
-+-det Y[R, K], and its affine function is fixed on T by the slack
-weights and on R by one fraction-free elimination of the k x k system
-with the weights less their slack part as right-hand side.  Each other
-column's reduced cost then costs k products against a base computed
-once per configuration, and every family facet has k <= 3.  A
-configuration without slacks gets k = d + 1, the full elimination; all
-arithmetic is on plain integers, so any configuration is exact.  Facets
-are independent of one another.
+Both are read in the slack coordinates y = (x_0, ..., x_{d-1},
+h - sum(x)) of the homogenized columns, a change of determinant 1 that
+keeps every determinant and reduced cost.  There the unit vectors
+b_j = (e_t, 1) and the origin (0, 1) of the family become the d + 1 unit
+columns of y, the simplex method's slack basis (Chvatal, *Linear
+Programming*, 1983).  A facet's slacks cover rows T; on the other k rows
+R it has as many other columns K, its determinant is +-det Y[R, K], and
+its affine function is fixed on T by the slack weights and on R by one
+fraction-free elimination of the k x k system with the weights less
+their slack part as right-hand side.  Each other column's reduced cost
+then costs k products against a base computed once per configuration,
+and every family facet has k <= 3.
+
+A row's kind is its tuple of entries on the non-slack columns, and a
+facet's class is its K with the kinds of its rows R in row order.  The
+class fixes the k x k system, so the determinant and the reduced cost
+of every non-slack column are shared by its facets: they are solved and
+scanned once per class, r1 + 4 classes for the family's facets.  A
+slack column off the facet costs minus the solution on its row, read
+per facet.  A configuration without slacks gets k = d + 1, the full
+elimination, and one facet per class; all arithmetic is on plain
+integers, so any configuration is exact.
 The from-scratch checks that the tests hold this against, one facet's
 volume and the brute-force lower envelope among them, are in
 ``wpsimplex.oracles``.
@@ -30,7 +37,7 @@ volume and the brute-force lower envelope among them, are in
 
 from __future__ import annotations
 
-from itertools import filterfalse, repeat
+from itertools import compress, filterfalse, repeat
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -40,6 +47,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NonPureComplex,
+    ParameterOutOfRange,
     SingularFacet,
     WpsimplexError,
 )
@@ -194,27 +202,96 @@ def _slack_frame(
     return list(zip(*ys)), {p: t for t, p in first.items()}, base
 
 
+def _check_facet_size(facet: tuple[int, ...], height: int) -> None:
+    if len(facet) != height:
+        raise ParameterOutOfRange(
+            f"facet must select {height} columns, got {len(facet)}"
+        )
+
+
+def _facet_class(
+    columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...],
+    frame: _SlackFrame, facet: tuple[int, ...], free: list[int],
+) -> tuple[int, tuple[int, int], tuple[tuple[int, int], ...]]:
+    """What every facet of ``facet``'s class shares, from one
+    ``facet_support_function`` solve: the volume (0 when singular); the
+    first non-slack column off the facet in column order whose reduced
+    cost scale * base_q - delta . y(q) is not positive, as (column,
+    cost), or a column past the last with cost 1 when there is none; and
+    (i, -delta) for each position i of the free rows whose slack would
+    cost at most 0 off the facet."""
+    rows, slack, base = frame
+    try:
+        scale, delta = facet_support_function(columns, weights, facet, frame)
+    except SingularFacet:
+        return 0, (0, 0), ()
+    gaps = base if scale == 1 else map(mul, base, repeat(scale))
+    for t, x in delta.items():
+        gaps = map(sub, gaps, map(mul, rows[t], repeat(x)))
+    first = next((
+        (p, gap) for p, gap in enumerate(gaps, start=1)
+        if gap <= 0 and p not in slack and p not in facet
+    ), (len(columns) + 1, 1))
+    costs = (-delta.get(t, 0) for t in free)
+    return scale, first, tuple((i, c) for i, c in enumerate(costs) if c <= 0)
+
+
 def _walk_facets(
     columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...],
     facets: tuple[tuple[int, ...], ...],
 ) -> tuple[list[int], tuple[bool | WpsimplexError, ...]]:
     """Each facet's volume (0 when singular) and lower-cell outcome under
-    ``weights``, in facet order, both from one ``facet_support_function``
-    solve per facet in the slack coordinates."""
+    ``weights``, in facet order, from one ``_facet_class`` per class.
+    Per facet only the slacks of its rows R are left: row t's slack is
+    y = e_t with base 0, so off the facet it costs exactly -delta_t.  The
+    first column off the facet in column order whose cost is not
+    positive decides: zero gives DegenerateLift (heights not generic),
+    below zero a facet that is not a lower cell.  Every error names its
+    own facet.
+    """
     if len(weights) != len(columns):
         raise DimensionMismatch(
             f"{len(weights)} weights for {len(columns)} columns"
         )
     frame = _slack_frame(columns, weights)
-    volumes = [0] * len(facets)
+    rows, slack, _ = frame
+    for facet in facets:
+        _check_facet_size(facet, len(rows))
+    slack_of = {t: p for p, t in slack.items()}
+    plain = [p not in slack for p in range(1, len(columns) + 1)]
+    kind_ids: dict[tuple[int, ...], int] = {}
+    kinds = [
+        kind_ids.setdefault(tuple(compress(row, plain)), len(kind_ids))
+        for row in rows
+    ]
+    all_rows = set(range(len(rows)))
+    classes: dict[tuple, tuple] = {}
+    volumes = []
     lower: list[bool | WpsimplexError] = []
-    for index, facet in enumerate(facets):
-        try:
-            support = facet_support_function(columns, weights, facet, frame)
-            volumes[index] = support[0]
-            lower.append(_is_lower_cell(frame, facet, support))
-        except (DegenerateLift, SingularFacet) as exc:
-            lower.append(exc)
+    for facet in facets:
+        free = sorted(all_rows.difference(map(slack.get, facet)))
+        key = (
+            tuple(filterfalse(slack.__contains__, facet)),
+            tuple(map(kinds.__getitem__, free)),
+        )
+        shared = classes.get(key)
+        if shared is None:
+            shared = classes[key] = _facet_class(
+                columns, weights, frame, facet, free
+            )
+        volume, (p, gap), risky = shared
+        volumes.append(volume)
+        if not volume:
+            lower.append(
+                SingularFacet(f"columns {facet} are affinely dependent")
+            )
+            continue
+        for i, cost in risky:
+            if slack_of.get(free[i], p) < p:
+                p, gap = slack_of[free[i]], cost
+        lower.append(gap > 0 if gap else DegenerateLift(
+            f"column {p} lies on the lifted hyperplane of {facet}"
+        ))
     return volumes, tuple(lower)
 
 
@@ -297,9 +374,12 @@ def facet_support_function(
     the other facet columns K, one elimination of a k x k system with
     k = |R| = |K|, whose determinant is +- that of the facet's
     homogenized columns.  The frame is built from ``columns`` and
-    ``weights`` when not given.
+    ``weights`` when not given.  The walk calls this once per facet
+    class, on the first facet of the class in facet order; a facet that
+    does not select one column per row raises ParameterOutOfRange.
     """
     rows, slack, base = frame or _slack_frame(columns, weights)
+    _check_facet_size(facet, len(rows))
     free = sorted(set(range(len(rows))).difference(map(slack.get, facet)))
     det, scaled = _eliminate([
         [*(rows[t][p - 1] for t in free), base[p - 1]]
@@ -309,32 +389,3 @@ def facet_support_function(
         raise SingularFacet(f"columns {facet} are affinely dependent")
     sign = 1 if det > 0 else -1
     return abs(det), {t: sign * x for t, x in zip(free, scaled) if x}
-
-
-def _is_lower_cell(
-    frame: _SlackFrame, cell: tuple[int, ...], support: tuple[int, dict[int, int]]
-) -> bool:
-    """Test whether every column off the cell lifts strictly above the
-    hyperplane of ``support``: the simplex method's reduced costs
-    scale * base_q - delta . y(q), k products each, computed for all
-    columns at once and read in column order when one is not positive.
-    Zero raises DegenerateLift (heights not generic); a column lifting
-    below makes the cell not lower.  Cell columns cost exactly zero."""
-    rows, _, base = frame
-    scale, delta = support
-    gaps = base if scale == 1 else map(mul, base, repeat(scale))
-    for t, x in delta.items():
-        gaps = map(sub, gaps, map(mul, rows[t], repeat(x)))
-    gaps = list(gaps)
-    if min(gaps) >= 0 and gaps.count(0) == len(cell):
-        return True
-    inside = set(cell)
-    for p, gap in enumerate(gaps, start=1):
-        if p in inside or gap > 0:
-            continue
-        if gap == 0:
-            raise DegenerateLift(
-                f"column {p} lies on the lifted hyperplane of {cell}"
-            )
-        return False
-    return True

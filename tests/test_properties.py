@@ -32,7 +32,7 @@ from wpsimplex import (
     make_weight_certificate,
     triangulation_from_family,
 )
-from wpsimplex import simplex
+from wpsimplex import simplex, triangulation
 from wpsimplex.errors import (
     BudgetExceeded,
     DegenerateLift,
@@ -250,6 +250,109 @@ def test_walk_decides_as_the_facet_by_facet_check(case):
     assert _first_verdict(
         lambda: regularity_check(tri, cert, columns)
     ) == _first_verdict(one_by_one)
+
+
+def _repeated_kinds(plain_rows, order, picks, weights):
+    """A configuration given in the slack coordinates y = (x_0, ...,
+    x_{d-1}, h - sum(x)): ``plain_rows[t]`` is row t's kind, its entries
+    on the plain columns, and every row t also has its slack column e_t.
+    The plain columns and then the slacks are placed in column order at
+    the 0-based positions ``order``, and each pick (K, T) is the facet of
+    plain columns K and the slacks of rows T."""
+    height, width = len(plain_rows), len(plain_rows[0])
+    ys = [tuple(row[j] for row in plain_rows) for j in range(width)]
+    ys += [tuple(int(k == t) for k in range(height)) for t in range(height)]
+    columns = [None] * len(ys)
+    for y, p in zip(ys, order):
+        columns[p] = (*y[:-1], y[-1] + sum(y[:-1]))
+    facets = tuple(
+        tuple(sorted(
+            [order[j] + 1 for j in plain] + [order[width + t] + 1 for t in rows]
+        ))
+        for plain, rows in picks
+    )
+    return tuple(columns), facets, tuple(weights)
+
+
+#: Rows of kinds A, A, A, B and the slacks first: the three facets whose
+#: free rows are two As are singular, the three with an A and the B share
+#: one class, and zero weights put every slack off a facet on its lifted
+#: hyperplane, so each member names its own first slack and itself.
+SHARED_CLASS = _repeated_kinds(
+    [(1, 2), (1, 2), (1, 2), (0, 1)], [4, 5, 0, 1, 2, 3],
+    [((0, 1), rows) for rows in combinations(range(4), 2)], (0,) * 6,
+)
+
+
+@st.composite
+def repeated_kinds(draw):
+    """A configuration whose rows repeat one to three kinds, with a slack
+    for every row and the columns in any order, and facets K + slack(T)
+    on one or two sets K of plain columns, so many facets share a class:
+    singular ones (two free rows of one kind) included, and small
+    heights that put slacks and plain columns on a facet's lifted
+    hyperplane."""
+    height = draw(st.integers(2, 6))
+    width = draw(st.integers(1, 4))
+    kinds = draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * width), min_size=1, max_size=3
+    ))
+    plain_rows = [draw(st.sampled_from(kinds)) for _ in range(height)]
+    order = draw(st.permutations(range(width + height)))
+    k = draw(st.integers(0, min(width, height)))
+    plains = draw(st.lists(
+        st.sampled_from(list(combinations(range(width), k))),
+        min_size=1, max_size=2,
+    ))
+    picks = draw(st.lists(st.tuples(
+        st.sampled_from(plains),
+        st.sampled_from(list(combinations(range(height), height - k))),
+    ), min_size=2, max_size=12))
+    weights = draw(st.lists(
+        st.integers(0, 3), min_size=width + height, max_size=width + height
+    ))
+    return _repeated_kinds(plain_rows, order, picks, weights)
+
+
+def test_members_of_a_shared_class_name_their_own_facet(monkeypatch):
+    solved = []
+    support = triangulation.facet_support_function
+
+    def counted(columns, weights, facet, frame=None):
+        solved.append(facet)
+        return support(columns, weights, facet, frame)
+
+    monkeypatch.setattr(triangulation, "facet_support_function", counted)
+    columns, facets, weights = SHARED_CLASS
+    volumes, lower = _walk_facets(columns, weights, facets)
+    assert solved == [(1, 2, 5, 6), (1, 4, 5, 6)]  # one solve per class
+    assert facets == (
+        (1, 2, 5, 6), (1, 3, 5, 6), (1, 4, 5, 6),
+        (2, 3, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6),
+    )
+    assert volumes == [1, 1, 0, 1, 0, 0]
+    assert _outcomes(lower) == [
+        (DegenerateLift, "column 3 lies on the lifted hyperplane of (1, 2, 5, 6)"),
+        (DegenerateLift, "column 2 lies on the lifted hyperplane of (1, 3, 5, 6)"),
+        (SingularFacet, "columns (1, 4, 5, 6) are affinely dependent"),
+        (DegenerateLift, "column 1 lies on the lifted hyperplane of (2, 3, 5, 6)"),
+        (SingularFacet, "columns (2, 4, 5, 6) are affinely dependent"),
+        (SingularFacet, "columns (3, 4, 5, 6) are affinely dependent"),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_kinds())
+@example(SHARED_CLASS)
+def test_shared_classes_decide_as_the_facet_by_facet_check(case):
+    columns, facets, weights = case
+    volumes, lower = _walk_facets(columns, weights, facets)
+    for facet, volume, outcome in zip(facets, volumes, _outcomes(lower)):
+        expected = _first_verdict(lambda: facet_volume(columns, facet))
+        assert volume == (0 if isinstance(expected, tuple) else expected)
+        assert outcome == _first_verdict(
+            lambda: is_lower_cell(columns, weights, facet)
+        )
 
 
 @st.composite

@@ -1,8 +1,8 @@
 """The command modules' surface: the enumeration budget has one source,
 the environment variable, the paper's lemma checks live with the
 oracles, which no command imports, and the facet walk reads its reduced
-costs without a factorization of the configuration or an inverse carried
-from one facet to the next."""
+costs without a factorization of the configuration, an inverse carried
+from one facet to the next or a second lower-cell test."""
 
 import inspect
 
@@ -88,8 +88,9 @@ def test_reduced_costs_need_no_factorization():
 
 
 def test_no_inverse_walk():
-    # every facet is solved on its own from a k x k kernel, so nothing
-    # carries an inverse from one facet to the next
+    # each facet class is solved from its own k x k kernel, so nothing
+    # carries an inverse from one facet to the next, and the class scan
+    # is the walk's one reduced-cost test
     for name in ("_walk_inverses", "_pivot", "_facet_inverse",
-                 "_difference_terms", "FacetInverse"):
+                 "_difference_terms", "FacetInverse", "_is_lower_cell"):
         assert not hasattr(triangulation, name), name

@@ -430,6 +430,50 @@ def test_family_kernels_are_at_most_three_by_three():
             assert len(delta) <= k
 
 
+@pytest.fixture
+def supports(monkeypatch):
+    """Records the facet of every ``facet_support_function`` solve."""
+    calls = []
+    support = triangulation.facet_support_function
+
+    def counted(columns, weights, facet, frame=None):
+        calls.append(facet)
+        return support(columns, weights, facet, frame)
+
+    monkeypatch.setattr(triangulation, "facet_support_function", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r1,x1", SMALL_GRID + BENCHMARK_POINTS)
+def test_one_solve_per_facet_class(r1, x1, supports):
+    # the family's facets fall into r1 + 4 classes, each solved once on
+    # its first facet in facet order
+    tri = triangulation_from_family(groebner_family(build_q(r1, x1)))
+    assert len(supports) == r1 + 4
+    assert [tri.facets.index(f) for f in supports] == sorted(
+        tri.facets.index(f) for f in supports
+    )
+    if (r1, x1) == (12, 3):
+        assert len(tri.facets) == 444 and len(supports) == 16
+    if (r1, x1) == (2, 1):
+        assert len(tri.facets) == len(supports) == 6
+
+
+def test_walk_refuses_a_facet_of_the_wrong_size(family21, supports):
+    weights = make_weight_certificate(family21).weights
+    for facets, size in [
+        (((1, 2), (1, 2, 3, 4), (5, 6)), 2),
+        (((1, 2, 3), (1, 2, 3, 4)), 4),
+    ]:
+        with pytest.raises(
+            ParameterOutOfRange, match=f"facet must select 3 columns, got {size}"
+        ):
+            _walk_facets(family21.columns, weights, facets)
+    assert supports == []  # raised before any volume is read
+    with pytest.raises(ParameterOutOfRange, match="got 4"):
+        facet_support_function(family21.columns, weights, (1, 2, 3, 4))
+
+
 def test_walk_refuses_one_weight_short(family21, tri21):
     weights = make_weight_certificate(family21).weights[:-1]
     with pytest.raises(DimensionMismatch, match="6 weights for 7 columns"):
