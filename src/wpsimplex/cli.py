@@ -47,7 +47,7 @@ from .pipeline import (
 )
 from .simplex import build_q, lattice_points_formula, resolve_enum_budget
 from .toric import binomial_text, groebner_family, include_excluded_pair, mutate_tail
-from .triangulation import drop_facet, triangulation_from_family
+from .triangulation import drop_facet, family_facets, triangulation_from_family
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -219,16 +219,20 @@ def cmd_triangulate(args) -> int:
         payload.update({"pass": False, "failure": stage.errors[0]})
         return _emit(payload, args.json, EXIT_VERIFICATION)
     payload.update(stage.report)
+    # only this command lists the facets; a dropped facet's list is the
+    # triangulation it checked
+    facets = family_facets(family) if tri is None else tri.facets
+    payload["facets"] = [list(f) for f in facets]
     payload["pass"] = stage.verdict
     code = _exit_code(stage.verdict)
     if args.format == "json":
         return _emit(payload, args.json, code)
     columns = lattice_points_formula(q).columns
-    lines = ["OFF", f"{len(columns)} {len(payload['facets'])} 0"]
+    lines = ["OFF", f"{len(columns)} {len(facets)} 0"]
     lines += [" ".join(str(v) for v in col) for col in columns]
     lines += [
         f"{len(facet)} " + " ".join(str(p - 1) for p in facet)
-        for facet in payload["facets"]
+        for facet in facets
     ]
     return _emit("\n".join(lines), args.json, code)
 

@@ -4,7 +4,8 @@ tests and the demos only.
 ``buchberger_verify``, the all-pairs S-pair reduction, is kept as an
 independent oracle for the tests and the demos; no certificate runs it,
 and no module of the certified path imports this one.  Beside it sit
-rewriting to normal form, the standard monomials of one degree, a
+rewriting to normal form, the standard monomials of one degree, the
+maximal faces of a hypergraph dualized without the twin quotient, a
 facet's volume eliminated from scratch, one facet's lower-cell test by
 dense reduced costs, the facet-wise regularity check of a given
 triangulation and weight certificate, and the lower envelope found by
@@ -42,7 +43,8 @@ from .triangulation import (
     WeightCertificate,
     _checked_volume,
     _eliminate,
-    _walk_facets,
+    _minimal_transversals,
+    _walk_faces,
 )
 
 #: Hard cap on rewrite steps for a single monomial; hitting it means a
@@ -189,6 +191,17 @@ def standard_monomials(family: GroebnerFamily, degree: int) -> list[tuple[int, .
     return out
 
 
+def _maximal_faces(n: int, support_masks: list[int]) -> list[int]:
+    """The reference facet enumeration: the maximal subsets of {0..n-1}
+    containing no support mask, of any size, as the complements of the
+    minimal transversals of the supports themselves, with no twin
+    quotient.  The certified path dualizes the quotient and expands its
+    faces; the tests hold the two against each other and this one
+    against a filter of every vertex subset."""
+    full = (1 << n) - 1
+    return [full ^ t for t in _minimal_transversals(n, support_masks)]
+
+
 def facet_volume(
     columns: tuple[tuple[int, ...], ...], facet: tuple[int, ...]
 ) -> int:
@@ -251,8 +264,10 @@ def regularity_check(
     order: the first facet that is not a lower cell gives the verdict or
     the error.
     """
-    _, lower = _walk_facets(columns, certificate.weights, tri.facets)
-    return tri._replace(lower=lower).regular
+    cells = _walk_faces(
+        columns, certificate.weights, [(f, ()) for f in tri.facets]
+    )
+    return tri._replace(lower=tuple(lower for _, _, lower in cells)).regular
 
 
 def regular_subdivision_bruteforce(

@@ -18,7 +18,8 @@ checks: (a) every generator is pi-balanced (``check_pi_balance``);
 its tail, and (d) every facet of the lead-support complex is a lower
 cell of the lift, with unit volumes summing to N (both in
 ``check_triangulation``, which reads the volumes and the lower-cell
-outcomes of one pass over the facets); (c) the minimal leads
+outcomes of one pass over the faces, counting each face's facets
+without listing them); (c) the minimal leads
 are squarefree.  So the triangulation stage runs first, and
 ``check_family`` takes it: ``buchbergerPass``, named for the S-pair run
 it replaced, holds exactly when (a), (c) and the triangulation verdict
@@ -36,7 +37,7 @@ from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
 from .groebner import initial_ideal, injectivity_check
 from .simplex import QVector, build_q, lattice_points_bruteforce, lattice_points_formula
 from .toric import GroebnerFamily, groebner_family, pi_balance_failures
-from .triangulation import Triangulation, triangulation_from_family, verify_unimodular
+from .triangulation import Triangulation, summarize_triangulation, verify_unimodular
 
 DEFAULT_GRID_R1 = (2, 6)
 DEFAULT_GRID_X1 = (1, 5)
@@ -218,14 +219,15 @@ def check_triangulation(
 ) -> Stage:
     """Unimodular facets whose volumes sum to N, and a weight vector
     whose lower envelope induces exactly these facets.  ``tri`` defaults
-    to the family's initial complex; its lower-cell outcomes are read,
-    so one built by hand, which has none, is never certified regular."""
+    to the family's initial complex, certified face by face without
+    listing its facets; a given triangulation's lower-cell outcomes are
+    read, so one built by hand, which has none, is never certified
+    regular."""
     flags: dict[str, bool | None] = {}
     try:
-        if tri is None:
-            tri = triangulation_from_family(family)
-        flags["triangulationUnimodular"] = verify_unimodular(tri, family.q)
-        flags["regularCertified"] = tri.regular
+        summary = summarize_triangulation(family) if tri is None else tri.summary
+        flags["triangulationUnimodular"] = verify_unimodular(summary, family.q)
+        flags["regularCertified"] = summary.regular
     except WpsimplexError as exc:
         flags.setdefault("triangulationUnimodular", False)
         flags["regularCertified"] = False
@@ -233,11 +235,10 @@ def check_triangulation(
     return Stage(
         flags,
         report={
-            "num_facets": len(tri.facets),
-            "all_unimodular": all(v == 1 for v in tri.volumes),
-            "volume_sum": sum(tri.volumes),
+            "num_facets": summary.num_facets,
+            "all_unimodular": summary.all_unimodular,
+            "volume_sum": summary.volume_sum,
             "regular_certified": flags["regularCertified"],
-            "facets": [list(f) for f in tri.facets],
         },
     )
 

@@ -8,6 +8,18 @@ facets of a triangulation of the simplex.  Facet volumes are exact
 integer determinants, and regularity is certified by exhibiting one
 weight vector whose lifted lower envelope induces exactly these facets.
 
+Two columns are twins when they lie in exactly the same supports.  The
+minimal transversals are those of the twin quotient, with each class in
+them replaced by any one of its columns (Berge, *Hypergraphs*, 1989,
+ch. 2), so the facets come in faces: a face omits one column of each
+class of one quotient transversal, and its members are its facets, one
+per way to pick the omitted columns.  The family's supports fall into
+r1 + 5 twin classes and its facets into r1 + 4 faces.  The certificate
+is read face by face and counts a face's members without listing them;
+only ``triangulate`` and ``triangulation_from_family`` expand the faces
+into the sorted facet list, after checking its length against the
+enumeration budget.
+
 Both are read in the slack coordinates y = (x_0, ..., x_{d-1},
 h - sum(x)) of the homogenized columns, a change of determinant 1 that
 keeps every determinant and reduced cost.  There the unit vectors
@@ -25,11 +37,13 @@ A row's kind is its tuple of entries on the non-slack columns, and a
 facet's class is its K with the kinds of its rows R in row order.  The
 class fixes the k x k system, so the determinant and the reduced cost
 of every non-slack column are shared by its facets: they are solved and
-scanned once per class, r1 + 4 classes for the family's facets.  A
-slack column off the facet costs minus the solution on its row, read
-per facet.  A configuration without slacks gets k = d + 1, the full
-elimination, and one facet per class; all arithmetic is on plain
-integers, so any configuration is exact.
+scanned once per class, r1 + 4 classes for the family's facets, one
+per face.  A slack column off the facet costs minus the solution on its
+row, read per facet; the members of a face share their class when the
+columns they choose between are slacks of rows of one kind.  A
+configuration without slacks gets k = d + 1, the full elimination, and
+one facet per class; all arithmetic is on plain integers, so any
+configuration is exact.
 The from-scratch checks that the tests hold this against, one facet's
 volume and the brute-force lower envelope among them, are in
 ``wpsimplex.oracles``.
@@ -37,11 +51,13 @@ volume and the brute-force lower envelope among them, are in
 
 from __future__ import annotations
 
-from itertools import compress, filterfalse, repeat
-from operator import mul, sub
+from itertools import chain, compress, filterfalse, product, repeat
+from math import prod
+from operator import itemgetter, mul, sub
 from typing import NamedTuple
 
 from .errors import (
+    BudgetExceeded,
     CertificateFailure,
     DegenerateLift,
     DimensionMismatch,
@@ -52,8 +68,27 @@ from .errors import (
     WpsimplexError,
 )
 from .groebner import InitialIdeal, _support_mask, initial_ideal
-from .simplex import QVector
+from .simplex import QVector, resolve_enum_budget
 from .toric import GroebnerFamily
+
+
+class TriangulationSummary(NamedTuple):
+    """What the certificate reads of a triangulation: the facet count,
+    the volume sum, whether every volume is 1, and the lower-cell
+    outcome of the first facet in facet order that is not a lower cell,
+    True when every facet is one."""
+
+    num_facets: int
+    volume_sum: int
+    all_unimodular: bool
+    outcome: bool | WpsimplexError
+
+    @property
+    def regular(self) -> bool:
+        """The outcome, raised when it is an error."""
+        if isinstance(self.outcome, WpsimplexError):
+            raise self.outcome
+        return self.outcome
 
 
 class Triangulation(NamedTuple):
@@ -68,18 +103,25 @@ class Triangulation(NamedTuple):
     lower: tuple[bool | WpsimplexError, ...] = ()
 
     @property
+    def summary(self) -> TriangulationSummary:
+        """The counts, and the outcomes decided in facet order: the first
+        that is not True.  False without an outcome for every facet, as
+        for a hand-built triangulation."""
+        outcome = len(self.lower) == len(self.facets) and next(
+            (x for x in self.lower if x is not True), True
+        )
+        return TriangulationSummary(
+            num_facets=len(self.facets),
+            volume_sum=sum(self.volumes),
+            all_unimodular=all(v == 1 for v in self.volumes),
+            outcome=outcome,
+        )
+
+    @property
     def regular(self) -> bool:
-        """The outcomes decided in facet order: the first error is raised,
-        the first False returned.  False without an outcome for every
-        facet, as for a hand-built triangulation."""
-        if len(self.lower) != len(self.facets):
-            return False
-        for outcome in self.lower:
-            if isinstance(outcome, WpsimplexError):
-                raise outcome
-            if not outcome:
-                return False
-        return True
+        """The first outcome in facet order that is not True: an error is
+        raised, False returned."""
+        return self.summary.regular
 
 
 class WeightCertificate(NamedTuple):
@@ -89,17 +131,16 @@ class WeightCertificate(NamedTuple):
     weights: tuple[int, ...]
 
 
-def _maximal_faces(n: int, support_masks: list[int]) -> list[int]:
-    """Maximal subsets of {0..n-1} containing no support mask, of any size.
-
-    They are the complements of the minimal transversals of the supports,
-    built by Berge's incremental dualization (Berge, *Hypergraphs*, 1989,
-    ch. 2): from the empty transversal, each support ``e`` keeps the
-    transversals meeting it and grows each one missing it by every vertex
-    v of ``e``.  A grown t + v is dropped when it contains a kept set,
-    which must pass through v; it cannot contain another grown t' + v',
-    as both meet ``e`` only in v and the earlier transversals are minimal.
-    Small supports go first to keep the intermediate families small.
+def _minimal_transversals(n: int, support_masks: list[int]) -> list[int]:
+    """The minimal subsets of {0..n-1} meeting every support mask, by
+    Berge's incremental dualization (Berge, *Hypergraphs*, 1989, ch. 2):
+    from the empty transversal, each support ``e`` keeps the transversals
+    meeting it and grows each one missing it by every vertex v of ``e``.
+    A grown t + v is dropped when it contains a kept set, which must pass
+    through v; it cannot contain another grown t' + v', as both meet
+    ``e`` only in v and the earlier transversals are minimal.  Small
+    supports go first, in a stable sort, to keep the intermediate
+    families small; a repeated support changes nothing.
     """
     transversals = [0]
     for e in sorted(support_masks, key=int.bit_count):
@@ -113,7 +154,116 @@ def _maximal_faces(n: int, support_masks: list[int]) -> list[int]:
                 if not any(k & (t | v) == k for k in through)
             ]
         transversals = kept + grown
-    return [((1 << n) - 1) ^ t for t in transversals]
+    return transversals
+
+
+def _twin_quotient(
+    n: int, support_masks: list[int]
+) -> tuple[list[list[int]], list[int]]:
+    """The twin classes of {0..n-1} under the supports, each an ascending
+    list, in the order of their first vertices (the vertices in no
+    support make one class), and the supports as masks over the classes,
+    each kept once in first-seen order.  Each mask's bits are read once."""
+    edges_of: list[list[int]] = [[] for _ in range(n)]
+    for j, e in enumerate(support_masks):
+        while e:
+            low = e & -e
+            edges_of[low.bit_length() - 1].append(j)
+            e ^= low
+    ids: dict[tuple[int, ...], int] = {}
+    classes: list[list[int]] = []
+    for v, edges in enumerate(map(tuple, edges_of)):
+        c = ids.setdefault(edges, len(ids))
+        if c == len(classes):
+            classes.append([])
+        classes[c].append(v)
+    quotient = [0] * len(support_masks)
+    for edges, c in ids.items():
+        for j in edges:
+            quotient[j] |= 1 << c
+    return classes, list(dict.fromkeys(quotient))
+
+
+#: A face of the lead-support complex, as ``(full, choices)``: ``full``
+#: is the sorted tuple of the columns (1-based) of every twin class that
+#: the face does not omit outright, and each choice holds the positions
+#: in ``full`` of one class of two or more columns of which every member
+#: omits exactly one.  The members are the facets; a plain facet is a
+#: face without choices.
+_Face = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+
+
+def _member(full: tuple[int, ...], omit) -> tuple[int, ...]:
+    """``full`` without the positions ``omit``."""
+    member, start = (), 0
+    for i in sorted(omit):
+        member += full[start:i]
+        start = i + 1
+    return member + full[start:]
+
+
+def _members(face: _Face):
+    """Every member of the face, one omitted position per choice, last
+    positions first: the first member in facet order comes first."""
+    full, choices = face
+    lasts_first = [choice[::-1] for choice in choices]
+    return (_member(full, omit) for omit in product(*lasts_first))
+
+
+def _first_member(face: _Face) -> tuple[int, ...]:
+    """The member first in facet order: each choice omits its last
+    position, so the smaller columns stay."""
+    full, choices = face
+    return _member(full, [choice[-1] for choice in choices])
+
+
+def _face_size(face: _Face) -> int:
+    return prod(map(len, face[1]))
+
+
+def _lead_faces(in_ideal: InitialIdeal, n: int, dim: int) -> list[_Face]:
+    """The maximal faces of the complex whose minimal non-faces are the
+    generator supports on {1..n}, as faces of members of size ``dim``,
+    ordered by their first members.
+
+    Twins, vertices in exactly the same supports, are interchangeable: a
+    minimal transversal holds at most one vertex of a class, and any
+    twin can take its place.  So the minimal transversals T of the twin
+    quotient give every maximal face, as the members that omit one
+    vertex of each class in T, and a face's members have n - |T|
+    vertices.  A face of any other size raises NonPureComplex, naming
+    its member without the first vertex of each class in T: purity is
+    part of what is being verified and is never repaired silently.
+    """
+    masks = [_support_mask(m) for m in in_ideal.generators]
+    classes, quotient = _twin_quotient(n, masks)
+    faces = []
+    for t in _minimal_transversals(len(classes), quotient):
+        omitted = [c for i, c in enumerate(classes) if t >> i & 1]
+        if n - len(omitted) != dim:
+            firsts = {c[0] for c in omitted}
+            members = tuple(v + 1 for v in range(n) if v not in firsts)
+            raise NonPureComplex(
+                f"maximal face {members} has {len(members)} vertices, "
+                f"expected {dim}"
+            )
+        gone = {c[0] for c in omitted if len(c) == 1}
+        full = tuple(v + 1 for v in range(n) if v not in gone)
+        position = {p: i for i, p in enumerate(full)}
+        faces.append((full, tuple(
+            tuple(position[v + 1] for v in c) for c in omitted if len(c) > 1
+        )))
+    faces.sort(key=_first_member)
+    return faces
+
+
+def _check_facet_budget(faces) -> None:
+    """Raise BudgetExceeded when the faces have more members than the
+    enumeration budget; checked before any face is expanded."""
+    count = sum(map(_face_size, faces))
+    limit = resolve_enum_budget()
+    if count > limit:
+        raise BudgetExceeded(f"{count} facets exceed the budget {limit}")
 
 
 def initial_complex(
@@ -121,23 +271,18 @@ def initial_complex(
 ) -> tuple[tuple[int, ...], ...]:
     """Facets of the complex whose minimal non-faces are the generator
     supports: all maximal F within {1..n} containing no support, each of
-    size exactly ``dim``.
-
-    A maximal face of any other size raises NonPureComplex: purity is
-    part of what is being verified and is never repaired silently.
+    size exactly ``dim``, sorted.  The faces of ``_lead_faces`` expanded,
+    after their facet count is checked against the enumeration budget;
+    a maximal face of any other size raises NonPureComplex.
     """
-    masks = [_support_mask(m) for m in in_ideal.generators]
-    facets = []
-    for face_mask in _maximal_faces(n, masks):
-        members = tuple(i + 1 for i in range(n) if face_mask >> i & 1)
-        if len(members) != dim:
-            raise NonPureComplex(
-                f"maximal face {members} has {len(members)} vertices, "
-                f"expected {dim}"
-            )
-        facets.append(members)
-    facets.sort()
-    return tuple(facets)
+    faces = _lead_faces(in_ideal, n, dim)
+    _check_facet_budget(faces)
+    return tuple(sorted(chain.from_iterable(map(_members, faces))))
+
+
+def family_facets(family: GroebnerFamily) -> tuple[tuple[int, ...], ...]:
+    """The family's facets, sorted: its ``initial_complex``."""
+    return initial_complex(initial_ideal(family), family.nvars, family.q.d + 1)
 
 
 def _eliminate(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
@@ -202,10 +347,10 @@ def _slack_frame(
     return list(zip(*ys)), {p: t for t, p in first.items()}, base
 
 
-def _check_facet_size(facet: tuple[int, ...], height: int) -> None:
-    if len(facet) != height:
+def _check_facet_size(size: int, height: int) -> None:
+    if size != height:
         raise ParameterOutOfRange(
-            f"facet must select {height} columns, got {len(facet)}"
+            f"facet must select {height} columns, got {size}"
         )
 
 
@@ -236,18 +381,31 @@ def _facet_class(
     return scale, first, tuple((i, c) for i, c in enumerate(costs) if c <= 0)
 
 
-def _walk_facets(
+#: The walk's verdict on a face: every member of ``face`` has ``volume``
+#: and ``outcome``.  A face walked member by member gives one cell per
+#: member, as a face without choices.
+_Cell = tuple[_Face, int, bool | WpsimplexError]
+
+
+def _walk_faces(
     columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...],
-    facets: tuple[tuple[int, ...], ...],
-) -> tuple[list[int], tuple[bool | WpsimplexError, ...]]:
-    """Each facet's volume (0 when singular) and lower-cell outcome under
-    ``weights``, in facet order, from one ``_facet_class`` per class.
-    Per facet only the slacks of its rows R are left: row t's slack is
-    y = e_t with base 0, so off the facet it costs exactly -delta_t.  The
-    first column off the facet in column order whose cost is not
-    positive decides: zero gives DegenerateLift (heights not generic),
-    below zero a facet that is not a lower cell.  Every error names its
-    own facet.
+    faces: list[_Face],
+) -> list[_Cell]:
+    """Each face's volume (0 when singular) and lower-cell outcome under
+    ``weights``, as cells in face order, from one ``_facet_class`` per
+    class.  Per facet only the slacks of its rows R are left: row t's
+    slack is y = e_t with base 0, so off the facet it costs exactly
+    -delta_t.  The first column off the facet in column order whose cost
+    is not positive decides: zero gives DegenerateLift (heights not
+    generic), below zero a facet that is not a lower cell.  Every error
+    names its own facet.
+
+    A face whose first member is a lower cell is decided by it, in one
+    cell, when every choice is slack columns whose rows share one kind:
+    its members then have the same non-slack columns and the same kinds
+    of free rows, so the same volume, the same gaps and the same costs
+    on their free slacks.  Every other face is walked member by member,
+    in member order, through the same class cache.
     """
     if len(weights) != len(columns):
         raise DimensionMismatch(
@@ -255,8 +413,8 @@ def _walk_facets(
         )
     frame = _slack_frame(columns, weights)
     rows, slack, _ = frame
-    for facet in facets:
-        _check_facet_size(facet, len(rows))
+    for full, choices in faces:
+        _check_facet_size(len(full) - len(choices), len(rows))
     slack_of = {t: p for p, t in slack.items()}
     plain = [p not in slack for p in range(1, len(columns) + 1)]
     kind_ids: dict[tuple[int, ...], int] = {}
@@ -266,9 +424,8 @@ def _walk_facets(
     ]
     all_rows = set(range(len(rows)))
     classes: dict[tuple, tuple] = {}
-    volumes = []
-    lower: list[bool | WpsimplexError] = []
-    for facet in facets:
+
+    def walk(facet):
         free = sorted(all_rows.difference(map(slack.get, facet)))
         key = (
             tuple(filterfalse(slack.__contains__, facet)),
@@ -280,32 +437,90 @@ def _walk_facets(
                 columns, weights, frame, facet, free
             )
         volume, (p, gap), risky = shared
-        volumes.append(volume)
         if not volume:
-            lower.append(
-                SingularFacet(f"columns {facet} are affinely dependent")
+            return volume, SingularFacet(
+                f"columns {facet} are affinely dependent"
             )
-            continue
         for i, cost in risky:
             if slack_of.get(free[i], p) < p:
                 p, gap = slack_of[free[i]], cost
-        lower.append(gap > 0 if gap else DegenerateLift(
+        return volume, gap > 0 if gap else DegenerateLift(
             f"column {p} lies on the lifted hyperplane of {facet}"
-        ))
-    return volumes, tuple(lower)
+        )
+
+    def one_class(full, choice):
+        # the choice is slack columns, and their rows are of one kind
+        ts = [slack.get(full[i]) for i in choice]
+        return None not in ts and len({kinds[t] for t in ts}) == 1
+
+    cells: list[_Cell] = []
+    for face in faces:
+        volume, outcome = walk(_first_member(face))
+        full, choices = face
+        if outcome is True and all(one_class(full, c) for c in choices):
+            cells.append((face, volume, True))
+        else:
+            cells += [((m, ()), *walk(m)) for m in _members(face)]
+    return cells
 
 
-def triangulation_from_family(family: GroebnerFamily) -> Triangulation:
-    """Pipeline: lead monomials -> facets -> volumes and lower cells under
-    the family's weight certificate, whose failure is every facet's
-    outcome; the first singular facet in facet order raises SingularFacet."""
-    in_ideal = initial_ideal(family)
-    facets = initial_complex(in_ideal, family.nvars, family.q.d + 1)
+def _family_faces(family: GroebnerFamily) -> list[_Face]:
+    return _lead_faces(initial_ideal(family), family.nvars, family.q.d + 1)
+
+
+def _walk_family(
+    family: GroebnerFamily, faces: list[_Face]
+) -> tuple[list[_Cell], CertificateFailure | None]:
+    """The walk of the faces under the family's weight certificate, and
+    the certificate's failure, which then stands for every outcome (the
+    volumes are walked under zero weights)."""
     try:
         weights, failure = make_weight_certificate(family).weights, None
     except CertificateFailure as exc:
         weights, failure = (0,) * family.nvars, exc
-    volumes, lower = _walk_facets(family.columns, weights, facets)
+    return _walk_faces(family.columns, weights, faces), failure
+
+
+def summarize_triangulation(family: GroebnerFamily) -> TriangulationSummary:
+    """The family's triangulation certified face by face, without
+    listing its facets: a face of m members counts m facets and m times
+    its volume.  Only a face walked member by member has a facet that is
+    singular or not a lower cell, so the first such facet in facet order
+    is one of its members.  Raises as ``triangulation_from_family``
+    does: NonPureComplex, or SingularFacet for the first singular facet
+    in facet order."""
+    cells, failure = _walk_family(family, _family_faces(family))
+    singular = [face[0] for face, volume, _ in cells if not volume]
+    if singular:
+        _checked_volume(0, min(singular))
+    sizes = [_face_size(face) for face, _, _ in cells]
+    failing = {face[0]: lower for face, _, lower in cells if lower is not True}
+    if failure and cells:
+        outcome = failure
+    else:
+        outcome = failing[min(failing)] if failing else True
+    return TriangulationSummary(
+        num_facets=sum(sizes),
+        volume_sum=sum(map(mul, sizes, (volume for _, volume, _ in cells))),
+        all_unimodular=all(volume == 1 for _, volume, _ in cells),
+        outcome=outcome,
+    )
+
+
+def triangulation_from_family(family: GroebnerFamily) -> Triangulation:
+    """Pipeline: lead monomials -> faces -> volumes and lower cells under
+    the family's weight certificate, whose failure is every facet's
+    outcome -> the facets, expanded after their count is checked against
+    the enumeration budget; the first singular facet in facet order
+    raises SingularFacet."""
+    faces = _family_faces(family)
+    _check_facet_budget(faces)
+    cells, failure = _walk_family(family, faces)
+    expanded = sorted((
+        (member, volume, lower)
+        for face, volume, lower in cells for member in _members(face)
+    ), key=itemgetter(0))
+    facets, volumes, lower = map(tuple, zip(*expanded)) if expanded else ((),) * 3
     return Triangulation(
         facets=facets,
         volumes=tuple(map(_checked_volume, volumes, facets)),
@@ -313,14 +528,21 @@ def triangulation_from_family(family: GroebnerFamily) -> Triangulation:
     )
 
 
-def verify_unimodular(tri: Triangulation, q: QVector) -> bool:
+def verify_unimodular(
+    tri: Triangulation | TriangulationSummary, q: QVector
+) -> bool:
     """True iff every facet has volume 1 and the volumes sum to N(q)."""
-    return all(v == 1 for v in tri.volumes) and sum(tri.volumes) == q.volume
+    summary = tri.summary if isinstance(tri, Triangulation) else tri
+    return summary.all_unimodular and summary.volume_sum == q.volume
 
 
 def drop_facet(tri: Triangulation, index: int) -> Triangulation:
     """Sabotage hook: the triangulation without facet ``index``, which
     leaves the volumes summing to less than N."""
+    if not tri.facets:
+        raise IndexOutOfRange(
+            f"cannot drop facet {index}: the facet list is empty"
+        )
     if not 0 <= index < len(tri.facets):
         raise IndexOutOfRange(
             f"facet index must lie in [0, {len(tri.facets) - 1}]"
@@ -348,7 +570,10 @@ def make_weight_certificate(family: GroebnerFamily) -> WeightCertificate:
     m_base = 1 + max(sum(g.lead) for g in family.generators)
     weights = tuple(m_base ** i for i in reversed(range(family.nvars)))
     for index, g in enumerate(family.generators):
-        lead, tail = (sum(w * e for w, e in zip(weights, m)) for m in g)
+        # only the variables that occur are weighed: most exponents are 0
+        lead, tail = (
+            sum(map(mul, compress(weights, m), compress(m, m))) for m in g
+        )
         if lead <= tail:
             raise CertificateFailure(
                 f"generator {index}'s lead is not heavier than its tail"
@@ -375,11 +600,12 @@ def facet_support_function(
     k = |R| = |K|, whose determinant is +- that of the facet's
     homogenized columns.  The frame is built from ``columns`` and
     ``weights`` when not given.  The walk calls this once per facet
-    class, on the first facet of the class in facet order; a facet that
-    does not select one column per row raises ParameterOutOfRange.
+    class, on the first facet of the class that it walks (for the
+    family, each face's first member); a facet that does not select one
+    column per row raises ParameterOutOfRange.
     """
     rows, slack, base = frame or _slack_frame(columns, weights)
-    _check_facet_size(facet, len(rows))
+    _check_facet_size(len(facet), len(rows))
     free = sorted(set(range(len(rows))).difference(map(slack.get, facet)))
     det, scaled = _eliminate([
         [*(rows[t][p - 1] for t in free), base[p - 1]]

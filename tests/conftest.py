@@ -5,6 +5,7 @@ import pytest
 from wpsimplex import build_q, groebner_family
 from wpsimplex.ehrhart import ehrhart_value, hstar
 from wpsimplex.oracles import _divisor, _prepared, pi_image
+from wpsimplex.triangulation import _walk_faces
 
 # Small sweep used by the unit tests; the acceptance suite runs the full
 # 2 <= r1 <= 6, 1 <= x1 <= 5 grid.
@@ -53,3 +54,11 @@ def scanned_injectivity(family, max_degree=3):
         if len({pi_image(family.columns, m) for m in std}) != len(std):
             return False
     return True
+
+
+def walk_facets(columns, weights, facets):
+    """The face walk over a plain facet list, each facet a face without
+    choices: the volumes as a list and the lower-cell outcomes as a
+    tuple, in facet order."""
+    cells = _walk_faces(columns, weights, [(f, ()) for f in facets])
+    return [v for _, v, _ in cells], tuple(x for _, _, x in cells)

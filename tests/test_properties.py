@@ -3,8 +3,9 @@ enumerator, the enumerator against a scan of its bounding box, the
 elimination kernel against the Leibniz determinant, the facet walk
 against facet-by-facet elimination, the normal form, the standard
 monomials and the minimal leads against a plain entrywise divisibility
-test (``_divides``), and the facet enumeration against a filter of all
-vertex subsets."""
+test (``_divides``), the facet enumeration against a filter of all
+vertex subsets, and its faces on the twin quotient against the plain
+dualization."""
 
 from itertools import (
     combinations,
@@ -41,6 +42,7 @@ from wpsimplex.errors import (
 )
 from wpsimplex.groebner import InitialIdeal
 from wpsimplex.oracles import (
+    _maximal_faces,
     facet_volume,
     is_lower_cell,
     normal_form,
@@ -53,11 +55,15 @@ from wpsimplex.triangulation import (
     Triangulation,
     WeightCertificate,
     _eliminate,
-    _maximal_faces,
-    _walk_facets,
+    _face_size,
+    _family_faces,
+    _first_member,
+    _lead_faces,
+    _members,
+    _walk_faces,
 )
 
-from conftest import SMALL_GRID, scanned_standard_monomials, without
+from conftest import SMALL_GRID, scanned_standard_monomials, walk_facets, without
 
 PARAMS = st.tuples(st.integers(2, 4), st.integers(1, 3))
 
@@ -231,7 +237,7 @@ def _first_verdict(check):
 @given(facet_sets())
 def test_walk_decides_as_the_facet_by_facet_check(case):
     columns, facets, weights = case
-    volumes, lower = _walk_facets(columns, weights, facets)
+    volumes, lower = walk_facets(columns, weights, facets)
     assert len(volumes) == len(lower) == len(facets)
     for index, facet in enumerate(facets):
         expected = _first_verdict(lambda: facet_volume(columns, facet))
@@ -324,7 +330,7 @@ def test_members_of_a_shared_class_name_their_own_facet(monkeypatch):
 
     monkeypatch.setattr(triangulation, "facet_support_function", counted)
     columns, facets, weights = SHARED_CLASS
-    volumes, lower = _walk_facets(columns, weights, facets)
+    volumes, lower = walk_facets(columns, weights, facets)
     assert solved == [(1, 2, 5, 6), (1, 4, 5, 6)]  # one solve per class
     assert facets == (
         (1, 2, 5, 6), (1, 3, 5, 6), (1, 4, 5, 6),
@@ -346,7 +352,7 @@ def test_members_of_a_shared_class_name_their_own_facet(monkeypatch):
 @example(SHARED_CLASS)
 def test_shared_classes_decide_as_the_facet_by_facet_check(case):
     columns, facets, weights = case
-    volumes, lower = _walk_facets(columns, weights, facets)
+    volumes, lower = walk_facets(columns, weights, facets)
     for facet, volume, outcome in zip(facets, volumes, _outcomes(lower)):
         expected = _first_verdict(lambda: facet_volume(columns, facet))
         assert volume == (0 if isinstance(expected, tuple) else expected)
@@ -386,12 +392,66 @@ def _outcomes(lower):
 @given(weighted_points())
 def test_walk_decides_as_is_lower_cell_and_facet_volume(case):
     family, facets, weights = case
-    volumes, lower = _walk_facets(family.columns, weights, facets)
+    volumes, lower = walk_facets(family.columns, weights, facets)
     for facet, volume, outcome in zip(facets, volumes, _outcomes(lower)):
         assert volume == facet_volume(family.columns, facet)
         assert outcome == _first_verdict(
             lambda: is_lower_cell(family.columns, weights, facet)
         )
+
+
+#: Rows of kinds A, B, A, each with its slack, and a face whose one
+#: choice is the slacks of the B row and the first A row: its members
+#: (1, 2, 3) and (2, 3, 4) free rows of different kinds, so the first is
+#: a unit lower cell and the second has volume 2 and is not one.
+MIXED_KINDS = _repeated_kinds([(-1,), (2,), (-1,)], [2, 3, 0, 1], [], (2, 5, 0, 0))
+
+
+@st.composite
+def twin_faces(draw):
+    """One face and the heights to walk it under: a face of a grid
+    point's family under the heights of ``weighted_points``, or a face
+    on a configuration of ``repeated_kinds`` with up to three choices of
+    two or three columns each, slacks or not, among columns that keep
+    every member at the column height."""
+    if draw(st.booleans()):
+        family, _, weights = draw(weighted_points())
+        face = draw(st.sampled_from(_family_faces(family)))
+        return family.columns, weights, face
+    columns, _, weights = draw(repeated_kinds())
+    height, n = len(columns[0]), len(columns)
+    sizes = draw(st.lists(st.integers(2, 3), max_size=min(3, n - height)).filter(
+        lambda s: sum(s) <= height + len(s)
+    ))
+    full = tuple(sorted(
+        draw(st.permutations(range(1, n + 1)))[:height + len(sizes)]
+    ))
+    positions = draw(st.permutations(range(len(full))))
+    choices, start = [], 0
+    for size in sizes:
+        choices.append(tuple(sorted(positions[start:start + size])))
+        start += size
+    return columns, weights, (full, tuple(choices))
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_faces())
+@example((*MIXED_KINDS[::2], ((1, 2, 3, 4), ((0, 3),))))
+def test_every_member_of_a_face_decides_as_it_does_alone(case):
+    # a face decided whole holds only members that decide alike; any
+    # other face is walked member by member and names each member
+    columns, weights, face = case
+    cells = _walk_faces(columns, weights, [face])
+    decided = [
+        (member, volume, lower)
+        for cell, volume, lower in cells for member in _members(cell)
+    ]
+    assert sorted(m for m, _, _ in decided) == sorted(_members(face))
+    volumes, lower = walk_facets(columns, weights, [m for m, _, _ in decided])
+    assert [v for _, v, _ in decided] == volumes
+    assert _outcomes(x for _, _, x in decided) == _outcomes(lower)
+    if len(cells) == 1 and _face_size(face) > 1:
+        assert cells[0][2] is True
 
 
 @st.composite
@@ -500,6 +560,65 @@ def test_initial_complex_is_non_pure_exactly_when_sizes_mix(graph):
             tuple(i + 1 for i in range(n) if s >> i & 1) for s in brute
         )
         assert initial_complex(ideal, n, dim) == tuple(expected)
+
+
+@st.composite
+def twinned_hypergraphs(draw):
+    """Supports drawn on k <= 6 vertices, each vertex then planted as a
+    twin class of one to three columns at shuffled positions, beside up
+    to two columns in no support.  The supports may be empty, singletons,
+    repeated or nested."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    k, loose = len(sizes), draw(st.integers(0, 2))
+    order = draw(st.permutations(range(sum(sizes) + loose)))
+    classes, start = [], 0
+    for size in sizes:
+        classes.append(order[start:start + size])
+        start += size
+    base = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=10))
+    masks = [
+        sum(1 << v for i, c in enumerate(classes) if b >> i & 1 for v in c)
+        for b in base
+    ]
+    return len(order), masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(twinned_hypergraphs())
+@example(NON_PURE)
+@example(NESTED)
+@example((3, []))
+@example((3, [0, 0b011]))
+@example((4, [0b0001, 0b0110]))
+def test_twin_faces_expand_to_the_plain_dualization(graph):
+    n, masks = graph
+    plain = sorted(
+        tuple(i + 1 for i in range(n) if s >> i & 1)
+        for s in _maximal_faces(n, masks)
+    )
+    sizes = {len(f) for f in plain}
+    ideal = InitialIdeal(
+        generators=tuple(tuple(m >> i & 1 for i in range(n)) for m in masks),
+        squarefree=True,
+    )
+    dim = max(sizes, default=0)
+    if len(sizes) > 1:
+        with pytest.raises(NonPureComplex) as raised:
+            _lead_faces(ideal, n, dim)
+        # the face named is a maximal face of another size
+        assert str(raised.value) in {
+            f"maximal face {f} has {len(f)} vertices, expected {dim}"
+            for f in plain if len(f) != dim
+        }
+        return
+    faces = _lead_faces(ideal, n, dim)
+    members = [list(_members(face)) for face in faces]
+    assert sorted(m for group in members for m in group) == plain
+    assert [len(group) for group in members] == list(map(_face_size, faces))
+    for face, group in zip(faces, members):
+        assert group[0] == _first_member(face) == min(group)
+    assert [group[0] for group in members] == sorted(g[0] for g in members)
+    assert initial_complex(ideal, n, dim) == tuple(plain)
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)

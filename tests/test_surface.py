@@ -83,7 +83,7 @@ def test_reduced_costs_need_no_factorization():
     assert not hasattr(simplex, "Factorization")
     assert "factorization" not in simplex.PointConfiguration._fields
     assert not hasattr(triangulation, "_check_factorization")
-    parameters = inspect.signature(triangulation._walk_facets).parameters
+    parameters = inspect.signature(triangulation._walk_faces).parameters
     assert "factorization" not in parameters
 
 
@@ -93,4 +93,12 @@ def test_no_inverse_walk():
     # is the walk's one reduced-cost test
     for name in ("_walk_inverses", "_pivot", "_facet_inverse",
                  "_difference_terms", "FacetInverse", "_is_lower_cell"):
+        assert not hasattr(triangulation, name), name
+
+
+def test_plain_facet_enumeration_is_the_reference_only():
+    # the certificate dualizes the twin quotient and walks its faces; the
+    # dualization of the supports themselves is the oracles' reference
+    assert callable(oracles._maximal_faces)
+    for name in ("_maximal_faces", "_walk_facets"):
         assert not hasattr(triangulation, name), name

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wpsimplex import (
@@ -14,31 +16,41 @@ from wpsimplex import (
     verify_unimodular,
 )
 from wpsimplex.errors import (
+    BudgetExceeded,
     CertificateFailure,
     DegenerateLift,
     DimensionMismatch,
+    IndexOutOfRange,
     NonPureComplex,
     ParameterOutOfRange,
     SingularFacet,
 )
 from wpsimplex.oracles import (
+    _maximal_faces,
     facet_volume,
+    is_lower_cell,
     regular_subdivision_bruteforce,
     regularity_check,
 )
-from wpsimplex.groebner import InitialIdeal
+from wpsimplex.groebner import InitialIdeal, _support_mask
 from wpsimplex import triangulation
 from wpsimplex.triangulation import (
     WeightCertificate,
     _eliminate,
+    _face_size,
+    _family_faces,
+    _first_member,
+    _member,
+    _members,
     _slack_frame,
-    _walk_facets,
+    _walk_faces,
     drop_facet,
     facet_support_function,
+    summarize_triangulation,
 )
 from wpsimplex.pipeline import check_triangulation, evaluate_point
 
-from conftest import SMALL_GRID
+from conftest import SMALL_GRID, walk_facets, without
 
 FACETS_2_1 = (
     (1, 2, 3),
@@ -128,7 +140,7 @@ def test_walk_matches_elimination_from_scratch(r1, x1):
     facets = initial_complex(initial_ideal(family), family.nvars, family.q.d + 1)
     weights = make_weight_certificate(family).weights
     heights = _slack_heights(family.columns, weights)
-    volumes, lower = _walk_facets(family.columns, weights, facets)
+    volumes, lower = walk_facets(family.columns, weights, facets)
     assert lower == (True,) * len(facets)
     for facet, volume in zip(facets, volumes):
         assert volume == facet_volume(family.columns, facet)
@@ -146,7 +158,7 @@ def test_walk_refuses_a_pivot_to_a_larger_volume(family21):
     # but has volume 6 and is no lower cell; it is read on its own
     cert = make_weight_certificate(family21)
     facets = FACETS_2_1 + ((1, 6, 7),)
-    volumes, lower = _walk_facets(family21.columns, cert.weights, facets)
+    volumes, lower = walk_facets(family21.columns, cert.weights, facets)
     assert volumes == [1] * 6 + [6]
     assert volumes == [facet_volume(family21.columns, f) for f in facets]
     assert lower == (True,) * 6 + (False,)
@@ -159,7 +171,7 @@ def test_walk_restarts_where_no_ridge_is_shared(family21):
     # a set of facets sharing no ridge is read like any other
     facets = ((1, 2, 3), (5, 6, 7))
     cert = make_weight_certificate(family21)
-    assert _walk_facets(family21.columns, cert.weights, facets) == ([1, 1], (True, True))
+    assert walk_facets(family21.columns, cert.weights, facets) == ([1, 1], (True, True))
     tri = Triangulation(facets=facets, volumes=(1, 1))
     assert regularity_check(tri, cert, family21.columns)
 
@@ -169,7 +181,7 @@ def test_singular_facet_is_named_in_facet_order(family21, monkeypatch):
     # its own SingularFacet, and the first in facet order is the one named
     facets = ((1, 2, 3), (4, 5, 6)) + FACETS_2_1[1:] + ((1, 2, 4),)
     cert = make_weight_certificate(family21)
-    volumes, lower = _walk_facets(family21.columns, cert.weights, facets)
+    volumes, lower = walk_facets(family21.columns, cert.weights, facets)
     assert volumes == [1, 0] + [1] * 5 + [0]
     for index in (1, 7):
         assert isinstance(lower[index], SingularFacet)
@@ -178,26 +190,33 @@ def test_singular_facet_is_named_in_facet_order(family21, monkeypatch):
     tri = Triangulation(facets=facets, volumes=(1,) * len(facets))
     with pytest.raises(SingularFacet, match=r"columns \(4, 5, 6\) are"):
         regularity_check(tri, cert, family21.columns)
-    monkeypatch.setattr(triangulation, "initial_complex", lambda *a: facets)
-    with pytest.raises(SingularFacet, match=r"columns \(4, 5, 6\) span"):
-        triangulation_from_family(family21)
     swapped = ((1, 2, 3), (1, 2, 4)) + FACETS_2_1[1:] + ((4, 5, 6),)
     tri = Triangulation(facets=swapped, volumes=(1,) * len(swapped))
     with pytest.raises(SingularFacet, match=r"columns \(1, 2, 4\) are"):
         regularity_check(tri, cert, family21.columns)
+    # a family's facets are its faces' members in sorted order, so there
+    # (1, 2, 4) comes first whichever face is listed first
+    for listed in (facets, swapped):
+        monkeypatch.setattr(
+            triangulation, "_family_faces",
+            lambda family, listed=listed: [(f, ()) for f in listed],
+        )
+        for build in (triangulation_from_family, summarize_triangulation):
+            with pytest.raises(SingularFacet, match=r"columns \(1, 2, 4\) span"):
+                build(family21)
 
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Counts the walks over the facets."""
+    """Counts the walks over the faces."""
     calls = []
-    walk = triangulation._walk_facets
+    walk = triangulation._walk_faces
 
-    def counted(columns, weights, facets):
-        calls.append(len(facets))
-        return walk(columns, weights, facets)
+    def counted(columns, weights, faces):
+        calls.append(len(faces))
+        return walk(columns, weights, faces)
 
-    monkeypatch.setattr(triangulation, "_walk_facets", counted)
+    monkeypatch.setattr(triangulation, "_walk_faces", counted)
     return calls
 
 
@@ -243,7 +262,7 @@ def test_dropped_facet_keeps_the_other_outcomes(family21, tri21):
     cert = make_weight_certificate(family21)
     spiked = WeightCertificate(weights=(1,) + (1000,) * 6)
     for weights in (cert, spiked):
-        _, lower = _walk_facets(family21.columns, weights.weights, tri21.facets)
+        _, lower = walk_facets(family21.columns, weights.weights, tri21.facets)
         tri = tri21._replace(lower=lower)
         for k in range(len(tri.facets)):
             short = Triangulation(
@@ -468,7 +487,7 @@ def test_walk_refuses_a_facet_of_the_wrong_size(family21, supports):
         with pytest.raises(
             ParameterOutOfRange, match=f"facet must select 3 columns, got {size}"
         ):
-            _walk_facets(family21.columns, weights, facets)
+            walk_facets(family21.columns, weights, facets)
     assert supports == []  # raised before any volume is read
     with pytest.raises(ParameterOutOfRange, match="got 4"):
         facet_support_function(family21.columns, weights, (1, 2, 3, 4))
@@ -477,4 +496,212 @@ def test_walk_refuses_a_facet_of_the_wrong_size(family21, supports):
 def test_walk_refuses_one_weight_short(family21, tri21):
     weights = make_weight_certificate(family21).weights[:-1]
     with pytest.raises(DimensionMismatch, match="6 weights for 7 columns"):
-        _walk_facets(family21.columns, weights, tri21.facets)
+        walk_facets(family21.columns, weights, tri21.facets)
+
+
+# -- the walk over the faces --------------------------------------------------
+
+WEIGHT_KINDS = ("certificate", "reversed", "zero", "random")
+
+
+def _heights(family, kind):
+    """The certificate's weights, reversed, all zero (every cell
+    degenerate), or small random heights that tie or fold, drawn from a
+    generator seeded by the point."""
+    weights = make_weight_certificate(family).weights
+    if kind == "reversed":
+        return weights[::-1]
+    if kind == "zero":
+        return (0,) * len(weights)
+    if kind == "random":
+        rng = random.Random(f"{family.q.r1},{family.q.x1}")
+        return tuple(rng.randint(0, 30) for _ in weights)
+    return weights
+
+
+def _verdict(check):
+    try:
+        return check()
+    except (DegenerateLift, SingularFacet) as exc:
+        return type(exc), str(exc)
+
+
+def _as_verdict(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return outcome
+
+
+def _last_member(face):
+    full, choices = face
+    return _member(full, [choice[0] for choice in choices])
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+@pytest.mark.parametrize(
+    "r1,x1", SMALL_GRID + BENCHMARK_POINTS + [(10, 10), (40, 3)]
+)
+def test_face_walk_decides_as_the_oracles(r1, x1, kind):
+    # every member of a face gets the verdict it gets walked alone; the
+    # oracles check every facet up to 300 of them, else each face's first
+    # member, its last one up to 1,000 facets, and the first facet that is
+    # not a lower cell
+    family = groebner_family(build_q(r1, x1))
+    columns, weights = family.columns, _heights(family, kind)
+    faces = _family_faces(family)
+    cells = _walk_faces(columns, weights, faces)
+    decided = {}
+    for face, volume, lower in cells:
+        for member in _members(face):
+            decided[member] = volume, _as_verdict(lower)
+    facets = initial_complex(initial_ideal(family), family.nvars, family.q.d + 1)
+    assert sorted(decided) == list(facets)
+    volumes, lower = walk_facets(columns, weights, facets)
+    assert [decided[f] for f in facets] == [
+        (volume, _as_verdict(x)) for volume, x in zip(volumes, lower)
+    ]
+    if len(facets) <= 300:
+        checked = facets
+    else:
+        failing = [f for f in facets if decided[f][1] is not True]
+        ends = (_first_member,) + ((_last_member,) if len(facets) <= 1000 else ())
+        checked = {end(face) for face in faces for end in ends}.union(failing[:1])
+    for facet in checked:
+        volume, outcome = decided[facet]
+        expected = _verdict(lambda: facet_volume(columns, facet))
+        assert volume == (0 if isinstance(expected, tuple) else expected)
+        assert outcome == _verdict(lambda: is_lower_cell(columns, weights, facet))
+    if kind == "certificate":
+        assert len(cells) == len(faces) == r1 + 4
+
+
+def test_a_failing_face_names_its_first_failing_member(monkeypatch):
+    # under these heights at (3, 1) the face of (3, 4, 5, 7) is the first
+    # one that fails: it is walked member by member, and each member
+    # names its own column; the faces before it pass, each in one cell
+    family = groebner_family(build_q(3, 1))
+    weights = (4, 1, 1, 0, 5, 6, 1, 6, 7)
+    faces = _family_faces(family)
+    cells = _walk_faces(family.columns, weights, faces)
+    assert [(_first_member(f), _face_size(f)) for f in faces[:3]] == [
+        ((1, 2, 4, 7), 2), ((2, 3, 4, 7), 2), ((3, 4, 5, 7), 2),
+    ]
+    assert cells[:2] == [(faces[0], 1, True), (faces[1], 1, True)]
+    assert [(f, v, str(x)) for f, v, x in cells[2:4]] == [
+        (((3, 4, 5, 7), ()), 1,
+         "column 8 lies on the lifted hyperplane of (3, 4, 5, 7)"),
+        (((3, 4, 5, 8), ()), 1,
+         "column 7 lies on the lifted hyperplane of (3, 4, 5, 8)"),
+    ]
+    monkeypatch.setattr(
+        triangulation, "make_weight_certificate",
+        lambda family: WeightCertificate(weights=weights),
+    )
+    named = "column 8 lies on the lifted hyperplane of (3, 4, 5, 7)"
+    summary = summarize_triangulation(family)
+    assert summary[:3] == (12, 12, True)
+    assert isinstance(summary.outcome, DegenerateLift)
+    assert str(summary.outcome) == named
+    with pytest.raises(DegenerateLift, match=r"\(3, 4, 5, 7\)$"):
+        triangulation_from_family(family).regular
+    stage = check_triangulation(family)
+    assert stage.flags == {
+        "triangulationUnimodular": True, "regularCertified": False,
+    }
+    assert stage.errors == (named,)
+
+
+def test_a_non_pure_complex_names_the_face_the_plain_dualization_finds_first():
+    # 62 of the 137 single-generator deletions of SMALL_GRID leave a
+    # complex that is not pure; the face named is the first one of the
+    # wrong size in the plain dualization's order
+    named = 0
+    for r1, x1 in SMALL_GRID:
+        family = groebner_family(build_q(r1, x1))
+        for k in range(len(family.generators)):
+            dropped = without(family, k)
+            n, dim = dropped.nvars, dropped.q.d + 1
+            masks = [_support_mask(m) for m in initial_ideal(dropped).generators]
+            wrong = [
+                face for face in (
+                    tuple(i + 1 for i in range(n) if s >> i & 1)
+                    for s in _maximal_faces(n, masks)
+                ) if len(face) != dim
+            ]
+            if not wrong:
+                continue
+            with pytest.raises(NonPureComplex) as raised:
+                summarize_triangulation(dropped)
+            assert str(raised.value) == (
+                f"maximal face {wrong[0]} has {len(wrong[0])} vertices, "
+                f"expected {dim}"
+            )
+            named += 1
+    assert named == 62
+
+
+def test_summary_counts_what_the_facet_list_holds():
+    for r1, x1 in SMALL_GRID + BENCHMARK_POINTS:
+        family = groebner_family(build_q(r1, x1))
+        tri = triangulation_from_family(family)
+        assert summarize_triangulation(family) == tri.summary == (
+            family.q.volume, family.q.volume, True, True
+        )
+
+
+def _refuse(*args):
+    raise AssertionError("the facet list was built")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: evaluate_point(3, 2),
+    lambda: cli.main(["gb", "verify", "3", "2"]),
+], ids=["evaluate_point", "gb verify"])
+def test_certificate_never_lists_the_facets(run, monkeypatch, capsys):
+    monkeypatch.setattr(triangulation, "initial_complex", _refuse)
+    monkeypatch.setattr(triangulation, "_members", _refuse)
+    result = run()
+    if isinstance(result, dict):
+        assert all(v is True for k, v in result.items() if k != "timings")
+    else:
+        assert result == 0 and '"pass": true' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["triangulate", "2", "1"],
+    ["triangulate", "2", "1", "--format", "off"],
+    ["triangulate", "2", "1", "--drop-facet", "0"],
+])
+def test_triangulate_checks_the_facet_count_against_the_budget(
+    argv, monkeypatch, capsys
+):
+    # (2, 1) has 6 facets: a budget of 6 lists them, 5 exits 3 with one
+    # error line and no payload
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "6")
+    assert cli.main(argv) in (0, 2)
+    assert capsys.readouterr().out
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "5")
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == (
+        "", "error: 6 facets exceed the budget 5\n"
+    )
+
+
+def test_facet_list_builders_check_the_budget(family21, monkeypatch):
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "5")
+    for build in (
+        lambda: triangulation_from_family(family21),
+        lambda: initial_complex(initial_ideal(family21), family21.nvars, 3),
+    ):
+        with pytest.raises(BudgetExceeded, match="6 facets exceed the budget 5"):
+            build()
+    # the certificate lists no facet, so it needs no budget
+    assert summarize_triangulation(family21).outcome is True
+
+
+def test_drop_facet_names_an_empty_facet_list():
+    empty = Triangulation(facets=(), volumes=())
+    with pytest.raises(
+        IndexOutOfRange, match=r"^cannot drop facet 0: the facet list is empty$"
+    ):
+        drop_facet(empty, 0)
