@@ -345,10 +345,11 @@ def groebner_family(q: QVector) -> GroebnerFamily:
     for k in range(r1):
         gens.append(eq2_binomial(q, k))
         tags.append("eq2")
-    deep = x1 < r1 - 2
+    # below the depth eq3* is eq3: k <= r1 - 1 <= x1 + 1
+    tag = "eq3star" if x1 < r1 - 2 else "eq3"
     for k in range(r1):
-        gens.append(eq3star_binomial(q, k) if deep else eq3_binomial(q, k))
-        tags.append("eq3star" if deep else "eq3")
+        gens.append(eq3star_binomial(q, k))
+        tags.append(tag)
     gens.append(eq4_binomial(q))
     tags.append("eq4")
     gens.append(eq5_binomial(q))

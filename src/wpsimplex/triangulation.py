@@ -33,17 +33,14 @@ their slack part as right-hand side.  Each other column's reduced cost
 then costs k products against a base computed once per configuration,
 and every family facet has k <= 3.
 
-A row's kind is its tuple of entries on the non-slack columns, and a
-facet's class is its K with the kinds of its rows R in row order.  The
-class fixes the k x k system, so the determinant and the reduced cost
-of every non-slack column are shared by its facets: they are solved and
-scanned once per class, r1 + 4 classes for the family's facets, one
-per face.  A slack column off the facet costs minus the solution on its
-row, read per facet; the members of a face share their class when the
-columns they choose between are slacks of rows of one kind.  A
-configuration without slacks gets k = d + 1, the full elimination, and
-one facet per class; all arithmetic is on plain integers, so any
-configuration is exact.
+The walk solves and scans once per face, on its first member: r1 + 4
+solves for the family.  A row's kind is its tuple of entries on the
+non-slack columns; when the columns a face chooses between are slacks of
+rows of one kind, its members share K and the kinds of their rows R, so
+the k x k system, the volume and every reduced cost, and the face is
+decided whole.  Any other face is walked member by member.  A
+configuration without slacks gets k = d + 1, the full elimination; all
+arithmetic is on plain integers, so any configuration is exact.
 The from-scratch checks that the tests hold this against, one facet's
 volume and the brute-force lower envelope among them, are in
 ``wpsimplex.oracles``.
@@ -51,6 +48,8 @@ volume and the brute-force lower envelope among them, are in
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from functools import lru_cache
 from itertools import chain, compress, filterfalse, product, repeat
 from math import prod
 from operator import itemgetter, mul, sub
@@ -221,10 +220,15 @@ def _face_size(face: _Face) -> int:
     return prod(map(len, face[1]))
 
 
-def _lead_faces(in_ideal: InitialIdeal, n: int, dim: int) -> list[_Face]:
+@lru_cache(maxsize=64)
+def _lead_faces(
+    in_ideal: InitialIdeal, n: int, dim: int
+) -> tuple[_Face, ...]:
     """The maximal faces of the complex whose minimal non-faces are the
     generator supports on {1..n}, as faces of members of size ``dim``,
-    ordered by their first members.
+    ordered by their first members.  Cached like ``initial_ideal``, so
+    the certificate and the facet list of one point share a single
+    dualization.
 
     Twins, vertices in exactly the same supports, are interchangeable: a
     minimal transversal holds at most one vertex of a class, and any
@@ -253,8 +257,7 @@ def _lead_faces(in_ideal: InitialIdeal, n: int, dim: int) -> list[_Face]:
         faces.append((full, tuple(
             tuple(position[v + 1] for v in c) for c in omitted if len(c) > 1
         )))
-    faces.sort(key=_first_member)
-    return faces
+    return tuple(sorted(faces, key=_first_member))
 
 
 def _check_facet_budget(faces) -> None:
@@ -354,33 +357,6 @@ def _check_facet_size(size: int, height: int) -> None:
         )
 
 
-def _facet_class(
-    columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...],
-    frame: _SlackFrame, facet: tuple[int, ...], free: list[int],
-) -> tuple[int, tuple[int, int], tuple[tuple[int, int], ...]]:
-    """What every facet of ``facet``'s class shares, from one
-    ``facet_support_function`` solve: the volume (0 when singular); the
-    first non-slack column off the facet in column order whose reduced
-    cost scale * base_q - delta . y(q) is not positive, as (column,
-    cost), or a column past the last with cost 1 when there is none; and
-    (i, -delta) for each position i of the free rows whose slack would
-    cost at most 0 off the facet."""
-    rows, slack, base = frame
-    try:
-        scale, delta = facet_support_function(columns, weights, facet, frame)
-    except SingularFacet:
-        return 0, (0, 0), ()
-    gaps = base if scale == 1 else map(mul, base, repeat(scale))
-    for t, x in delta.items():
-        gaps = map(sub, gaps, map(mul, rows[t], repeat(x)))
-    first = next((
-        (p, gap) for p, gap in enumerate(gaps, start=1)
-        if gap <= 0 and p not in slack and p not in facet
-    ), (len(columns) + 1, 1))
-    costs = (-delta.get(t, 0) for t in free)
-    return scale, first, tuple((i, c) for i, c in enumerate(costs) if c <= 0)
-
-
 #: The walk's verdict on a face: every member of ``face`` has ``volume``
 #: and ``outcome``.  A face walked member by member gives one cell per
 #: member, as a face without choices.
@@ -389,87 +365,82 @@ _Cell = tuple[_Face, int, bool | WpsimplexError]
 
 def _walk_faces(
     columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...],
-    faces: list[_Face],
+    faces: Sequence[_Face],
 ) -> list[_Cell]:
     """Each face's volume (0 when singular) and lower-cell outcome under
-    ``weights``, as cells in face order, from one ``_facet_class`` per
-    class.  Per facet only the slacks of its rows R are left: row t's
-    slack is y = e_t with base 0, so off the facet it costs exactly
-    -delta_t.  The first column off the facet in column order whose cost
-    is not positive decides: zero gives DegenerateLift (heights not
-    generic), below zero a facet that is not a lower cell.  Every error
-    names its own facet.
+    ``weights``, as cells in face order, from one ``facet_support_function``
+    solve per face.  A facet's solve gives every column q off it the
+    reduced cost scale * base_q - delta . y(q); a slack of a free row t
+    has base 0 and y = e_t, so it costs exactly -delta_t.  The first
+    column off the facet in column order whose cost is not positive
+    decides: zero gives DegenerateLift (heights not generic), below zero
+    a facet that is not a lower cell.  Every error names its own facet.
 
     A face whose first member is a lower cell is decided by it, in one
     cell, when every choice is slack columns whose rows share one kind:
     its members then have the same non-slack columns and the same kinds
     of free rows, so the same volume, the same gaps and the same costs
     on their free slacks.  Every other face is walked member by member,
-    in member order, through the same class cache.
+    in member order, one solve per member after the first.
     """
     if len(weights) != len(columns):
         raise DimensionMismatch(
             f"{len(weights)} weights for {len(columns)} columns"
         )
     frame = _slack_frame(columns, weights)
-    rows, slack, _ = frame
+    rows, slack, base = frame
     for full, choices in faces:
         _check_facet_size(len(full) - len(choices), len(rows))
-    slack_of = {t: p for p, t in slack.items()}
     plain = [p not in slack for p in range(1, len(columns) + 1)]
     kind_ids: dict[tuple[int, ...], int] = {}
     kinds = [
         kind_ids.setdefault(tuple(compress(row, plain)), len(kind_ids))
         for row in rows
     ]
-    all_rows = set(range(len(rows)))
-    classes: dict[tuple, tuple] = {}
 
     def walk(facet):
-        free = sorted(all_rows.difference(map(slack.get, facet)))
-        key = (
-            tuple(filterfalse(slack.__contains__, facet)),
-            tuple(map(kinds.__getitem__, free)),
-        )
-        shared = classes.get(key)
-        if shared is None:
-            shared = classes[key] = _facet_class(
-                columns, weights, frame, facet, free
-            )
-        volume, (p, gap), risky = shared
-        if not volume:
-            return volume, SingularFacet(
-                f"columns {facet} are affinely dependent"
-            )
-        for i, cost in risky:
-            if slack_of.get(free[i], p) < p:
-                p, gap = slack_of[free[i]], cost
-        return volume, gap > 0 if gap else DegenerateLift(
+        try:
+            scale, delta = facet_support_function(columns, weights, facet, frame)
+        except SingularFacet as exc:
+            return 0, exc
+        gaps = base if scale == 1 else map(mul, base, repeat(scale))
+        for t, x in delta.items():
+            gaps = map(sub, gaps, map(mul, rows[t], repeat(x)))
+        on = set(facet)
+        p, gap = next((
+            (p, gap) for p, gap in enumerate(gaps, start=1)
+            if gap <= 0 and p not in on
+        ), (0, 1))
+        return scale, gap > 0 if gap else DegenerateLift(
             f"column {p} lies on the lifted hyperplane of {facet}"
         )
 
-    def one_class(full, choice):
+    def one_kind(full, choice):
         # the choice is slack columns, and their rows are of one kind
         ts = [slack.get(full[i]) for i in choice]
         return None not in ts and len({kinds[t] for t in ts}) == 1
 
     cells: list[_Cell] = []
     for face in faces:
-        volume, outcome = walk(_first_member(face))
+        first = _first_member(face)
+        volume, outcome = walk(first)
         full, choices = face
-        if outcome is True and all(one_class(full, c) for c in choices):
+        if outcome is True and all(one_kind(full, c) for c in choices):
             cells.append((face, volume, True))
-        else:
-            cells += [((m, ()), *walk(m)) for m in _members(face)]
+            continue
+        members = _members(face)
+        next(members)  # the first member, walked above
+        cells.append(((first, ()), volume, outcome))
+        cells += [((m, ()), *walk(m)) for m in members]
     return cells
 
 
-def _family_faces(family: GroebnerFamily) -> list[_Face]:
+def _family_faces(family: GroebnerFamily) -> tuple[_Face, ...]:
     return _lead_faces(initial_ideal(family), family.nvars, family.q.d + 1)
 
 
 def _walk_family(
-    family: GroebnerFamily, faces: list[_Face]
+    family: GroebnerFamily, faces: Sequence[_Face]
 ) -> tuple[list[_Cell], CertificateFailure | None]:
     """The walk of the faces under the family's weight certificate, and
     the certificate's failure, which then stands for every outcome (the
@@ -599,10 +570,10 @@ def facet_support_function(
     the other facet columns K, one elimination of a k x k system with
     k = |R| = |K|, whose determinant is +- that of the facet's
     homogenized columns.  The frame is built from ``columns`` and
-    ``weights`` when not given.  The walk calls this once per facet
-    class, on the first facet of the class that it walks (for the
-    family, each face's first member); a facet that does not select one
-    column per row raises ParameterOutOfRange.
+    ``weights`` when not given.  The walk calls this once per face, on
+    its first member, and once per further member of a face it walks
+    member by member; a facet that does not select one column per row
+    raises ParameterOutOfRange.
     """
     rows, slack, base = frame or _slack_frame(columns, weights)
     _check_facet_size(len(facet), len(rows))

@@ -282,8 +282,8 @@ def _repeated_kinds(plain_rows, order, picks, weights):
 
 #: Rows of kinds A, A, A, B and the slacks first: the three facets whose
 #: free rows are two As are singular, the three with an A and the B share
-#: one class, and zero weights put every slack off a facet on its lifted
-#: hyperplane, so each member names its own first slack and itself.
+#: one k x k system, and zero weights put every slack off a facet on its
+#: lifted hyperplane, so each member names its own first slack and itself.
 SHARED_CLASS = _repeated_kinds(
     [(1, 2), (1, 2), (1, 2), (0, 1)], [4, 5, 0, 1, 2, 3],
     [((0, 1), rows) for rows in combinations(range(4), 2)], (0,) * 6,
@@ -331,7 +331,7 @@ def test_members_of_a_shared_class_name_their_own_facet(monkeypatch):
     monkeypatch.setattr(triangulation, "facet_support_function", counted)
     columns, facets, weights = SHARED_CLASS
     volumes, lower = walk_facets(columns, weights, facets)
-    assert solved == [(1, 2, 5, 6), (1, 4, 5, 6)]  # one solve per class
+    assert solved == list(facets)  # one solve per facet, in facet order
     assert facets == (
         (1, 2, 5, 6), (1, 3, 5, 6), (1, 4, 5, 6),
         (2, 3, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6),

@@ -88,11 +88,12 @@ def test_reduced_costs_need_no_factorization():
 
 
 def test_no_inverse_walk():
-    # each facet class is solved from its own k x k kernel, so nothing
-    # carries an inverse from one facet to the next, and the class scan
-    # is the walk's one reduced-cost test
+    # each face is solved from its own k x k kernel, so nothing carries
+    # an inverse or a solve from one facet to the next, and the face
+    # walk's scan is its one reduced-cost test
     for name in ("_walk_inverses", "_pivot", "_facet_inverse",
-                 "_difference_terms", "FacetInverse", "_is_lower_cell"):
+                 "_difference_terms", "FacetInverse", "_is_lower_cell",
+                 "_facet_class"):
         assert not hasattr(triangulation, name), name
 
 

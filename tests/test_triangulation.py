@@ -465,8 +465,8 @@ def supports(monkeypatch):
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID + BENCHMARK_POINTS)
 def test_one_solve_per_facet_class(r1, x1, supports):
-    # the family's facets fall into r1 + 4 classes, each solved once on
-    # its first facet in facet order
+    # the family's facets fall into r1 + 4 faces, each solved once on
+    # its first member in facet order
     tri = triangulation_from_family(groebner_family(build_q(r1, x1)))
     assert len(supports) == r1 + 4
     assert [tri.facets.index(f) for f in supports] == sorted(
@@ -476,6 +476,18 @@ def test_one_solve_per_facet_class(r1, x1, supports):
         assert len(tri.facets) == 444 and len(supports) == 16
     if (r1, x1) == (2, 1):
         assert len(tri.facets) == len(supports) == 6
+
+
+def test_flat_weights_solve_each_facet_once(supports):
+    # under flat heights no first member is a lower cell, so every face
+    # is walked member by member: one solve per facet, and the first
+    # member, solved to decide its face, is not solved again
+    family = groebner_family(build_q(2, 2))
+    faces = _family_faces(family)
+    cells = _walk_faces(family.columns, (1,) * family.nvars, faces)
+    facets = sorted(m for face in faces for m in _members(face))
+    assert len(faces) == 6 and len(facets) == len(cells) == 10
+    assert len(supports) == 10 and sorted(supports) == facets
 
 
 def test_walk_refuses_a_facet_of_the_wrong_size(family21, supports):
@@ -685,6 +697,26 @@ def test_triangulate_checks_the_facet_count_against_the_budget(
     assert capsys.readouterr() == (
         "", "error: 6 facets exceed the budget 5\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["triangulate", "2", "1"],
+    ["triangulate", "2", "1", "--drop-facet", "0"],
+], ids=["certified", "drop-facet"])
+def test_triangulate_dualizes_the_twin_quotient_once(argv, monkeypatch, capsys):
+    # the certificate and the facet list share one cached dualization
+    calls = []
+    dualize = triangulation._minimal_transversals
+
+    def counted(n, support_masks):
+        calls.append(n)
+        return dualize(n, support_masks)
+
+    monkeypatch.setattr(triangulation, "_minimal_transversals", counted)
+    triangulation._lead_faces.cache_clear()
+    assert cli.main(argv) in (0, 2)
+    assert capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_facet_list_builders_check_the_budget(family21, monkeypatch):
