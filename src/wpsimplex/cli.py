@@ -371,6 +371,10 @@ def main(argv=None) -> int:
     except (ParameterOutOfRange, IndexOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (OverflowError, MemoryError) as exc:
+        # a parameter past the index range or the memory of this machine
+        print(f"error: parameters too large ({type(exc).__name__})", file=sys.stderr)
+        return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -23,17 +23,16 @@ I_A for that order, hence generates I_A, and its lead ideal, an initial
 ideal of I_A inside in_lex(I_A) with the same Hilbert function, equals
 in_lex(I_A): the family is a lex Groebner basis, in every degree.
 
-No S-pair is reduced: the S-pair oracle and rewriting to normal form
-live in ``wpsimplex.oracles``, for the tests and the demos.  Counting
+No S-pair is reduced: the S-pair oracle, rewriting to normal form and
+the z-support shapes of standard monomials (a lemma of the paper) live
+in ``wpsimplex.oracles``, for the tests and the demos.  Counting
 standard monomials per degree against the dilation polynomial
 (``injectivity_check``) stays as a bounded-degree smoke test.
 
-The support shapes of standard monomials, a lemma of the paper, are
-checked by ``wpsimplex.oracles.zsupport_shape`` in the tests.
-
 The standard monomials form an order ideal: every divisor of a standard
-monomial is standard.  ``_order_ideal`` therefore grows degree t from
-degree t - 1 instead of scanning all C(n + t - 1, t) monomials: w is
+monomial is standard.  ``_standard_images`` therefore grows degree t
+from degree t - 1 instead of scanning all C(n + t - 1, t) monomials, as
+the tests' oracle ``wpsimplex.oracles.standard_monomials`` does: w is
 standard exactly when it is not itself a lead and every divisor w / x_v
 is standard.  The test is exact for any lead set, Groebner or not,
 squarefree or not, because a lead that properly divides w divides one
@@ -110,38 +109,41 @@ def _check_budget(nvars: int, degree: int) -> None:
         )
 
 
-def _order_ideal(family: GroebnerFamily, packed: list[int] | None = None):
-    """Yield the standard monomials degree by degree, from degree 0 up,
-    each layer a list of sorted tuples of variable indices in
-    ``combinations_with_replacement`` order, with the list of their
-    packed pushforwards (all 0 without ``packed``, the columns packed by
-    ``toric._packed_columns``).
+def _standard_images(family: GroebnerFamily, max_degree: int):
+    """Yield, for each degree t = 1 .. max_degree, the packed
+    pushforwards of the degree-t standard monomials, one per monomial in
+    ``combinations_with_replacement`` order of its variables.  Each
+    degree is checked against the enumeration budget before it is built.
 
-    Every standard w = c + (v,) of degree t >= 2, with c = w[:-1] and
-    v >= c[-1], drops to c[:-1] + (v,): a standard *sibling* of c, with
-    the same prefix, that sits in c's run of the previous layer.  So the
-    candidates v come from the last variables of c's siblings from c on
-    (the Apriori join of Agrawal and Srikant, 1994), and each is kept by
-    the lead test and the drop tests of the module docstring that the
-    join does not settle.  A kept w's pushforward is c's plus column v,
-    read where the join finds c.  Each layer is built only when asked
-    for.
+    Degree t >= 2 is joined from the sorted tuples of variable indices
+    of degree t - 1, which are kept only while a next degree joins them.
+    Every standard w = c + (v,), with c = w[:-1] and v >= c[-1], drops
+    to c[:-1] + (v,): a standard *sibling* of c, with the same prefix,
+    that sits in c's run of the previous degree.  So the candidates v
+    come from the last variables of c's siblings from c on (the Apriori
+    join of Agrawal and Srikant, 1994), and each is kept by the lead
+    test and the drop tests of the module docstring that the join does
+    not settle.  A kept w's pushforward is c's plus column v, read where
+    the join finds c, each column packed once into one exact integer by
+    ``toric._packed_columns``, whose radix exceeds twice any coordinate
+    up to ``max_degree``.
     """
     n = family.nvars
-    packed = packed or [0] * n
+    packed = _packed_columns(family.columns, max_degree)
     leads = {
         tuple(i for i in compress(range(n), g.lead) for _ in range(g.lead[i]))
         for g in family.generators
     }
-    layer = [] if () in leads else [()]
-    yield layer, [0] * len(layer)
-    layer = [(v,) for v in range(n) if (v,) not in leads] if layer else []
-    images = [packed[v] for (v,) in layer]
-    while True:
-        yield layer, images
+    for t in range(1, max_degree + 1):
+        _check_budget(n, t)
+        if t == 1:
+            # a constant lead divides every monomial
+            layer = [(v,) for v in range(n) if () not in leads and (v,) not in leads]
+            images = [packed[v] for (v,) in layer]
+            yield images
+            continue
         standard = set(layer)
-        grown = []
-        grown_images = []
+        grown, grown_images = [], []
         start = 0
         for prefix, run in groupby(layer, itemgetter(slice(-1))):
             # dropping either of the last two variables gives c or a
@@ -159,10 +161,12 @@ def _order_ideal(family: GroebnerFamily, packed: list[int] | None = None):
                         if p + (u, v) not in standard:
                             break
                     else:
-                        grown.append(w)
+                        if t < max_degree:
+                            grown.append(w)
                         grown_images.append(image + packed[v])
             start += len(lasts)
         layer, images = grown, grown_images
+        yield images
 
 
 def injectivity_check(family: GroebnerFamily, max_degree: int = 3) -> bool:
@@ -172,21 +176,11 @@ def injectivity_check(family: GroebnerFamily, max_degree: int = 3) -> bool:
     pairwise distinct pushforwards AND their count must equal the
     dilation polynomial at t.  The count equality is what ties the
     family to the full relation ideal: it says no relation at that
-    degree is missing.  Each degree is checked against the enumeration
-    budget before it is built.  Each pushforward is its parent's plus
-    one column, packed into one exact integer by ``toric._packed_columns``
-    (whose radix exceeds twice any coordinate up to ``max_degree``) and
-    summed while ``_order_ideal`` joins the layer, so the distinctness
-    test compares integers and stays exact.
+    degree is missing.  Both are read off the exact packed pushforwards
+    of ``_standard_images``, so the distinctness test compares integers.
     """
     h = hstar(family.q)
-    layers = _order_ideal(family, _packed_columns(family.columns, max_degree))
-    next(layers)
-    for t in range(1, max_degree + 1):
-        _check_budget(family.nvars, t)
-        layer, images = next(layers)
-        if len(layer) != ehrhart_value(h, t):
-            return False
-        if len(set(images)) != len(layer):
+    for t, images in enumerate(_standard_images(family, max_degree), start=1):
+        if len(images) != ehrhart_value(h, t) or len(set(images)) != len(images):
             return False
     return True

@@ -4,7 +4,8 @@ tests and the demos only.
 ``buchberger_verify``, the all-pairs S-pair reduction, is kept as an
 independent oracle for the tests and the demos; no certificate runs it,
 and no module of the certified path imports this one.  Beside it sit
-rewriting to normal form, the standard monomials of one degree, the
+rewriting to normal form, the standard monomials of one degree by a
+plain scan of every monomial (the oracle of the smoke test's join), the
 maximal faces of a hypergraph dualized without the twin quotient, a
 facet's volume eliminated from scratch, one facet's lower-cell test by
 dense reduced costs, the facet-wise regularity check of a given
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, combinations_with_replacement
 from operator import mul
 from typing import NamedTuple
 
@@ -35,7 +36,7 @@ from .errors import (
     PointOutsideSimplex,
     SingularFacet,
 )
-from .groebner import _check_budget, _order_ideal, _support_mask
+from .groebner import _check_budget, _support_mask
 from .simplex import QVector, h_description
 from .toric import Binomial, GroebnerFamily, _balanced, _packed_columns
 from .triangulation import (
@@ -173,21 +174,24 @@ def standard_monomials(family: GroebnerFamily, degree: int) -> list[tuple[int, .
     """All monomials of the given total degree divisible by no lead, in
     ``combinations_with_replacement`` order of their variables.
 
-    The candidate count C(n + degree - 1, degree) is checked against the
-    enumeration budget up front; the monomials themselves are grown from
-    the lower degrees as an order ideal (``groebner._order_ideal``).
+    The plain scan: the candidate count C(n + degree - 1, degree) is
+    checked against the enumeration budget up front, then every
+    candidate is kept when ``_divisor`` finds no lead dividing it, with
+    no use of the order-ideal join of ``groebner._standard_images``,
+    which the tests hold against this scan.
     """
     if degree < 0:
         raise ParameterOutOfRange(f"degree must be >= 0, got {degree}")
     n = family.nvars
     _check_budget(n, degree)
+    prepared = _prepared(family)
     out = []
-    layer, _ = next(islice(_order_ideal(family), degree, None))
-    for w in layer:
+    for combo in combinations_with_replacement(range(n), degree):
         exps = [0] * n
-        for v in w:
+        for v in combo:
             exps[v] += 1
-        out.append(tuple(exps))
+        if _divisor(exps, prepared) is None:
+            out.append(tuple(exps))
     return out
 
 

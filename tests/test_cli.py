@@ -568,6 +568,29 @@ def _assert_one_line_error(capsys, argv, code=1):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["points", "99999999999999999999", "1"],
+    ["sweep", "--r1", "99999999999999999999", "--x1", "1"],
+])
+def test_parameters_past_the_index_range_exit_1(capsys, argv):
+    # build_q cannot repeat an entry more times than an index holds, and
+    # fails before it allocates
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: parameters too large (OverflowError)\n")
+
+
+@pytest.mark.parametrize("argv", [["points", "2", "1"], ["hstar", "2", "1"]])
+def test_parameters_past_the_memory_exit_1(capsys, monkeypatch, argv):
+    def refuse(r1, x1):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_q", refuse)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: parameters too large (MemoryError)\n")
+
+
 @pytest.mark.parametrize("budget", ["many", "-5", "2.5"])
 def test_bad_budget_exits_1(capsys, monkeypatch, budget):
     # the variable is checked before any work, so the subcommands that

@@ -15,7 +15,7 @@ from wpsimplex import (
     monomial_text,
 )
 from wpsimplex.errors import BudgetExceeded, DimensionMismatch
-from wpsimplex.groebner import _order_ideal
+from wpsimplex.groebner import _standard_images
 from wpsimplex.oracles import (
     SupportCase,
     buchberger_verify,
@@ -348,9 +348,11 @@ def test_injectivity_at_the_frontier(r1, x1):
     family = groebner_family(build_q(r1, x1))
     assert injectivity_check(family) is True
     h = hstar(family.q)
-    layers = _order_ideal(family)
-    counts = [len(next(layers)[0]) for _ in range(4)]
-    assert counts == [ehrhart_value(h, t) for t in range(4)]
+    layers = list(_standard_images(family, 3))
+    assert [len(images) for images in layers] == [
+        ehrhart_value(h, t) for t in (1, 2, 3)
+    ]
+    assert all(len(set(images)) == len(images) for images in layers)
 
 
 def test_injectivity_detects_missing_generator(family21):
@@ -365,23 +367,27 @@ def test_injectivity_detects_missing_generator(family21):
     assert not injectivity_check(crippled, max_degree=2)
 
 
-@pytest.mark.parametrize("moved, column", [
+@pytest.mark.parametrize("moved, column, degree", [
     # z5 onto z4's point: the degree-1 pushforwards coincide
-    (4, (0, -1, 1)),
+    (4, (0, -1, 1), 1),
     # z7 onto 2 * z6 - z4: z4 z7 and z6^2 coincide in degree 2
-    (6, (0, 3, 1)),
+    (6, (0, 3, 1), 2),
 ], ids=["degree 1", "degree 2"])
-def test_injectivity_detects_coinciding_pushforwards(family21, moved, column):
+def test_injectivity_detects_coinciding_pushforwards(
+    family21, moved, column, degree
+):
     columns = list(family21.columns)
     columns[moved] = column
     collided = family21._replace(columns=tuple(columns))
     # the leads are unchanged, so every degree count still matches and
-    # only the distinctness test can fail
+    # only the distinctness test can fail, first at the planted degree
     h = hstar(collided.q)
-    layers = _order_ideal(collided)
-    assert [len(next(layers)[0]) for _ in range(4)] == [
-        ehrhart_value(h, t) for t in range(4)
+    layers = list(_standard_images(collided, 3))
+    assert [len(images) for images in layers] == [
+        ehrhart_value(h, t) for t in (1, 2, 3)
     ]
+    repeated = [len(set(images)) < len(images) for images in layers]
+    assert repeated.index(True) == degree - 1
     assert injectivity_check(collided) is False
     assert scanned_injectivity(collided) is False
 
@@ -475,12 +481,13 @@ def test_reducedness_catches_a_fiber_mate_tail():
 
 
 @pytest.mark.parametrize("r1,x1", [(2, 1), (3, 2), (5, 2)])
-def test_order_ideal_images_are_the_packed_pushforwards(r1, x1):
+def test_standard_images_are_the_packed_pushforwards(r1, x1):
     from wpsimplex.toric import _packed_columns
 
     family = groebner_family(build_q(r1, x1))
     packed = _packed_columns(family.columns, 3)
-    layers = _order_ideal(family, packed)
-    for _ in range(4):
-        layer, images = next(layers)
-        assert images == [sum(packed[v] for v in w) for w in layer]
+    for t, images in enumerate(_standard_images(family, 3), start=1):
+        assert images == [
+            sum(e * p for e, p in zip(m, packed))
+            for m in standard_monomials(family, t)
+        ]

@@ -40,7 +40,7 @@ from wpsimplex.errors import (
     NonPureComplex,
     SingularFacet,
 )
-from wpsimplex.groebner import InitialIdeal
+from wpsimplex.groebner import InitialIdeal, _standard_images
 from wpsimplex.oracles import (
     _maximal_faces,
     facet_volume,
@@ -63,7 +63,7 @@ from wpsimplex.triangulation import (
     _walk_faces,
 )
 
-from conftest import SMALL_GRID, scanned_standard_monomials, walk_facets, without
+from conftest import SMALL_GRID, walk_facets, without
 
 PARAMS = st.tuples(st.integers(2, 4), st.integers(1, 3))
 
@@ -706,6 +706,30 @@ def lead_sources(draw):
     return family
 
 
+def _with_column(family, v, column):
+    """The family with column v moved to ``column``; the leads stay."""
+    columns = list(family.columns)
+    columns[v] = column
+    return family._replace(columns=tuple(columns))
+
+
+def _assert_the_join_finds_the_scan(family, degree):
+    """``_standard_images`` up to ``degree`` lists, degree by degree and
+    in order, the packed pushforwards of ``oracles.standard_monomials``,
+    under the family's columns and under unit columns, whose packed
+    pushforward identifies the monomial itself."""
+    n = family.nvars
+    unit = tuple(tuple(int(i == v) for i in range(n)) for v in range(n))
+    for columns in (family.columns, unit):
+        placed = family._replace(columns=columns)
+        packed = _packed_columns(columns, degree)
+        scanned = [
+            [sum(map(mul, m, packed)) for m in standard_monomials(placed, t)]
+            for t in range(1, degree + 1)
+        ]
+        assert list(_standard_images(placed, degree)) == scanned
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(lead_sources(), lead_families()), st.integers(0, 3))
 @example(_with_square_lead(groebner_family(build_q(2, 1))), 3)
@@ -716,13 +740,25 @@ def lead_sources(draw):
 @example(_with_power_leads(groebner_family(build_q(2, 1)), [0, 5], 2), 3)
 # every variable a lead: the degree-1 layer and every sibling list are empty
 @example(_with_power_leads(groebner_family(build_q(2, 1)), range(7), 1), 3)
+# planted column collisions: z5 onto z4's point coincides in degree 1,
+# z7 onto 2 * z6 - z4 in degree 2
+@example(_with_column(groebner_family(build_q(2, 1)), 4, (0, -1, 1)), 3)
+@example(_with_column(groebner_family(build_q(2, 1)), 6, (0, 3, 1)), 3)
 def test_standard_monomials_grow_as_the_scan_finds_them(family, degree):
-    # the order ideal built degree by degree lists exactly the monomials
+    # the order ideal joined degree by degree lists exactly the monomials
     # that no lead divides, in combinations_with_replacement order, for
     # any lead set: Groebner or not, squarefree or not
-    assert standard_monomials(family, degree) == scanned_standard_monomials(
-        family, degree
-    )
+    _assert_the_join_finds_the_scan(family, degree)
+
+
+def test_the_join_finds_the_scan_at_every_single_generator_deletion():
+    deletions = 0
+    for r1, x1 in SMALL_GRID:
+        family = groebner_family(build_q(r1, x1))
+        for k in range(len(family.generators)):
+            _assert_the_join_finds_the_scan(without(family, k), 3)
+            deletions += 1
+    assert deletions == 137
 
 
 @st.composite

@@ -103,3 +103,21 @@ def test_plain_facet_enumeration_is_the_reference_only():
     assert callable(oracles._maximal_faces)
     for name in ("_maximal_faces", "_walk_facets"):
         assert not hasattr(triangulation, name), name
+
+
+def test_the_smoke_test_join_has_one_caller_and_the_oracle_scans():
+    # the join yields only what injectivity_check reads; the oracle of
+    # the standard monomials scans, sharing with groebner only the
+    # budget check and the support mask
+    assert not hasattr(groebner, "_order_ideal")
+    assert callable(groebner._standard_images)
+    for module in (*COMMAND_MODULES, oracles):
+        if module is not groebner:
+            assert not hasattr(module, "_standard_images"), module.__name__
+    taken = {
+        name
+        for name, value in vars(oracles).items()
+        if getattr(value, "__module__", None) == groebner.__name__
+    }
+    assert taken == {"_check_budget", "_support_mask"}
+    assert groebner not in vars(oracles).values()
