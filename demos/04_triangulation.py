@@ -9,32 +9,39 @@ induces exactly these facets.
 
 from wpsimplex import (
     build_q,
+    family_facets,
     groebner_family,
     make_weight_certificate,
-    triangulation_from_family,
+    summarize_triangulation,
     verify_unimodular,
 )
-from wpsimplex.oracles import regular_subdivision_bruteforce, regularity_check
+from wpsimplex.oracles import (
+    facet_volume,
+    regular_subdivision_bruteforce,
+    regularity_check,
+)
 from wpsimplex.toric import var_name
 
 q = build_q(2, 2)
 family = groebner_family(q)
-tri = triangulation_from_family(family)
+facets = family_facets(family)
 
 print(f"q = {q.entries}, d = {q.d}, N = {q.volume}")
-print(f"\n{len(tri.facets)} facets (as variables):")
-for facet, volume in zip(tri.facets, tri.volumes):
+print(f"\n{len(facets)} facets (as variables):")
+for facet in facets:
     names = ", ".join(var_name(p - 1, q.r1) for p in facet)
-    print(f"  {{{names}}}  volume {volume}")
+    print(f"  {{{names}}}  volume {facet_volume(family.columns, facet)}")
 
-print(f"\nvolume sum = {sum(tri.volumes)} = N: "
-      f"{verify_unimodular(tri, q)}")
+summary = summarize_triangulation(family, facets)
+print(f"\nvolume sum = {summary.volume_sum} = N: "
+      f"{verify_unimodular(summary, q)}")
 
 certificate = make_weight_certificate(family)
 print(f"\nlifting weights: {certificate.weights}")
+print("walked lower-cell check:", summary.regular)
 print("facet-wise lower-envelope check:",
-      regularity_check(tri, certificate, family.columns))
+      regularity_check(family.columns, certificate.weights, facets))
 
 # In low dimension, recompute the subdivision from scratch and compare.
 oracle = regular_subdivision_bruteforce(family.columns, certificate.weights)
-print("from-scratch lower-envelope cells agree:", oracle == tri.facets)
+print("from-scratch lower-envelope cells agree:", oracle == facets)

@@ -50,11 +50,12 @@ from .groebner import (
     injectivity_check,
 )
 from .triangulation import (
-    Triangulation,
+    TriangulationSummary,
     WeightCertificate,
+    family_facets,
     initial_complex,
     make_weight_certificate,
-    triangulation_from_family,
+    summarize_triangulation,
     verify_unimodular,
 )
 

@@ -47,7 +47,7 @@ from .pipeline import (
 )
 from .simplex import build_q, lattice_points_formula, resolve_enum_budget
 from .toric import binomial_text, groebner_family, include_excluded_pair, mutate_tail
-from .triangulation import drop_facet, family_facets, triangulation_from_family
+from .triangulation import drop_facet, family_facets
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -210,10 +210,10 @@ def cmd_gb_verify(args) -> int:
 def cmd_triangulate(args) -> int:
     q = build_q(args.r1, args.x1)
     family = groebner_family(q)
-    tri = None
+    dropped = None
     if args.drop_facet is not None:
-        tri = drop_facet(triangulation_from_family(family), args.drop_facet)
-    stage = check_triangulation(family, tri)
+        dropped = drop_facet(family_facets(family), args.drop_facet)
+    stage = check_triangulation(family, dropped)
     payload = {"schema": 1, "params": {"r1": q.r1, "x1": q.x1}}
     if stage.errors:
         payload.update({"pass": False, "failure": stage.errors[0]})
@@ -221,7 +221,7 @@ def cmd_triangulate(args) -> int:
     payload.update(stage.report)
     # only this command lists the facets; a dropped facet's list is the
     # triangulation it checked
-    facets = family_facets(family) if tri is None else tri.facets
+    facets = family_facets(family) if dropped is None else dropped
     payload["facets"] = [list(f) for f in facets]
     payload["pass"] = stage.verdict
     code = _exit_code(stage.verdict)

@@ -8,9 +8,11 @@ rewriting to normal form, the standard monomials of one degree by a
 plain scan of every monomial (the oracle of the smoke test's join), the
 maximal faces of a hypergraph dualized without the twin quotient, a
 facet's volume eliminated from scratch, one facet's lower-cell test by
-dense reduced costs, the facet-wise regularity check of a given
-triangulation and weight certificate, and the lower envelope found by
-testing every column subset.
+dense reduced costs, the regularity check of a facet list under given
+weights as that test on each facet, and the lower envelope found by
+testing every column subset.  None of them runs the face walk of
+``wpsimplex.triangulation``; they share with it only the fraction-free
+elimination, the facet size check and the dualization of a hypergraph.
 
 The lemma checks follow: the facet functionals' values and tightness
 at a point, the point count read off h*_1, a monomial's pushforward and
@@ -40,12 +42,10 @@ from .groebner import _check_budget, _support_mask
 from .simplex import QVector, h_description
 from .toric import Binomial, GroebnerFamily, _balanced, _packed_columns
 from .triangulation import (
-    Triangulation,
-    WeightCertificate,
+    _check_facet_size,
     _checked_volume,
     _eliminate,
     _minimal_transversals,
-    _walk_faces,
 )
 
 #: Hard cap on rewrite steps for a single monomial; hitting it means a
@@ -212,11 +212,7 @@ def facet_volume(
     """Absolute determinant of the homogenized columns selected by a
     (1-based) facet; SingularFacet when the columns are affinely
     dependent."""
-    height = len(columns[0])
-    if len(facet) != height:
-        raise ParameterOutOfRange(
-            f"facet must select {height} columns, got {len(facet)}"
-        )
+    _check_facet_size(len(facet), len(columns[0]))
     det, _ = _eliminate([list(columns[p - 1]) for p in facet])
     return _checked_volume(det, facet)
 
@@ -230,10 +226,13 @@ def is_lower_cell(
     with the weights as right-hand side, which gives integers (scale, c)
     with scale = |det| and c . column_p = scale * w_p on the cell, and
     compute every other column's reduced cost scale * w_p - c . column_p
-    as a dense dot product, in column order.  A zero determinant raises
-    SingularFacet, a zero reduced cost DegenerateLift; a column lifting
-    below makes the cell not lower.  It shares only ``_eliminate`` with
-    the walk, which solves a smaller system in slack coordinates."""
+    as a dense dot product, in column order.  A cell that does not
+    select one column per coordinate raises ParameterOutOfRange, a zero
+    determinant SingularFacet, a zero reduced cost DegenerateLift; a
+    column lifting below makes the cell not lower.  It shares only
+    ``_eliminate`` and the size check with the walk, which solves a
+    smaller system in slack coordinates."""
+    _check_facet_size(len(cell), len(columns[0]))
     det, c = _eliminate([[*columns[p - 1], weights[p - 1]] for p in cell])
     if det == 0:
         raise SingularFacet(f"columns {cell} are affinely dependent")
@@ -255,23 +254,19 @@ def is_lower_cell(
 
 
 def regularity_check(
-    tri: Triangulation,
-    certificate: WeightCertificate,
     columns: tuple[tuple[int, ...], ...],
+    weights: tuple[int, ...],
+    facets: tuple[tuple[int, ...], ...],
 ) -> bool:
-    """Facet-wise lower-envelope condition.
+    """Facet-wise lower-envelope condition, ``is_lower_cell`` on each
+    facet in the order given.
 
     True certifies that the lifted lower envelope induces exactly these
-    facets.  Equality anywhere raises DegenerateLift; a point lifting
-    below a facet's hyperplane makes the check return False.  Every
-    facet is tested on its own and the outcomes are decided in facet
-    order: the first facet that is not a lower cell gives the verdict or
-    the error.
+    facets.  The first facet that is not a lower cell decides: a point
+    lifting below its hyperplane makes the check return False, and its
+    SingularFacet or DegenerateLift is raised.
     """
-    cells = _walk_faces(
-        columns, certificate.weights, [(f, ()) for f in tri.facets]
-    )
-    return tri._replace(lower=tuple(lower for _, _, lower in cells)).regular
+    return all(is_lower_cell(columns, weights, f) for f in facets)
 
 
 def regular_subdivision_bruteforce(
@@ -280,8 +275,8 @@ def regular_subdivision_bruteforce(
     """From-scratch oracle: the full-dimensional lower-envelope cells of
     the lifted configuration, found by testing every column subset of the
     right size.  Guarded to ambient dimension <= 4 (the check is
-    exponential); ``regularity_check`` and the triangulation's own
-    lower-cell outcomes are the scalable path."""
+    exponential); ``regularity_check`` and the walk of
+    ``summarize_triangulation`` are the scalable paths."""
     height = len(columns[0])
     if height - 1 > 4:
         raise ParameterOutOfRange(

@@ -37,7 +37,7 @@ from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
 from .groebner import initial_ideal, injectivity_check
 from .simplex import QVector, build_q, lattice_points_bruteforce, lattice_points_formula
 from .toric import GroebnerFamily, groebner_family, pi_balance_failures
-from .triangulation import Triangulation, summarize_triangulation, verify_unimodular
+from .triangulation import summarize_triangulation, verify_unimodular
 
 DEFAULT_GRID_R1 = (2, 6)
 DEFAULT_GRID_X1 = (1, 5)
@@ -215,17 +215,17 @@ def check_family(
 
 
 def check_triangulation(
-    family: GroebnerFamily, tri: Triangulation | None = None
+    family: GroebnerFamily, facets: tuple[tuple[int, ...], ...] | None = None
 ) -> Stage:
     """Unimodular facets whose volumes sum to N, and a weight vector
-    whose lower envelope induces exactly these facets.  ``tri`` defaults
-    to the family's initial complex, certified face by face without
-    listing its facets; a given triangulation's lower-cell outcomes are
-    read, so one built by hand, which has none, is never certified
-    regular."""
+    whose lower envelope induces exactly these facets, as
+    ``summarize_triangulation`` reads them: by default the family's
+    initial complex, certified face by face without listing its facets,
+    else the given facets, each walked on its own under the family's
+    weight certificate."""
     flags: dict[str, bool | None] = {}
     try:
-        summary = summarize_triangulation(family) if tri is None else tri.summary
+        summary = summarize_triangulation(family, facets)
         flags["triangulationUnimodular"] = verify_unimodular(summary, family.q)
         flags["regularCertified"] = summary.regular
     except WpsimplexError as exc:

@@ -133,7 +133,7 @@ def classify_2supported(r: tuple[int, int], x: tuple[int, int]) -> Classificatio
     return Classification.NOT_REFLEXIVE_IDP
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def build_q(r1: int, x1: int) -> QVector:
     """Build the weight vector for parameters (r1, x1).
 
@@ -148,7 +148,7 @@ def build_q(r1: int, x1: int) -> QVector:
     return QVector(r1=r1, x1=x1, d=x1 + r1 - 1, entries=entries, volume=volume)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def h_description(q: QVector) -> tuple[tuple[int, ...], ...]:
     """The d + 1 irredundant facet functionals, each read as
     ``functional(p) <= 1``.
@@ -166,7 +166,7 @@ def h_description(q: QVector) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def lattice_points_formula(q: QVector) -> PointConfiguration:
     """The closed-form list of all r1 + d + 3 lattice points.
 

@@ -144,7 +144,7 @@ def _in_B(i: int, j: int, r1: int) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def build_B(r1: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j) of B (see ``_in_B``), in lex order."""
     if r1 < 2:
@@ -325,7 +325,7 @@ def pi_balance_failures(family: GroebnerFamily) -> tuple[int, ...]:
     return tuple(i for i, g in enumerate(gens) if not _balanced(packed, g))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def groebner_family(q: QVector) -> GroebnerFamily:
     """Construct the family and audit every generator.
 

@@ -14,11 +14,13 @@ them replaced by any one of its columns (Berge, *Hypergraphs*, 1989,
 ch. 2), so the facets come in faces: a face omits one column of each
 class of one quotient transversal, and its members are its facets, one
 per way to pick the omitted columns.  The family's supports fall into
-r1 + 5 twin classes and its facets into r1 + 4 faces.  The certificate
-is read face by face and counts a face's members without listing them;
-only ``triangulate`` and ``triangulation_from_family`` expand the faces
-into the sorted facet list, after checking its length against the
-enumeration budget.
+r1 + 5 twin classes and its facets into r1 + 4 faces.  A triangulation
+is its facet list, and ``summarize_triangulation`` is its one reader: it
+reads the family's faces and counts a face's members without listing
+them, or walks a given facet list facet by facet.  Only
+``family_facets``, for ``triangulate``, expands the faces into the
+sorted facet list, after checking its length against the enumeration
+budget.
 
 Both are read in the slack coordinates y = (x_0, ..., x_{d-1},
 h - sum(x)) of the homogenized columns, a change of determinant 1 that
@@ -52,7 +54,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, compress, filterfalse, product, repeat
 from math import prod
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -88,39 +90,6 @@ class TriangulationSummary(NamedTuple):
         if isinstance(self.outcome, WpsimplexError):
             raise self.outcome
         return self.outcome
-
-
-class Triangulation(NamedTuple):
-    """Facets as sorted tuples of 1-based column indices, with their
-    normalized volumes (absolute homogenized determinants) and, when
-    built from a family, each facet's lower-cell outcome under its weight
-    certificate: True, False, or the DegenerateLift or SingularFacet the
-    test raised."""
-
-    facets: tuple[tuple[int, ...], ...]
-    volumes: tuple[int, ...]
-    lower: tuple[bool | WpsimplexError, ...] = ()
-
-    @property
-    def summary(self) -> TriangulationSummary:
-        """The counts, and the outcomes decided in facet order: the first
-        that is not True.  False without an outcome for every facet, as
-        for a hand-built triangulation."""
-        outcome = len(self.lower) == len(self.facets) and next(
-            (x for x in self.lower if x is not True), True
-        )
-        return TriangulationSummary(
-            num_facets=len(self.facets),
-            volume_sum=sum(self.volumes),
-            all_unimodular=all(v == 1 for v in self.volumes),
-            outcome=outcome,
-        )
-
-    @property
-    def regular(self) -> bool:
-        """The first outcome in facet order that is not True: an error is
-        raised, False returned."""
-        return self.summary.regular
 
 
 class WeightCertificate(NamedTuple):
@@ -260,15 +229,6 @@ def _lead_faces(
     return tuple(sorted(faces, key=_first_member))
 
 
-def _check_facet_budget(faces) -> None:
-    """Raise BudgetExceeded when the faces have more members than the
-    enumeration budget; checked before any face is expanded."""
-    count = sum(map(_face_size, faces))
-    limit = resolve_enum_budget()
-    if count > limit:
-        raise BudgetExceeded(f"{count} facets exceed the budget {limit}")
-
-
 def initial_complex(
     in_ideal: InitialIdeal, n: int, dim: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -279,7 +239,9 @@ def initial_complex(
     a maximal face of any other size raises NonPureComplex.
     """
     faces = _lead_faces(in_ideal, n, dim)
-    _check_facet_budget(faces)
+    count, limit = sum(map(_face_size, faces)), resolve_enum_budget()
+    if count > limit:
+        raise BudgetExceeded(f"{count} facets exceed the budget {limit}")
     return tuple(sorted(chain.from_iterable(map(_members, faces))))
 
 
@@ -439,28 +401,25 @@ def _family_faces(family: GroebnerFamily) -> tuple[_Face, ...]:
     return _lead_faces(initial_ideal(family), family.nvars, family.q.d + 1)
 
 
-def _walk_family(
-    family: GroebnerFamily, faces: Sequence[_Face]
-) -> tuple[list[_Cell], CertificateFailure | None]:
-    """The walk of the faces under the family's weight certificate, and
-    the certificate's failure, which then stands for every outcome (the
-    volumes are walked under zero weights)."""
+def summarize_triangulation(
+    family: GroebnerFamily, facets: Sequence[tuple[int, ...]] | None = None
+) -> TriangulationSummary:
+    """The triangulation certified under the family's weight certificate,
+    whose failure then stands for every outcome (the volumes are walked
+    under zero weights).  With ``facets`` None these are the family's
+    faces, read without listing their facets: a face of m members counts
+    m facets and m times its volume.  A given facet list, an empty one
+    included, is walked facet by facet, each facet a face without
+    choices.  Only a facet walked on its own is singular or not a lower
+    cell, and the first such facet in facet order, the sorted order,
+    decides.  Raises NonPureComplex for the family's faces, or
+    SingularFacet for the first singular facet in facet order."""
+    faces = _family_faces(family) if facets is None else [(f, ()) for f in facets]
     try:
         weights, failure = make_weight_certificate(family).weights, None
     except CertificateFailure as exc:
         weights, failure = (0,) * family.nvars, exc
-    return _walk_faces(family.columns, weights, faces), failure
-
-
-def summarize_triangulation(family: GroebnerFamily) -> TriangulationSummary:
-    """The family's triangulation certified face by face, without
-    listing its facets: a face of m members counts m facets and m times
-    its volume.  Only a face walked member by member has a facet that is
-    singular or not a lower cell, so the first such facet in facet order
-    is one of its members.  Raises as ``triangulation_from_family``
-    does: NonPureComplex, or SingularFacet for the first singular facet
-    in facet order."""
-    cells, failure = _walk_family(family, _family_faces(family))
+    cells = _walk_faces(family.columns, weights, faces)
     singular = [face[0] for face, volume, _ in cells if not volume]
     if singular:
         _checked_volume(0, min(singular))
@@ -478,51 +437,25 @@ def summarize_triangulation(family: GroebnerFamily) -> TriangulationSummary:
     )
 
 
-def triangulation_from_family(family: GroebnerFamily) -> Triangulation:
-    """Pipeline: lead monomials -> faces -> volumes and lower cells under
-    the family's weight certificate, whose failure is every facet's
-    outcome -> the facets, expanded after their count is checked against
-    the enumeration budget; the first singular facet in facet order
-    raises SingularFacet."""
-    faces = _family_faces(family)
-    _check_facet_budget(faces)
-    cells, failure = _walk_family(family, faces)
-    expanded = sorted((
-        (member, volume, lower)
-        for face, volume, lower in cells for member in _members(face)
-    ), key=itemgetter(0))
-    facets, volumes, lower = map(tuple, zip(*expanded)) if expanded else ((),) * 3
-    return Triangulation(
-        facets=facets,
-        volumes=tuple(map(_checked_volume, volumes, facets)),
-        lower=(failure,) * len(facets) if failure else lower,
-    )
-
-
-def verify_unimodular(
-    tri: Triangulation | TriangulationSummary, q: QVector
-) -> bool:
+def verify_unimodular(summary: TriangulationSummary, q: QVector) -> bool:
     """True iff every facet has volume 1 and the volumes sum to N(q)."""
-    summary = tri.summary if isinstance(tri, Triangulation) else tri
     return summary.all_unimodular and summary.volume_sum == q.volume
 
 
-def drop_facet(tri: Triangulation, index: int) -> Triangulation:
-    """Sabotage hook: the triangulation without facet ``index``, which
-    leaves the volumes summing to less than N."""
-    if not tri.facets:
+def drop_facet(
+    facets: tuple[tuple[int, ...], ...], index: int
+) -> tuple[tuple[int, ...], ...]:
+    """Sabotage hook: the facets without facet ``index``, whose volumes
+    then sum to less than N."""
+    if not facets:
         raise IndexOutOfRange(
             f"cannot drop facet {index}: the facet list is empty"
         )
-    if not 0 <= index < len(tri.facets):
+    if not 0 <= index < len(facets):
         raise IndexOutOfRange(
-            f"facet index must lie in [0, {len(tri.facets) - 1}]"
+            f"facet index must lie in [0, {len(facets) - 1}]"
         )
-    return Triangulation(
-        facets=tri.facets[:index] + tri.facets[index + 1:],
-        volumes=tri.volumes[:index] + tri.volumes[index + 1:],
-        lower=tri.lower[:index] + tri.lower[index + 1:],
-    )
+    return facets[:index] + facets[index + 1:]
 
 
 def make_weight_certificate(family: GroebnerFamily) -> WeightCertificate:

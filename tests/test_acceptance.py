@@ -20,19 +20,21 @@ from wpsimplex import (
     ehrhart_bruteforce,
     ehrhart_value,
     excluded_pair_binomial,
+    family_facets,
     groebner_family,
     hstar,
     initial_ideal,
     lattice_points_bruteforce,
     lattice_points_formula,
     make_weight_certificate,
-    triangulation_from_family,
+    summarize_triangulation,
     verify_unimodular,
 )
 from wpsimplex.errors import BudgetExceeded
 from wpsimplex.oracles import (
     SupportCase,
     buchberger_verify,
+    facet_volume,
     is_toric_member,
     pi_image,
     regularity_check,
@@ -80,7 +82,7 @@ def families():
 @pytest.fixture(scope="module")
 def triangulations(families):
     return {
-        point: triangulation_from_family(family)
+        point: family_facets(family)
         for point, family in families.items()
     }
 
@@ -295,14 +297,14 @@ def test_criterion_08_support_shapes(families):
 def test_criterion_09_triangulation(families, triangulations):
     t0 = time.perf_counter()
     for point, family in families.items():
-        tri = triangulations[point]
+        facets = triangulations[point]
         q = family.q
-        assert len(tri.facets) == q.volume, point
-        assert all(v == 1 for v in tri.volumes), point
-        assert verify_unimodular(tri, q), point
+        assert len(facets) == q.volume, point
+        assert all(facet_volume(family.columns, f) == 1 for f in facets), point
+        assert verify_unimodular(summarize_triangulation(family, facets), q), point
         cert = make_weight_certificate(family)
-        assert regularity_check(tri, cert, family.columns), point
-    assert triangulations[(2, 1)].facets == FACETS_2_1
+        assert regularity_check(family.columns, cert.weights, facets), point
+    assert triangulations[(2, 1)] == FACETS_2_1
     elapsed = time.perf_counter() - t0
     report(
         9,

@@ -434,6 +434,7 @@ def test_cli_imports_no_check_primitive():
         "initial_ideal",
         "injectivity_check",
         "pi_balance_failures",
+        "summarize_triangulation",
         "verify_unimodular",
         "make_weight_certificate",
         "regularity_check",

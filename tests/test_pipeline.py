@@ -131,3 +131,17 @@ def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
         **dict.fromkeys(pipeline.FAMILY_FLAGS + pipeline.TRIANGULATION_FLAGS, False),
         "errors": ["generator 8 (eq5) z2*z4 - z2*z3 is not pi-balanced"],
     }
+
+
+@pytest.mark.parametrize("cached", [
+    toric.groebner_family,
+    simplex.lattice_points_formula,
+    simplex.build_q,
+    simplex.h_description,
+    ehrhart.hstar,
+    toric.build_B,
+], ids=lambda f: f.__name__)
+def test_per_point_caches_are_bounded(cached):
+    # a long in-process sweep keeps at most 64 points of each, like the
+    # other per-point caches, not every point it has seen
+    assert cached.cache_info().maxsize == 64

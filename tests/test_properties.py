@@ -24,6 +24,7 @@ from wpsimplex import (
     Binomial,
     build_q,
     enumerate_dilation_points,
+    family_facets,
     groebner_family,
     h_description,
     initial_complex,
@@ -31,7 +32,6 @@ from wpsimplex import (
     lattice_points_bruteforce,
     lattice_points_formula,
     make_weight_certificate,
-    triangulation_from_family,
 )
 from wpsimplex import simplex, triangulation
 from wpsimplex.errors import (
@@ -52,8 +52,6 @@ from wpsimplex.oracles import (
 )
 from wpsimplex.toric import _packed_columns, include_excluded_pair, mutate_tail
 from wpsimplex.triangulation import (
-    Triangulation,
-    WeightCertificate,
     _eliminate,
     _face_size,
     _family_faces,
@@ -247,15 +245,12 @@ def test_walk_decides_as_the_facet_by_facet_check(case):
         if isinstance(outcome, Exception):
             outcome = type(outcome), str(outcome)
         assert outcome == expected
-
-    def one_by_one():
-        return all(is_lower_cell(columns, weights, f) for f in facets)
-
-    tri = Triangulation(facets=facets, volumes=(1,) * len(facets))
-    cert = WeightCertificate(weights=weights)
-    assert _first_verdict(
-        lambda: regularity_check(tri, cert, columns)
-    ) == _first_verdict(one_by_one)
+    # the walk's first outcome that is not True, in the order given,
+    # decides as the oracle's facet-by-facet check does
+    first = next((x for x in lower if x is not True), True)
+    assert _outcomes([first]) == [
+        _first_verdict(lambda: regularity_check(columns, weights, facets))
+    ]
 
 
 def _repeated_kinds(plain_rows, order, picks, weights):
@@ -368,7 +363,7 @@ def weighted_points(draw):
     small random heights that tie or fold."""
     r1, x1 = draw(st.tuples(st.integers(2, 6), st.integers(1, 5)))
     family = groebner_family(build_q(r1, x1))
-    facets = triangulation_from_family(family).facets
+    facets = family_facets(family)
     weights = make_weight_certificate(family).weights
     kind = draw(st.sampled_from(("certificate", "reversed", "flat", "random")))
     if kind == "reversed":

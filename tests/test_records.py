@@ -14,7 +14,7 @@ from wpsimplex import (
     initial_ideal,
     lattice_points_formula,
     make_weight_certificate,
-    triangulation_from_family,
+    summarize_triangulation,
 )
 from wpsimplex.oracles import buchberger_verify, zsupport_shape
 from wpsimplex.pipeline import Stage, check_hstar
@@ -31,7 +31,7 @@ def _records():
         family,
         initial_ideal(family),
         zsupport_shape(family.generators[0].lead, q),
-        triangulation_from_family(family),
+        summarize_triangulation(family),
         make_weight_certificate(family),
         check_hstar(q),
         buchberger_verify(family),

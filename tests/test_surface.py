@@ -1,8 +1,9 @@
 """The command modules' surface: the enumeration budget has one source,
 the environment variable, the paper's lemma checks live with the
-oracles, which no command imports, and the facet walk reads its reduced
+oracles, which no command imports, the facet walk reads its reduced
 costs without a factorization of the configuration, an inverse carried
-from one facet to the next or a second lower-cell test."""
+from one facet to the next or a second lower-cell test, and one function
+reads a triangulation."""
 
 import inspect
 
@@ -95,6 +96,16 @@ def test_no_inverse_walk():
                  "_difference_terms", "FacetInverse", "_is_lower_cell",
                  "_facet_class"):
         assert not hasattr(triangulation, name), name
+
+
+def test_one_triangulation_reader():
+    # a triangulation is its facet list, and summarize_triangulation is
+    # the one reader of the walk; the oracles run no part of the walk
+    for name in ("Triangulation", "triangulation_from_family", "_walk_family"):
+        assert not hasattr(triangulation, name), name
+        assert not hasattr(wpsimplex, name), name
+    assert not hasattr(oracles, "_walk_faces")
+    assert triangulation not in vars(oracles).values()
 
 
 def test_plain_facet_enumeration_is_the_reference_only():

@@ -4,15 +4,15 @@ import pytest
 
 from wpsimplex import (
     Binomial,
-    Triangulation,
     build_q,
     cli,
+    family_facets,
     groebner_family,
     initial_complex,
     initial_ideal,
     lattice_points_formula,
     make_weight_certificate,
-    triangulation_from_family,
+    summarize_triangulation,
     verify_unimodular,
 )
 from wpsimplex.errors import (
@@ -46,7 +46,6 @@ from wpsimplex.triangulation import (
     _walk_faces,
     drop_facet,
     facet_support_function,
-    summarize_triangulation,
 )
 from wpsimplex.pipeline import check_triangulation, evaluate_point
 
@@ -63,8 +62,8 @@ FACETS_2_1 = (
 
 
 @pytest.fixture(scope="module")
-def tri21(family21):
-    return triangulation_from_family(family21)
+def facets21(family21):
+    return family_facets(family21)
 
 
 def test_initial_complex_2_1(family21):
@@ -72,8 +71,9 @@ def test_initial_complex_2_1(family21):
     assert facets == FACETS_2_1
 
 
-def test_facet_count_equals_volume(family21, tri21):
-    assert len(tri21.facets) == family21.q.volume == 6
+def test_facet_count_equals_volume(family21, facets21):
+    assert facets21 == FACETS_2_1
+    assert len(facets21) == family21.q.volume == 6
 
 
 def test_non_pure_complex_detected():
@@ -92,14 +92,15 @@ def test_non_pure_complex_detected():
 )
 def test_initial_complex_at_the_frontier(r1, x1, count, size):
     family = groebner_family(build_q(r1, x1))
-    tri = triangulation_from_family(family)
     facets = initial_complex(initial_ideal(family), family.nvars, size)
-    assert facets == tri.facets
+    assert facets == family_facets(family)
     assert len(facets) == count == family.q.volume
     assert all(len(f) == size for f in facets)
-    assert set(tri.volumes) == {1} and verify_unimodular(tri, family.q)
+    summary = summarize_triangulation(family, facets)
+    assert summary == (count, count, True, True)
+    assert verify_unimodular(summary, family.q)
     cert = make_weight_certificate(family)
-    assert regularity_check(tri, cert, family.columns)
+    assert regularity_check(family.columns, cert.weights, facets)
 
 
 def test_facet_volume_examples(family21):
@@ -162,9 +163,10 @@ def test_walk_refuses_a_pivot_to_a_larger_volume(family21):
     assert volumes == [1] * 6 + [6]
     assert volumes == [facet_volume(family21.columns, f) for f in facets]
     assert lower == (True,) * 6 + (False,)
-    tri = Triangulation(facets=facets, volumes=tuple(volumes))
-    assert not verify_unimodular(tri, family21.q)
-    assert not regularity_check(tri, cert, family21.columns)
+    summary = summarize_triangulation(family21, facets)
+    assert summary == (7, 12, False, False)
+    assert not verify_unimodular(summary, family21.q)
+    assert not regularity_check(family21.columns, cert.weights, facets)
 
 
 def test_walk_restarts_where_no_ridge_is_shared(family21):
@@ -172,13 +174,13 @@ def test_walk_restarts_where_no_ridge_is_shared(family21):
     facets = ((1, 2, 3), (5, 6, 7))
     cert = make_weight_certificate(family21)
     assert walk_facets(family21.columns, cert.weights, facets) == ([1, 1], (True, True))
-    tri = Triangulation(facets=facets, volumes=(1, 1))
-    assert regularity_check(tri, cert, family21.columns)
+    assert regularity_check(family21.columns, cert.weights, facets)
 
 
-def test_singular_facet_is_named_in_facet_order(family21, monkeypatch):
+def test_singular_facet_is_named_in_facet_order(family21):
     # both (4, 5, 6) and (1, 2, 4) are singular: each reads volume 0 and
-    # its own SingularFacet, and the first in facet order is the one named
+    # its own SingularFacet; the oracle names the first in the order
+    # given, the summary the first in facet order
     facets = ((1, 2, 3), (4, 5, 6)) + FACETS_2_1[1:] + ((1, 2, 4),)
     cert = make_weight_certificate(family21)
     volumes, lower = walk_facets(family21.columns, cert.weights, facets)
@@ -187,23 +189,16 @@ def test_singular_facet_is_named_in_facet_order(family21, monkeypatch):
         assert isinstance(lower[index], SingularFacet)
         assert str(lower[index]) == f"columns {facets[index]} are affinely dependent"
     assert lower[:1] + lower[2:7] == (True,) * 6
-    tri = Triangulation(facets=facets, volumes=(1,) * len(facets))
     with pytest.raises(SingularFacet, match=r"columns \(4, 5, 6\) are"):
-        regularity_check(tri, cert, family21.columns)
+        regularity_check(family21.columns, cert.weights, facets)
     swapped = ((1, 2, 3), (1, 2, 4)) + FACETS_2_1[1:] + ((4, 5, 6),)
-    tri = Triangulation(facets=swapped, volumes=(1,) * len(swapped))
     with pytest.raises(SingularFacet, match=r"columns \(1, 2, 4\) are"):
-        regularity_check(tri, cert, family21.columns)
-    # a family's facets are its faces' members in sorted order, so there
-    # (1, 2, 4) comes first whichever face is listed first
+        regularity_check(family21.columns, cert.weights, swapped)
+    # facet order is sorted order, as in a family's facet list, so there
+    # (1, 2, 4) comes first whichever facet is listed first
     for listed in (facets, swapped):
-        monkeypatch.setattr(
-            triangulation, "_family_faces",
-            lambda family, listed=listed: [(f, ()) for f in listed],
-        )
-        for build in (triangulation_from_family, summarize_triangulation):
-            with pytest.raises(SingularFacet, match=r"columns \(1, 2, 4\) span"):
-                build(family21)
+        with pytest.raises(SingularFacet, match=r"columns \(1, 2, 4\) span"):
+            summarize_triangulation(family21, listed)
 
 
 @pytest.fixture
@@ -258,43 +253,57 @@ def test_failed_certificate_keeps_the_volume_flag(family21):
     assert stage.errors == ("generator 9's lead is not heavier than its tail",)
 
 
-def test_dropped_facet_keeps_the_other_outcomes(family21, tri21):
+def test_dropped_facet_keeps_the_other_outcomes(family21, facets21, monkeypatch):
+    # under the certificate and under spiked heights, the facets left
+    # after a drop decide as the oracle decides them facet by facet
     cert = make_weight_certificate(family21)
     spiked = WeightCertificate(weights=(1,) + (1000,) * 6)
     for weights in (cert, spiked):
-        _, lower = walk_facets(family21.columns, weights.weights, tri21.facets)
-        tri = tri21._replace(lower=lower)
-        for k in range(len(tri.facets)):
-            short = Triangulation(
-                facets=tri.facets[:k] + tri.facets[k + 1:],
-                volumes=tri.volumes[:k] + tri.volumes[k + 1:],
-            )
-            assert drop_facet(tri, k).regular == regularity_check(
-                short, weights, family21.columns
+        monkeypatch.setattr(
+            triangulation, "make_weight_certificate",
+            lambda family, weights=weights: weights,
+        )
+        for k in range(len(facets21)):
+            short = drop_facet(facets21, k)
+            assert summarize_triangulation(family21, short).regular == (
+                regularity_check(family21.columns, weights.weights, short)
             )
 
 
-def test_hand_built_triangulation_is_not_certified_regular(family21, tri21):
-    assert tri21.regular
-    bare = Triangulation(facets=tri21.facets, volumes=tri21.volumes)
-    assert not bare.regular
-    stage = check_triangulation(family21, bare)
-    assert stage.flags == {
-        "triangulationUnimodular": True, "regularCertified": False,
-    }
+@pytest.mark.parametrize("r1,x1", SMALL_GRID)
+def test_drop_facet_matches_the_oracles(r1, x1):
+    # each dropped facet leaves N - 1 unit volumes: the stage fails the
+    # volume flag and reads the verdict and the volume count the oracles
+    # read facet by facet
+    family = groebner_family(build_q(r1, x1))
+    facets = family_facets(family)
+    weights = make_weight_certificate(family).weights
+    for k in range(len(facets)):
+        short = drop_facet(facets, k)
+        stage = check_triangulation(family, short)
+        volumes = [facet_volume(family.columns, f) for f in short]
+        assert stage.report["num_facets"] == len(short)
+        assert stage.report["volume_sum"] == sum(volumes) == family.q.volume - 1
+        assert stage.flags == {
+            "triangulationUnimodular": False,
+            "regularCertified": regularity_check(family.columns, weights, short),
+        }
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_triangulation_unimodular_on_grid(r1, x1):
     q = build_q(r1, x1)
-    tri = triangulation_from_family(groebner_family(q))
-    assert verify_unimodular(tri, q)
-    assert len(tri.facets) == q.volume
+    family = groebner_family(q)
+    facets = family_facets(family)
+    summary = summarize_triangulation(family, facets)
+    assert verify_unimodular(summary, q)
+    assert summary.num_facets == len(facets) == q.volume
 
 
-def test_dropped_facet_fails(family21, tri21):
-    short = Triangulation(facets=tri21.facets[1:], volumes=tri21.volumes[1:])
-    assert not verify_unimodular(short, family21.q)
+def test_dropped_facet_fails(family21, facets21):
+    summary = summarize_triangulation(family21, drop_facet(facets21, 0))
+    assert summary == (5, 5, True, True)
+    assert not verify_unimodular(summary, family21.q)
 
 
 def test_weight_certificate_2_1(family21):
@@ -336,10 +345,10 @@ def test_weight_certificate_empty_family(family21):
         make_weight_certificate(family21._replace(generators=(), tags=()))
 
 
-def test_support_function_interpolates(family21, tri21):
+def test_support_function_interpolates(family21, facets21):
     cert = make_weight_certificate(family21)
     heights = _slack_heights(family21.columns, cert.weights)
-    for facet in tri21.facets + ((1, 6, 7),):
+    for facet in facets21 + ((1, 6, 7),):
         scale, c = _in_columns(heights, facet_support_function(
             family21.columns, cert.weights, facet
         ))
@@ -352,44 +361,43 @@ def test_support_function_interpolates(family21, tri21):
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_regularity_on_grid(r1, x1):
     family = groebner_family(build_q(r1, x1))
-    tri = triangulation_from_family(family)
+    facets = family_facets(family)
     cert = make_weight_certificate(family)
-    assert regularity_check(tri, cert, family.columns)
+    assert regularity_check(family.columns, cert.weights, facets)
+    assert summarize_triangulation(family, facets).regular
 
 
-def test_equal_weights_degenerate(family21, tri21):
-    flat = WeightCertificate(weights=(1,) * 7)
+def test_equal_weights_degenerate(family21, facets21):
     with pytest.raises(DegenerateLift):
-        regularity_check(tri21, flat, family21.columns)
+        regularity_check(family21.columns, (1,) * 7, facets21)
 
 
-def test_sabotaged_weights_do_not_certify(family21, tri21):
+def test_sabotaged_weights_do_not_certify(family21, facets21):
     # burying the apex column under a flat plateau pushes other columns
     # below several facet hyperplanes
-    spiked = WeightCertificate(weights=(1,) + (1000,) * 6)
-    assert not regularity_check(tri21, spiked, family21.columns)
+    spiked = (1,) + (1000,) * 6
+    assert not regularity_check(family21.columns, spiked, facets21)
     # a single plateau height is non-generic
-    flat_spike = WeightCertificate(weights=(1, 1, 1, 1, 1000, 1, 1))
+    flat_spike = (1, 1, 1, 1, 1000, 1, 1)
     with pytest.raises(DegenerateLift):
-        regularity_check(tri21, flat_spike, family21.columns)
+        regularity_check(family21.columns, flat_spike, facets21)
 
 
-def test_reversed_weights_induce_the_same_triangulation(family21, tri21):
+def test_reversed_weights_induce_the_same_triangulation(family21, facets21):
     # the certificate cone of this triangulation is wide: reversed
     # geometric weights land in it too, as the from-scratch oracle shows
     reverse = tuple(3 ** i for i in range(7))
-    assert regular_subdivision_bruteforce(family21.columns, reverse) == tri21.facets
-    assert regularity_check(
-        tri21, WeightCertificate(weights=reverse), family21.columns
-    )
+    assert regular_subdivision_bruteforce(family21.columns, reverse) == facets21
+    assert regularity_check(family21.columns, reverse, facets21)
 
 
 @pytest.mark.parametrize("r1,x1", [(2, 1), (2, 2), (3, 1)])
 def test_subdivision_oracle_agrees(r1, x1):
     family = groebner_family(build_q(r1, x1))
-    tri = triangulation_from_family(family)
     cert = make_weight_certificate(family)
-    assert regular_subdivision_bruteforce(family.columns, cert.weights) == tri.facets
+    assert regular_subdivision_bruteforce(
+        family.columns, cert.weights
+    ) == family_facets(family)
 
 
 def test_subdivision_oracle_dimension_guard():
@@ -402,18 +410,18 @@ def test_subdivision_oracle_dimension_guard():
 @pytest.mark.parametrize("r1,x1", [(2, 1), (3, 2)])
 def test_pairwise_intersections_are_faces(r1, x1):
     family = groebner_family(build_q(r1, x1))
-    tri = triangulation_from_family(family)
+    facets = family_facets(family)
     supports = [
         frozenset(i + 1 for i, e in enumerate(m) if e)
         for m in initial_ideal(family).generators
     ]
-    for a in tri.facets:
-        for b in tri.facets:
+    for a in facets:
+        for b in facets:
             common = set(a) & set(b)
             assert not any(s <= common for s in supports)
 
 
-def test_last_interior_column_is_not_a_cone_point(family21, tri21):
+def test_last_interior_column_is_not_a_cone_point(family21, facets21):
     # the lifted origin (column r1+3) sits in eq1 leads like z1*z{r1+3},
     # so some facets omit it
     origin_col = family21.q.r1 + 3
@@ -421,7 +429,7 @@ def test_last_interior_column_is_not_a_cone_point(family21, tri21):
         g.lead[origin_col - 1] > 0 for g in family21.generators
     )
     assert in_lead
-    assert any(origin_col not in facet for facet in tri21.facets)
+    assert any(origin_col not in facet for facet in facets21)
 
 
 # -- the kernel on the non-slack columns -------------------------------------
@@ -442,7 +450,7 @@ def test_family_kernels_are_at_most_three_by_three():
             [f"a{r1 + 3}"] + [f"b{j}" for j in range(1, family.q.d + 1)]
         )
         assert sorted(slack.values()) == list(range(family.q.d + 1))
-        for facet in triangulation_from_family(family).facets:
+        for facet in family_facets(family):
             k = sum(p not in slack for p in facet)
             assert k <= 3
             _, delta = facet_support_function(family.columns, weights, facet)
@@ -467,15 +475,17 @@ def supports(monkeypatch):
 def test_one_solve_per_facet_class(r1, x1, supports):
     # the family's facets fall into r1 + 4 faces, each solved once on
     # its first member in facet order
-    tri = triangulation_from_family(groebner_family(build_q(r1, x1)))
+    family = groebner_family(build_q(r1, x1))
+    assert summarize_triangulation(family).outcome is True
+    facets = family_facets(family)
     assert len(supports) == r1 + 4
-    assert [tri.facets.index(f) for f in supports] == sorted(
-        tri.facets.index(f) for f in supports
+    assert [facets.index(f) for f in supports] == sorted(
+        facets.index(f) for f in supports
     )
     if (r1, x1) == (12, 3):
-        assert len(tri.facets) == 444 and len(supports) == 16
+        assert len(facets) == 444 and len(supports) == 16
     if (r1, x1) == (2, 1):
-        assert len(tri.facets) == len(supports) == 6
+        assert len(facets) == len(supports) == 6
 
 
 def test_flat_weights_solve_each_facet_once(supports):
@@ -505,10 +515,26 @@ def test_walk_refuses_a_facet_of_the_wrong_size(family21, supports):
         facet_support_function(family21.columns, weights, (1, 2, 3, 4))
 
 
-def test_walk_refuses_one_weight_short(family21, tri21):
+@pytest.mark.parametrize("cell", [(1, 2, 3, 4), (1, 2), (5, 6)])
+def test_oracles_refuse_a_cell_of_the_wrong_size(family21, cell):
+    # as the walk does: one too many columns, one too few, and one too
+    # few that is also singular
+    weights = make_weight_certificate(family21).weights
+    message = f"facet must select 3 columns, got {len(cell)}"
+    for check in (
+        lambda: is_lower_cell(family21.columns, weights, cell),
+        lambda: regularity_check(family21.columns, weights, FACETS_2_1 + (cell,)),
+        lambda: facet_volume(family21.columns, cell),
+        lambda: walk_facets(family21.columns, weights, (cell,)),
+    ):
+        with pytest.raises(ParameterOutOfRange, match=f"^{message}$"):
+            check()
+
+
+def test_walk_refuses_one_weight_short(family21, facets21):
     weights = make_weight_certificate(family21).weights[:-1]
     with pytest.raises(DimensionMismatch, match="6 weights for 7 columns"):
-        walk_facets(family21.columns, weights, tri21.facets)
+        walk_facets(family21.columns, weights, facets21)
 
 
 # -- the walk over the faces --------------------------------------------------
@@ -614,8 +640,10 @@ def test_a_failing_face_names_its_first_failing_member(monkeypatch):
     assert summary[:3] == (12, 12, True)
     assert isinstance(summary.outcome, DegenerateLift)
     assert str(summary.outcome) == named
+    listed = summarize_triangulation(family, family_facets(family))
+    assert listed[:3] == summary[:3] and str(listed.outcome) == named
     with pytest.raises(DegenerateLift, match=r"\(3, 4, 5, 7\)$"):
-        triangulation_from_family(family).regular
+        listed.regular
     stage = check_triangulation(family)
     assert stage.flags == {
         "triangulationUnimodular": True, "regularCertified": False,
@@ -653,10 +681,12 @@ def test_a_non_pure_complex_names_the_face_the_plain_dualization_finds_first():
 
 
 def test_summary_counts_what_the_facet_list_holds():
+    # the faces read whole and the facet list walked facet by facet give
+    # one summary
     for r1, x1 in SMALL_GRID + BENCHMARK_POINTS:
         family = groebner_family(build_q(r1, x1))
-        tri = triangulation_from_family(family)
-        assert summarize_triangulation(family) == tri.summary == (
+        listed = summarize_triangulation(family, family_facets(family))
+        assert summarize_triangulation(family) == listed == (
             family.q.volume, family.q.volume, True, True
         )
 
@@ -722,7 +752,7 @@ def test_triangulate_dualizes_the_twin_quotient_once(argv, monkeypatch, capsys):
 def test_facet_list_builders_check_the_budget(family21, monkeypatch):
     monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "5")
     for build in (
-        lambda: triangulation_from_family(family21),
+        lambda: family_facets(family21),
         lambda: initial_complex(initial_ideal(family21), family21.nvars, 3),
     ):
         with pytest.raises(BudgetExceeded, match="6 facets exceed the budget 5"):
@@ -732,8 +762,17 @@ def test_facet_list_builders_check_the_budget(family21, monkeypatch):
 
 
 def test_drop_facet_names_an_empty_facet_list():
-    empty = Triangulation(facets=(), volumes=())
     with pytest.raises(
         IndexOutOfRange, match=r"^cannot drop facet 0: the facet list is empty$"
     ):
-        drop_facet(empty, 0)
+        drop_facet((), 0)
+    with pytest.raises(IndexOutOfRange, match=r"^facet index must lie in \[0, 0\]$"):
+        drop_facet(((1, 2, 3),), 1)
+
+
+def test_one_facet_dropped_leaves_an_empty_list_to_walk(family21):
+    # an empty facet list is given, not absent: it walks nothing, so it
+    # sums no volume
+    summary = summarize_triangulation(family21, drop_facet(((1, 2, 3),), 0))
+    assert summary == (0, 0, True, True)
+    assert not verify_unimodular(summary, family21.q)
