@@ -13,7 +13,6 @@ from wpsimplex import (
     binomial_text,
     build_q,
     groebner_family,
-    initial_ideal,
     injectivity_check,
     monomial_text,
 )
@@ -31,11 +30,9 @@ print("\npair set with companions:")
 for pair, comp in family.b_pairs:
     print(f"  {pair} -> {comp}")
 
-ideal = initial_ideal(family)
-print(f"\ninitial ideal: {len(ideal.generators)} minimal generators, "
-      f"squarefree: {ideal.squarefree}")
-
 stage = check_family(family, check_triangulation(family))
+print(f"\nlead monomials: {len({g.lead for g in family.generators})} "
+      f"distinct, the minimal ones squarefree: {stage.flags['squarefree']}")
 print(f"basis certified by the triangulation "
       f"({stage.report['num_facets']} unimodular facets): "
       f"{stage.flags['buchbergerPass']}")

@@ -17,11 +17,9 @@ from .errors import (
     WpsimplexError,
 )
 from .simplex import (
-    Classification,
     PointConfiguration,
     QVector,
     build_q,
-    classify_2supported,
     enumerate_dilation_points,
     h_description,
     lattice_points_bruteforce,
@@ -44,11 +42,7 @@ from .toric import (
     groebner_family,
     monomial_text,
 )
-from .groebner import (
-    InitialIdeal,
-    initial_ideal,
-    injectivity_check,
-)
+from .groebner import injectivity_check
 from .triangulation import (
     TriangulationSummary,
     WeightCertificate,

@@ -1,4 +1,4 @@
-"""The initial ideal and the standard monomials.
+"""The Groebner basis argument and the standard monomials.
 
 Everything here works on the exponent tuples of a binomial rewrite
 family, ordered by pure lex (z_1 > ... > z_{r1+3} > y_1 > ... > y_d, the
@@ -11,8 +11,11 @@ Polytopes*, 1996, Thm 8.3 and Cor 8.9), from four checks that
   (a) every generator is pi-balanced, so the family lies in I_A;
   (b) the weight certificate w makes every lex lead strictly heavier
       than its tail;
-  (c) the minimal leads are squarefree; their supports are the minimal
-      non-faces of a complex Delta (``initial_ideal`` here);
+  (c) the minimal leads are squarefree: every lead that is not
+      squarefree is properly divided by another lead.  Their supports
+      are the minimal non-faces of a complex Delta, which
+      ``wpsimplex.triangulation`` dualizes from all the lead supports:
+      a set meets every support exactly when it meets the minimal ones;
   (d) every facet of Delta is a lower cell of the w-lift, and the facet
       volumes are all 1 and sum to N.
 
@@ -41,61 +44,14 @@ of those degree-(t - 1) divisors.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import compress, groupby
 from math import comb
 from operator import itemgetter
-from typing import NamedTuple
 
 from .errors import BudgetExceeded
 from .ehrhart import ehrhart_value, hstar
 from .simplex import resolve_enum_budget
 from .toric import GroebnerFamily, _packed_columns
-
-
-def _support_mask(exponents) -> int:
-    """Bit i set exactly when variable i occurs."""
-    return sum(1 << i for i, e in enumerate(exponents) if e)
-
-
-class InitialIdeal(NamedTuple):
-    """Inclusion-minimal lead monomials of the family."""
-
-    generators: tuple[tuple[int, ...], ...]
-    squarefree: bool
-
-
-@lru_cache(maxsize=64)
-def initial_ideal(family: GroebnerFamily) -> InitialIdeal:
-    """Collect the lead monomials and drop the non-minimal ones, lex-largest
-    first.  Cached per family, so the family and triangulation stages of
-    one point share a single build.
-
-    A distinct monomial of equal or higher total degree cannot divide a
-    lead, so the leads are decided by degree, lowest first, each against
-    the minimal leads of strictly lower degree: a lower lead that divides
-    it is divided by one of those."""
-    leads = sorted({g.lead for g in family.generators}, reverse=True)
-    by_degree: dict[int, list[tuple[int, ...]]] = {}
-    for le in leads:
-        by_degree.setdefault(sum(le), []).append(le)
-    kept: list[tuple[tuple[int, ...], int]] = []  # (lead, support mask)
-    for degree in sorted(by_degree):
-        batch = [(le, _support_mask(le)) for le in by_degree[degree]]
-        kept += [
-            (le, mask)
-            for le, mask in batch
-            if not any(
-                not other_mask & ~mask
-                and all(a <= b for a, b in zip(other, le))
-                for other, other_mask in kept
-            )
-        ]
-    minimal = sorted((le for le, _ in kept), reverse=True)
-    return InitialIdeal(
-        generators=tuple(minimal),
-        squarefree=all(e <= 1 for m in minimal for e in m),
-    )
 
 
 def _check_budget(nvars: int, degree: int) -> None:

@@ -38,14 +38,16 @@ from .errors import (
     PointOutsideSimplex,
     SingularFacet,
 )
-from .groebner import _check_budget, _support_mask
+from .groebner import _check_budget
 from .simplex import QVector, h_description
 from .toric import Binomial, GroebnerFamily, _balanced, _packed_columns
 from .triangulation import (
     _check_facet_size,
+    _check_weight_count,
     _checked_volume,
     _eliminate,
     _minimal_transversals,
+    _support_mask,
 )
 
 #: Hard cap on rewrite steps for a single monomial; hitting it means a
@@ -227,11 +229,13 @@ def is_lower_cell(
     with scale = |det| and c . column_p = scale * w_p on the cell, and
     compute every other column's reduced cost scale * w_p - c . column_p
     as a dense dot product, in column order.  A cell that does not
-    select one column per coordinate raises ParameterOutOfRange, a zero
+    select one column per coordinate raises ParameterOutOfRange, a weight
+    count other than the column count DimensionMismatch, a zero
     determinant SingularFacet, a zero reduced cost DegenerateLift; a
     column lifting below makes the cell not lower.  It shares only
-    ``_eliminate`` and the size check with the walk, which solves a
+    ``_eliminate`` and the two size checks with the walk, which solves a
     smaller system in slack coordinates."""
+    _check_weight_count(len(weights), len(columns))
     _check_facet_size(len(cell), len(columns[0]))
     det, c = _eliminate([[*columns[p - 1], weights[p - 1]] for p in cell])
     if det == 0:
@@ -264,8 +268,10 @@ def regularity_check(
     True certifies that the lifted lower envelope induces exactly these
     facets.  The first facet that is not a lower cell decides: a point
     lifting below its hyperplane makes the check return False, and its
-    SingularFacet or DegenerateLift is raised.
+    SingularFacet or DegenerateLift is raised.  The weight count is
+    checked first, so an empty facet list cannot hide a wrong one.
     """
+    _check_weight_count(len(weights), len(columns))
     return all(is_lower_cell(columns, weights, f) for f in facets)
 
 

@@ -19,22 +19,23 @@ its tail, and (d) every facet of the lead-support complex is a lower
 cell of the lift, with unit volumes summing to N (both in
 ``check_triangulation``, which reads the volumes and the lower-cell
 outcomes of one pass over the faces, counting each face's facets
-without listing them); (c) the minimal leads
-are squarefree.  So the triangulation stage runs first, and
-``check_family`` takes it: ``buchbergerPass``, named for the S-pair run
-it replaced, holds exactly when (a), (c) and the triangulation verdict
-all hold.
+without listing them); (c) the minimal leads are squarefree: every
+lead that is not squarefree is properly divided by another lead
+(``_minimal_leads_squarefree``, which lists no minimal lead).  So the
+triangulation stage runs first, and ``check_family`` takes it:
+``buchbergerPass``, named for the S-pair run it replaced, holds exactly
+when (a), (c) and the triangulation verdict all hold.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, InternalConsistency, WpsimplexError
 from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
-from .groebner import initial_ideal, injectivity_check
+from .groebner import injectivity_check
 from .simplex import QVector, build_q, lattice_points_bruteforce, lattice_points_formula
 from .toric import GroebnerFamily, groebner_family, pi_balance_failures
 from .triangulation import summarize_triangulation, verify_unimodular
@@ -172,6 +173,17 @@ def check_pi_balance(family: GroebnerFamily) -> Stage | None:
     )
 
 
+def _minimal_leads_squarefree(leads: Sequence[tuple[int, ...]]) -> bool:
+    """True when every lead that is not squarefree is properly divided
+    by another lead: exactly when the minimal leads are squarefree.  One
+    pass when every lead is squarefree, as in the family."""
+    return all(
+        any(m != lead and all(a <= b for a, b in zip(m, lead)) for m in leads)
+        for lead in leads
+        if max(lead) > 1
+    )
+
+
 def check_family(
     family: GroebnerFamily, triangulation: Stage, max_degree: int = 3
 ) -> Stage:
@@ -183,7 +195,7 @@ def check_family(
     unbalanced = check_pi_balance(family)
     if unbalanced:
         return unbalanced
-    squarefree = initial_ideal(family).squarefree
+    squarefree = _minimal_leads_squarefree([g.lead for g in family.generators])
     triangulated = triangulation.verdict is True
     skipped = {}
     try:

@@ -25,7 +25,6 @@ tightness profiles at a point, lemma checks for the tests, live in
 from __future__ import annotations
 
 import os
-from enum import Enum
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -60,14 +59,6 @@ def resolve_enum_budget() -> int:
             f"non-negative integer, got {source!r}"
         )
     return value
-
-
-class Classification(Enum):
-    """Outcome of the two-supported reflexive-IDP membership test."""
-
-    FAMILY_A = "FamilyA"  # r1 > 1 with r2 = 1 + r1*x1 and x2 = r1 - 1
-    FAMILY_B = "FamilyB"  # r1 = 1 with r2 = 1 + x1, x2 arbitrary
-    NOT_REFLEXIVE_IDP = "NotReflexiveIDP"
 
 
 class QVector(NamedTuple):
@@ -113,24 +104,6 @@ class PointConfiguration(NamedTuple):
                 for lab, col in zip(self.labels, self.columns)
             ],
         }
-
-
-def classify_2supported(r: tuple[int, int], x: tuple[int, int]) -> Classification:
-    """Classify a 2-supported weight vector (r1^x1, r2^x2).
-
-    Total function: anything that matches neither family pattern is
-    reported as NOT_REFLEXIVE_IDP.  Only FAMILY_A is accepted by the
-    constructors in this package.
-    """
-    r1, r2 = r
-    x1, x2 = x
-    if not (0 < r1 < r2) or x1 < 1 or x2 < 1:
-        return Classification.NOT_REFLEXIVE_IDP
-    if r1 > 1 and r2 == 1 + r1 * x1 and x2 == r1 - 1:
-        return Classification.FAMILY_A
-    if r1 == 1 and r2 == 1 + x1:
-        return Classification.FAMILY_B
-    return Classification.NOT_REFLEXIVE_IDP
 
 
 @lru_cache(maxsize=64)

@@ -311,10 +311,10 @@ class GroebnerFamily(NamedTuple):
 def pi_balance_failures(family: GroebnerFamily) -> tuple[int, ...]:
     """Indices of generators that are not pi-balanced (empty when sound).
 
-    Cached per family, like ``groebner.initial_ideal``: the construction
-    audit, the command line's guard and the family stage of one point
-    share a single audit.  A family changed by a sabotage hook is a new
-    object with other generators, so it is audited afresh.
+    Cached per family: the construction audit, the command line's guard
+    and the family stage of one point share a single audit.  A family
+    changed by a sabotage hook is a new object with other generators, so
+    it is audited afresh.
 
     The columns are packed once, for the highest lead degree, so each
     generator costs two sums over its nonzero exponents."""

@@ -1,12 +1,16 @@
-"""Facet extraction from the squarefree lead monomials, with exact volume
-and regularity certification.
+"""Facet extraction from the lead monomials, with exact volume and
+regularity certification.
 
-The lead supports of the rewrite family are the minimal non-faces of a
-simplicial complex on the configuration columns; its maximal faces,
-the complements of the minimal transversals of the supports, are the
-facets of a triangulation of the simplex.  Facet volumes are exact
-integer determinants, and regularity is certified by exhibiting one
-weight vector whose lifted lower envelope induces exactly these facets.
+The supports of the rewrite family's minimal leads, squarefree by
+check (c) of ``wpsimplex.groebner``, are the minimal non-faces of a
+simplicial complex on the configuration columns.  Its maximal faces,
+the complements of the minimal transversals of those supports, are the
+facets of a triangulation of the simplex.  A set meets every lead
+support exactly when it meets those of the minimal leads, so the
+transversals are read from all the leads and none is dropped first.
+Facet volumes are exact integer determinants, and regularity is
+certified by exhibiting one weight vector whose lifted lower envelope
+induces exactly these facets.
 
 Two columns are twins when they lie in exactly the same supports.  The
 minimal transversals are those of the twin quotient, with each class in
@@ -68,7 +72,6 @@ from .errors import (
     SingularFacet,
     WpsimplexError,
 )
-from .groebner import InitialIdeal, _support_mask, initial_ideal
 from .simplex import QVector, resolve_enum_budget
 from .toric import GroebnerFamily
 
@@ -97,6 +100,11 @@ class WeightCertificate(NamedTuple):
     strictly heavier than its tail."""
 
     weights: tuple[int, ...]
+
+
+def _support_mask(exponents) -> int:
+    """Bit i set exactly when variable i occurs."""
+    return sum(1 << i for i, e in enumerate(exponents) if e)
 
 
 def _minimal_transversals(n: int, support_masks: list[int]) -> list[int]:
@@ -191,13 +199,14 @@ def _face_size(face: _Face) -> int:
 
 @lru_cache(maxsize=64)
 def _lead_faces(
-    in_ideal: InitialIdeal, n: int, dim: int
+    leads: tuple[tuple[int, ...], ...], n: int, dim: int
 ) -> tuple[_Face, ...]:
-    """The maximal faces of the complex whose minimal non-faces are the
-    generator supports on {1..n}, as faces of members of size ``dim``,
-    ordered by their first members.  Cached like ``initial_ideal``, so
-    the certificate and the facet list of one point share a single
-    dualization.
+    """The maximal faces of the complex on {1..n} whose non-faces are
+    the sets holding a lead's support, as faces of members of size
+    ``dim``, ordered by their first members.  The leads need not be
+    minimal (see the module docstring): their distinct supports are
+    dualized, lex-largest lead first.  Cached, so the certificate and the
+    facet list of one point share a single dualization.
 
     Twins, vertices in exactly the same supports, are interchangeable: a
     minimal transversal holds at most one vertex of a class, and any
@@ -208,7 +217,8 @@ def _lead_faces(
     its member without the first vertex of each class in T: purity is
     part of what is being verified and is never repaired silently.
     """
-    masks = [_support_mask(m) for m in in_ideal.generators]
+    ordered = sorted(set(leads), reverse=True)
+    masks = list(dict.fromkeys(map(_support_mask, ordered)))
     classes, quotient = _twin_quotient(n, masks)
     faces = []
     for t in _minimal_transversals(len(classes), quotient):
@@ -230,24 +240,29 @@ def _lead_faces(
 
 
 def initial_complex(
-    in_ideal: InitialIdeal, n: int, dim: int
+    leads: tuple[tuple[int, ...], ...], n: int, dim: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Facets of the complex whose minimal non-faces are the generator
-    supports: all maximal F within {1..n} containing no support, each of
-    size exactly ``dim``, sorted.  The faces of ``_lead_faces`` expanded,
-    after their facet count is checked against the enumeration budget;
-    a maximal face of any other size raises NonPureComplex.
+    """Facets of the complex whose minimal non-faces are the supports of
+    the minimal leads: all maximal F within {1..n} containing no lead's
+    support, each of size exactly ``dim``, sorted.  The faces of
+    ``_lead_faces`` expanded, after their facet count is checked against
+    the enumeration budget; a maximal face of any other size raises
+    NonPureComplex.
     """
-    faces = _lead_faces(in_ideal, n, dim)
+    faces = _lead_faces(leads, n, dim)
     count, limit = sum(map(_face_size, faces)), resolve_enum_budget()
     if count > limit:
         raise BudgetExceeded(f"{count} facets exceed the budget {limit}")
     return tuple(sorted(chain.from_iterable(map(_members, faces))))
 
 
+def _leads(family: GroebnerFamily) -> tuple[tuple[int, ...], ...]:
+    return tuple(g.lead for g in family.generators)
+
+
 def family_facets(family: GroebnerFamily) -> tuple[tuple[int, ...], ...]:
     """The family's facets, sorted: its ``initial_complex``."""
-    return initial_complex(initial_ideal(family), family.nvars, family.q.d + 1)
+    return initial_complex(_leads(family), family.nvars, family.q.d + 1)
 
 
 def _eliminate(rows: list[list[int]]) -> tuple[int, tuple[int, ...]]:
@@ -319,6 +334,11 @@ def _check_facet_size(size: int, height: int) -> None:
         )
 
 
+def _check_weight_count(count: int, ncolumns: int) -> None:
+    if count != ncolumns:
+        raise DimensionMismatch(f"{count} weights for {ncolumns} columns")
+
+
 #: The walk's verdict on a face: every member of ``face`` has ``volume``
 #: and ``outcome``.  A face walked member by member gives one cell per
 #: member, as a face without choices.
@@ -345,10 +365,7 @@ def _walk_faces(
     on their free slacks.  Every other face is walked member by member,
     in member order, one solve per member after the first.
     """
-    if len(weights) != len(columns):
-        raise DimensionMismatch(
-            f"{len(weights)} weights for {len(columns)} columns"
-        )
+    _check_weight_count(len(weights), len(columns))
     frame = _slack_frame(columns, weights)
     rows, slack, base = frame
     for full, choices in faces:
@@ -398,7 +415,7 @@ def _walk_faces(
 
 
 def _family_faces(family: GroebnerFamily) -> tuple[_Face, ...]:
-    return _lead_faces(initial_ideal(family), family.nvars, family.q.d + 1)
+    return _lead_faces(_leads(family), family.nvars, family.q.d + 1)
 
 
 def summarize_triangulation(

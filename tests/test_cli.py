@@ -431,7 +431,6 @@ def test_cli_imports_no_check_primitive():
         "lattice_points_bruteforce",
         "ehrhart_bruteforce",
         "buchberger_verify",
-        "initial_ideal",
         "injectivity_check",
         "pi_balance_failures",
         "summarize_triangulation",

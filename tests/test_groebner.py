@@ -10,7 +10,6 @@ from wpsimplex import (
     ehrhart_value,
     groebner_family,
     hstar,
-    initial_ideal,
     injectivity_check,
     monomial_text,
 )
@@ -26,6 +25,7 @@ from wpsimplex.oracles import (
     standard_monomials,
     zsupport_shape,
 )
+from wpsimplex.pipeline import check_family, check_triangulation
 
 from conftest import SMALL_GRID, scanned_injectivity, without
 
@@ -253,38 +253,54 @@ def test_buchberger_vacuous_cases(family21):
 
 # -- initial ideal and standard monomials ----------------------------------------
 
+def _squarefree_flag(family):
+    """The family stage's ``squarefree`` flag: the minimal leads, the
+    generators of the initial ideal, are squarefree."""
+    stage = check_family(family, check_triangulation(family), max_degree=0)
+    return stage.flags["squarefree"]
+
+
+# z1^2*z4 - z1*z2^2, z1 times the first generator z1*z4 - z2^2 at (2,1)
+Z1_SQUARED_Z4 = Binomial(
+    _mono_of_text(7, (0, 2), (3, 1)), _mono_of_text(7, (1, 2), (0, 1))
+)
+
+
 def test_initial_ideal_2_1(family21):
-    ideal = initial_ideal(family21)
-    texts = {monomial_text(m, 2) for m in ideal.generators}
+    # nine distinct squarefree leads, so each is a minimal generator
+    leads = [g.lead for g in family21.generators]
+    texts = {monomial_text(m, 2) for m in leads}
     assert texts == {
         "z1*z4", "z1*z5", "z2*z5",
         "z1*y1", "z2*y1", "z2*y2", "z1*y2",
         "z4*y1", "z3*y2",
     }
-    assert ideal.squarefree
+    assert len(leads) == len(texts)
+    assert all(max(m) == 1 for m in leads)
+    assert _squarefree_flag(family21) is True
 
 
 def test_initial_ideal_minimalizes(family21):
-    g1 = family21.generators[0]  # lead z1 z4
-    g2 = Binomial(
-        _mono_of_text(7, (0, 2), (3, 1)), _mono_of_text(7, (1, 2), (0, 1))
-    )  # lead z1^2 z4, divisible by z1 z4
-    fam = family21._replace(generators=(g1, g2), tags=("eq1", "eq1"))
-    ideal = initial_ideal(fam)
-    assert [monomial_text(m, 2) for m in ideal.generators] == ["z1*z4"]
+    # the lead z1^2*z4 is divided by z1*z4, so it is no minimal generator
+    # and its square does not count
+    fam = family21._replace(
+        generators=(family21.generators[0], Z1_SQUARED_Z4), tags=("eq1", "eq1")
+    )
+    assert _squarefree_flag(fam) is True
 
 
 def test_initial_ideal_squarefree_flag(family21):
-    g = Binomial(_mono_of_text(7, (1, 2)), _mono_of_text(7, (2, 1), (3, 1)))
-    fam = family21._replace(generators=(g,), tags=("eq1",))
-    ideal = initial_ideal(fam)
-    assert not ideal.squarefree
+    # alone, or beside a copy of itself, z1^2*z4 is a minimal lead
+    for generators in [(Z1_SQUARED_Z4,), (Z1_SQUARED_Z4,) * 2]:
+        fam = family21._replace(
+            generators=generators, tags=("eq1",) * len(generators)
+        )
+        assert _squarefree_flag(fam) is False
 
 
 def test_initial_ideal_empty(family21):
-    ideal = initial_ideal(family21._replace(generators=(), tags=()))
-    assert ideal.generators == ()
-    assert ideal.squarefree
+    fam = family21._replace(generators=(), tags=())
+    assert _squarefree_flag(fam) is True
 
 
 def test_standard_monomial_counts(family21):
@@ -461,8 +477,6 @@ def test_family_is_reduced(r1, x1):
 
 
 def test_reducedness_catches_a_fiber_mate_tail():
-    from wpsimplex.pipeline import check_family, check_triangulation
-
     family = groebner_family(build_q(3, 2))
     g = family.generators[11]
     assert monomial_text(g.tail, 3) == "z3^2*z5"

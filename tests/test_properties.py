@@ -2,10 +2,11 @@
 enumerator, the enumerator against a scan of its bounding box, the
 elimination kernel against the Leibniz determinant, the facet walk
 against facet-by-facet elimination, the normal form, the standard
-monomials and the minimal leads against a plain entrywise divisibility
-test (``_divides``), the facet enumeration against a filter of all
-vertex subsets, and its faces on the twin quotient against the plain
-dualization."""
+monomials against a plain entrywise divisibility test (``_divides``),
+the complex and the squarefree flag read from all the leads against
+those of the minimal leads that test keeps, the facet enumeration
+against a filter of all vertex subsets, and its faces on the twin
+quotient against the plain dualization."""
 
 from itertools import (
     combinations,
@@ -28,7 +29,6 @@ from wpsimplex import (
     groebner_family,
     h_description,
     initial_complex,
-    initial_ideal,
     lattice_points_bruteforce,
     lattice_points_formula,
     make_weight_certificate,
@@ -39,8 +39,9 @@ from wpsimplex.errors import (
     DegenerateLift,
     NonPureComplex,
     SingularFacet,
+    WpsimplexError,
 )
-from wpsimplex.groebner import InitialIdeal, _standard_images
+from wpsimplex.groebner import _standard_images
 from wpsimplex.oracles import (
     _maximal_faces,
     facet_volume,
@@ -50,6 +51,7 @@ from wpsimplex.oracles import (
     regularity_check,
     standard_monomials,
 )
+from wpsimplex.pipeline import _minimal_leads_squarefree
 from wpsimplex.toric import _packed_columns, include_excluded_pair, mutate_tail
 from wpsimplex.triangulation import (
     _eliminate,
@@ -57,6 +59,7 @@ from wpsimplex.triangulation import (
     _family_faces,
     _first_member,
     _lead_faces,
+    _leads,
     _members,
     _walk_faces,
 )
@@ -542,19 +545,16 @@ def test_initial_complex_is_non_pure_exactly_when_sizes_mix(graph):
     n, masks = graph
     brute = _brute_maximal_faces(n, masks)
     sizes = {s.bit_count() for s in brute}
-    ideal = InitialIdeal(
-        generators=tuple(tuple(m >> i & 1 for i in range(n)) for m in masks),
-        squarefree=True,
-    )
+    supports = tuple(tuple(m >> i & 1 for i in range(n)) for m in masks)
     dim = max(sizes)
     if len(sizes) > 1:
         with pytest.raises(NonPureComplex):
-            initial_complex(ideal, n, dim)
+            initial_complex(supports, n, dim)
     else:
         expected = sorted(
             tuple(i + 1 for i in range(n) if s >> i & 1) for s in brute
         )
-        assert initial_complex(ideal, n, dim) == tuple(expected)
+        assert initial_complex(supports, n, dim) == tuple(expected)
 
 
 @st.composite
@@ -592,35 +592,32 @@ def test_twin_faces_expand_to_the_plain_dualization(graph):
         for s in _maximal_faces(n, masks)
     )
     sizes = {len(f) for f in plain}
-    ideal = InitialIdeal(
-        generators=tuple(tuple(m >> i & 1 for i in range(n)) for m in masks),
-        squarefree=True,
-    )
+    supports = tuple(tuple(m >> i & 1 for i in range(n)) for m in masks)
     dim = max(sizes, default=0)
     if len(sizes) > 1:
         with pytest.raises(NonPureComplex) as raised:
-            _lead_faces(ideal, n, dim)
+            _lead_faces(supports, n, dim)
         # the face named is a maximal face of another size
         assert str(raised.value) in {
             f"maximal face {f} has {len(f)} vertices, expected {dim}"
             for f in plain if len(f) != dim
         }
         return
-    faces = _lead_faces(ideal, n, dim)
+    faces = _lead_faces(supports, n, dim)
     members = [list(_members(face)) for face in faces]
     assert sorted(m for group in members for m in group) == plain
     assert [len(group) for group in members] == list(map(_face_size, faces))
     for face, group in zip(faces, members):
         assert group[0] == _first_member(face) == min(group)
     assert [group[0] for group in members] == sorted(g[0] for g in members)
-    assert initial_complex(ideal, n, dim) == tuple(plain)
+    assert initial_complex(supports, n, dim) == tuple(plain)
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_facets_are_sorted_distinct_column_indices(r1, x1):
     family = groebner_family(build_q(r1, x1))
     n = family.nvars
-    for facet in initial_complex(initial_ideal(family), n, family.q.d + 1):
+    for facet in initial_complex(_leads(family), n, family.q.d + 1):
         assert list(facet) == sorted(set(facet))
         assert all(1 <= p <= n for p in facet)
 
@@ -645,17 +642,49 @@ def lead_families(draw):
     return base._replace(generators=tuple(gens), tags=("eq1",) * len(gens))
 
 
+def _with_multiples(family):
+    """The family, its first generator again, and each generator times
+    z1: the same minimal leads."""
+    def times_z1(m):
+        return (m[0] + 1,) + m[1:]
+
+    extra = family.generators[:1] + tuple(
+        Binomial(times_z1(g.lead), times_z1(g.tail)) for g in family.generators
+    )
+    return family._replace(
+        generators=family.generators + extra,
+        tags=family.tags + ("eq1",) * len(extra),
+    )
+
+
+def _complex_or_error(monomials, n, dim):
+    try:
+        return initial_complex(monomials, n, dim)
+    except WpsimplexError as exc:
+        return type(exc)
+
+
 @settings(max_examples=200, deadline=None)
 @given(lead_families())
-def test_initial_ideal_equals_a_divides_filter(family):
-    monos = {g.lead for g in family.generators}
-    minimal = sorted(
-        (m for m in monos if not any(o != m and _divides(o, m) for o in monos)),
-        reverse=True,
+@example(_with_multiples(groebner_family(build_q(2, 1))))
+def test_initial_complex_reads_only_the_minimal_leads(family):
+    # every lead against the inclusion-minimal ones, kept by a plain
+    # divisibility filter: the same facets or the same error, and the
+    # squarefree flag is whether the minimal leads are squarefree.  The
+    # size asked for is the largest of the plain dualization's maximal
+    # faces, so about half the draws give a pure complex
+    every = _leads(family)
+    minimal = tuple(
+        m for m in set(every)
+        if not any(o != m and _divides(o, m) for o in every)
     )
-    ideal = initial_ideal(family)
-    assert list(ideal.generators) == minimal
-    assert ideal.squarefree == all(e <= 1 for m in minimal for e in m)
+    n = family.nvars
+    masks = [sum(1 << i for i, e in enumerate(m) if e) for m in minimal]
+    dim = max(s.bit_count() for s in _maximal_faces(n, masks))
+    assert _complex_or_error(every, n, dim) == _complex_or_error(minimal, n, dim)
+    assert _minimal_leads_squarefree(every) == all(
+        e <= 1 for m in minimal for e in m
+    )
 
 
 

@@ -11,7 +11,6 @@ from wpsimplex import (
     build_q,
     groebner_family,
     hstar,
-    initial_ideal,
     lattice_points_formula,
     make_weight_certificate,
     summarize_triangulation,
@@ -19,6 +18,7 @@ from wpsimplex import (
 from wpsimplex.oracles import buchberger_verify, zsupport_shape
 from wpsimplex.pipeline import Stage, check_hstar
 from wpsimplex.toric import include_excluded_pair, mutate_tail, pi_balance_failures
+from wpsimplex.triangulation import _family_faces
 
 
 def _records():
@@ -29,7 +29,6 @@ def _records():
         lattice_points_formula(q),
         hstar(q),
         family,
-        initial_ideal(family),
         zsupport_shape(family.generators[0].lead, q),
         summarize_triangulation(family),
         make_weight_certificate(family),
@@ -54,16 +53,15 @@ def test_records_are_immutable_and_have_no_instance_dict(record):
 def test_sabotage_builds_a_new_family_and_keeps_the_cached_audits(sabotage):
     family = groebner_family(build_q(3, 2))
     generators = family.generators
-    ideal = initial_ideal(family)
+    faces = _family_faces(family)
     failures = pi_balance_failures(family)
     assert failures == ()
     broken = sabotage(family)
     assert broken != family
     assert pi_balance_failures(broken)
-    assert initial_ideal(broken) is not ideal
     assert family.generators is generators
     assert groebner_family(build_q(3, 2)) is family
-    assert initial_ideal(family) is ideal
+    assert _family_faces(family) is faces
     assert pi_balance_failures(family) is failures
 
 

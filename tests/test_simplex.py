@@ -2,9 +2,7 @@ import pytest
 
 from wpsimplex import simplex
 from wpsimplex import (
-    Classification,
     build_q,
-    classify_2supported,
     enumerate_dilation_points,
     h_description,
     lattice_points_bruteforce,
@@ -19,30 +17,6 @@ from wpsimplex.errors import (
 from wpsimplex.oracles import facet_volume, tightness_profile
 
 from conftest import SMALL_GRID
-
-
-def test_classify_family_a():
-    assert classify_2supported((6, 25), (4, 5)) is Classification.FAMILY_A
-
-
-def test_classify_family_b():
-    assert classify_2supported((1, 2), (1, 3)) is Classification.FAMILY_B
-
-
-def test_classify_neither():
-    # r2 != 1 + r1*x1 = 3, and r1 != 1
-    assert (
-        classify_2supported((2, 5), (1, 1)) is Classification.NOT_REFLEXIVE_IDP
-    )
-
-
-def test_classify_is_total_on_junk():
-    assert (
-        classify_2supported((5, 2), (1, 1)) is Classification.NOT_REFLEXIVE_IDP
-    )
-    assert (
-        classify_2supported((2, 5), (0, 1)) is Classification.NOT_REFLEXIVE_IDP
-    )
 
 
 def test_build_q_2_1():

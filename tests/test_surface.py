@@ -2,8 +2,9 @@
 the environment variable, the paper's lemma checks live with the
 oracles, which no command imports, the facet walk reads its reduced
 costs without a factorization of the configuration, an inverse carried
-from one facet to the next or a second lower-cell test, and one function
-reads a triangulation."""
+from one facet to the next or a second lower-cell test, one function
+reads a triangulation, and the certificate reads the leads without
+listing the minimal ones."""
 
 import inspect
 
@@ -119,7 +120,7 @@ def test_plain_facet_enumeration_is_the_reference_only():
 def test_the_smoke_test_join_has_one_caller_and_the_oracle_scans():
     # the join yields only what injectivity_check reads; the oracle of
     # the standard monomials scans, sharing with groebner only the
-    # budget check and the support mask
+    # budget check
     assert not hasattr(groebner, "_order_ideal")
     assert callable(groebner._standard_images)
     for module in (*COMMAND_MODULES, oracles):
@@ -130,5 +131,17 @@ def test_the_smoke_test_join_has_one_caller_and_the_oracle_scans():
         for name, value in vars(oracles).items()
         if getattr(value, "__module__", None) == groebner.__name__
     }
-    assert taken == {"_check_budget", "_support_mask"}
+    assert taken == {"_check_budget"}
     assert groebner not in vars(oracles).values()
+
+
+def test_the_certificate_reads_the_leads():
+    # the complex is dualized from all the leads and the squarefree flag
+    # is read from them, so no minimal generating set is built; the
+    # support mask lives with its one command-path caller
+    for name in ("initial_ideal", "InitialIdeal"):
+        assert not hasattr(wpsimplex, name), name
+        for module in COMMAND_MODULES:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(groebner, "_support_mask")
+    assert callable(triangulation._support_mask)

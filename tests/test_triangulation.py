@@ -9,7 +9,6 @@ from wpsimplex import (
     family_facets,
     groebner_family,
     initial_complex,
-    initial_ideal,
     lattice_points_formula,
     make_weight_certificate,
     summarize_triangulation,
@@ -32,7 +31,6 @@ from wpsimplex.oracles import (
     regular_subdivision_bruteforce,
     regularity_check,
 )
-from wpsimplex.groebner import InitialIdeal, _support_mask
 from wpsimplex import triangulation
 from wpsimplex.triangulation import (
     WeightCertificate,
@@ -40,9 +38,11 @@ from wpsimplex.triangulation import (
     _face_size,
     _family_faces,
     _first_member,
+    _leads,
     _member,
     _members,
     _slack_frame,
+    _support_mask,
     _walk_faces,
     drop_facet,
     facet_support_function,
@@ -67,7 +67,7 @@ def facets21(family21):
 
 
 def test_initial_complex_2_1(family21):
-    facets = initial_complex(initial_ideal(family21), family21.nvars, 3)
+    facets = initial_complex(_leads(family21), family21.nvars, 3)
     assert facets == FACETS_2_1
 
 
@@ -79,12 +79,8 @@ def test_facet_count_equals_volume(family21, facets21):
 def test_non_pure_complex_detected():
     # non-faces {1,2} and {1,3} on three vertices leave maximal faces
     # {1} and {2,3} of different sizes
-    ideal = InitialIdeal(
-        generators=((1, 1, 0), (1, 0, 1)),
-        squarefree=True,
-    )
     with pytest.raises(NonPureComplex):
-        initial_complex(ideal, 3, 2)
+        initial_complex(((1, 1, 0), (1, 0, 1)), 3, 2)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +88,7 @@ def test_non_pure_complex_detected():
 )
 def test_initial_complex_at_the_frontier(r1, x1, count, size):
     family = groebner_family(build_q(r1, x1))
-    facets = initial_complex(initial_ideal(family), family.nvars, size)
+    facets = initial_complex(_leads(family), family.nvars, size)
     assert facets == family_facets(family)
     assert len(facets) == count == family.q.volume
     assert all(len(f) == size for f in facets)
@@ -138,7 +134,7 @@ def _in_columns(heights, support):
 @pytest.mark.parametrize("r1,x1", SMALL_GRID + [(10, 10)])
 def test_walk_matches_elimination_from_scratch(r1, x1):
     family = groebner_family(build_q(r1, x1))
-    facets = initial_complex(initial_ideal(family), family.nvars, family.q.d + 1)
+    facets = initial_complex(_leads(family), family.nvars, family.q.d + 1)
     weights = make_weight_certificate(family).weights
     heights = _slack_heights(family.columns, weights)
     volumes, lower = walk_facets(family.columns, weights, facets)
@@ -413,7 +409,7 @@ def test_pairwise_intersections_are_faces(r1, x1):
     facets = family_facets(family)
     supports = [
         frozenset(i + 1 for i, e in enumerate(m) if e)
-        for m in initial_ideal(family).generators
+        for m in _leads(family)
     ]
     for a in facets:
         for b in facets:
@@ -537,6 +533,24 @@ def test_walk_refuses_one_weight_short(family21, facets21):
         walk_facets(family21.columns, weights, facets21)
 
 
+@pytest.mark.parametrize("count", [6, 8])
+def test_oracles_refuse_a_wrong_weight_count(family21, count):
+    # as the walk does: one weight short, and one too many, which the
+    # lower-cell test would otherwise ignore
+    weights = (make_weight_certificate(family21).weights + (5,))[:count]
+    for check in (
+        lambda: is_lower_cell(family21.columns, weights, (1, 2, 3)),
+        lambda: regularity_check(family21.columns, weights, FACETS_2_1),
+        lambda: regularity_check(family21.columns, weights, ()),
+        lambda: regular_subdivision_bruteforce(family21.columns, weights),
+        lambda: walk_facets(family21.columns, weights, FACETS_2_1),
+    ):
+        with pytest.raises(
+            DimensionMismatch, match=f"^{count} weights for 7 columns$"
+        ):
+            check()
+
+
 # -- the walk over the faces --------------------------------------------------
 
 WEIGHT_KINDS = ("certificate", "reversed", "zero", "random")
@@ -592,7 +606,7 @@ def test_face_walk_decides_as_the_oracles(r1, x1, kind):
     for face, volume, lower in cells:
         for member in _members(face):
             decided[member] = volume, _as_verdict(lower)
-    facets = initial_complex(initial_ideal(family), family.nvars, family.q.d + 1)
+    facets = initial_complex(_leads(family), family.nvars, family.q.d + 1)
     assert sorted(decided) == list(facets)
     volumes, lower = walk_facets(columns, weights, facets)
     assert [decided[f] for f in facets] == [
@@ -661,7 +675,9 @@ def test_a_non_pure_complex_names_the_face_the_plain_dualization_finds_first():
         for k in range(len(family.generators)):
             dropped = without(family, k)
             n, dim = dropped.nvars, dropped.q.d + 1
-            masks = [_support_mask(m) for m in initial_ideal(dropped).generators]
+            masks = [
+                _support_mask(m) for m in sorted(_leads(dropped), reverse=True)
+            ]
             wrong = [
                 face for face in (
                     tuple(i + 1 for i in range(n) if s >> i & 1)
@@ -753,7 +769,7 @@ def test_facet_list_builders_check_the_budget(family21, monkeypatch):
     monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "5")
     for build in (
         lambda: family_facets(family21),
-        lambda: initial_complex(initial_ideal(family21), family21.nvars, 3),
+        lambda: initial_complex(_leads(family21), family21.nvars, 3),
     ):
         with pytest.raises(BudgetExceeded, match="6 facets exceed the budget 5"):
             build()
