@@ -342,11 +342,16 @@ def build_parser() -> _Parser:
     for flag, bounds in (("--r1", DEFAULT_GRID_R1), ("--x1", DEFAULT_GRID_X1)):
         default = "{}..{}".format(*bounds)
         p_sweep.add_argument(flag, default=default, help=f"range, e.g. {default}")
-    p_sweep.add_argument("--max-degree", type=int, default=3)
-    p_sweep.add_argument("--fail-fast", action="store_true")
+    p_sweep.add_argument("--max-degree", type=int, default=3,
+                         help="completeness smoke-test degree bound, >= 0 "
+                              "(default 3)")
+    p_sweep.add_argument("--fail-fast", action="store_true",
+                         help="stop after the first point that fails or "
+                              "skips a check")
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="worker processes, >= 1 (default 1)")
-    p_sweep.add_argument("--json", metavar="FILE", default=None)
+    p_sweep.add_argument("--json", metavar="FILE", default=None,
+                         help="write the output to FILE instead of stdout")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

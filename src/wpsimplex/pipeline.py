@@ -14,17 +14,18 @@ the triangulation, in every degree and without S-pairs (Sturmfels,
 *Groebner Bases and Convex Polytopes*, 1996, Thm 8.3 and Cor 8.9; the
 argument is written out in ``wpsimplex.groebner``).  It combines four
 checks: (a) every generator is pi-balanced (``check_pi_balance``);
-(b) the weight certificate makes every lex lead strictly heavier than
-its tail, and (d) every facet of the lead-support complex is a lower
-cell of the lift, with unit volumes summing to N (both in
-``check_triangulation``, which reads the volumes and the lower-cell
-outcomes of one pass over the faces, counting each face's facets
-without listing them); (c) the minimal leads are squarefree: every
-lead that is not squarefree is properly divided by another lead
-(``_minimal_leads_squarefree``, which lists no minimal lead).  So the
-triangulation stage runs first, and ``check_family`` takes it:
-``buchbergerPass``, named for the S-pair run it replaced, holds exactly
-when (a), (c) and the triangulation verdict all hold.
+(b) every lead is lex-greater than its tail, so the weight certificate
+makes every lead strictly heavier than its tail, and (d) every facet of
+the lead-support complex is a lower cell of the lift, with unit volumes
+summing to N (both in ``check_triangulation``, which reads (b) as
+``lead > tail`` and the volumes and the lower-cell outcomes of one pass
+over the faces, counting each face's facets without listing them);
+(c) the minimal leads are squarefree: every lead that is not squarefree
+is properly divided by another lead (``_minimal_leads_squarefree``,
+which lists no minimal lead).  So the triangulation stage runs first,
+and ``check_family`` takes it: ``buchbergerPass``, named for the S-pair
+run it replaced, holds exactly when (a), (c) and the triangulation
+verdict all hold.
 """
 
 from __future__ import annotations

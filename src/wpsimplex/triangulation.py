@@ -96,8 +96,8 @@ class TriangulationSummary(NamedTuple):
 
 
 class WeightCertificate(NamedTuple):
-    """Per-variable lifting heights; valid when every generator's lead is
-    strictly heavier than its tail."""
+    """Per-variable lifting heights that weigh every lead and tail of
+    the family as pure lex orders them, so they pick every lex lead."""
 
     weights: tuple[int, ...]
 
@@ -421,29 +421,33 @@ def _family_faces(family: GroebnerFamily) -> tuple[_Face, ...]:
 def summarize_triangulation(
     family: GroebnerFamily, facets: Sequence[tuple[int, ...]] | None = None
 ) -> TriangulationSummary:
-    """The triangulation certified under the family's weight certificate,
-    whose failure then stands for every outcome (the volumes are walked
-    under zero weights).  With ``facets`` None these are the family's
-    faces, read without listing their facets: a face of m members counts
-    m facets and m times its volume.  A given facet list, an empty one
-    included, is walked facet by facet, each facet a face without
-    choices.  Only a facet walked on its own is singular or not a lower
-    cell, and the first such facet in facet order, the sorted order,
-    decides.  Raises NonPureComplex for the family's faces, or
-    SingularFacet for the first singular facet in facet order."""
+    """The triangulation certified under the family's weight certificate.
+    With ``facets`` None these are the family's faces, read without
+    listing their facets: a face of m members counts m facets and m
+    times its volume.  A given facet list, an empty one included, is
+    walked facet by facet, each facet a face without choices.  Only a
+    facet walked on its own is singular or not a lower cell, and the
+    first such facet in facet order, the sorted order, decides.  The
+    weights pick every lex lead (see ``make_weight_certificate``), so
+    check (b) is read as ``lead > tail``, and the first generator that
+    fails it stands for the outcome whenever a facet is walked.  Raises
+    NonPureComplex for the family's faces, or SingularFacet for the
+    first singular facet in facet order."""
     faces = _family_faces(family) if facets is None else [(f, ()) for f in facets]
-    try:
-        weights, failure = make_weight_certificate(family).weights, None
-    except CertificateFailure as exc:
-        weights, failure = (0,) * family.nvars, exc
+    weights = make_weight_certificate(family).weights
     cells = _walk_faces(family.columns, weights, faces)
     singular = [face[0] for face, volume, _ in cells if not volume]
     if singular:
         _checked_volume(0, min(singular))
     sizes = [_face_size(face) for face, _, _ in cells]
     failing = {face[0]: lower for face, _, lower in cells if lower is not True}
-    if failure and cells:
-        outcome = failure
+    misoriented = next(
+        (i for i, g in enumerate(family.generators) if not g.lead > g.tail), None
+    )
+    if misoriented is not None and cells:
+        outcome = CertificateFailure(
+            f"generator {misoriented}'s lead is not heavier than its tail"
+        )
     else:
         outcome = failing[min(failing)] if failing else True
     return TriangulationSummary(
@@ -476,29 +480,16 @@ def drop_facet(
 
 
 def make_weight_certificate(family: GroebnerFamily) -> WeightCertificate:
-    """Geometric weights M^(n-1), ..., M, 1 with M one more than the top
-    generator degree.
+    """Geometric weights M^(n-1), ..., M, 1 with M one more than the
+    largest degree of any lead or tail (unit weights for no generators).
 
-    Exponents in any monomial of degree < M are valid base-M digits, so
-    these weights order every homogeneous binomial of the family exactly
-    as lex does, and no other M could change that.  The strictness check
-    on every generator is still run: CertificateFailure names the first
-    generator whose lead is not heavier than its tail, which means an
-    orientation bug upstream.
+    Every exponent of a lead or a tail is then a base-M digit, so
+    w . a > w . b exactly when a > b in tuple order, which is pure lex:
+    the weights pick a generator's lead exactly when it is lex-greater
+    than its tail.
     """
-    if not family.generators:
-        raise CertificateFailure("cannot certify an empty family")
-    m_base = 1 + max(sum(g.lead) for g in family.generators)
+    m_base = 1 + max(map(sum, chain.from_iterable(family.generators)), default=0)
     weights = tuple(m_base ** i for i in reversed(range(family.nvars)))
-    for index, g in enumerate(family.generators):
-        # only the variables that occur are weighed: most exponents are 0
-        lead, tail = (
-            sum(map(mul, compress(weights, m), compress(m, m))) for m in g
-        )
-        if lead <= tail:
-            raise CertificateFailure(
-                f"generator {index}'s lead is not heavier than its tail"
-            )
     return WeightCertificate(weights=weights)
 
 

@@ -15,7 +15,7 @@ from wpsimplex import (
     pipeline,
     toric,
 )
-from wpsimplex.pipeline import evaluate_point, point_flags, verdict
+from wpsimplex.pipeline import Stage, evaluate_point, point_flags, verdict
 
 from conftest import without
 
@@ -558,6 +558,21 @@ def test_sweep_jobs_fail_fast_stops_at_first_skip(capsys, monkeypatch):
     code, payload = run_json(capsys, *argv)
     assert code == 3
     assert list(payload["perPoint"]) == ["2,1", "2,2", "3,1", "3,2"]
+
+
+def test_sweep_fail_fast_stops_at_first_failure(capsys, monkeypatch):
+    check_points = pipeline.check_points
+    monkeypatch.setattr(pipeline, "check_points", lambda q: (
+        Stage({"latticePointsOK": False}) if q.x1 == 2 else check_points(q)
+    ))
+    argv = ("sweep", "--r1", "2", "--x1", "1..3")
+    code, payload = run_json(capsys, *argv, "--fail-fast")
+    assert code == 2
+    assert list(payload["perPoint"]) == ["2,1", "2,2"]
+    assert payload["perPoint"]["2,2"]["latticePointsOK"] is False
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert list(payload["perPoint"]) == ["2,1", "2,2", "2,3"]
 
 
 # -- bad input exits 1 with one line ---------------------------------------------

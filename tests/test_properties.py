@@ -5,8 +5,9 @@ against facet-by-facet elimination, the normal form, the standard
 monomials against a plain entrywise divisibility test (``_divides``),
 the complex and the squarefree flag read from all the leads against
 those of the minimal leads that test keeps, the facet enumeration
-against a filter of all vertex subsets, and its faces on the twin
-quotient against the plain dualization."""
+against a filter of all vertex subsets, its faces on the twin
+quotient against the plain dualization, and the certificate weights
+against tuple order."""
 
 from itertools import (
     combinations,
@@ -357,6 +358,49 @@ def test_shared_classes_decide_as_the_facet_by_facet_check(case):
         assert outcome == _first_verdict(
             lambda: is_lower_cell(columns, weights, facet)
         )
+
+
+def _with_generators(family, pairs):
+    gens = tuple(Binomial(tuple(a), tuple(b)) for a, b in pairs)
+    return family._replace(generators=gens, tags=("eq1",) * len(gens))
+
+
+@st.composite
+def generator_lists(draw):
+    """A grid point's family with its generators replaced by pairs of
+    sparse monomials in the box {0..3}^n: any two, balanced or not and
+    either side lex-greater, one twice, or one and a permutation of
+    it."""
+    family = groebner_family(build_q(*draw(PARAMS)))
+    n = family.nvars
+    monomial = st.dictionaries(
+        st.integers(0, n - 1), st.integers(1, 3), max_size=3
+    ).map(lambda exps: tuple(exps.get(i, 0) for i in range(n)))
+    pair = st.one_of(
+        st.tuples(monomial, monomial),
+        monomial.map(lambda m: (m, m)),
+        monomial.flatmap(lambda m: st.tuples(st.just(m), st.permutations(m))),
+    )
+    return _with_generators(family, draw(st.lists(pair, max_size=8)))
+
+
+#: A lead of degree 1 against a tail whose one exponent, 3, is no
+#: base-2 digit: weights from the lead degrees alone weigh the tail more.
+HEAVY_TAIL = _with_generators(
+    groebner_family(build_q(2, 1)), [((1, 0, 0, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0, 0))]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_lists())
+@example(HEAVY_TAIL)
+def test_certificate_weights_order_every_pair_as_lex(family):
+    # every exponent is a base-M digit, so the weighted sums compare as
+    # the tuples do: the weights pick exactly the lex-greater side
+    weights = make_weight_certificate(family).weights
+    for lead, tail in family.generators:
+        lead_w, tail_w = (sum(map(mul, weights, m)) for m in (lead, tail))
+        assert (lead_w > tail_w, lead_w == tail_w) == (lead > tail, lead == tail)
 
 
 @st.composite

@@ -51,6 +51,10 @@ from wpsimplex.pipeline import check_triangulation, evaluate_point
 
 from conftest import SMALL_GRID, walk_facets, without
 
+#: The six points the benchmark's gb_wide and tri_ladder workloads run.
+BENCHMARK_POINTS = [(16, 1), (14, 2), (12, 3), (4, 12), (6, 7), (8, 4)]
+
+
 FACETS_2_1 = (
     (1, 2, 3),
     (2, 3, 4),
@@ -318,6 +322,17 @@ def test_weight_certificate_first_base_3_2():
     assert cert.weights[0] == (max_degree + 1) ** (family.nvars - 1)
 
 
+@pytest.mark.parametrize("r1,x1", SMALL_GRID + BENCHMARK_POINTS + [(40, 3)])
+def test_weight_certificate_is_one_plus_the_top_lead_degree(r1, x1):
+    # every family is balanced, so the top lead degree is the top degree
+    family = groebner_family(build_q(r1, x1))
+    m_base = 1 + max(sum(g.lead) for g in family.generators)
+    n = family.nvars
+    assert make_weight_certificate(family).weights == tuple(
+        m_base ** (n - 1 - i) for i in range(n)
+    )
+
+
 def test_weight_certificate_synthetic_linear(family21):
     g = Binomial((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
     fam = family21._replace(generators=(g,), tags=("eq1",))
@@ -325,20 +340,27 @@ def test_weight_certificate_synthetic_linear(family21):
     assert cert.weights[0] > cert.weights[1]
 
 
-def test_weight_certificate_rejects_mis_oriented_generator(family21):
-    # z2 - z1 has its lex-smaller side as lead: no lex-realizing weights
-    # can make the lead heavier
+def test_weight_certificate_rejects_mis_oriented_generator(family21, facets21):
+    # z2 - z1 has its lex-smaller side as lead: check (b) names it
     g = Binomial((0, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0))
     fam = family21._replace(
         generators=family21.generators + (g,), tags=family21.tags + ("eq1",)
     )
     with pytest.raises(CertificateFailure, match="generator 9"):
-        make_weight_certificate(fam)
+        summarize_triangulation(fam, facets21).regular
 
 
-def test_weight_certificate_empty_family(family21):
-    with pytest.raises(CertificateFailure):
-        make_weight_certificate(family21._replace(generators=(), tags=()))
+def test_weight_certificate_empty_family(family21, monkeypatch):
+    empty = family21._replace(generators=(), tags=())
+    assert make_weight_certificate(empty).weights == (1,) * 7
+    read = []
+    monkeypatch.setattr(
+        triangulation, "make_weight_certificate",
+        lambda family: read.append(family) or WeightCertificate((1,) * 7),
+    )
+    with pytest.raises(NonPureComplex):
+        summarize_triangulation(empty)
+    assert read == []
 
 
 def test_support_function_interpolates(family21, facets21):
@@ -429,10 +451,6 @@ def test_last_interior_column_is_not_a_cone_point(family21, facets21):
 
 
 # -- the kernel on the non-slack columns -------------------------------------
-
-#: The six points the benchmark's gb_wide and tri_ladder workloads run.
-BENCHMARK_POINTS = [(16, 1), (14, 2), (12, 3), (4, 12), (6, 7), (8, 4)]
-
 
 def test_family_kernels_are_at_most_three_by_three():
     # the slacks are b_1..b_d and the origin a_{r1+3}, one per row, so
