@@ -1,23 +1,32 @@
 """Run the whole verification pipeline over the default parameter grid.
 
 Per point: lattice points vs. enumeration, h* consistency and dilation
-counts, family construction and pi-balance, the Groebner basis certified
-by the triangulation (the buchbergerPass flag, which keeps its name but
-runs no S-pair), squarefree leads, completeness at degree <= 3 as a
-smoke test, unimodular facets, and the regularity certificate.
+counts, family construction, pi-balance and lex orientation, the
+Groebner basis certified by the triangulation (the buchbergerPass flag,
+which keeps its name but runs no S-pair), squarefree leads,
+completeness at degree <= 3 as a smoke test, unimodular facets, and the
+regularity certificate.
 A check skipped over the enumeration budget shows as "skip" and does not
 count as a pass.
 """
 
 import time
 
-from wpsimplex.pipeline import default_grid, evaluate_point, point_flags, verdict
+from wpsimplex.pipeline import (
+    DEFAULT_GRID_R1,
+    DEFAULT_GRID_X1,
+    evaluate_point,
+    grid_points,
+    point_flags,
+    verdict,
+)
 
 MARKS = {True: "ok", False: "FAIL", None: "skip"}
 
+grid = grid_points(DEFAULT_GRID_R1, DEFAULT_GRID_X1)
 t0 = time.perf_counter()
 outcomes = []
-for i, (r1, x1) in enumerate(default_grid()):
+for i, (r1, x1) in enumerate(grid):
     entry = evaluate_point(r1, x1)
     flags = point_flags(entry)
     if i == 0:
@@ -28,4 +37,4 @@ for i, (r1, x1) in enumerate(default_grid()):
     outcomes.extend(flags.values())
 
 print(f"\noverall pass: {verdict(outcomes) is True} "
-      f"({time.perf_counter() - t0:.1f}s for {len(default_grid())} points)")
+      f"({time.perf_counter() - t0:.1f}s for {len(grid)} points)")

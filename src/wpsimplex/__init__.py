@@ -4,7 +4,6 @@ families, and regular unimodular triangulations."""
 
 from .errors import (
     BudgetExceeded,
-    CertificateFailure,
     DegenerateLift,
     DimensionMismatch,
     IndexOutOfRange,

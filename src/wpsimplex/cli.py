@@ -298,8 +298,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_point_args(p):
-        p.add_argument("r1", type=int)
-        p.add_argument("x1", type=int)
+        p.add_argument("r1", type=int, help="r1 >= 2")
+        p.add_argument("x1", type=int, help="x1 >= 1")
         p.add_argument("--json", metavar="FILE", default=None,
                        help="write the output to FILE instead of stdout")
 
@@ -333,7 +333,8 @@ def build_parser() -> _Parser:
 
     p_tri = sub.add_parser("triangulate", help="facets, volumes, regularity")
     add_point_args(p_tri)
-    p_tri.add_argument("--format", choices=("json", "off"), default="json")
+    p_tri.add_argument("--format", choices=("json", "off"), default="json",
+                       help="json (default) or off, the plain-text OFF facet list")
     p_tri.add_argument("--drop-facet", type=int, default=None, metavar="K",
                        help="drop facet K before verification")
     p_tri.set_defaults(func=cmd_triangulate)

@@ -41,9 +41,5 @@ class SingularFacet(WpsimplexError, ValueError):
     """A candidate facet spans a degenerate (determinant zero) simplex."""
 
 
-class CertificateFailure(WpsimplexError, RuntimeError):
-    """No weight vector separating every generator could be constructed."""
-
-
 class DegenerateLift(WpsimplexError, RuntimeError):
     """Lifted heights are not generic: a point lies on a facet hyperplane."""

@@ -9,9 +9,10 @@ Polytopes*, 1996, Thm 8.3 and Cor 8.9), from four checks that
 ``wpsimplex.pipeline`` composes:
 
   (a) every generator is pi-balanced, so the family lies in I_A;
-  (b) every lead is lex-greater than its tail, ``lead > tail``, so the
-      weight certificate w = (M^(n-1), ..., M, 1), with M above every
-      exponent, makes every lead strictly heavier than its tail;
+  (b) every lead is lex-greater than its tail, a property of the family
+      (``toric.orientation_failures``), so the weight certificate
+      w = (M^(n-1), ..., M, 1), with M above every exponent, makes every
+      lead strictly heavier than its tail;
   (c) the minimal leads are squarefree: every lead that is not
       squarefree is properly divided by another lead.  Their supports
       are the minimal non-faces of a complex Delta, which

@@ -13,19 +13,19 @@ The family is certified as a lex Groebner basis of the toric ideal by
 the triangulation, in every degree and without S-pairs (Sturmfels,
 *Groebner Bases and Convex Polytopes*, 1996, Thm 8.3 and Cor 8.9; the
 argument is written out in ``wpsimplex.groebner``).  It combines four
-checks: (a) every generator is pi-balanced (``check_pi_balance``);
-(b) every lead is lex-greater than its tail, so the weight certificate
-makes every lead strictly heavier than its tail, and (d) every facet of
-the lead-support complex is a lower cell of the lift, with unit volumes
-summing to N (both in ``check_triangulation``, which reads (b) as
-``lead > tail`` and the volumes and the lower-cell outcomes of one pass
-over the faces, counting each face's facets without listing them);
+checks.  Three are read from the family in ``check_family``: (a) every
+generator is pi-balanced (``check_pi_balance``); (b) every lead is
+lex-greater than its tail (``toric.orientation_failures``), so the
+weight certificate makes every lead strictly heavier than its tail;
 (c) the minimal leads are squarefree: every lead that is not squarefree
 is properly divided by another lead (``_minimal_leads_squarefree``,
-which lists no minimal lead).  So the triangulation stage runs first,
-and ``check_family`` takes it: ``buchbergerPass``, named for the S-pair
-run it replaced, holds exactly when (a), (c) and the triangulation
-verdict all hold.
+which lists no minimal lead).  (d), every facet of the lead-support
+complex is a lower cell of the lift, with unit volumes summing to N, is
+read from the triangulation by ``check_triangulation``, in one pass
+over the faces that counts each face's facets without listing them.
+So the triangulation stage runs first, and ``check_family`` takes it:
+``buchbergerPass``, named for the S-pair run it replaced, holds exactly
+when (a), (b), (c) and the triangulation verdict all hold.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ from .errors import BudgetExceeded, InternalConsistency, WpsimplexError
 from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
 from .groebner import injectivity_check
 from .simplex import QVector, build_q, lattice_points_bruteforce, lattice_points_formula
-from .toric import GroebnerFamily, groebner_family, pi_balance_failures
+from .toric import (
+    GroebnerFamily, groebner_family, orientation_failures, pi_balance_failures
+)
 from .triangulation import summarize_triangulation, verify_unimodular
 
 DEFAULT_GRID_R1 = (2, 6)
@@ -85,10 +87,6 @@ def grid_points(
         for r1 in range(r1_lo, r1_hi + 1)
         for x1 in range(x1_lo, x1_hi + 1)
     ]
-
-
-def default_grid() -> list[tuple[int, int]]:
-    return grid_points(DEFAULT_GRID_R1, DEFAULT_GRID_X1)
 
 
 def verdict(flags: Iterable[bool | None]) -> bool | None:
@@ -188,14 +186,16 @@ def _minimal_leads_squarefree(leads: Sequence[tuple[int, ...]]) -> bool:
 def check_family(
     family: GroebnerFamily, triangulation: Stage, max_degree: int = 3
 ) -> Stage:
-    """Pi-balance of every generator, squarefree minimal leads, and
-    ``triangulation``, the triangulation stage of the same family:
-    together they certify a lex Groebner basis of the toric ideal.
-    Completeness up to ``max_degree`` runs as a smoke test.  An
-    unbalanced family fails every flag without running the rest."""
+    """Pi-balance and lex orientation of every generator, squarefree
+    minimal leads, and ``triangulation``, the triangulation stage of the
+    same family: together they certify a lex Groebner basis of the toric
+    ideal.  Completeness up to ``max_degree`` runs as a smoke test.  An
+    unbalanced family fails every flag without running the rest; a
+    mis-oriented one fails at ``orientation``, naming its generators."""
     unbalanced = check_pi_balance(family)
     if unbalanced:
         return unbalanced
+    misoriented = orientation_failures(family)
     squarefree = _minimal_leads_squarefree([g.lead for g in family.generators])
     triangulated = triangulation.verdict is True
     skipped = {}
@@ -205,7 +205,9 @@ def check_family(
         injective = None
         skipped["injectivity"] = str(exc)
     failure = None
-    if not triangulated:
+    if misoriented:
+        failure = {"stage": "orientation", "generators": list(misoriented)}
+    elif not triangulated:
         failed = [name for name, ok in triangulation.flags.items() if not ok]
         detail = triangulation.errors[0] if triangulation.errors else ", ".join(failed)
         failure = {"stage": "triangulation", "detail": detail}
@@ -213,7 +215,7 @@ def check_family(
         failure = {"stage": "squarefree"}
     elif injective is False:
         failure = {"stage": "injectivity"}
-    certified = triangulated and squarefree
+    certified = not misoriented and triangulated and squarefree
     return Stage(
         dict(zip(FAMILY_FLAGS, (True, certified, squarefree, injective))),
         report={

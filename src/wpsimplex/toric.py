@@ -9,8 +9,9 @@ pair of such tuples.  A binomial lead - tail is a valid relation exactly
 when both sides push forward to the same vector under the configuration
 matrix; we call that pi-balance.  Its last coordinate is the degree, so
 a pi-balanced binomial is homogeneous.  ``groebner_family`` audits every
-generator it builds for pi-balance, comparing packed pushforwards, and
-for the lex orientation lead > tail.  The plain pushforward
+generator it builds for pi-balance (``pi_balance_failures``) and for the
+lex orientation lead > tail (``orientation_failures``, check (b)), and
+the family stage runs both audits again.  The plain pushforward
 ``pi_image``, the one-binomial test ``is_toric_member`` and the z-support
 of a monomial are lemma checks for the tests, in ``wpsimplex.oracles``.
 
@@ -325,6 +326,12 @@ def pi_balance_failures(family: GroebnerFamily) -> tuple[int, ...]:
     return tuple(i for i, g in enumerate(gens) if not _balanced(packed, g))
 
 
+def orientation_failures(family: GroebnerFamily) -> tuple[int, ...]:
+    """Indices of generators whose lead is not lex-greater than their
+    tail: check (b), for the construction audit and the family stage."""
+    return tuple(i for i, g in enumerate(family.generators) if not g.lead > g.tail)
+
+
 @lru_cache(maxsize=64)
 def groebner_family(q: QVector) -> GroebnerFamily:
     """Construct the family and audit every generator.
@@ -369,11 +376,10 @@ def groebner_family(q: QVector) -> GroebnerFamily:
             f"generator {idx} ({tags[idx]}) {binomial_text(gens[idx], r1)} "
             f"is not pi-balanced"
         )
-    for idx, g in enumerate(gens):
-        if not g.lead > g.tail:
-            raise InternalConsistency(
-                f"generator {idx} ({tags[idx]}) is not lex-oriented"
-            )
+    misoriented = orientation_failures(family)
+    if misoriented:
+        idx = misoriented[0]
+        raise InternalConsistency(f"generator {idx} ({tags[idx]}) is not lex-oriented")
     return family
 
 

@@ -63,7 +63,6 @@ from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
-    CertificateFailure,
     DegenerateLift,
     DimensionMismatch,
     IndexOutOfRange,
@@ -427,12 +426,12 @@ def summarize_triangulation(
     times its volume.  A given facet list, an empty one included, is
     walked facet by facet, each facet a face without choices.  Only a
     facet walked on its own is singular or not a lower cell, and the
-    first such facet in facet order, the sorted order, decides.  The
-    weights pick every lex lead (see ``make_weight_certificate``), so
-    check (b) is read as ``lead > tail``, and the first generator that
-    fails it stands for the outcome whenever a facet is walked.  Raises
-    NonPureComplex for the family's faces, or SingularFacet for the
-    first singular facet in facet order."""
+    first such facet in facet order, the sorted order, decides.  No
+    generator's orientation is read here: the weights pick every lex
+    lead (see ``make_weight_certificate``) of a family that passes check
+    (b), which the family stage reads (``toric.orientation_failures``).
+    Raises NonPureComplex for the family's faces, or SingularFacet for
+    the first singular facet in facet order."""
     faces = _family_faces(family) if facets is None else [(f, ()) for f in facets]
     weights = make_weight_certificate(family).weights
     cells = _walk_faces(family.columns, weights, faces)
@@ -441,20 +440,11 @@ def summarize_triangulation(
         _checked_volume(0, min(singular))
     sizes = [_face_size(face) for face, _, _ in cells]
     failing = {face[0]: lower for face, _, lower in cells if lower is not True}
-    misoriented = next(
-        (i for i, g in enumerate(family.generators) if not g.lead > g.tail), None
-    )
-    if misoriented is not None and cells:
-        outcome = CertificateFailure(
-            f"generator {misoriented}'s lead is not heavier than its tail"
-        )
-    else:
-        outcome = failing[min(failing)] if failing else True
     return TriangulationSummary(
         num_facets=sum(sizes),
         volume_sum=sum(map(mul, sizes, (volume for _, volume, _ in cells))),
         all_unimodular=all(volume == 1 for _, volume, _ in cells),
-        outcome=outcome,
+        outcome=failing[min(failing)] if failing else True,
     )
 
 

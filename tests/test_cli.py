@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -341,6 +342,24 @@ def test_entry_freezes_the_heap_on_every_way_out(monkeypatch, outcome, code):
     assert frozen == [True]
 
 
+def test_every_argument_has_help():
+    # every option and positional of every subcommand says what it takes;
+    # a subparsers group is read through its subcommands, whose one-line
+    # help the top-level --help lists
+    parsers = [cli.build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if isinstance(action, argparse._SubParsersAction):
+                for choice in action._choices_actions:
+                    assert choice.help, (parser.prog, choice.dest)
+                parsers.extend(action.choices.values())
+            else:
+                assert action.help, (parser.prog, action.dest)
+
+
 def test_help_through_the_module_entry_exits_zero():
     proc = subprocess.run(
         [sys.executable, "-m", "wpsimplex", "--help"],
@@ -433,6 +452,7 @@ def test_cli_imports_no_check_primitive():
         "buchberger_verify",
         "injectivity_check",
         "pi_balance_failures",
+        "orientation_failures",
         "summarize_triangulation",
         "verify_unimodular",
         "make_weight_certificate",

@@ -48,6 +48,33 @@ def test_every_single_generator_deletion_fails_the_family_stage():
     assert deletions == 137
 
 
+def _reversed_at(family, k):
+    """The family with generator k's lead and tail swapped."""
+    g = family.generators[k]
+    generators = list(family.generators)
+    generators[k] = toric.Binomial(g.tail, g.lead)
+    return family._replace(generators=tuple(generators))
+
+
+def test_every_single_generator_reversal_fails_at_orientation():
+    # a reversed generator stays balanced, so the family stage reaches
+    # check (b) and names it, whatever the triangulation stage read: the
+    # family's own faces, or an empty facet list, which walks nothing
+    reversals = 0
+    for r1, x1 in SMALL_GRID:
+        family = groebner_family(build_q(r1, x1))
+        for k in range(len(family.generators)):
+            flipped = _reversed_at(family, k)
+            for facets in (None, ()):
+                stage = check_family(flipped, check_triangulation(flipped, facets))
+                assert stage.failure == {
+                    "stage": "orientation", "generators": [k],
+                }, (r1, x1, k, facets)
+                assert stage.flags["buchbergerPass"] is False, (r1, x1, k)
+            reversals += 1
+    assert reversals == 137
+
+
 def test_every_single_generator_deletion_gets_the_scanned_smoke_verdict():
     verdicts = []
     for r1, x1 in SMALL_GRID:

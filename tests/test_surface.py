@@ -3,8 +3,8 @@ the environment variable, the paper's lemma checks live with the
 oracles, which no command imports, the facet walk reads its reduced
 costs without a factorization of the configuration, an inverse carried
 from one facet to the next or a second lower-cell test, one function
-reads a triangulation, and the certificate reads the leads without
-listing the minimal ones."""
+reads a triangulation, the certificate reads the leads without listing
+the minimal ones, and check (b) is read in the family only."""
 
 import inspect
 
@@ -145,3 +145,13 @@ def test_the_certificate_reads_the_leads():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(groebner, "_support_mask")
     assert callable(triangulation._support_mask)
+
+
+def test_check_b_is_read_in_the_family_only():
+    # the family stage reads the lex orientation through the one audit,
+    # so the triangulation reader raises no certificate error of its own
+    assert callable(toric.orientation_failures)
+    assert pipeline.orientation_failures is toric.orientation_failures
+    for module in (wpsimplex, wpsimplex.errors, triangulation):
+        assert not hasattr(module, "CertificateFailure"), module.__name__
+    assert not hasattr(pipeline, "default_grid")

@@ -28,6 +28,7 @@ from wpsimplex.toric import (
     excluded_pair,
     include_excluded_pair,
     mutate_tail,
+    orientation_failures,
     pi_balance_failures,
     total_vars,
     y_index,
@@ -226,6 +227,7 @@ def test_family_generators_sound(r1, x1):
         assert g.lead > g.tail  # lex-oriented
         assert max(g.lead) <= 1  # squarefree
     assert pi_balance_failures(family) == ()
+    assert orientation_failures(family) == ()
 
 
 def test_family_2_1_size():

@@ -16,7 +16,6 @@ from wpsimplex import (
 )
 from wpsimplex.errors import (
     BudgetExceeded,
-    CertificateFailure,
     DegenerateLift,
     DimensionMismatch,
     IndexOutOfRange,
@@ -47,7 +46,8 @@ from wpsimplex.triangulation import (
     drop_facet,
     facet_support_function,
 )
-from wpsimplex.pipeline import check_triangulation, evaluate_point
+from wpsimplex.pipeline import check_family, check_triangulation, evaluate_point
+from wpsimplex.toric import orientation_failures
 
 from conftest import SMALL_GRID, walk_facets, without
 
@@ -240,17 +240,23 @@ def test_flat_weights_keep_the_volume_flag(family21, monkeypatch):
 
 
 def test_failed_certificate_keeps_the_volume_flag(family21):
-    # the lead of z2*z5*z7 - z1^3 is a multiple of the lead z2*z5, so the
-    # facets stand, but it is lex-lighter than its tail
-    g = Binomial((0, 1, 0, 0, 1, 0, 1), (3, 0, 0, 0, 0, 0, 0))
+    # the lead of the balanced z2*z5^2 - z1*y1*y2 is a multiple of the
+    # lead z2*z5, so the facets stand, but it is lex-lighter than its
+    # tail: check (b) fails in the family, and the triangulation stage,
+    # which reads no orientation, passes both of its flags
+    g = Binomial((0, 1, 0, 0, 2, 0, 0), (1, 0, 0, 0, 0, 1, 1))
     fam = family21._replace(
         generators=family21.generators + (g,), tags=family21.tags + ("eq1",)
     )
     stage = check_triangulation(fam)
     assert stage.flags == {
-        "triangulationUnimodular": True, "regularCertified": False,
+        "triangulationUnimodular": True, "regularCertified": True,
     }
-    assert stage.errors == ("generator 9's lead is not heavier than its tail",)
+    assert stage.errors == ()
+    assert orientation_failures(fam) == (9,)
+    assert check_family(fam, stage).failure == {
+        "stage": "orientation", "generators": [9],
+    }
 
 
 def test_dropped_facet_keeps_the_other_outcomes(family21, facets21, monkeypatch):
@@ -341,13 +347,34 @@ def test_weight_certificate_synthetic_linear(family21):
 
 
 def test_weight_certificate_rejects_mis_oriented_generator(family21, facets21):
-    # z2 - z1 has its lex-smaller side as lead: check (b) names it
-    g = Binomial((0, 1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0))
+    # generator 0 reversed, z2^2 - z1*z4, is balanced and has its
+    # lex-smaller side as lead: the family stage gets past (a) and check
+    # (b) names it, while the facets under the weights stay certified
+    g = family21.generators[0]
     fam = family21._replace(
-        generators=family21.generators + (g,), tags=family21.tags + ("eq1",)
+        generators=family21.generators + (Binomial(g.tail, g.lead),),
+        tags=family21.tags + ("eq1",),
     )
-    with pytest.raises(CertificateFailure, match="generator 9"):
-        summarize_triangulation(fam, facets21).regular
+    triangulated = check_triangulation(fam, facets21)
+    assert triangulated.verdict is True
+    stage = check_family(fam, triangulated)
+    assert stage.flags["buchbergerPass"] is False
+    assert stage.failure == {"stage": "orientation", "generators": [9]}
+
+
+@pytest.mark.parametrize("r1,x1", SMALL_GRID)
+def test_the_summary_reads_no_orientation(r1, x1):
+    # every generator reversed keeps the degrees, so the weights, and the
+    # same facet list then reads the same: check (b) is the family's
+    family = groebner_family(build_q(r1, x1))
+    flipped = family._replace(
+        generators=tuple(Binomial(g.tail, g.lead) for g in family.generators)
+    )
+    facets = family_facets(family)
+    assert summarize_triangulation(flipped, facets) == (
+        summarize_triangulation(family, facets)
+    )
+    assert summarize_triangulation(flipped, ()) == (0, 0, True, True)
 
 
 def test_weight_certificate_empty_family(family21, monkeypatch):
