@@ -37,7 +37,6 @@ from .pipeline import (
     Stage,
     check_family,
     check_hstar,
-    check_pi_balance,
     check_points,
     check_triangulation,
     evaluate_point,
@@ -195,9 +194,7 @@ def cmd_gb_verify(args) -> int:
         payload["pass"] = False
         payload["failure"] = {"stage": "construction", "detail": str(exc)}
         return _emit(payload, args.json, EXIT_VERIFICATION)
-    # a sabotaged family fails the audit; only a balanced one, which the
-    # switches leave unmodified, is triangulated
-    stage = check_pi_balance(family) or check_family(
+    stage = check_family(
         family, check_triangulation(family), max_degree=args.max_degree
     )
     payload.update(stage.report)

@@ -12,7 +12,9 @@ dense reduced costs, the regularity check of a facet list under given
 weights as that test on each facet, and the lower envelope found by
 testing every column subset.  None of them runs the face walk of
 ``wpsimplex.triangulation``; they share with it only the fraction-free
-elimination, the facet size check and the dualization of a hypergraph.
+elimination and its singular-facet check, the facet size and weight
+count checks, the support mask of a monomial and the dualization of a
+hypergraph.
 
 The lemma checks follow: the facet functionals' values and tightness
 at a point, the point count read off h*_1, a monomial's pushforward and

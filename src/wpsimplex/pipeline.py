@@ -14,9 +14,9 @@ the triangulation, in every degree and without S-pairs (Sturmfels,
 *Groebner Bases and Convex Polytopes*, 1996, Thm 8.3 and Cor 8.9; the
 argument is written out in ``wpsimplex.groebner``).  It combines four
 checks.  Three are read from the family in ``check_family``: (a) every
-generator is pi-balanced (``check_pi_balance``); (b) every lead is
-lex-greater than its tail (``toric.orientation_failures``), so the
-weight certificate makes every lead strictly heavier than its tail;
+generator is pi-balanced (``toric.pi_balance_failures``); (b) every
+lead is lex-greater than its tail (``toric.orientation_failures``), so
+the weight certificate makes every lead strictly heavier than its tail;
 (c) the minimal leads are squarefree: every lead that is not squarefree
 is properly divided by another lead (``_minimal_leads_squarefree``,
 which lists no minimal lead).  (d), every facet of the lead-support
@@ -159,19 +159,6 @@ def check_hstar(q: QVector) -> Stage:
     )
 
 
-def check_pi_balance(family: GroebnerFamily) -> Stage | None:
-    """The family stage of a family with an unbalanced generator, which
-    fails every flag, or None when every generator is pi-balanced."""
-    unbalanced = pi_balance_failures(family)
-    if not unbalanced:
-        return None
-    return Stage(
-        dict.fromkeys(FAMILY_FLAGS, False),
-        report={"num_generators": len(family.generators)},
-        failure={"stage": "pi_balance", "generators": list(unbalanced)},
-    )
-
-
 def _minimal_leads_squarefree(leads: Sequence[tuple[int, ...]]) -> bool:
     """True when every lead that is not squarefree is properly divided
     by another lead: exactly when the minimal leads are squarefree.  One
@@ -192,9 +179,13 @@ def check_family(
     ideal.  Completeness up to ``max_degree`` runs as a smoke test.  An
     unbalanced family fails every flag without running the rest; a
     mis-oriented one fails at ``orientation``, naming its generators."""
-    unbalanced = check_pi_balance(family)
+    unbalanced = pi_balance_failures(family)
     if unbalanced:
-        return unbalanced
+        return Stage(
+            dict.fromkeys(FAMILY_FLAGS, False),
+            report={"num_generators": len(family.generators)},
+            failure={"stage": "pi_balance", "generators": list(unbalanced)},
+        )
     misoriented = orientation_failures(family)
     squarefree = _minimal_leads_squarefree([g.lead for g in family.generators])
     triangulated = triangulation.verdict is True

@@ -106,7 +106,6 @@ class PointConfiguration(NamedTuple):
         }
 
 
-@lru_cache(maxsize=64)
 def build_q(r1: int, x1: int) -> QVector:
     """Build the weight vector for parameters (r1, x1).
 

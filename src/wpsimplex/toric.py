@@ -145,7 +145,6 @@ def _in_B(i: int, j: int, r1: int) -> bool:
     )
 
 
-@lru_cache(maxsize=64)
 def build_B(r1: int) -> tuple[tuple[int, int], ...]:
     """All pairs (i, j) of B (see ``_in_B``), in lex order."""
     if r1 < 2:
@@ -212,11 +211,6 @@ def _quadric(q: QVector, pair, comp) -> Binomial:
     return Binomial(
         _monomial(q, ((i, 1), (j, 1))), _monomial(q, ((k, 1), (l, 1)))
     )
-
-
-def eq1_binomial(q: QVector, i: int, j: int) -> Binomial:
-    """z_i z_j - z_k z_l for a pair (i, j) in B."""
-    return _quadric(q, (i, j), companion(i, j, q.r1))
 
 
 def eq2_binomial(q: QVector, k: int) -> Binomial:
@@ -312,10 +306,9 @@ class GroebnerFamily(NamedTuple):
 def pi_balance_failures(family: GroebnerFamily) -> tuple[int, ...]:
     """Indices of generators that are not pi-balanced (empty when sound).
 
-    Cached per family: the construction audit, the command line's guard
-    and the family stage of one point share a single audit.  A family
-    changed by a sabotage hook is a new object with other generators, so
-    it is audited afresh.
+    Cached per family: the construction audit and the family stage of
+    one point share a single audit.  A family changed by a sabotage hook
+    is a new object with other generators, so it is audited afresh.
 
     The columns are packed once, for the highest lead degree, so each
     generator costs two sums over its nonzero exponents."""

@@ -18,7 +18,7 @@ from wpsimplex import (
 )
 from wpsimplex.pipeline import Stage, evaluate_point, point_flags, verdict
 
-from conftest import without
+from conftest import SMALL_GRID, without
 
 
 def run(capsys, *argv):
@@ -166,7 +166,7 @@ def audited(monkeypatch):
 def test_gb_verify_audits_the_family_once(capsys, audited):
     code, payload = run_json(capsys, "gb", "verify", "16", "1")
     assert code == 0 and payload["pass"] is True
-    # the command line's guard and the family stage share one audit
+    # the constructor's audit and the family stage share one audit
     family = groebner_family(build_q(16, 1))
     assert sorted(audited) == sorted(family.generators)
     assert len(audited) == payload["num_generators"] == 170
@@ -181,6 +181,54 @@ def test_gb_verify_audits_a_sabotaged_family_afresh(capsys, audited, switch, gen
     assert code == 2 and payload["pass"] is False
     assert payload["failure"] == {"stage": "pi_balance", "generators": [generator]}
     assert len(audited) == payload["num_generators"]
+
+
+@pytest.mark.parametrize("r1,x1", SMALL_GRID)
+def test_gb_verify_names_each_sabotaged_generator(capsys, r1, x1):
+    # a sabotaged family is triangulated too, and the family stage
+    # refuses it at pi_balance before it reads the triangulation stage
+    point = (str(r1), str(x1))
+    n = len(groebner_family(build_q(r1, x1)).generators)
+    runs = [(("--sabotage-tail", str(k)), k) for k in range(n)]
+    runs.append((("--include-excluded-pair",), n))
+    for switch, generator in runs:
+        code = cli.main(["gb", "verify", *point, *switch])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, ""), switch
+        payload = json.loads(captured.out)
+        assert payload["pass"] is False, switch
+        assert payload["failure"] == {
+            "stage": "pi_balance", "generators": [generator]
+        }, switch
+
+
+def test_gb_verify_triangulates_a_sabotaged_family(capsys, monkeypatch):
+    # gb verify composes the certificate as evaluate_point does: the
+    # family stage takes the triangulation stage of the same family
+    seen = []
+    check_triangulation = cli.check_triangulation
+
+    def spy(family, *args):
+        seen.append(family)
+        return check_triangulation(family, *args)
+
+    monkeypatch.setattr(cli, "check_triangulation", spy)
+    code, payload = run_json(capsys, "gb", "verify", "2", "1", "--sabotage-tail", "3")
+    assert code == 2
+    assert payload["failure"] == {"stage": "pi_balance", "generators": [3]}
+    [family] = seen
+    assert toric.pi_balance_failures(family) == (3,)
+
+
+def test_gb_verify_sabotage_fails_without_a_budget(capsys, monkeypatch):
+    # a failure wins over a skip, and the triangulation stage of the
+    # sabotaged family needs no budget
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "0")
+    code = cli.main(["gb", "verify", "3", "2", "--sabotage-tail", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    payload = json.loads(captured.out)
+    assert payload["failure"] == {"stage": "pi_balance", "generators": [0]}
 
 
 def test_triangulate(capsys):
@@ -451,6 +499,7 @@ def test_cli_imports_no_check_primitive():
         "ehrhart_bruteforce",
         "buchberger_verify",
         "injectivity_check",
+        "check_pi_balance",
         "pi_balance_failures",
         "orientation_failures",
         "summarize_triangulation",

@@ -163,10 +163,8 @@ def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
 @pytest.mark.parametrize("cached", [
     toric.groebner_family,
     simplex.lattice_points_formula,
-    simplex.build_q,
     simplex.h_description,
     ehrhart.hstar,
-    toric.build_B,
 ], ids=lambda f: f.__name__)
 def test_per_point_caches_are_bounded(cached):
     # a long in-process sweep keeps at most 64 points of each, like the

@@ -4,7 +4,8 @@ oracles, which no command imports, the facet walk reads its reduced
 costs without a factorization of the configuration, an inverse carried
 from one facet to the next or a second lower-cell test, one function
 reads a triangulation, the certificate reads the leads without listing
-the minimal ones, and check (b) is read in the family only."""
+the minimal ones, check (b) is read in the family only, and the family
+stage is the one entry point to check (a)."""
 
 import inspect
 
@@ -135,6 +136,24 @@ def test_the_smoke_test_join_has_one_caller_and_the_oracle_scans():
     assert groebner not in vars(oracles).values()
 
 
+def test_what_the_oracles_share_with_the_walk_module():
+    # the oracles run no part of the face walk; they take only these
+    # checks and kernels from its module
+    taken = {
+        name
+        for name, value in vars(oracles).items()
+        if getattr(value, "__module__", None) == triangulation.__name__
+    }
+    assert taken == {
+        "_check_facet_size",
+        "_check_weight_count",
+        "_checked_volume",
+        "_eliminate",
+        "_minimal_transversals",
+        "_support_mask",
+    }
+
+
 def test_the_certificate_reads_the_leads():
     # the complex is dualized from all the leads and the squarefree flag
     # is read from them, so no minimal generating set is built; the
@@ -155,3 +174,11 @@ def test_check_b_is_read_in_the_family_only():
     for module in (wpsimplex, wpsimplex.errors, triangulation):
         assert not hasattr(module, "CertificateFailure"), module.__name__
     assert not hasattr(pipeline, "default_grid")
+
+
+def test_check_a_is_read_by_the_family_stage_only():
+    # check_family refuses an unbalanced family before it reads the
+    # triangulation stage, so gb verify needs no guard of its own
+    assert pipeline.pi_balance_failures is toric.pi_balance_failures
+    for module in (wpsimplex, pipeline):
+        assert not hasattr(module, "check_pi_balance"), module.__name__

@@ -19,7 +19,6 @@ from wpsimplex.errors import (
     InvalidPair,
 )
 from wpsimplex.toric import (
-    eq1_binomial,
     eq2_binomial,
     eq3_binomial,
     eq3star_binomial,
@@ -144,12 +143,32 @@ def test_companion_accepts_exactly_the_pair_set(r1):
                     companion(i, j, r1)
 
 
+def _z_product(q, *indices):
+    """The exponent tuple of the product of z_i over ``indices``."""
+    exps = [0] * total_vars(q)
+    for i in indices:
+        exps[z_index(i)] += 1
+    return tuple(exps)
+
+
+def _eq1_by_pair(family):
+    """The family's eq1 generators, each keyed by its pair in B."""
+    eq1 = [g for g, tag in zip(family.generators, family.tags) if tag == "eq1"]
+    assert len(eq1) == len(family.b_pairs)
+    return {pair: g for (pair, _), g in zip(family.b_pairs, eq1)}
+
+
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_companion_products_balance(r1, x1):
     q = build_q(r1, x1)
     cols = lattice_points_formula(q).homogenized
-    for i, j in build_B(r1):
-        assert is_toric_member(cols, eq1_binomial(q, i, j))
+    family = groebner_family(q)
+    eq1 = _eq1_by_pair(family)
+    assert tuple(eq1) == build_B(r1)
+    for (i, j), (k, l) in family.b_pairs:
+        assert (k, l) == companion(i, j, r1)
+        assert eq1[i, j] == Binomial(_z_product(q, i, j), _z_product(q, k, l))
+        assert is_toric_member(cols, eq1[i, j])
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
@@ -171,7 +190,7 @@ def test_generators_2_1_texts():
     assert binomial_text(eq5_binomial(q), 2) == "z3*y2 - z4*z5"
     assert binomial_text(eq3_binomial(q, 1), 2) == "z1*y2 - z2*z4"
     assert binomial_text(eq2_binomial(q, 0), 2) == "z1*y1 - z3^2"
-    assert binomial_text(eq1_binomial(q, 1, 4), 2) == "z1*z4 - z2^2"
+    assert binomial_text(_eq1_by_pair(groebner_family(q))[1, 4], 2) == "z1*z4 - z2^2"
 
 
 def test_eq_k_ranges():
