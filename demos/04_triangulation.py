@@ -3,20 +3,22 @@
 The generator lead supports are the minimal non-faces of a simplicial
 complex on the point columns; its maximal faces triangulate the simplex.
 Unimodularity is an exact determinant check per facet, and regularity is
-certified by one explicit weight vector whose lifted lower envelope
-induces exactly these facets.
+certified symbolically: every facet is a lower cell of the lex lift,
+read by the sign rule of the circuits.  The oracles check the same
+facets under the explicit weights M^(n-1), ..., M, 1 of the family's
+lex certificate.
 """
 
 from wpsimplex import (
     build_q,
     family_facets,
     groebner_family,
-    make_weight_certificate,
     summarize_triangulation,
     verify_unimodular,
 )
 from wpsimplex.oracles import (
     facet_volume,
+    make_weight_certificate,
     regular_subdivision_bruteforce,
     regularity_check,
 )
@@ -38,7 +40,7 @@ print(f"\nvolume sum = {summary.volume_sum} = N: "
 
 certificate = make_weight_certificate(family)
 print(f"\nlifting weights: {certificate.weights}")
-print("walked lower-cell check:", summary.regular)
+print("walked lex lower-cell check:", summary.regular)
 print("facet-wise lower-envelope check:",
       regularity_check(family.columns, certificate.weights, facets))
 

@@ -44,10 +44,8 @@ from .toric import (
 from .groebner import injectivity_check
 from .triangulation import (
     TriangulationSummary,
-    WeightCertificate,
     family_facets,
     initial_complex,
-    make_weight_certificate,
     summarize_triangulation,
     verify_unimodular,
 )

@@ -10,23 +10,25 @@ Polytopes*, 1996, Thm 8.3 and Cor 8.9), from four checks that
 
   (a) every generator is pi-balanced, so the family lies in I_A;
   (b) every lead is lex-greater than its tail, a property of the family
-      (``toric.orientation_failures``), so the weight certificate
-      w = (M^(n-1), ..., M, 1), with M above every exponent, makes every
-      lead strictly heavier than its tail;
+      (``toric.orientation_failures``), so for every large M the weights
+      w(M) = (M^(n-1), ..., M, 1) make every lead heavier than its tail:
+      w(M) . lead > w(M) . tail;
   (c) the minimal leads are squarefree: every lead that is not
       squarefree is properly divided by another lead.  Their supports
       are the minimal non-faces of a complex Delta, which
       ``wpsimplex.triangulation`` dualizes from all the lead supports:
       a set meets every support exactly when it meets the minimal ones;
-  (d) every facet of Delta is a lower cell of the w-lift, and the facet
-      volumes are all 1 and sum to N.
+  (d) every facet of Delta is a lower cell of the w(M)-lift for every
+      large M, read by the sign rule of ``wpsimplex.triangulation``, and
+      the facet volumes are all 1 and sum to N.
 
-By (d), Delta is the regular unimodular triangulation Delta_w; for w
-refined by lex, Cor 8.9 gives the initial ideal I_Delta, which by (b)
-and (c) the lex leads generate.  So the family is a Groebner basis of
-I_A for that order, hence generates I_A, and its lead ideal, an initial
-ideal of I_A inside in_lex(I_A) with the same Hilbert function, equals
-in_lex(I_A): the family is a lex Groebner basis, in every degree.
+Fix one M large enough for (b) and (d), and w = w(M).  By (d), Delta is
+the regular unimodular triangulation Delta_w; for w refined by lex,
+Cor 8.9 gives the initial ideal I_Delta, which by (b) and (c) the lex
+leads generate.  So the family is a Groebner basis of I_A for that
+order, hence generates I_A, and its lead ideal, an initial ideal of I_A
+inside in_lex(I_A) with the same Hilbert function, equals in_lex(I_A):
+the family is a lex Groebner basis, in every degree.
 
 No S-pair is reduced: the S-pair oracle, rewriting to normal form and
 the z-support shapes of standard monomials (a lemma of the paper) live

@@ -7,14 +7,15 @@ and no module of the certified path imports this one.  Beside it sit
 rewriting to normal form, the standard monomials of one degree by a
 plain scan of every monomial (the oracle of the smoke test's join), the
 maximal faces of a hypergraph dualized without the twin quotient, a
-facet's volume eliminated from scratch, one facet's lower-cell test by
-dense reduced costs, the regularity check of a facet list under given
-weights as that test on each facet, and the lower envelope found by
-testing every column subset.  None of them runs the face walk of
-``wpsimplex.triangulation``; they share with it only the fraction-free
-elimination and its singular-facet check, the facet size and weight
-count checks, the support mask of a monomial and the dualization of a
-hypergraph.
+facet's volume eliminated from scratch, the lex weight certificate
+M^(n-1), ..., M, 1 of a family, one facet's lower-cell test under
+explicit weights by dense reduced costs, the regularity check of a facet
+list as that test on each facet, and the lower envelope found by testing
+every column subset.  None of them runs the face walk of
+``wpsimplex.triangulation``, which reads the lex lift symbolically and
+takes no weights; they share with it only the fraction-free elimination
+and its singular-facet check, the facet size check, the support mask of
+a monomial and the dualization of a hypergraph.
 
 The lemma checks follow: the facet functionals' values and tightness
 at a point, the point count read off h*_1, a monomial's pushforward and
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from operator import mul
 from typing import NamedTuple
 
@@ -45,7 +46,6 @@ from .simplex import QVector, h_description
 from .toric import Binomial, GroebnerFamily, _balanced, _packed_columns
 from .triangulation import (
     _check_facet_size,
-    _check_weight_count,
     _checked_volume,
     _eliminate,
     _minimal_transversals,
@@ -221,6 +221,34 @@ def facet_volume(
     return _checked_volume(det, facet)
 
 
+class WeightCertificate(NamedTuple):
+    """Per-variable lifting heights that weigh every lead and tail of
+    the family as pure lex orders them, so they pick every lex lead."""
+
+    weights: tuple[int, ...]
+
+
+def make_weight_certificate(family: GroebnerFamily) -> WeightCertificate:
+    """Geometric weights M^(n-1), ..., M, 1 with M one more than the
+    largest degree of any lead or tail (unit weights for no generators),
+    the reference weights of ``is_lower_cell``, ``regularity_check`` and
+    ``regular_subdivision_bruteforce``.
+
+    Every exponent of a lead or a tail is then a base-M digit, so
+    w . a > w . b exactly when a > b in tuple order, which is pure lex:
+    the weights pick a generator's lead exactly when it is lex-greater
+    than its tail.
+    """
+    m_base = 1 + max(map(sum, chain.from_iterable(family.generators)), default=0)
+    weights = tuple(m_base ** i for i in reversed(range(family.nvars)))
+    return WeightCertificate(weights=weights)
+
+
+def _check_weight_count(count: int, ncolumns: int) -> None:
+    if count != ncolumns:
+        raise DimensionMismatch(f"{count} weights for {ncolumns} columns")
+
+
 def is_lower_cell(
     columns: tuple[tuple[int, ...], ...],
     weights: tuple[int, ...],
@@ -235,8 +263,8 @@ def is_lower_cell(
     count other than the column count DimensionMismatch, a zero
     determinant SingularFacet, a zero reduced cost DegenerateLift; a
     column lifting below makes the cell not lower.  It shares only
-    ``_eliminate`` and the two size checks with the walk, which solves a
-    smaller system in slack coordinates."""
+    ``_eliminate`` and the facet size check with the walk, which reads
+    the lex lift without weights."""
     _check_weight_count(len(weights), len(columns))
     _check_facet_size(len(cell), len(columns[0]))
     det, c = _eliminate([[*columns[p - 1], weights[p - 1]] for p in cell])

@@ -16,13 +16,14 @@ argument is written out in ``wpsimplex.groebner``).  It combines four
 checks.  Three are read from the family in ``check_family``: (a) every
 generator is pi-balanced (``toric.pi_balance_failures``); (b) every
 lead is lex-greater than its tail (``toric.orientation_failures``), so
-the weight certificate makes every lead strictly heavier than its tail;
-(c) the minimal leads are squarefree: every lead that is not squarefree
-is properly divided by another lead (``_minimal_leads_squarefree``,
-which lists no minimal lead).  (d), every facet of the lead-support
-complex is a lower cell of the lift, with unit volumes summing to N, is
-read from the triangulation by ``check_triangulation``, in one pass
-over the faces that counts each face's facets without listing them.
+the lex weights w(M) make every lead heavier than its tail for every
+large M; (c) the minimal leads are squarefree: every lead that is not
+squarefree is properly divided by another lead
+(``_minimal_leads_squarefree``, which lists no minimal lead).  (d),
+every facet of the lead-support complex is a lower cell of the lex
+lift, with unit volumes summing to N, is read from the triangulation
+by ``check_triangulation``, in one pass over the faces that counts each
+face's facets without listing them.
 So the triangulation stage runs first, and ``check_family`` takes it:
 ``buchbergerPass``, named for the S-pair run it replaced, holds exactly
 when (a), (b), (c) and the triangulation verdict all hold.
@@ -223,12 +224,10 @@ def check_family(
 def check_triangulation(
     family: GroebnerFamily, facets: tuple[tuple[int, ...], ...] | None = None
 ) -> Stage:
-    """Unimodular facets whose volumes sum to N, and a weight vector
-    whose lower envelope induces exactly these facets, as
-    ``summarize_triangulation`` reads them: by default the family's
-    initial complex, certified face by face without listing its facets,
-    else the given facets, each walked on its own under the family's
-    weight certificate."""
+    """Unimodular facets whose volumes sum to N, each a lower cell of the
+    lex lift, as ``summarize_triangulation`` reads them: by default the
+    family's initial complex, certified face by face without listing its
+    facets, else the given facets, each walked on its own."""
     flags: dict[str, bool | None] = {}
     try:
         summary = summarize_triangulation(family, facets)

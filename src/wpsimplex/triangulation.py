@@ -8,9 +8,12 @@ the complements of the minimal transversals of those supports, are the
 facets of a triangulation of the simplex.  A set meets every lead
 support exactly when it meets those of the minimal leads, so the
 transversals are read from all the leads and none is dropped first.
-Facet volumes are exact integer determinants, and regularity is
-certified by exhibiting one weight vector whose lifted lower envelope
-induces exactly these facets.
+Facet volumes are exact integer determinants.  Regularity is read
+symbolically: the facets are the lower cells of Delta_lex, the placing
+triangulation of the column order, which the weights
+w(M) = (M^(n-1), ..., M, 1) induce for every large M (Sturmfels,
+*Groebner Bases and Convex Polytopes*, 1996, Thm 8.3 and Cor 8.9;
+De Loera, Rambau and Santos, *Triangulations*, 2010, sec. 4.3).
 
 Two columns are twins when they lie in exactly the same supports.  The
 minimal transversals are those of the twin quotient, with each class in
@@ -26,50 +29,52 @@ them, or walks a given facet list facet by facet.  Only
 sorted facet list, after checking its length against the enumeration
 budget.
 
-Both are read in the slack coordinates y = (x_0, ..., x_{d-1},
-h - sum(x)) of the homogenized columns, a change of determinant 1 that
-keeps every determinant and reduced cost.  There the unit vectors
-b_j = (e_t, 1) and the origin (0, 1) of the family become the d + 1 unit
-columns of y, the simplex method's slack basis (Chvatal, *Linear
-Programming*, 1983).  A facet's slacks cover rows T; on the other k rows
-R it has as many other columns K, its determinant is +-det Y[R, K], and
-its affine function is fixed on T by the slack weights and on R by one
-fraction-free elimination of the k x k system with the weights less
-their slack part as right-hand side.  Each other column's reduced cost
-then costs k products against a base computed once per configuration,
-and every family facet has k <= 3.
+Write a column q off a facet F in F's columns, a_q = sum_p lambda_p(q)
+* a_p.  Under w(M), q's reduced cost w_q - sum_p lambda_p(q) * w_p is a
+polynomial in M whose leading coefficient is -lambda_p(q) for the first
+p < q of F, in column order, with lambda_p(q) != 0, else q's own 1; it
+is never zero.  So q lifts above F exactly when that lambda_p(q) is
+negative or there is no such p, and F is a lower cell when every q does.
+The lambdas are read in the slack coordinates y = (x_0, ..., x_{d-1},
+h - sum(x)) of the homogenized columns, a change of determinant 1.
+There the unit vectors b_j = (e_t, 1) and the origin (0, 1) of the
+family are the d + 1 unit columns of y, the simplex method's slack basis
+(Chvatal, *Linear Programming*, 1983).  A facet's slacks cover rows T;
+on the other k rows R it has as many other columns K, and its
+determinant is +-det Y[R, K].  One fraction-free elimination of that
+k x k system against the identity gives the adjugate, so det *
+lambda_p(q) costs k products for p in K, and for the slack p of row t it
+is det * y_t(q) - sum_K y_t(a_K) * det * lambda_K(q).  Every family
+facet has k <= 3.
 
 The walk solves and scans once per face, on its first member: r1 + 4
 solves for the family.  A row's kind is its tuple of entries on the
 non-slack columns; when the columns a face chooses between are slacks of
 rows of one kind, its members share K and the kinds of their rows R, so
-the k x k system, the volume and every reduced cost, and the face is
-decided whole.  Any other face is walked member by member.  A
-configuration without slacks gets k = d + 1, the full elimination; all
-arithmetic is on plain integers, so any configuration is exact.
-The from-scratch checks that the tests hold this against, one facet's
-volume and the brute-force lower envelope among them, are in
-``wpsimplex.oracles``.
+the volume and the verdict, and the face is decided whole.  Any other
+face is walked member by member.  A configuration without slacks gets
+k = d + 1, the full elimination; all arithmetic is on plain integers, so
+any configuration is exact.  The from-scratch checks that the tests hold
+this against, one facet's volume and the lower-cell test under explicit
+weights among them, are in ``wpsimplex.oracles``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import chain, compress, filterfalse, product, repeat
 from math import prod
-from operator import mul, sub
+from operator import add, mul, not_
 from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
-    DegenerateLift,
-    DimensionMismatch,
     IndexOutOfRange,
     NonPureComplex,
     ParameterOutOfRange,
     SingularFacet,
-    WpsimplexError,
 )
 from .simplex import QVector, resolve_enum_budget
 from .toric import GroebnerFamily
@@ -77,28 +82,13 @@ from .toric import GroebnerFamily
 
 class TriangulationSummary(NamedTuple):
     """What the certificate reads of a triangulation: the facet count,
-    the volume sum, whether every volume is 1, and the lower-cell
-    outcome of the first facet in facet order that is not a lower cell,
-    True when every facet is one."""
+    the volume sum, whether every volume is 1, and whether every facet
+    is a lower cell of the lex lift."""
 
     num_facets: int
     volume_sum: int
     all_unimodular: bool
-    outcome: bool | WpsimplexError
-
-    @property
-    def regular(self) -> bool:
-        """The outcome, raised when it is an error."""
-        if isinstance(self.outcome, WpsimplexError):
-            raise self.outcome
-        return self.outcome
-
-
-class WeightCertificate(NamedTuple):
-    """Per-variable lifting heights that weigh every lead and tail of
-    the family as pure lex orders them, so they pick every lex lead."""
-
-    weights: tuple[int, ...]
+    regular: bool
 
 
 def _support_mask(exponents) -> int:
@@ -302,28 +292,21 @@ def _checked_volume(det: int, facet: tuple[int, ...]) -> int:
 
 #: A configuration in the slack coordinates y = (x_0, ..., x_{d-1},
 #: h - sum(x)) of its homogenized columns x = (x_0, ..., x_{d-1}, h), as
-#: ``(rows, slack, base)``: ``rows[t]`` holds y_t of every column,
+#: ``(rows, slack)``: ``rows[t]`` holds y_t of every column, and
 #: ``slack`` maps each slack column (1-based) to its row t, the first
-#: column whose y is the unit vector e_t, and ``base[q]`` is
-#: w_q - sum_t h_t * y_t(q) for the slack heights h_t, the weight of row
-#: t's slack (0 for a row without one).  The change to y has
-#: determinant 1, so it keeps every determinant and reduced cost.
-_SlackFrame = tuple[list[tuple[int, ...]], dict[int, int], list[int]]
+#: column whose y is the unit vector e_t.  The change to y has
+#: determinant 1, so it keeps every determinant and every coefficient
+#: of one column in the others.
+_SlackFrame = tuple[list[tuple[int, ...]], dict[int, int]]
 
 
-def _slack_frame(
-    columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...]
-) -> _SlackFrame:
+def _slack_frame(columns: tuple[tuple[int, ...], ...]) -> _SlackFrame:
     ys = [(*col[:-1], col[-1] - sum(col[:-1])) for col in columns]
     first: dict[int, int] = {}
     for p, y in enumerate(ys, start=1):
         if sum(map(abs, y)) == 1 and 1 in y:
             first.setdefault(y.index(1), p)
-    heights = [0] * len(ys[0]) if ys else []
-    for t, p in first.items():
-        heights[t] = weights[p - 1]
-    base = [w - sum(map(mul, heights, y)) for w, y in zip(weights, ys)]
-    return list(zip(*ys)), {p: t for t, p in first.items()}, base
+    return list(zip(*ys)), {p: t for t, p in first.items()}
 
 
 def _check_facet_size(size: int, height: int) -> None:
@@ -333,40 +316,36 @@ def _check_facet_size(size: int, height: int) -> None:
         )
 
 
-def _check_weight_count(count: int, ncolumns: int) -> None:
-    if count != ncolumns:
-        raise DimensionMismatch(f"{count} weights for {ncolumns} columns")
-
-
-#: The walk's verdict on a face: every member of ``face`` has ``volume``
-#: and ``outcome``.  A face walked member by member gives one cell per
-#: member, as a face without choices.
-_Cell = tuple[_Face, int, bool | WpsimplexError]
+#: The walk's verdict on a face: every member of ``face`` has ``volume``,
+#: 0 when singular, and is a lower cell exactly when ``lower``.  A face
+#: walked member by member gives one cell per member, as a face without
+#: choices.
+_Cell = tuple[_Face, int, bool]
 
 
 def _walk_faces(
-    columns: tuple[tuple[int, ...], ...], weights: tuple[int, ...],
-    faces: Sequence[_Face],
+    columns: tuple[tuple[int, ...], ...], faces: Sequence[_Face]
 ) -> list[_Cell]:
-    """Each face's volume (0 when singular) and lower-cell outcome under
-    ``weights``, as cells in face order, from one ``facet_support_function``
-    solve per face.  A facet's solve gives every column q off it the
-    reduced cost scale * base_q - delta . y(q); a slack of a free row t
-    has base 0 and y = e_t, so it costs exactly -delta_t.  The first
-    column off the facet in column order whose cost is not positive
-    decides: zero gives DegenerateLift (heights not generic), below zero
-    a facet that is not a lower cell.  Every error names its own facet.
+    """Each face's volume (0 when singular) and lower-cell verdict under
+    the lex lift, as cells in face order, from one
+    ``facet_support_function`` solve per face and the sign rule of the
+    module docstring.  The first facet column's coefficients are built
+    for every column in at most k + 1 passes; a later one's are read only
+    at a column q where the first one's is 0.
 
     A face whose first member is a lower cell is decided by it, in one
     cell, when every choice is slack columns whose rows share one kind:
     its members then have the same non-slack columns and the same kinds
-    of free rows, so the same volume, the same gaps and the same costs
-    on their free slacks.  Every other face is walked member by member,
-    in member order, one solve per member after the first.
+    of free rows, so the same volume and, under any weights w, the same
+    reduced cost at every non-slack column and at their free slacks: a
+    slack's base w_q - sum_t w(slack_t) * y_t(q) is 0, and rows of one
+    kind agree on every non-slack column.  That holds under w(M) for every
+    large M, so for the lex verdict too.  Every other face is walked
+    member by member, in member order, one solve per member after the
+    first.
     """
-    _check_weight_count(len(weights), len(columns))
-    frame = _slack_frame(columns, weights)
-    rows, slack, base = frame
+    frame = _slack_frame(columns)
+    rows, slack = frame
     for full, choices in faces:
         _check_facet_size(len(full) - len(choices), len(rows))
     plain = [p not in slack for p in range(1, len(columns) + 1)]
@@ -378,20 +357,48 @@ def _walk_faces(
 
     def walk(facet):
         try:
-            scale, delta = facet_support_function(columns, weights, facet, frame)
-        except SingularFacet as exc:
-            return 0, exc
-        gaps = base if scale == 1 else map(mul, base, repeat(scale))
-        for t, x in delta.items():
-            gaps = map(sub, gaps, map(mul, rows[t], repeat(x)))
-        on = set(facet)
-        p, gap = next((
-            (p, gap) for p, gap in enumerate(gaps, start=1)
-            if gap <= 0 and p not in on
-        ), (0, 1))
-        return scale, gap > 0 if gap else DegenerateLift(
-            f"column {p} lies on the lifted hyperplane of {facet}"
-        )
+            scale, inverse = facet_support_function(columns, facet, frame)
+        except SingularFacet:
+            return 0, False
+
+        def terms(p):
+            # scale * lambda_p as (row, coefficient) pairs: the solve's
+            # for a non-slack p; for the slack of row t, scale * y_t less
+            # the non-slack facet columns' share of row t
+            if p not in slack:
+                return inverse[p]
+            t = slack[p]
+            row, share = rows[t], {t: scale}
+            for k, pairs in inverse.items():
+                for r, c in pairs:
+                    share[r] = share.get(r, 0) - row[k - 1] * c
+            return [(r, c) for r, c in share.items() if c]
+
+        # the 0-based columns after the first facet column, less those
+        # decided: each facet column in turn decides where it is nonzero
+        first = facet[0]
+        undecided, on = range(first, len(columns)), {p - 1 for p in facet}
+
+        def entries(t):
+            # row t at the undecided columns, a slice while that is all
+            row = rows[t]
+            return row[first:] if p == first else map(row.__getitem__, undecided)
+
+        for p in facet:
+            undecided = undecided[bisect_left(undecided, p):]
+            (t, c), *rest = terms(p)
+            values = map(mul, entries(t), repeat(c))
+            for t, c in rest:
+                values = map(add, values, map(mul, entries(t), repeat(c)))
+            values = list(values)
+            if max(values, default=0) > 0:
+                return scale, False
+            undecided = list(filterfalse(
+                on.__contains__, compress(undecided, map(not_, values))
+            ))
+            if not undecided:
+                break
+        return scale, True
 
     def one_kind(full, choice):
         # the choice is slack columns, and their rows are of one kind
@@ -401,14 +408,14 @@ def _walk_faces(
     cells: list[_Cell] = []
     for face in faces:
         first = _first_member(face)
-        volume, outcome = walk(first)
+        volume, lower = walk(first)
         full, choices = face
-        if outcome is True and all(one_kind(full, c) for c in choices):
+        if lower and all(one_kind(full, c) for c in choices):
             cells.append((face, volume, True))
             continue
         members = _members(face)
         next(members)  # the first member, walked above
-        cells.append(((first, ()), volume, outcome))
+        cells.append(((first, ()), volume, lower))
         cells += [((m, ()), *walk(m)) for m in members]
     return cells
 
@@ -420,31 +427,28 @@ def _family_faces(family: GroebnerFamily) -> tuple[_Face, ...]:
 def summarize_triangulation(
     family: GroebnerFamily, facets: Sequence[tuple[int, ...]] | None = None
 ) -> TriangulationSummary:
-    """The triangulation certified under the family's weight certificate.
-    With ``facets`` None these are the family's faces, read without
-    listing their facets: a face of m members counts m facets and m
-    times its volume.  A given facet list, an empty one included, is
-    walked facet by facet, each facet a face without choices.  Only a
-    facet walked on its own is singular or not a lower cell, and the
-    first such facet in facet order, the sorted order, decides.  No
-    generator's orientation is read here: the weights pick every lex
-    lead (see ``make_weight_certificate``) of a family that passes check
-    (b), which the family stage reads (``toric.orientation_failures``).
-    Raises NonPureComplex for the family's faces, or SingularFacet for
-    the first singular facet in facet order."""
+    """The triangulation certified as the lex triangulation of the
+    family's columns.  With ``facets`` None these are the family's faces,
+    read without listing their facets: a face of m members counts m
+    facets and m times its volume.  A given facet list, an empty one
+    included, is walked facet by facet, each facet a face without
+    choices.  It is regular when every facet is a lower cell of the lex
+    lift.  No generator's orientation is read here: the leads of a
+    family that passes check (b), which the family stage reads
+    (``toric.orientation_failures``), are its lex leads.  Raises
+    NonPureComplex for the family's faces, or SingularFacet for the first
+    singular facet in facet order, the sorted order."""
     faces = _family_faces(family) if facets is None else [(f, ()) for f in facets]
-    weights = make_weight_certificate(family).weights
-    cells = _walk_faces(family.columns, weights, faces)
+    cells = _walk_faces(family.columns, faces)
     singular = [face[0] for face, volume, _ in cells if not volume]
     if singular:
         _checked_volume(0, min(singular))
     sizes = [_face_size(face) for face, _, _ in cells]
-    failing = {face[0]: lower for face, _, lower in cells if lower is not True}
     return TriangulationSummary(
         num_facets=sum(sizes),
         volume_sum=sum(map(mul, sizes, (volume for _, volume, _ in cells))),
         all_unimodular=all(volume == 1 for _, volume, _ in cells),
-        outcome=failing[min(failing)] if failing else True,
+        regular=all(lower for _, _, lower in cells),
     )
 
 
@@ -469,51 +473,42 @@ def drop_facet(
     return facets[:index] + facets[index + 1:]
 
 
-def make_weight_certificate(family: GroebnerFamily) -> WeightCertificate:
-    """Geometric weights M^(n-1), ..., M, 1 with M one more than the
-    largest degree of any lead or tail (unit weights for no generators).
-
-    Every exponent of a lead or a tail is then a base-M digit, so
-    w . a > w . b exactly when a > b in tuple order, which is pure lex:
-    the weights pick a generator's lead exactly when it is lex-greater
-    than its tail.
-    """
-    m_base = 1 + max(map(sum, chain.from_iterable(family.generators)), default=0)
-    weights = tuple(m_base ** i for i in reversed(range(family.nvars)))
-    return WeightCertificate(weights=weights)
-
-
 def facet_support_function(
     columns: tuple[tuple[int, ...], ...],
-    weights: tuple[int, ...],
     facet: tuple[int, ...],
     frame: _SlackFrame | None = None,
-) -> tuple[int, dict[int, int]]:
-    """The affine function through the lifted facet points, as integers
-    ``(scale, delta)`` with scale > 0 the facet volume: in the slack
-    coordinates of ``frame`` it is psi_t = h_t + delta.get(t, 0) / scale,
-    so every column q has the reduced cost
+) -> tuple[int, dict[int, list[tuple[int, int]]]]:
+    """The facet's columns as a basis, as integers ``(scale, inverse)``
+    with scale > 0 the facet volume: every column q is
+    a_q = sum_p lambda_p(q) * a_p over the facet columns p, and for each
+    p that is not a slack of ``frame``
 
-        scale * w_q - scale * psi . y(q) = scale * base_q - delta . y(q),
+        scale * lambda_p(q) = sum(c * y_t(q) for t, c in inverse[p])
 
-    which is zero on the facet.  The facet's slacks fix psi on their rows
-    T; on the other rows R it solves Y[R, K]^T delta = scale * base_K for
-    the other facet columns K, one elimination of a k x k system with
-    k = |R| = |K|, whose determinant is +- that of the facet's
-    homogenized columns.  The frame is built from ``columns`` and
-    ``weights`` when not given.  The walk calls this once per face, on
-    its first member, and once per further member of a face it walks
-    member by member; a facet that does not select one column per row
-    raises ParameterOutOfRange.
+    over the rows t that the facet's slacks leave free.  That is one
+    elimination of Y[R, K] against the identity, for the free rows R and
+    the other facet columns K, a k x k system with k = |R| = |K| whose
+    determinant is +- that of the facet's homogenized columns; a slack's
+    coefficients follow from these (see ``_walk_faces``).  The frame is
+    built from ``columns`` when not given.  The walk calls this once per
+    face, on its first member, and once per further member of a face it
+    walks member by member; a facet that does not select one column per
+    row raises ParameterOutOfRange, a singular one SingularFacet.
     """
-    rows, slack, base = frame or _slack_frame(columns, weights)
+    rows, slack = frame or _slack_frame(columns)
     _check_facet_size(len(facet), len(rows))
     free = sorted(set(range(len(rows))).difference(map(slack.get, facet)))
-    det, scaled = _eliminate([
-        [*(rows[t][p - 1] for t in free), base[p - 1]]
-        for p in filterfalse(slack.__contains__, facet)
+    plain = [p for p in facet if p not in slack]
+    k = len(free)
+    det, adjugate = _eliminate([
+        [rows[t][p - 1] for p in plain] + [0] * i + [1] + [0] * (k - 1 - i)
+        for i, t in enumerate(free)
     ])
     if det == 0:
         raise SingularFacet(f"columns {facet} are affinely dependent")
-    sign = 1 if det > 0 else -1
-    return abs(det), {t: sign * x for t, x in zip(free, scaled) if x}
+    if det < 0:
+        adjugate = [-x for x in adjugate]
+    return abs(det), {
+        p: [(t, x) for t, x in zip(free, adjugate[i * k:i * k + k]) if x]
+        for i, p in enumerate(plain)
+    }

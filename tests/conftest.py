@@ -1,6 +1,8 @@
+from math import isqrt, prod
+
 import pytest
 
-from wpsimplex import build_q, groebner_family
+from wpsimplex import Binomial, build_q, groebner_family
 from wpsimplex.ehrhart import ehrhart_value, hstar
 from wpsimplex.oracles import pi_image, standard_monomials
 from wpsimplex.triangulation import _walk_faces
@@ -23,6 +25,21 @@ def without(family, k):
     )
 
 
+def in_order(family, order):
+    """The family with column ``order[i]`` (0-based) moved to position i,
+    in its columns and in every lead and tail: the same points and the
+    same complex, relabelled, so read under another lex order."""
+    def moved(m):
+        return tuple(m[v] for v in order)
+
+    return family._replace(
+        columns=moved(family.columns),
+        generators=tuple(
+            Binomial(moved(g.lead), moved(g.tail)) for g in family.generators
+        ),
+    )
+
+
 def scanned_injectivity(family, max_degree=3):
     """The smoke test's verdict from the plain scan of
     ``oracles.standard_monomials``, one ``pi_image`` per standard
@@ -38,9 +55,19 @@ def scanned_injectivity(family, max_degree=3):
     return True
 
 
-def walk_facets(columns, weights, facets):
+def walk_facets(columns, facets):
     """The face walk over a plain facet list, each facet a face without
-    choices: the volumes as a list and the lower-cell outcomes as a
+    choices: the volumes as a list and the lower-cell verdicts as a
     tuple, in facet order."""
-    cells = _walk_faces(columns, weights, [(f, ()) for f in facets])
+    cells = _walk_faces(columns, [(f, ()) for f in facets])
     return [v for _, v, _ in cells], tuple(x for _, _, x in cells)
+
+
+def lex_weights(columns):
+    """Explicit weights M^(n-1), ..., M, 1 under which every cell of the
+    configuration lifts as the lex lift does: each det * lambda_p(q) is a
+    minor of the columns, at most the product of the d + 1 largest column
+    norms (Hadamard), and M exceeds twice that bound."""
+    norms = sorted((isqrt(sum(x * x for x in c)) + 1 for c in columns), reverse=True)
+    m_base = 2 * prod(norms[:len(columns[0])]) + 1
+    return tuple(m_base ** i for i in reversed(range(len(columns))))

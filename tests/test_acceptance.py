@@ -25,7 +25,6 @@ from wpsimplex import (
     hstar,
     lattice_points_bruteforce,
     lattice_points_formula,
-    make_weight_certificate,
     summarize_triangulation,
     verify_unimodular,
 )
@@ -35,6 +34,7 @@ from wpsimplex.oracles import (
     buchberger_verify,
     facet_volume,
     is_toric_member,
+    make_weight_certificate,
     pi_image,
     regularity_check,
     standard_monomials,

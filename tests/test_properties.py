@@ -6,8 +6,10 @@ monomials against a plain entrywise divisibility test (``_divides``),
 the complex and the squarefree flag read from all the leads against
 those of the minimal leads that test keeps, the facet enumeration
 against a filter of all vertex subsets, its faces on the twin
-quotient against the plain dualization, and the certificate weights
-against tuple order."""
+quotient against the plain dualization, the oracles' certificate
+weights against tuple order, and the walk's lex verdicts against the
+oracles' lower-cell test under explicit weights M^(n-1), ..., 1 with M
+above twice every coefficient of one column in a facet's."""
 
 from itertools import (
     combinations,
@@ -32,12 +34,10 @@ from wpsimplex import (
     initial_complex,
     lattice_points_bruteforce,
     lattice_points_formula,
-    make_weight_certificate,
 )
 from wpsimplex import simplex, triangulation
 from wpsimplex.errors import (
     BudgetExceeded,
-    DegenerateLift,
     NonPureComplex,
     SingularFacet,
     WpsimplexError,
@@ -47,6 +47,7 @@ from wpsimplex.oracles import (
     _maximal_faces,
     facet_volume,
     is_lower_cell,
+    make_weight_certificate,
     normal_form,
     pi_image,
     regularity_check,
@@ -65,7 +66,7 @@ from wpsimplex.triangulation import (
     _walk_faces,
 )
 
-from conftest import SMALL_GRID, walk_facets, without
+from conftest import SMALL_GRID, in_order, lex_weights, walk_facets, without
 
 PARAMS = st.tuples(st.integers(2, 4), st.integers(1, 3))
 
@@ -201,9 +202,8 @@ COLUMNS_2_1 = groebner_family(build_q(2, 1)).columns
 def facet_sets(draw):
     """The (2, 1) configuration or a random integer one of height 3 to 6,
     with distinct column subsets of that size in any order, singular and
-    non-unimodular ones included, and small lifting heights that often
-    tie or fold, so every verdict of the regularity check occurs.  A
-    random configuration may take slack columns among its own, (e_t, 1)
+    non-unimodular ones included, so every verdict of the regularity
+    check occurs.  A random configuration may take slack columns among its own, (e_t, 1)
     and the origin (0, ..., 0, 1), some repeated and some missing, so
     the kernels run from k = 0 to k = height; without them k = height."""
     columns = COLUMNS_2_1
@@ -224,40 +224,51 @@ def facet_sets(draw):
     height, n = len(columns[0]), len(columns)
     subsets = list(combinations(range(1, n + 1), height))
     facets = draw(st.lists(st.sampled_from(subsets), max_size=12, unique=True))
-    weights = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
-    return columns, tuple(facets), tuple(weights)
+    return columns, tuple(facets)
 
 
 def _first_verdict(check):
     try:
         return check()
-    except (DegenerateLift, SingularFacet) as exc:
+    except SingularFacet as exc:
         return type(exc), str(exc)
+
+
+def _assert_the_oracles_agree(columns, facets, volumes, lower):
+    """Each facet's walked volume and verdict are the oracles': its
+    volume, 0 when singular, and ``is_lower_cell`` under the explicit
+    lex weights, which never meets a degenerate lift."""
+    weights = lex_weights(columns)
+    for facet, volume, verdict in zip(facets, volumes, lower, strict=True):
+        expected = _first_verdict(lambda: facet_volume(columns, facet))
+        assert volume == (0 if isinstance(expected, tuple) else expected)
+        if volume:
+            assert verdict == is_lower_cell(columns, weights, facet)
 
 
 @settings(max_examples=300, deadline=None)
 @given(facet_sets())
 def test_walk_decides_as_the_facet_by_facet_check(case):
-    columns, facets, weights = case
-    volumes, lower = walk_facets(columns, weights, facets)
-    assert len(volumes) == len(lower) == len(facets)
-    for index, facet in enumerate(facets):
-        expected = _first_verdict(lambda: facet_volume(columns, facet))
-        assert volumes[index] == (0 if isinstance(expected, tuple) else expected)
-        expected = _first_verdict(lambda: is_lower_cell(columns, weights, facet))
-        outcome = lower[index]
-        if isinstance(outcome, Exception):
-            outcome = type(outcome), str(outcome)
-        assert outcome == expected
-    # the walk's first outcome that is not True, in the order given,
-    # decides as the oracle's facet-by-facet check does
-    first = next((x for x in lower if x is not True), True)
-    assert _outcomes([first]) == [
-        _first_verdict(lambda: regularity_check(columns, weights, facets))
-    ]
+    # the parity test of the sign rule: single-facet faces on random
+    # configurations, singular and non-unimodular cells included
+    columns, facets = case
+    volumes, lower = walk_facets(columns, facets)
+    _assert_the_oracles_agree(columns, facets, volumes, lower)
+    # the first facet in the order given that is singular or not a lower
+    # cell decides as the oracle's facet-by-facet check does
+    first = next((v for v, x in zip(volumes, lower) if not (v and x)), None)
+    expected = _first_verdict(
+        lambda: regularity_check(columns, lex_weights(columns), facets)
+    )
+    if first is None:
+        assert expected is True
+    elif first:
+        assert expected is False
+    else:
+        assert expected[0] is SingularFacet
 
 
-def _repeated_kinds(plain_rows, order, picks, weights):
+def _repeated_kinds(plain_rows, order, picks):
     """A configuration given in the slack coordinates y = (x_0, ...,
     x_{d-1}, h - sum(x)): ``plain_rows[t]`` is row t's kind, its entries
     on the plain columns, and every row t also has its slack column e_t.
@@ -276,16 +287,15 @@ def _repeated_kinds(plain_rows, order, picks, weights):
         ))
         for plain, rows in picks
     )
-    return tuple(columns), facets, tuple(weights)
+    return tuple(columns), facets
 
 
 #: Rows of kinds A, A, A, B and the slacks first: the three facets whose
-#: free rows are two As are singular, the three with an A and the B share
-#: one k x k system, and zero weights put every slack off a facet on its
-#: lifted hyperplane, so each member names its own first slack and itself.
+#: free rows are two As are singular, and the three with an A and the B
+#: share one k x k system.
 SHARED_CLASS = _repeated_kinds(
     [(1, 2), (1, 2), (1, 2), (0, 1)], [4, 5, 0, 1, 2, 3],
-    [((0, 1), rows) for rows in combinations(range(4), 2)], (0,) * 6,
+    [((0, 1), rows) for rows in combinations(range(4), 2)],
 )
 
 
@@ -293,10 +303,8 @@ SHARED_CLASS = _repeated_kinds(
 def repeated_kinds(draw):
     """A configuration whose rows repeat one to three kinds, with a slack
     for every row and the columns in any order, and facets K + slack(T)
-    on one or two sets K of plain columns, so many facets share a class:
-    singular ones (two free rows of one kind) included, and small
-    heights that put slacks and plain columns on a facet's lifted
-    hyperplane."""
+    on one or two sets K of plain columns, so many facets share a class,
+    singular ones (two free rows of one kind) included."""
     height = draw(st.integers(2, 6))
     width = draw(st.integers(1, 4))
     kinds = draw(st.lists(
@@ -313,51 +321,38 @@ def repeated_kinds(draw):
         st.sampled_from(plains),
         st.sampled_from(list(combinations(range(height), height - k))),
     ), min_size=2, max_size=12))
-    weights = draw(st.lists(
-        st.integers(0, 3), min_size=width + height, max_size=width + height
-    ))
-    return _repeated_kinds(plain_rows, order, picks, weights)
+    return _repeated_kinds(plain_rows, order, picks)
 
 
 def test_members_of_a_shared_class_name_their_own_facet(monkeypatch):
+    # plain facets are walked one by one even where they share a k x k
+    # system: each singular member reads volume 0 on its own
     solved = []
     support = triangulation.facet_support_function
 
-    def counted(columns, weights, facet, frame=None):
+    def counted(columns, facet, frame=None):
         solved.append(facet)
-        return support(columns, weights, facet, frame)
+        return support(columns, facet, frame)
 
     monkeypatch.setattr(triangulation, "facet_support_function", counted)
-    columns, facets, weights = SHARED_CLASS
-    volumes, lower = walk_facets(columns, weights, facets)
+    columns, facets = SHARED_CLASS
+    volumes, lower = walk_facets(columns, facets)
     assert solved == list(facets)  # one solve per facet, in facet order
     assert facets == (
         (1, 2, 5, 6), (1, 3, 5, 6), (1, 4, 5, 6),
         (2, 3, 5, 6), (2, 4, 5, 6), (3, 4, 5, 6),
     )
     assert volumes == [1, 1, 0, 1, 0, 0]
-    assert _outcomes(lower) == [
-        (DegenerateLift, "column 3 lies on the lifted hyperplane of (1, 2, 5, 6)"),
-        (DegenerateLift, "column 2 lies on the lifted hyperplane of (1, 3, 5, 6)"),
-        (SingularFacet, "columns (1, 4, 5, 6) are affinely dependent"),
-        (DegenerateLift, "column 1 lies on the lifted hyperplane of (2, 3, 5, 6)"),
-        (SingularFacet, "columns (2, 4, 5, 6) are affinely dependent"),
-        (SingularFacet, "columns (3, 4, 5, 6) are affinely dependent"),
-    ]
+    assert lower == (True, True, False, True, False, False)
+    _assert_the_oracles_agree(columns, facets, volumes, lower)
 
 
 @settings(max_examples=300, deadline=None)
 @given(repeated_kinds())
 @example(SHARED_CLASS)
 def test_shared_classes_decide_as_the_facet_by_facet_check(case):
-    columns, facets, weights = case
-    volumes, lower = walk_facets(columns, weights, facets)
-    for facet, volume, outcome in zip(facets, volumes, _outcomes(lower)):
-        expected = _first_verdict(lambda: facet_volume(columns, facet))
-        assert volume == (0 if isinstance(expected, tuple) else expected)
-        assert outcome == _first_verdict(
-            lambda: is_lower_cell(columns, weights, facet)
-        )
+    columns, facets = case
+    _assert_the_oracles_agree(columns, facets, *walk_facets(columns, facets))
 
 
 def _with_generators(family, pairs):
@@ -404,63 +399,51 @@ def test_certificate_weights_order_every_pair_as_lex(family):
 
 
 @st.composite
-def weighted_points(draw):
-    """A grid point with its facets and one of four weight vectors: the
-    certificate's, its reverse, a flat one (every cell degenerate) and
-    small random heights that tie or fold."""
+def ordered_points(draw):
+    """A grid point's family read in one of four column orders, the same
+    complex relabelled: as built, reversed, with the origin a_{r1+3}
+    first, or a random permutation."""
     r1, x1 = draw(st.tuples(st.integers(2, 6), st.integers(1, 5)))
     family = groebner_family(build_q(r1, x1))
-    facets = family_facets(family)
-    weights = make_weight_certificate(family).weights
-    kind = draw(st.sampled_from(("certificate", "reversed", "flat", "random")))
+    order = list(range(family.nvars))
+    kind = draw(st.sampled_from(("built", "reversed", "origin", "random")))
     if kind == "reversed":
-        weights = weights[::-1]
-    elif kind == "flat":
-        weights = (1,) * len(weights)
+        order.reverse()
+    elif kind == "origin":
+        order.insert(0, order.pop(r1 + 2))
     elif kind == "random":
-        weights = tuple(draw(st.lists(
-            st.integers(0, 30), min_size=len(weights), max_size=len(weights)
-        )))
-    return family, facets, weights
-
-
-def _outcomes(lower):
-    return [
-        (type(x), str(x)) if isinstance(x, Exception) else x for x in lower
-    ]
+        order = draw(st.permutations(order))
+    return in_order(family, order)
 
 
 @settings(max_examples=40, deadline=None)
-@given(weighted_points())
-def test_walk_decides_as_is_lower_cell_and_facet_volume(case):
-    family, facets, weights = case
-    volumes, lower = walk_facets(family.columns, weights, facets)
-    for facet, volume, outcome in zip(facets, volumes, _outcomes(lower)):
-        assert volume == facet_volume(family.columns, facet)
-        assert outcome == _first_verdict(
-            lambda: is_lower_cell(family.columns, weights, facet)
-        )
+@given(ordered_points())
+def test_walk_decides_as_is_lower_cell_and_facet_volume(family):
+    facets = family_facets(family)
+    volumes, lower = walk_facets(family.columns, facets)
+    assert volumes == [facet_volume(family.columns, f) for f in facets]
+    _assert_the_oracles_agree(family.columns, facets, volumes, lower)
 
 
-#: Rows of kinds A, B, A, each with its slack, and a face whose one
-#: choice is the slacks of the B row and the first A row: its members
-#: (1, 2, 3) and (2, 3, 4) free rows of different kinds, so the first is
-#: a unit lower cell and the second has volume 2 and is not one.
-MIXED_KINDS = _repeated_kinds([(-1,), (2,), (-1,)], [2, 3, 0, 1], [], (2, 5, 0, 0))
+#: Rows of kinds A, B, A after the plain column, each with its slack, and
+#: a face whose one choice is the slacks of the B row and the second A
+#: row: its members (1, 2, 3) and (1, 2, 4) free rows of different kinds,
+#: so the first is a unit lower cell and the second has volume 2 and is
+#: not one.
+MIXED_KINDS = _repeated_kinds([(-1,), (2,), (-1,)], [0, 1, 2, 3], [])
 
 
 @st.composite
 def twin_faces(draw):
-    """One face and the heights to walk it under: a face of a grid
-    point's family under the heights of ``weighted_points``, or a face
-    on a configuration of ``repeated_kinds`` with up to three choices of
-    two or three columns each, slacks or not, among columns that keep
-    every member at the column height."""
+    """One face and its configuration: a face of a grid point's family
+    in one of the column orders of ``ordered_points``, or a face on a
+    configuration of ``repeated_kinds`` with up to three choices of two
+    or three columns each, slacks or not, among columns that keep every
+    member at the column height."""
     if draw(st.booleans()):
-        family, _, weights = draw(weighted_points())
-        face = draw(st.sampled_from(_family_faces(family)))
-        return family.columns, weights, face
-    columns, _, weights = draw(repeated_kinds())
+        family = draw(ordered_points())
+        return family.columns, draw(st.sampled_from(_family_faces(family)))
+    columns, _ = draw(repeated_kinds())
     height, n = len(columns[0]), len(columns)
     sizes = draw(st.lists(st.integers(2, 3), max_size=min(3, n - height)).filter(
         lambda s: sum(s) <= height + len(s)
@@ -473,25 +456,25 @@ def twin_faces(draw):
     for size in sizes:
         choices.append(tuple(sorted(positions[start:start + size])))
         start += size
-    return columns, weights, (full, tuple(choices))
+    return columns, (full, tuple(choices))
 
 
 @settings(max_examples=300, deadline=None)
 @given(twin_faces())
-@example((*MIXED_KINDS[::2], ((1, 2, 3, 4), ((0, 3),))))
+@example((MIXED_KINDS[0], ((1, 2, 3, 4), ((2, 3),))))
 def test_every_member_of_a_face_decides_as_it_does_alone(case):
     # a face decided whole holds only members that decide alike; any
-    # other face is walked member by member and names each member
-    columns, weights, face = case
-    cells = _walk_faces(columns, weights, [face])
+    # other face is walked member by member
+    columns, face = case
+    cells = _walk_faces(columns, [face])
     decided = [
         (member, volume, lower)
         for cell, volume, lower in cells for member in _members(cell)
     ]
     assert sorted(m for m, _, _ in decided) == sorted(_members(face))
-    volumes, lower = walk_facets(columns, weights, [m for m, _, _ in decided])
+    volumes, lower = walk_facets(columns, [m for m, _, _ in decided])
     assert [v for _, v, _ in decided] == volumes
-    assert _outcomes(x for _, _, x in decided) == _outcomes(lower)
+    assert tuple(x for _, _, x in decided) == lower
     if len(cells) == 1 and _face_size(face) > 1:
         assert cells[0][2] is True
 

@@ -12,10 +12,9 @@ from wpsimplex import (
     groebner_family,
     hstar,
     lattice_points_formula,
-    make_weight_certificate,
     summarize_triangulation,
 )
-from wpsimplex.oracles import buchberger_verify, zsupport_shape
+from wpsimplex.oracles import buchberger_verify, make_weight_certificate, zsupport_shape
 from wpsimplex.pipeline import Stage, check_hstar
 from wpsimplex.toric import include_excluded_pair, mutate_tail, pi_balance_failures
 from wpsimplex.triangulation import _family_faces

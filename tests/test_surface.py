@@ -1,11 +1,11 @@
 """The command modules' surface: the enumeration budget has one source,
 the environment variable, the paper's lemma checks live with the
-oracles, which no command imports, the facet walk reads its reduced
-costs without a factorization of the configuration, an inverse carried
-from one facet to the next or a second lower-cell test, one function
-reads a triangulation, the certificate reads the leads without listing
-the minimal ones, check (b) is read in the family only, and the family
-stage is the one entry point to check (a)."""
+oracles, which no command imports, the facet walk reads its lower cells
+without a factorization of the configuration, an inverse carried from
+one facet to the next, a second lower-cell test or a weight vector, one
+function reads a triangulation, the certificate reads the leads without
+listing the minimal ones, check (b) is read in the family only, and the
+family stage is the one entry point to check (a)."""
 
 import inspect
 
@@ -146,12 +146,24 @@ def test_what_the_oracles_share_with_the_walk_module():
     }
     assert taken == {
         "_check_facet_size",
-        "_check_weight_count",
         "_checked_volume",
         "_eliminate",
         "_minimal_transversals",
         "_support_mask",
     }
+
+
+def test_the_walk_takes_no_weights():
+    # the walk reads the lex lift by the sign rule of the circuits: the
+    # explicit weights are the oracles' reference only, and no lift it
+    # reads can be degenerate
+    for name in ("make_weight_certificate", "WeightCertificate", "_check_weight_count"):
+        assert callable(getattr(oracles, name)), name
+        assert not hasattr(triangulation, name), name
+        assert not hasattr(wpsimplex, name), name
+    assert not hasattr(triangulation, "DegenerateLift")
+    for walk in (triangulation._walk_faces, triangulation.facet_support_function):
+        assert "weights" not in inspect.signature(walk).parameters
 
 
 def test_the_certificate_reads_the_leads():
