@@ -3,10 +3,10 @@
 The number of lattice points in the t-fold dilate of a simplex from this
 family is a degree-d polynomial in t whose generating-series numerator
 coefficients (the h*-vector) come from a closed-form floor-function
-weight on residues b in [0, N).  A brute-force dilation counter built on
-the facet inequalities serves as the independent cross-check.  The point
-count read off h*_1, a lemma check for the tests, lives in
-``wpsimplex.oracles``.
+weight on residues b in [0, N).  The independent cross-check counts a
+dilate's points, listing none, over the checked slices of the facet
+inequalities (``simplex._dilation_slices``).  The point count read off
+h*_1, a lemma check for the tests, lives in ``wpsimplex.oracles``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InternalConsistency, ParameterOutOfRange
-from .simplex import QVector, enumerate_dilation_points
+from .simplex import QVector, _dilation_slices
 
 
 class HStarVector(NamedTuple):
@@ -74,6 +74,6 @@ def ehrhart_value(h: HStarVector, t: int) -> int:
 
 
 def ehrhart_bruteforce(q: QVector, t: int) -> int:
-    """Independent oracle: count points of the t-fold dilate by scanning
-    the scaled facet inequalities."""
-    return len(enumerate_dilation_points(q, t))
+    """Independent oracle: the points of the t-fold dilate, counted from
+    the checked slices as C(r + d - 1, r) each, without listing them."""
+    return sum(comb(r + q.d - 1, r) for _, r in _dilation_slices(q, t))

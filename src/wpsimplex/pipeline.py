@@ -137,7 +137,7 @@ def check_points(q: QVector) -> Stage:
 
 def check_hstar(q: QVector) -> Stage:
     """h*_0 = 1, h*_1 = r1 + 2, sum N, unimodal, and the counting
-    polynomial matches enumeration at t = 1, 2."""
+    polynomial matches the slice count at t = 1, 2."""
     h = hstar(q)
     ok = (
         h.coeffs[0] == 1

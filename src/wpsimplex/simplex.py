@@ -11,9 +11,11 @@ simplex is the convex hull of the d standard basis vectors together with
 reflexive; its normalized volume is N = r1 * (x1*r1 + 1).
 
 This module builds q, the facet inequalities, and the closed-form list
-of all lattice points of the simplex, and provides an independent
-brute-force enumerator used to cross-check that list.  All arithmetic
-is exact: plain Python integers throughout, so overflow cannot occur.
+of all lattice points of the simplex.  An independent walk over the
+slices of the dilates, each checked whole against the facet
+inequalities, lists the points of the simplex to cross-check that list
+and counts those of a dilate for the h* check.  All arithmetic is
+exact: plain Python integers throughout, so overflow cannot occur.
 
 The enumeration budget has one source, the environment variable
 ``WPSIMPLEX_ENUM_BUDGET``, read on every call by ``resolve_enum_budget``;
@@ -25,10 +27,11 @@ tightness profiles at a point, lemma checks for the tests, live in
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, InternalConsistency, ParameterOutOfRange
@@ -166,70 +169,67 @@ def lattice_points_formula(q: QVector) -> PointConfiguration:
 
 
 def enumerate_dilation_points(q: QVector, t: int) -> frozenset[tuple[int, ...]]:
-    """All integer points with every facet functional at most t.
+    """All integer points with every facet functional at most t: the
+    points of the checked slices of ``_dilation_slices``, listed."""
+    found: list[tuple[int, ...]] = []
+    for lows, remaining in _dilation_slices(q, t):
+        for combo in combinations_with_replacement(range(q.d), remaining):
+            point = list(lows)
+            for i in combo:
+                point[i] += 1
+            found.append(tuple(point))
+    return frozenset(found)
 
-    The inequality with index k <= d reads sum(p) - D_k*p_k <= t, where
-    D_k = 1 - row_k[k] is read from the raw rows, so for a fixed
-    coordinate sum s the feasible set is exactly { p : sum(p) = s, p_k >=
-    ceil((s - t)/D_k) }.  The scan walks s from -t*sum(q) (the apex) up
-    to t; the coordinates are grouped by denominator, so a slice costs
-    one ceil division per distinct D_k (two for this family), and a
-    slice whose lower bounds leave a remainder r = s - sum(lows) >= 0 is
-    emitted as the lower bounds plus every multiset of r coordinate
-    indices.  From an empty slice (r < 0) the scan jumps over the run of
-    empty slices that follows it: r rises by one per slice and falls
-    only where some s = t + 1 (mod D_k).  The slice lower bounds never
-    leave the bounding box prod_i [-t*q_i, t].
 
-    Every emitted point is re-verified against the raw inequalities, so
-    a transcription slip in the slice algebra cannot pass silently.  Each
-    row is read as the last row plus its nonzero differences from it,
-    so every row's value row . p is computed exactly, in O(d) per point
-    for this family, where each row differs from the last in one entry.
+def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The non-empty slices sum(p) = s of the t-fold dilate, each as
+    (lows, r): its points are lows + c for every c >= 0 with sum(c) = r.
 
-    The enumeration budget caps the number of steps: one per slice, plus
-    one per node of the composition tree that distributes a slice's
-    remainder r >= 0 over the d coordinates, which has C(r + d, d - 1)
-    nodes.  Exceeding it raises BudgetExceeded.
+    Row k <= d reads sum(p) - D_k*p_k <= t with D_k = 1 - row_k[k], so a
+    slice's points are those with p_k >= ceil((s - t)/D_k), the lows, and
+    r = s - sum(lows).  The walk runs s from -t*sum(q) (the apex) up to
+    t, one ceil division per distinct D_k (two here); from an empty slice
+    (r < 0) it jumps over the empty run that follows, since r rises by
+    one per slice and falls only where some s = t + 1 (mod D_k).
 
-    The last enumeration is kept, keyed on all it reads (q, the rows, t
-    and the resolved budget), so the point check and the h* check share
-    the t = 1 one; keeping only one set holds no t = 2 set of a sweep
-    past the next point.
+    Each slice is checked whole against the raw rows before it is
+    yielded, so a slip in that algebra cannot pass silently: a row's
+    maximum over the slice is row . lows + r*max(row), taken at
+    lows + r*e_j for a j where the row is largest, and a failure names
+    that point.  Each row is read as the last row plus its nonzero
+    differences from it: O(d) per slice here, where each row differs
+    from the last in one entry.
+
+    The budget caps the steps: one per slice, plus C(r + d, d - 1) per
+    non-empty slice, the nodes of the tree that distributes r over the d
+    coordinates; a count builds no tree, and the charge bounds it.
+    Exceeding it raises BudgetExceeded.
     """
     if t < 0:
         raise ParameterOutOfRange(f"dilation factor must be >= 0, got {t}")
-    return _dilation_points(q, h_description(q), t, resolve_enum_budget())
-
-
-@lru_cache(maxsize=1)
-def _dilation_points(
-    q: QVector, rows: tuple[tuple[int, ...], ...], t: int, limit: int
-) -> frozenset[tuple[int, ...]]:
-    """The enumeration of ``enumerate_dilation_points``."""
+    rows = h_description(q)
+    limit = resolve_enum_budget()
     d = q.d
     denoms = [1 - rows[k][k] for k in range(d)]
     distinct = sorted(set(denoms))
     counts = [denoms.count(dk) for dk in distinct]
     slot = [distinct.index(dk) for dk in denoms]
 
-    # each row as the base row plus its differences from it; rows with at
-    # most one difference are checked together, the others one by one
+    # each row as the last row plus its nonzero differences from it, and
+    # its largest entry; the rows of at most one difference are checked
+    # together by map, the others one by one
     base = rows[-1]
-    cols: list[int] = []
-    deltas: list[int] = []
-    multi: list[list[tuple[int, int]]] = []
+    singles: list[tuple[int, int, int]] = []
+    multi: list[tuple[list[tuple[int, int]], int]] = []
     for row in rows:
         diff = [(j, c - b) for j, (c, b) in enumerate(zip(row, base)) if c != b]
         if len(diff) > 1:
-            multi.append(diff)
+            multi.append((diff, max(row)))
         else:
-            j, delta = diff[0] if diff else (0, 0)
-            cols.append(j)
-            deltas.append(delta)
+            singles.append((*(diff or [(0, 0)])[0], max(row)))
+    cols, deltas, tops = zip(*singles)
 
     visited = 0
-    found: list[tuple[int, ...]] = []
     s, stop = -t * sum(q.entries), t + 1
     while s < stop:
         # ceil((s - t) / denom) with positive denom, once per denominator
@@ -250,23 +250,22 @@ def _dilation_points(
             raise BudgetExceeded(f"enumeration visited more than {limit} cells")
         if remaining < 0:
             continue
-        lows = list(map(low.__getitem__, slot))
-        for combo in combinations_with_replacement(range(d), remaining):
-            point = lows.copy()
-            for i in combo:
-                point[i] += 1
-            p = tuple(point)
-            value = sum(map(mul, base, p))
-            worst = max(map(mul, deltas, map(p.__getitem__, cols)))
-            if value + worst > t or any(
-                value + sum(delta * p[j] for j, delta in diff) > t
-                for diff in multi
-            ):
-                raise InternalConsistency(
-                    f"slice enumeration emitted an infeasible point {p}"
-                )
-            found.append(p)
-    return frozenset(found)
+        lows = tuple(map(low.__getitem__, slot))
+        value = sum(map(mul, base, lows))
+        worst = max(map(add, map(mul, deltas, map(lows.__getitem__, cols)),
+                        map(remaining.__mul__, tops)))
+        if value + worst > t or any(
+            value + sum(delta * lows[j] for j, delta in diff) + remaining * top > t
+            for diff, top in multi
+        ):
+            row = next(row for row in rows
+                       if sum(map(mul, row, lows)) + remaining * max(row) > t)
+            point = list(lows)
+            point[row.index(max(row))] += remaining
+            raise InternalConsistency(
+                f"slice enumeration emitted an infeasible point {tuple(point)}"
+            )
+        yield lows, remaining
 
 
 def lattice_points_bruteforce(q: QVector) -> frozenset[tuple[int, ...]]:

@@ -132,14 +132,25 @@ def test_the_certified_path_leaves_the_oracles_to_their_module():
             assert not hasattr(module, name), (module.__name__, name)
 
 
-def test_a_point_enumerates_the_t1_dilation_once():
-    # the point check and the h* check share the t = 1 enumeration; the
-    # t = 2 one is the only other
-    simplex._dilation_points.cache_clear()
+def test_a_point_enumerates_the_t1_dilation_once(monkeypatch):
+    # the point check lists the t = 1 dilation; the h* check counts its
+    # dilations without listing them
+    listed = []
+    enumerate_points = simplex.enumerate_dilation_points
+
+    def spy(q, t):
+        listed.append(t)
+        return enumerate_points(q, t)
+
+    # every binding of the lister in the command modules, so a call by
+    # any name is seen
+    for module in (simplex, ehrhart, pipeline):
+        for name, value in list(vars(module).items()):
+            if value is enumerate_points:
+                monkeypatch.setattr(module, name, spy)
     entry = evaluate_point(3, 2)
     assert entry["latticePointsOK"] is True and entry["hstarOK"] is True
-    info = simplex._dilation_points.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
+    assert listed == [1]
 
 
 def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):

@@ -1,15 +1,15 @@
-"""Property tests: the closed-form lattice points against the
-enumerator, the enumerator against a scan of its bounding box, the
-elimination kernel against the Leibniz determinant, the facet walk
-against facet-by-facet elimination, the normal form, the standard
+"""Property tests: the closed-form lattice points against the enumerator,
+the enumerator and the dilation count against a scan of their bounding
+box, the elimination kernel against the Leibniz determinant, the facet
+walk against facet-by-facet elimination, the normal form, the standard
 monomials against a plain entrywise divisibility test (``_divides``),
 the complex and the squarefree flag read from all the leads against
 those of the minimal leads that test keeps, the facet enumeration
-against a filter of all vertex subsets, its faces on the twin
-quotient against the plain dualization, the oracles' certificate
-weights against tuple order, and the walk's lex verdicts against the
-oracles' lower-cell test under explicit weights M^(n-1), ..., 1 with M
-above twice every coefficient of one column in a facet's."""
+against a filter of all vertex subsets, its faces on the twin quotient
+against the plain dualization, the oracles' certificate weights
+against tuple order, and the walk's lex verdicts against the oracles'
+lower-cell test under explicit weights M^(n-1), ..., 1 with M above
+twice every coefficient of one column in a facet's."""
 
 from itertools import (
     combinations,
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from wpsimplex import (
     Binomial,
     build_q,
+    ehrhart_bruteforce,
     enumerate_dilation_points,
     family_facets,
     groebner_family,
@@ -108,6 +109,7 @@ def test_dilation_points_equal_a_scan_of_the_box(case):
         p for p in box if all(sum(map(mul, row, p)) <= t for row in rows)
     }
     assert enumerate_dilation_points(q, t) == scanned
+    assert ehrhart_bruteforce(q, t) == len(scanned)
 
 
 def _slice_count(q, t):
@@ -128,14 +130,19 @@ def _slice_count(q, t):
 @example(8, 6, 3)
 def test_skipped_slices_are_counted_one_each(r1, x1, t):
     # the jump over empty slices counts each of them as a visited slice,
-    # so the smallest passing budget is the per-slice count
+    # so the smallest passing budget is the per-slice count, for the
+    # listing and the count alike
     q = build_q(r1, x1)
-    rows = h_description(q)
     total = _slice_count(q, t)
-    points = simplex._dilation_points(q, rows, t, total)
-    assert points == simplex._dilation_points(q, rows, t, 10**12)
-    with pytest.raises(BudgetExceeded):
-        simplex._dilation_points(q, rows, t, total - 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(simplex.ENUM_BUDGET_ENV, str(total))
+        points = enumerate_dilation_points(q, t)
+        assert ehrhart_bruteforce(q, t) == len(points)
+        mp.setenv(simplex.ENUM_BUDGET_ENV, str(total - 1))
+        with pytest.raises(BudgetExceeded):
+            enumerate_dilation_points(q, t)
+        with pytest.raises(BudgetExceeded):
+            ehrhart_bruteforce(q, t)
 
 
 def _leibniz_det(rows):

@@ -3,6 +3,7 @@ import pytest
 from wpsimplex import simplex
 from wpsimplex import (
     build_q,
+    ehrhart_bruteforce,
     enumerate_dilation_points,
     h_description,
     lattice_points_bruteforce,
@@ -169,18 +170,25 @@ def test_dilation_budget_counts_slices_and_tree_nodes(
 
 
 def test_dilation_recheck_rejects_a_point_the_slices_emit(monkeypatch):
-    # the slice bounds read only the diagonal of each row, so raising an
-    # off-diagonal entry makes them emit points that the raised row
-    # rejects: the re-check against the raw rows must catch one, also
-    # right after the sound rows' enumeration was kept
+    # the slice bounds read only the diagonal of each row, so raising
+    # off-diagonal entries makes them emit points that a raised row
+    # rejects: the slice check against the raw rows must catch one, also
+    # where the dilation is counted and nothing is listed.  The first
+    # sabotage leaves row 0 two entries away from the last row; the
+    # second raises column 0 of every other row, the last one too, so
+    # each row stays one entry away from it
     q = build_q(2, 1)
-    enumerate_dilation_points(q, 1)
-    rows = [list(row) for row in h_description(q)]
-    rows[0][1] += 1
-    sabotaged = tuple(map(tuple, rows))
-    monkeypatch.setattr(simplex, "h_description", lambda _: sabotaged)
-    with pytest.raises(InternalConsistency, match="infeasible point"):
-        enumerate_dilation_points(q, 1)
+    for cells in ([(0, 1)], [(k, 0) for k in range(1, q.d + 1)]):
+        rows = [list(row) for row in h_description(q)]
+        for k, j in cells:
+            rows[k][j] += 1
+        sabotaged = tuple(map(tuple, rows))
+        monkeypatch.setattr(simplex, "h_description", lambda _: sabotaged)
+        with pytest.raises(InternalConsistency, match="infeasible point"):
+            enumerate_dilation_points(q, 1)
+        for t in (1, 2):
+            with pytest.raises(InternalConsistency, match="infeasible point"):
+                ehrhart_bruteforce(q, t)
 
 
 @pytest.mark.parametrize("r1,x1", [(2, 1), (3, 2), (4, 1)])

@@ -4,8 +4,9 @@ oracles, which no command imports, the facet walk reads its lower cells
 without a factorization of the configuration, an inverse carried from
 one facet to the next, a second lower-cell test or a weight vector, one
 function reads a triangulation, the certificate reads the leads without
-listing the minimal ones, check (b) is read in the family only, and the
-family stage is the one entry point to check (a)."""
+listing the minimal ones, check (b) is read in the family only, the
+family stage is the one entry point to check (a), and the dilations are
+walked slice by slice with no cache."""
 
 import inspect
 
@@ -194,3 +195,12 @@ def test_check_a_is_read_by_the_family_stage_only():
     assert pipeline.pi_balance_failures is toric.pi_balance_failures
     for module in (wpsimplex, pipeline):
         assert not hasattr(module, "check_pi_balance"), module.__name__
+
+
+def test_the_dilations_are_walked_uncached():
+    # the point check lists the checked slices and the h* check counts
+    # them, so no enumeration is kept for a second reader
+    assert not hasattr(simplex, "_dilation_points")
+    assert not hasattr(simplex.enumerate_dilation_points, "cache_info")
+    assert ehrhart._dilation_slices is simplex._dilation_slices
+    assert not hasattr(ehrhart, "enumerate_dilation_points")
