@@ -52,7 +52,7 @@ def weight(q: QVector, b: int) -> int:
     return b - x1 * (b // (1 + x1 * r1)) - (r1 - 1) * (b // r1)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def hstar(q: QVector) -> HStarVector:
     """Tally the residue weights: coeffs[i] = #{b : weight(q, b) = i}."""
     coeffs = [0] * (q.d + 1)

@@ -123,7 +123,7 @@ def build_q(r1: int, x1: int) -> QVector:
     return QVector(r1=r1, x1=x1, d=x1 + r1 - 1, entries=entries, volume=volume)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def h_description(q: QVector) -> tuple[tuple[int, ...], ...]:
     """The d + 1 irredundant facet functionals, each read as
     ``functional(p) <= 1``.
@@ -141,7 +141,7 @@ def h_description(q: QVector) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def lattice_points_formula(q: QVector) -> PointConfiguration:
     """The closed-form list of all r1 + d + 3 lattice points.
 
@@ -200,10 +200,9 @@ def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[tuple[int, ...], int]
     differences from it: O(d) per slice here, where each row differs
     from the last in one entry.
 
-    The budget caps the steps: one per slice, plus C(r + d, d - 1) per
-    non-empty slice, the nodes of the tree that distributes r over the d
-    coordinates; a count builds no tree, and the charge bounds it.
-    Exceeding it raises BudgetExceeded.
+    The budget caps the steps: one per slice, plus C(r + d - 1, r) per
+    non-empty slice, the points it holds, whether they are listed or
+    counted.  Exceeding it raises BudgetExceeded.
     """
     if t < 0:
         raise ParameterOutOfRange(f"dilation factor must be >= 0, got {t}")
@@ -244,7 +243,7 @@ def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[tuple[int, ...], int]
             visited += empty_to - s
             s = empty_to
         else:
-            visited += 1 + comb(remaining + d, d - 1)
+            visited += 1 + comb(remaining + d - 1, remaining)
             s += 1
         if visited > limit:
             raise BudgetExceeded(f"enumeration visited more than {limit} cells")

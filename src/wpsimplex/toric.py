@@ -302,13 +302,13 @@ class GroebnerFamily(NamedTuple):
         return len(self.columns)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def pi_balance_failures(family: GroebnerFamily) -> tuple[int, ...]:
     """Indices of generators that are not pi-balanced (empty when sound).
 
-    Cached per family: the construction audit and the family stage of
-    one point share a single audit.  A family changed by a sabotage hook
-    is a new object with other generators, so it is audited afresh.
+    Cached for the last family only: the construction audit and the
+    family stage of one point share one audit.  A family changed by a
+    sabotage hook is a new object, audited afresh after the original.
 
     The columns are packed once, for the highest lead degree, so each
     generator costs two sums over its nonzero exponents."""
@@ -325,9 +325,9 @@ def orientation_failures(family: GroebnerFamily) -> tuple[int, ...]:
     return tuple(i for i, g in enumerate(family.generators) if not g.lead > g.tail)
 
 
-@lru_cache(maxsize=64)
 def groebner_family(q: QVector) -> GroebnerFamily:
-    """Construct the family and audit every generator.
+    """Construct the family and audit every generator.  Nothing is kept:
+    a command builds one family per point and passes it along.
 
     Raises InternalConsistency if any emitted binomial fails pi-balance
     or is not lex-oriented; either would mean a transcription bug, never

@@ -186,7 +186,7 @@ def _face_size(face: _Face) -> int:
     return prod(map(len, face[1]))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _lead_faces(
     leads: tuple[tuple[int, ...], ...], n: int, dim: int
 ) -> tuple[_Face, ...]:
@@ -194,8 +194,8 @@ def _lead_faces(
     the sets holding a lead's support, as faces of members of size
     ``dim``, ordered by their first members.  The leads need not be
     minimal (see the module docstring): their distinct supports are
-    dualized, lex-largest lead first.  Cached, so the certificate and the
-    facet list of one point share a single dualization.
+    dualized, lex-largest lead first.  The last call is cached, so the
+    certificate and the facet list of one point share one dualization.
 
     Twins, vertices in exactly the same supports, are interchangeable: a
     minimal transversal holds at most one vertex of a class, and any

@@ -148,8 +148,7 @@ def test_gb_verify_excluded_pair(capsys):
 @pytest.fixture
 def audited(monkeypatch):
     """The generators the pi-balance audit (``toric._balanced``) is asked
-    about, counted from an empty pi-balance cache with the (16, 1)
-    family already built."""
+    about, in order, counted from an empty pi-balance cache."""
     calls = []
     balanced = toric._balanced
 
@@ -157,7 +156,6 @@ def audited(monkeypatch):
         calls.append(b)
         return balanced(packed, b)
 
-    groebner_family(build_q(16, 1))
     monkeypatch.setattr(toric, "_balanced", counted)
     toric.pi_balance_failures.cache_clear()
     return calls
@@ -180,7 +178,15 @@ def test_gb_verify_audits_a_sabotaged_family_afresh(capsys, audited, switch, gen
     code, payload = run_json(capsys, "gb", "verify", "16", "1", *switch)
     assert code == 2 and payload["pass"] is False
     assert payload["failure"] == {"stage": "pi_balance", "generators": [generator]}
-    assert len(audited) == payload["num_generators"]
+    # the constructor audits the family's 170 generators; what follows is
+    # the sabotaged family, audited afresh, which differs from the
+    # family at the named generator alone
+    constructed, sabotaged = audited[:170], audited[170:]
+    assert constructed == list(groebner_family(build_q(16, 1)).generators)
+    assert len(sabotaged) == payload["num_generators"]
+    assert sabotaged.pop(generator) not in constructed
+    del constructed[generator:generator + 1]
+    assert sabotaged == constructed
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
@@ -768,9 +774,8 @@ def _payload_text(payload):
 
 def test_gb_verify_reports_a_failed_family_build(capsys, monkeypatch):
     # an eq5 constructor that emits the excluded pair's binomial stops the
-    # build; the uncached constructor runs so no cached family is reused
+    # build; no family is cached, so the constructor runs
     monkeypatch.setattr(toric, "eq5_binomial", wpsimplex.excluded_pair_binomial)
-    monkeypatch.setattr(cli, "groebner_family", toric.groebner_family.__wrapped__)
     code = cli.main(["gb", "verify", "2", "1"])
     out, err = capsys.readouterr()
     assert (code, err) == (2, "")

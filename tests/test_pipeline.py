@@ -3,6 +3,8 @@ stage, and that certificate has teeth: a family missing any one
 generator fails it, including the deletions that the all-pairs S-pair
 run and the degree <= 3 completeness count both let through."""
 
+import tracemalloc
+
 import pytest
 
 import wpsimplex
@@ -155,11 +157,8 @@ def test_a_point_enumerates_the_t1_dilation_once(monkeypatch):
 
 def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
     # an eq5 constructor that emits the excluded pair's binomial stops the
-    # build; the uncached constructor runs so no cached family is reused
+    # build; no family is cached, so the constructor runs
     monkeypatch.setattr(toric, "eq5_binomial", wpsimplex.excluded_pair_binomial)
-    monkeypatch.setattr(
-        pipeline, "groebner_family", toric.groebner_family.__wrapped__
-    )
     entry = evaluate_point(2, 1)
     assert set(entry["timings"]) == set(pipeline.TIMINGS)
     del entry["timings"]
@@ -176,8 +175,29 @@ def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
     simplex.lattice_points_formula,
     simplex.h_description,
     ehrhart.hstar,
+    toric.pi_balance_failures,
+    triangulation._lead_faces,
 ], ids=lambda f: f.__name__)
 def test_per_point_caches_are_bounded(cached):
-    # a long in-process sweep keeps at most 64 points of each, like the
-    # other per-point caches, not every point it has seen
-    assert cached.cache_info().maxsize == 64
+    # every reuse falls inside one point, so one entry keeps every hit
+    # and a sweep keeps only its last point; no command reads a family
+    # twice, so none is kept
+    if cached is toric.groebner_family:
+        assert not hasattr(cached, "cache_info")
+    else:
+        assert cached.cache_info().maxsize == 1
+
+
+def test_a_run_keeps_one_point():
+    # the memory traced after each later point stays near the first
+    # point's: the caches do not pile up the points a sweep has seen
+    tracemalloc.start()
+    try:
+        evaluate_point(24, 3)
+        first, _ = tracemalloc.get_traced_memory()
+        for r1 in (25, 26, 27):
+            evaluate_point(r1, 3)
+            current, _ = tracemalloc.get_traced_memory()
+            assert current < 2 * first, (r1, current, first)
+    finally:
+        tracemalloc.stop()

@@ -114,14 +114,14 @@ def test_dilation_points_equal_a_scan_of_the_box(case):
 
 def _slice_count(q, t):
     """The enumeration's work, slice by slice: one per slice s, plus
-    C(r + d, d - 1) for a slice whose lower bounds ceil((s - t) / D_k)
-    leave a remainder r = s - sum(lows) >= 0."""
+    its C(r + d - 1, r) points for a slice whose lower bounds
+    ceil((s - t) / D_k) leave a remainder r = s - sum(lows) >= 0."""
     rows = h_description(q)
     denoms = [1 - rows[k][k] for k in range(q.d)]
     total = 0
     for s in range(-t * sum(q.entries), t + 1):
         r = s - sum(-((t - s) // dk) for dk in denoms)
-        total += 1 if r < 0 else 1 + comb(r + q.d, q.d - 1)
+        total += 1 if r < 0 else 1 + comb(r + q.d - 1, r)
     return total
 
 

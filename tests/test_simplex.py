@@ -148,18 +148,16 @@ def test_bruteforce_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("r1,x1,t,total", [
-    (2, 1, 1, 20),
-    (2, 1, 2, 44),
-    (3, 1, 2, 104),
-    (3, 2, 2, 183),
-    (6, 5, 2, 1328),
+    (2, 1, 1, 14),
+    (2, 1, 2, 32),
+    (3, 1, 2, 60),
+    (3, 2, 2, 92),
+    (6, 5, 2, 542),
 ])
-def test_dilation_budget_counts_slices_and_tree_nodes(
-    monkeypatch, r1, x1, t, total
-):
-    # one step per slice plus C(r + d, d - 1) per slice with remainder
-    # r >= 0: the node count of the tree that distributes r over d
-    # coordinates, so the smallest passing budget is exactly the total
+def test_dilation_budget_counts_slices_and_points(monkeypatch, r1, x1, t, total):
+    # one step per slice plus C(r + d - 1, r) per slice with remainder
+    # r >= 0: the points that distribute r over d coordinates, so the
+    # smallest passing budget is exactly the total
     q = build_q(r1, x1)
     points = enumerate_dilation_points(q, t)
     monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", str(total))
