@@ -17,6 +17,7 @@ from wpsimplex import (
     monomial_text,
 )
 from wpsimplex.oracles import buchberger_verify, normal_form, standard_monomials
+from wpsimplex.toric import exponents
 from wpsimplex.pipeline import check_family, check_triangulation
 
 q = build_q(3, 2)
@@ -46,7 +47,11 @@ print("counts of standard monomials per degree:",
       [len(standard_monomials(family, t)) for t in (1, 2, 3)])
 print("smoke test, completeness at degree <= 3:", injectivity_check(family))
 
-# A sample rewrite: the normal form of a non-standard monomial.
-m = (1, 0, 1, 0, 1, 0, 0, 0, 0, 0)  # z1 * z3 * z5, as its exponent tuple
+# A sample rewrite: the normal form of a non-standard monomial.  The
+# family's monomials are words, sorted variable indices repeated by
+# exponent; the oracles rewrite exponent tuples.
+m = (0, 2, 4)  # z1 * z3 * z5, as its word
+nf = normal_form(tuple(exponents(m, family.nvars)), family)
+nf_word = tuple(v for v, e in enumerate(nf) for _ in range(e))
 print(f"\nnormal form of {monomial_text(m, q.r1)} is "
-      f"{monomial_text(normal_form(m, family), q.r1)}")
+      f"{monomial_text(nf_word, q.r1)}")

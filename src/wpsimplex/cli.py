@@ -45,7 +45,9 @@ from .pipeline import (
     verdict,
 )
 from .simplex import build_q, lattice_points_formula, resolve_enum_budget
-from .toric import binomial_text, groebner_family, include_excluded_pair, mutate_tail
+from .toric import (
+    binomial_text, exponents, groebner_family, include_excluded_pair, mutate_tail
+)
 from .triangulation import drop_facet, family_facets
 
 EXIT_PASS = 0
@@ -162,8 +164,8 @@ def cmd_gb_dump(args) -> int:
             {
                 "tag": tag,
                 "text": binomial_text(g, q.r1),
-                "lead": list(g.lead),
-                "tail": list(g.tail),
+                "lead": exponents(g.lead, family.nvars),
+                "tail": exponents(g.tail, family.nvars),
             }
             for g, tag in zip(family.generators, family.tags)
         ],

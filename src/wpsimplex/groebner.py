@@ -1,8 +1,8 @@
 """The Groebner basis argument and the standard monomials.
 
-Everything here works on the exponent tuples of a binomial rewrite
-family, ordered by pure lex (z_1 > ... > z_{r1+3} > y_1 > ... > y_d, the
-column order), which is Python's tuple order on the exponents.  The
+Everything here works on the words of a binomial rewrite family (see
+``wpsimplex.toric``), under pure lex (z_1 > ... > z_{r1+3} > y_1 > ... >
+y_d, the column order), as ``toric.orientation_failures`` reads it.  The
 family is certified as a lex Groebner basis of the toric ideal I_A by
 the triangulation argument of Sturmfels (*Groebner Bases and Convex
 Polytopes*, 1996, Thm 8.3 and Cor 8.9), from four checks that
@@ -48,7 +48,7 @@ of those degree-(t - 1) divisors.
 
 from __future__ import annotations
 
-from itertools import compress, groupby
+from itertools import groupby
 from math import comb
 from operator import itemgetter
 
@@ -75,25 +75,21 @@ def _standard_images(family: GroebnerFamily, max_degree: int):
     ``combinations_with_replacement`` order of its variables.  Each
     degree is checked against the enumeration budget before it is built.
 
-    Degree t >= 2 is joined from the sorted tuples of variable indices
-    of degree t - 1, which are kept only while a next degree joins them.
-    Every standard w = c + (v,), with c = w[:-1] and v >= c[-1], drops
-    to c[:-1] + (v,): a standard *sibling* of c, with the same prefix,
-    that sits in c's run of the previous degree.  So the candidates v
-    come from the last variables of c's siblings from c on (the Apriori
-    join of Agrawal and Srikant, 1994), and each is kept by the lead
-    test and the drop tests of the module docstring that the join does
-    not settle.  A kept w's pushforward is c's plus column v, read where
+    Degree t >= 2 is joined from the standard words of degree t - 1,
+    kept only while a next degree joins them.  Every standard w = c +
+    (v,), with c = w[:-1] and v >= c[-1], drops to c[:-1] + (v,): a
+    standard *sibling* of c, with the same prefix, that sits in c's run
+    of the previous degree.  So the candidates v come from the last
+    variables of c's siblings from c on (the Apriori join of Agrawal and
+    Srikant, 1994), and each is kept by the lead test and the drop tests
+    of the module docstring that the join does not settle.  A kept w's pushforward is c's plus column v, read where
     the join finds c, each column packed once into one exact integer by
     ``toric._packed_columns``, whose radix exceeds twice any coordinate
     up to ``max_degree``.
     """
     n = family.nvars
     packed = _packed_columns(family.columns, max_degree)
-    leads = {
-        tuple(i for i in compress(range(n), g.lead) for _ in range(g.lead[i]))
-        for g in family.generators
-    }
+    leads = {g.lead for g in family.generators}
     for t in range(1, max_degree + 1):
         _check_budget(n, t)
         if t == 1:

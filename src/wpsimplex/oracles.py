@@ -14,8 +14,14 @@ list as that test on each facet, and the lower envelope found by testing
 every column subset.  None of them runs the face walk of
 ``wpsimplex.triangulation``, which reads the lex lift symbolically and
 takes no weights; they share with it only the fraction-free elimination
-and its singular-facet check, the facet size check, the support mask of
-a monomial and the dualization of a hypergraph.
+and its singular-facet check, the facet size check and the dualization
+of a hypergraph.
+
+The oracles read a monomial as its exponent tuple over the family's n
+variables, where Python's tuple order is pure lex: each one that takes
+a family converts its generators' words at entry
+(``dense_generators``), and every monomial given or returned is such a
+tuple.
 
 The lemma checks follow: the facet functionals' values and tightness
 at a point, the point count read off h*_1, a monomial's pushforward and
@@ -43,13 +49,12 @@ from .errors import (
 )
 from .groebner import _check_budget
 from .simplex import QVector, h_description
-from .toric import Binomial, GroebnerFamily, _balanced, _packed_columns
+from .toric import Binomial, GroebnerFamily
 from .triangulation import (
     _check_facet_size,
     _checked_volume,
     _eliminate,
     _minimal_transversals,
-    _support_mask,
 )
 
 #: Hard cap on rewrite steps for a single monomial; hitting it means a
@@ -57,15 +62,28 @@ from .triangulation import (
 _MAX_REWRITE_STEPS = 100_000
 
 
+def dense_generators(family: GroebnerFamily) -> tuple[Binomial, ...]:
+    """The family's generators, each word as its exponent tuple over the
+    family's n variables."""
+    n = family.nvars
+
+    def dense(word):
+        exps = [0] * n
+        for v in word:
+            exps[v] += 1
+        return tuple(exps)
+
+    return tuple(Binomial(dense(g.lead), dense(g.tail)) for g in family.generators)
+
+
 @lru_cache(maxsize=64)
 def _prepared(family: GroebnerFamily):
-    """Generators as raw tuples, lex-largest lead first, with support
-    masks for fast divisibility rejection."""
+    """Generators as exponent tuples, lex-largest lead first, with
+    support masks for fast divisibility rejection."""
     entries = []
-    for g in family.generators:
-        le = g.lead
+    for le, te in dense_generators(family):
         support = tuple(i for i, e in enumerate(le) if e)
-        entries.append((le, g.tail, _support_mask(le), support))
+        entries.append((le, te, sum(1 << i for i in support), support))
     entries.sort(key=lambda ent: ent[0], reverse=True)
     return tuple(entries)
 
@@ -73,8 +91,6 @@ def _prepared(family: GroebnerFamily):
 def _divisor(exps, prepared) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Lead and tail of the first prepared generator whose lead divides
     ``exps``, or None."""
-    # the mask is built inline, not by _support_mask: this runs once per
-    # rewrite step, where the extra call costs measurably
     mask = sum(1 << i for i, e in enumerate(exps) if e)
     for le, te, lmask, support in prepared:
         if lmask & ~mask:
@@ -149,7 +165,7 @@ def buchberger_verify(family: GroebnerFamily) -> BuchbergerReport:
     generators, and run by the tests and demos only.
     """
     prepared = _prepared(family)
-    gens = family.generators
+    gens = dense_generators(family)
     total = 0
     zero = 0
     failures: list[tuple[int, int]] = []
@@ -239,7 +255,8 @@ def make_weight_certificate(family: GroebnerFamily) -> WeightCertificate:
     the weights pick a generator's lead exactly when it is lex-greater
     than its tail.
     """
-    m_base = 1 + max(map(sum, chain.from_iterable(family.generators)), default=0)
+    gens = dense_generators(family)
+    m_base = 1 + max(map(sum, chain.from_iterable(gens)), default=0)
     weights = tuple(m_base ** i for i in reversed(range(family.nvars)))
     return WeightCertificate(weights=weights)
 
@@ -379,8 +396,9 @@ def pi_image(
 
 
 def is_toric_member(columns: tuple[tuple[int, ...], ...], b: Binomial) -> bool:
-    """True iff the binomial is pi-balanced (hence a valid relation)."""
-    return _balanced(_packed_columns(columns, sum(b.lead)), b)
+    """True iff the binomial is pi-balanced (hence a valid relation): both
+    sides have one pushforward, whose last coordinate is the degree."""
+    return pi_image(columns, b.lead) == pi_image(columns, b.tail)
 
 
 class SupportCase(Enum):

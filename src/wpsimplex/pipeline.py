@@ -32,6 +32,7 @@ when (a), (b), (c) and the triangulation verdict all hold.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
@@ -165,9 +166,9 @@ def _minimal_leads_squarefree(leads: Sequence[tuple[int, ...]]) -> bool:
     by another lead: exactly when the minimal leads are squarefree.  One
     pass when every lead is squarefree, as in the family."""
     return all(
-        any(m != lead and all(a <= b for a, b in zip(m, lead)) for m in leads)
+        any(m != lead and Counter(m) <= Counter(lead) for m in leads)
         for lead in leads
-        if max(lead) > 1
+        if len(set(lead)) < len(lead)
     )
 
 

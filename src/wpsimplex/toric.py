@@ -3,17 +3,21 @@
 The configuration matrix has one column per lattice point, lifted to
 height 1.  Ring variables follow the column order: z_1..z_{r1+3} for the
 a-block, then y_1..y_d for the b-block, so n = r1 + d + 3 variables in
-total.  A monomial is its exponent tuple over these n variables, so
-Python's tuple order is pure lex, and a ``Binomial`` is a (lead, tail)
-pair of such tuples.  A binomial lead - tail is a valid relation exactly
-when both sides push forward to the same vector under the configuration
-matrix; we call that pi-balance.  Its last coordinate is the degree, so
-a pi-balanced binomial is homogeneous.  ``groebner_family`` audits every
-generator it builds for pi-balance (``pi_balance_failures``) and for the
-lex orientation lead > tail (``orientation_failures``, check (b)), and
-the family stage runs both audits again.  The plain pushforward
-``pi_image``, the one-binomial test ``is_toric_member`` and the z-support
-of a monomial are lemma checks for the tests, in ``wpsimplex.oracles``.
+total.  A monomial is its *word*: the ascending tuple of its variable
+indices, each repeated by its exponent, so z_2^2 y_1 is (1, 1, r1 + 3)
+and the degree is the length.  A ``Binomial`` is a (lead, tail) pair of
+words.  Pure lex (z_1 > ... > z_{r1+3} > y_1 > ... > y_d) is read in
+one place, ``orientation_failures``; exponent lists are built only for
+``gb dump`` (``exponents``) and by the oracles.  A binomial lead - tail
+is a valid relation exactly when both sides push forward to the same
+vector under the configuration matrix; we call that pi-balance.  Its
+last coordinate is the degree, so a pi-balanced binomial is homogeneous.
+``groebner_family`` audits every generator it builds for pi-balance
+(``pi_balance_failures``) and for the lex orientation lead > tail
+(``orientation_failures``, check (b)), and the family stage runs both
+audits again.  The plain pushforward ``pi_image``, the one-binomial
+test ``is_toric_member`` and the z-support of a monomial are lemma
+checks for the tests, in ``wpsimplex.oracles``.
 
 The rewrite family consists of five groups:
 
@@ -33,14 +37,13 @@ regression test.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import compress
+from itertools import groupby
 from operator import mul
 from typing import NamedTuple
 
 from .errors import (
-    DimensionMismatch,
     IndexOutOfRange,
     InternalConsistency,
     InvalidPair,
@@ -48,7 +51,7 @@ from .errors import (
 from .simplex import QVector, lattice_points_formula
 
 
-#: The binomial lead - tail, both sides exponent tuples.
+#: The binomial lead - tail, both sides words.
 Binomial = namedtuple("Binomial", "lead tail")
 
 
@@ -64,10 +67,6 @@ def y_index(r1: int, j: int) -> int:
     return r1 + 2 + j
 
 
-def total_vars(q: QVector) -> int:
-    return q.r1 + q.d + 3
-
-
 def var_name(index: int, r1: int) -> str:
     if index < r1 + 3:
         return f"z{index + 1}"
@@ -75,13 +74,14 @@ def var_name(index: int, r1: int) -> str:
 
 
 def monomial_text(m: tuple[int, ...], r1: int) -> str:
-    parts = []
-    for i, e in enumerate(m):
-        if e == 1:
-            parts.append(var_name(i, r1))
-        elif e > 1:
-            parts.append(f"{var_name(i, r1)}^{e}")
-    return "*".join(parts) if parts else "1"
+    runs = [(var_name(v, r1), len(list(run))) for v, run in groupby(m)]
+    return "*".join(x if e == 1 else f"{x}^{e}" for x, e in runs) or "1"
+
+
+def exponents(m: tuple[int, ...], n: int) -> list[int]:
+    """The exponent list of a word over n variables."""
+    counts = Counter(m)
+    return [counts[v] for v in range(n)]
 
 
 def binomial_text(b: Binomial, r1: int) -> str:
@@ -109,19 +109,15 @@ def _packed_columns(
 
 
 def _packed_image(packed: list[int], m: tuple[int, ...]) -> int:
-    """The packed pushforward of a monomial, over its nonzero exponents."""
-    if len(packed) != len(m):
-        raise DimensionMismatch(
-            f"monomial has {len(m)} variables, configuration has {len(packed)}"
-        )
-    return sum(map(mul, compress(m, m), compress(packed, m)))
+    """The packed pushforward of a monomial, one column per letter."""
+    return sum(map(packed.__getitem__, m))
 
 
 def _balanced(packed: list[int], b: Binomial) -> bool:
     """Pi-balance of a binomial whose lead has at most the degree the
     columns were ``packed`` for: equal degrees, then equal packed
     images, which are exact at that degree."""
-    return sum(b.lead) == sum(b.tail) and _packed_image(
+    return len(b.lead) == len(b.tail) and _packed_image(
         packed, b.lead
     ) == _packed_image(packed, b.tail)
 
@@ -195,14 +191,10 @@ def _check_k(k: int, upper: int) -> None:
 
 
 def _monomial(q: QVector, z_powers, ys=()) -> tuple[int, ...]:
-    """Exponent tuple of the product of z_i^e over (i, e) in ``z_powers``
-    and of y_j over j in ``ys`` (1-based indices)."""
-    exps = [0] * total_vars(q)
-    for i, e in z_powers:
-        exps[z_index(i)] += e
-    for j in ys:
-        exps[y_index(q.r1, j)] = 1
-    return tuple(exps)
+    """The word of the product of z_i^e over (i, e) in ``z_powers`` and
+    of y_j over ascending j in ``ys`` (1-based indices)."""
+    zs = sorted(z_index(i) for i, e in z_powers for _ in range(e))
+    return (*zs, *(y_index(q.r1, j) for j in ys))
 
 
 def _quadric(q: QVector, pair, comp) -> Binomial:
@@ -311,18 +303,27 @@ def pi_balance_failures(family: GroebnerFamily) -> tuple[int, ...]:
     sabotage hook is a new object, audited afresh after the original.
 
     The columns are packed once, for the highest lead degree, so each
-    generator costs two sums over its nonzero exponents."""
+    generator costs two sums over its words."""
     gens = family.generators
     packed = _packed_columns(
-        family.columns, max((sum(g.lead) for g in gens), default=0)
+        family.columns, max((len(g.lead) for g in gens), default=0)
     )
     return tuple(i for i, g in enumerate(gens) if not _balanced(packed, g))
 
 
 def orientation_failures(family: GroebnerFamily) -> tuple[int, ...]:
     """Indices of generators whose lead is not lex-greater than their
-    tail: check (b), for the construction audit and the family stage."""
-    return tuple(i for i, g in enumerate(family.generators) if not g.lead > g.tail)
+    tail: check (b), for the construction audit and the family stage.
+
+    The one reading of pure lex: closed by n, past every index, a word
+    sorts first exactly when it is lex-greater, since where two closed
+    words first differ the smaller letter is the first variable whose
+    exponents differ, and it is the larger exponent's."""
+    end = (family.nvars,)
+    return tuple(
+        i for i, g in enumerate(family.generators)
+        if not g.lead + end < g.tail + end
+    )
 
 
 def groebner_family(q: QVector) -> GroebnerFamily:
@@ -378,21 +379,18 @@ def groebner_family(q: QVector) -> GroebnerFamily:
 
 def mutate_tail(family: GroebnerFamily, index: int) -> GroebnerFamily:
     """Sabotage hook: shift one unit of exponent in generator ``index``'s
-    tail to the cyclically next variable.  Degree is preserved but the
-    pushforward changes (columns are pairwise distinct), so the mutated
-    family must fail the pi-balance audit."""
+    tail from its first variable to the cyclically next one.  Degree is
+    preserved but the pushforward changes (columns are pairwise
+    distinct), so the mutated family must fail the pi-balance audit."""
     if not 0 <= index < len(family.generators):
         raise IndexOutOfRange(
             f"generator index must lie in [0, {len(family.generators) - 1}]"
         )
     victim = family.generators[index]
-    exps = list(victim.tail)
-    src = next(i for i, e in enumerate(exps) if e > 0)
-    dst = (src + 1) % len(exps)
-    exps[src] -= 1
-    exps[dst] += 1
+    src, *rest = victim.tail
+    tail = tuple(sorted([*rest, (src + 1) % family.nvars]))
     gens = list(family.generators)
-    gens[index] = Binomial(victim.lead, tuple(exps))
+    gens[index] = Binomial(victim.lead, tail)
     return family._replace(generators=tuple(gens))
 
 

@@ -26,8 +26,8 @@ is its facet list, and ``summarize_triangulation`` is its one reader: it
 reads the family's faces and counts a face's members without listing
 them, or walks a given facet list facet by facet.  Only
 ``family_facets``, for ``triangulate``, expands the faces into the
-sorted facet list, after checking its length against the enumeration
-budget.
+sorted facet list, after charging its entries, d + 1 per facet, against
+the enumeration budget.
 
 Write a column q off a facet F in F's columns, a_q = sum_p lambda_p(q)
 * a_p.  Under w(M), q's reduced cost w_q - sum_p lambda_p(q) * w_p is a
@@ -91,9 +91,9 @@ class TriangulationSummary(NamedTuple):
     regular: bool
 
 
-def _support_mask(exponents) -> int:
-    """Bit i set exactly when variable i occurs."""
-    return sum(1 << i for i, e in enumerate(exponents) if e)
+def _support_mask(word) -> int:
+    """Bit v set exactly when variable v occurs in the word."""
+    return sum(1 << v for v in set(word))
 
 
 def _minimal_transversals(n: int, support_masks: list[int]) -> list[int]:
@@ -194,7 +194,7 @@ def _lead_faces(
     the sets holding a lead's support, as faces of members of size
     ``dim``, ordered by their first members.  The leads need not be
     minimal (see the module docstring): their distinct supports are
-    dualized, lex-largest lead first.  The last call is cached, so the
+    dualized, in generator order.  The last call is cached, so the
     certificate and the facet list of one point share one dualization.
 
     Twins, vertices in exactly the same supports, are interchangeable: a
@@ -206,8 +206,7 @@ def _lead_faces(
     its member without the first vertex of each class in T: purity is
     part of what is being verified and is never repaired silently.
     """
-    ordered = sorted(set(leads), reverse=True)
-    masks = list(dict.fromkeys(map(_support_mask, ordered)))
+    masks = list(dict.fromkeys(map(_support_mask, leads)))
     classes, quotient = _twin_quotient(n, masks)
     faces = []
     for t in _minimal_transversals(len(classes), quotient):
@@ -234,14 +233,17 @@ def initial_complex(
     """Facets of the complex whose minimal non-faces are the supports of
     the minimal leads: all maximal F within {1..n} containing no lead's
     support, each of size exactly ``dim``, sorted.  The faces of
-    ``_lead_faces`` expanded, after their facet count is checked against
-    the enumeration budget; a maximal face of any other size raises
-    NonPureComplex.
+    ``_lead_faces`` expanded, after the list's entries, ``dim`` per
+    facet, are charged against the enumeration budget; a maximal face of
+    any other size raises NonPureComplex.
     """
     faces = _lead_faces(leads, n, dim)
     count, limit = sum(map(_face_size, faces)), resolve_enum_budget()
-    if count > limit:
-        raise BudgetExceeded(f"{count} facets exceed the budget {limit}")
+    if count * dim > limit:
+        raise BudgetExceeded(
+            f"{count} facets of {dim} columns ({count * dim} entries) "
+            f"exceed the budget {limit}"
+        )
     return tuple(sorted(chain.from_iterable(map(_members, faces))))
 
 

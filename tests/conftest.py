@@ -12,6 +12,23 @@ from wpsimplex.triangulation import _walk_faces
 SMALL_GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 2), (6, 1)]
 
 
+def dense(m, n):
+    """A word (``wpsimplex.toric``) as its exponent tuple over n
+    variables, the oracles' format."""
+    return tuple(m.count(v) for v in range(n))
+
+
+def word(exps):
+    """An exponent tuple as its word: each variable index repeated by its
+    exponent, ascending."""
+    return tuple(v for v, e in enumerate(exps) for _ in range(e))
+
+
+def dense_binomial(b, n):
+    """A binomial of words as one of exponent tuples over n variables."""
+    return Binomial(dense(b.lead, n), dense(b.tail, n))
+
+
 @pytest.fixture(scope="session")
 def family21():
     return groebner_family(build_q(2, 1))
@@ -29,11 +46,13 @@ def in_order(family, order):
     """The family with column ``order[i]`` (0-based) moved to position i,
     in its columns and in every lead and tail: the same points and the
     same complex, relabelled, so read under another lex order."""
+    position = {v: i for i, v in enumerate(order)}
+
     def moved(m):
-        return tuple(m[v] for v in order)
+        return tuple(sorted(map(position.__getitem__, m)))
 
     return family._replace(
-        columns=moved(family.columns),
+        columns=tuple(family.columns[v] for v in order),
         generators=tuple(
             Binomial(moved(g.lead), moved(g.tail)) for g in family.generators
         ),

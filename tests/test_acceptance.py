@@ -32,6 +32,7 @@ from wpsimplex.errors import BudgetExceeded
 from wpsimplex.oracles import (
     SupportCase,
     buchberger_verify,
+    dense_generators,
     facet_volume,
     is_toric_member,
     make_weight_certificate,
@@ -41,7 +42,9 @@ from wpsimplex.oracles import (
     zsupport_shape,
 )
 from wpsimplex.pipeline import _minimal_leads_squarefree
-from wpsimplex.toric import build_B, excluded_pair, total_vars
+from wpsimplex.toric import build_B, excluded_pair
+
+from conftest import dense_binomial
 
 GRID = [(r1, x1) for r1 in range(2, 7) for x1 in range(1, 6)]
 
@@ -142,12 +145,13 @@ def test_criterion_03_hstar():
 
 def test_criterion_04_family_construction(families):
     for (r1, x1), family in families.items():
-        for g in family.generators:
+        for g in dense_generators(family):
             assert sum(g.lead) == sum(g.tail), (r1, x1)
             assert is_toric_member(family.columns, g), (r1, x1)
         q = family.q
         assert excluded_pair(r1) not in build_B(r1)
-        assert not is_toric_member(family.columns, excluded_pair_binomial(q))
+        excluded = dense_binomial(excluded_pair_binomial(q), family.nvars)
+        assert not is_toric_member(family.columns, excluded)
     report(
         4,
         True,
@@ -225,8 +229,7 @@ def test_criterion_05_pinned_small_case_counts(families):
     rep = buchberger_verify(family)
     non_faces = _minimal_non_faces(FACETS_2_1)
     lead_supports = {
-        frozenset(i + 1 for i, e in enumerate(g.lead) if e)
-        for g in family.generators
+        frozenset(v + 1 for v in g.lead) for g in family.generators
     }
     assert len(non_faces) == 9
     assert lead_supports == non_faces
@@ -245,7 +248,7 @@ def test_criterion_06_squarefree(families):
     for point, family in families.items():
         leads = [g.lead for g in family.generators]
         assert _minimal_leads_squarefree(leads), point
-        for g in family.generators:
+        for g in dense_generators(family):
             assert max(g.lead) <= 1, point
     report(6, True, "all lead monomials squarefree on the full grid")
 
@@ -253,7 +256,7 @@ def test_criterion_06_squarefree(families):
 def test_criterion_07_standard_monomial_completeness(families):
     checked = 0
     for (r1, x1), family in families.items():
-        if total_vars(family.q) > 15:
+        if family.nvars > 15:
             continue
         checked += 1
         h = hstar(family.q)

@@ -16,6 +16,7 @@ from wpsimplex import (
     pipeline,
     toric,
 )
+from wpsimplex.oracles import dense_generators
 from wpsimplex.pipeline import Stage, evaluate_point, point_flags, verdict
 
 from conftest import SMALL_GRID, without
@@ -110,6 +111,18 @@ def test_gb_dump(capsys):
     assert payload["num_generators"] == 9
     assert {"pair": [1, 4], "companion": [2, 2]} in payload["b_pairs"]
     _assert_integers_only(payload)
+
+
+@pytest.mark.parametrize("r1,x1", SMALL_GRID)
+def test_gb_dump_prints_the_oracles_exponent_tuples(capsys, r1, x1):
+    # the dump is one of the two places a word becomes an exponent list;
+    # the oracles' conversion at their entry is the other
+    code, payload = run_json(capsys, "gb", "dump", str(r1), str(x1))
+    assert code == 0
+    dense = dense_generators(groebner_family(build_q(r1, x1)))
+    assert [(g["lead"], g["tail"]) for g in payload["generators"]] == [
+        (list(g.lead), list(g.tail)) for g in dense
+    ]
 
 
 def test_gb_verify(capsys):

@@ -18,6 +18,7 @@ from wpsimplex.groebner import _standard_images
 from wpsimplex.oracles import (
     SupportCase,
     buchberger_verify,
+    dense_generators,
     is_standard,
     normal_form,
     pi_image,
@@ -27,7 +28,9 @@ from wpsimplex.oracles import (
 )
 from wpsimplex.pipeline import check_family, check_triangulation
 
-from conftest import SMALL_GRID, scanned_injectivity, without
+from conftest import (
+    SMALL_GRID, dense_binomial, scanned_injectivity, without, word
+)
 
 
 def _mono_of_text(n, *factors):
@@ -39,7 +42,8 @@ def _mono_of_text(n, *factors):
 
 # -- lex order ----------------------------------------------------------------
 # Pure lex in the column order is Python's order on exponent tuples, the
-# order groebner_family orients every generator by.
+# oracles' format; the family reads it on words (``toric.orientation_failures``,
+# held against this order in test_toric).
 
 def test_lex_cmp_examples():
     # z1 beats anything without z1
@@ -69,7 +73,7 @@ def test_lex_multiplicative():
 
 def test_normal_form_single_step(family21):
     z1z4 = _mono_of_text(7, (0, 1), (3, 1))
-    assert monomial_text(normal_form(z1z4, family21), 2) == "z2^2"
+    assert monomial_text(word(normal_form(z1z4, family21)), 2) == "z2^2"
 
 
 def test_normal_form_fixpoint(family21):
@@ -80,7 +84,7 @@ def test_normal_form_fixpoint(family21):
 def test_normal_form_chain(family21):
     m = _mono_of_text(7, (0, 1), (3, 1), (5, 1))  # z1 z4 y1
     nf = normal_form(m, family21)
-    assert monomial_text(nf, 2) == "z3^2*z4"
+    assert monomial_text(word(nf), 2) == "z3^2*z4"
     assert is_standard(nf, family21)
     assert pi_image(family21.columns, nf) == pi_image(family21.columns, m)
     assert pi_image(family21.columns, nf) == (-2, -3, 3)
@@ -122,7 +126,8 @@ def test_normal_form_preserves_pushforward(r1, x1):
 def _exhaustive_normal_forms(m, family):
     """All normal forms reachable by any rewrite order."""
     applicable = [
-        g for g in family.generators if all(a <= b for a, b in zip(g.lead, m))
+        g for g in dense_generators(family)
+        if all(a <= b for a, b in zip(g.lead, m))
     ]
     if not applicable:
         return {m}
@@ -151,11 +156,11 @@ def test_s_polynomial_example(family21):
         (family21.tags[i], monomial_text(g.lead, 2)): g
         for i, g in enumerate(family21.generators)
     }
-    g1 = by_text[("eq1", "z1*z4")]  # z1 z4 - z2^2
-    g2 = by_text[("eq4", "z4*y1")]  # z4 y1 - z5^2
+    g1 = dense_binomial(by_text[("eq1", "z1*z4")], 7)  # z1 z4 - z2^2
+    g2 = dense_binomial(by_text[("eq4", "z4*y1")], 7)  # z4 y1 - z5^2
     s = s_polynomial(g1, g2)
-    assert monomial_text(s.lead, 2) == "z1*z5^2"
-    assert monomial_text(s.tail, 2) == "z2^2*y1"
+    assert monomial_text(word(s.lead), 2) == "z1*z5^2"
+    assert monomial_text(word(s.tail), 2) == "z2^2*y1"
     assert normal_form(s.lead, family21) == normal_form(s.tail, family21)
 
 
@@ -165,8 +170,9 @@ def test_s_polynomial_identical_is_zero(family21):
 
 
 def test_s_polynomial_orientation(family21):
-    for g1 in family21.generators:
-        for g2 in family21.generators:
+    gens = dense_generators(family21)
+    for g1 in gens:
+        for g2 in gens:
             s = s_polynomial(g1, g2)
             if s is not None:
                 assert s.lead > s.tail
@@ -178,7 +184,7 @@ def test_every_s_pair_is_pi_balanced():
     for r1 in range(2, 7):
         for x1 in range(1, 6):
             family = groebner_family(build_q(r1, x1))
-            for g1, g2 in combinations(family.generators, 2):
+            for g1, g2 in combinations(dense_generators(family), 2):
                 pairs += 1
                 s = s_polynomial(g1, g2)
                 if s is not None:
@@ -216,7 +222,7 @@ def test_sympy_oracle_2_1(family21):
     eliminated = [g for g in basis.exprs if not g.free_symbols & set(ts + vs)]
     leads = {sympy.Poly(g, *xs).monoms(order="lex")[0] for g in eliminated}
     assert len(eliminated) == 9
-    assert leads == {g.lead for g in family21.generators}
+    assert leads == {g.lead for g in dense_generators(family21)}
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
@@ -229,12 +235,8 @@ def test_buchberger_passes_on_grid(r1, x1):
 def test_buchberger_detects_non_basis(family21):
     # two binomials with the same lead but different irreducible tails:
     # their S-pair cannot reduce to zero
-    g1 = Binomial(
-        _mono_of_text(7, (0, 1), (3, 1)), _mono_of_text(7, (1, 2))
-    )  # z1 z4 - z2^2
-    g2 = Binomial(
-        _mono_of_text(7, (0, 1), (3, 1)), _mono_of_text(7, (2, 1), (4, 1))
-    )  # z1 z4 - z3 z5
+    g1 = Binomial((0, 3), (1, 1))  # z1 z4 - z2^2
+    g2 = Binomial((0, 3), (2, 4))  # z1 z4 - z3 z5
     broken = family21._replace(generators=(g1, g2), tags=("eq1", "eq1"))
     report = buchberger_verify(broken)
     assert not report.passed
@@ -261,9 +263,7 @@ def _squarefree_flag(family):
 
 
 # z1^2*z4 - z1*z2^2, z1 times the first generator z1*z4 - z2^2 at (2,1)
-Z1_SQUARED_Z4 = Binomial(
-    _mono_of_text(7, (0, 2), (3, 1)), _mono_of_text(7, (1, 2), (0, 1))
-)
+Z1_SQUARED_Z4 = Binomial((0, 0, 3), (0, 1, 1))
 
 
 def test_initial_ideal_2_1(family21):
@@ -276,7 +276,7 @@ def test_initial_ideal_2_1(family21):
         "z4*y1", "z3*y2",
     }
     assert len(leads) == len(texts)
-    assert all(max(m) == 1 for m in leads)
+    assert all(len(set(m)) == len(m) for m in leads)
     assert _squarefree_flag(family21) is True
 
 
@@ -338,8 +338,7 @@ def test_injectivity_checks_each_degree_before_the_next_budget(
     with pytest.raises(BudgetExceeded):
         injectivity_check(crippled, max_degree=3)
     # a linear lead z1 - z2 makes the degree-1 count fail first
-    n = family21.nvars
-    linear = Binomial(_mono_of_text(n, (0, 1)), _mono_of_text(n, (1, 1)))
+    linear = Binomial((0,), (1,))
     cut = family21._replace(
         generators=family21.generators + (linear,),
         tags=family21.tags + ("eq1",),
@@ -458,11 +457,12 @@ def reducedness_failures(family):
     or whose tail some lead divides.  The leads are squarefree, so a
     lead divides a tail exactly when its support lies inside the
     tail's."""
-    leads = [g.lead for g in family.generators]
+    gens = dense_generators(family)
+    leads = [g.lead for g in gens]
     assert all(e <= 1 for lead in leads for e in lead)
     supports = [_support(lead) for lead in leads]
     failures = []
-    for i, g in enumerate(family.generators):
+    for i, g in enumerate(gens):
         tail = _support(g.tail)
         if any(
             j != i and not s & ~supports[i] for j, s in enumerate(supports)
@@ -483,10 +483,11 @@ def test_reducedness_catches_a_fiber_mate_tail():
     # z2*z5^2: same degree and pushforward, lex-below the lead z1*y3*y4,
     # and divisible by the lead z2*z5 of another generator
     mate = _mono_of_text(family.nvars, (1, 1), (4, 2))
-    assert pi_image(family.columns, mate) == pi_image(family.columns, g.tail)
-    assert g.tail < mate < g.lead
+    lead, tail = dense_binomial(g, family.nvars)
+    assert pi_image(family.columns, mate) == pi_image(family.columns, tail)
+    assert tail < mate < lead
     gens = list(family.generators)
-    gens[11] = Binomial(g.lead, mate)
+    gens[11] = Binomial(g.lead, word(mate))
     sabotaged = family._replace(generators=tuple(gens))
     triangulation = check_triangulation(sabotaged)
     assert triangulation.verdict is True

@@ -46,6 +46,7 @@ from wpsimplex.errors import (
 from wpsimplex.groebner import _standard_images
 from wpsimplex.oracles import (
     _maximal_faces,
+    dense_generators,
     facet_volume,
     is_lower_cell,
     make_weight_certificate,
@@ -67,7 +68,9 @@ from wpsimplex.triangulation import (
     _walk_faces,
 )
 
-from conftest import SMALL_GRID, in_order, lex_weights, walk_facets, without
+from conftest import (
+    SMALL_GRID, dense, in_order, lex_weights, walk_facets, without, word
+)
 
 PARAMS = st.tuples(st.integers(2, 4), st.integers(1, 3))
 
@@ -363,7 +366,9 @@ def test_shared_classes_decide_as_the_facet_by_facet_check(case):
 
 
 def _with_generators(family, pairs):
-    gens = tuple(Binomial(tuple(a), tuple(b)) for a, b in pairs)
+    """The family with its generators replaced by the pairs of exponent
+    tuples, as words."""
+    gens = tuple(Binomial(word(a), word(b)) for a, b in pairs)
     return family._replace(generators=gens, tags=("eq1",) * len(gens))
 
 
@@ -400,7 +405,7 @@ def test_certificate_weights_order_every_pair_as_lex(family):
     # every exponent is a base-M digit, so the weighted sums compare as
     # the tuples do: the weights pick exactly the lex-greater side
     weights = make_weight_certificate(family).weights
-    for lead, tail in family.generators:
+    for lead, tail in dense_generators(family):
         lead_w, tail_w = (sum(map(mul, weights, m)) for m in (lead, tail))
         assert (lead_w > tail_w, lead_w == tail_w) == (lead > tail, lead == tail)
 
@@ -506,7 +511,7 @@ def _divides(a, b):
 
 
 def _divisible_by_a_lead(m, family):
-    return any(_divides(g.lead, m) for g in family.generators)
+    return any(_divides(g.lead, m) for g in dense_generators(family))
 
 
 @settings(max_examples=150, deadline=None)
@@ -579,7 +584,7 @@ def test_initial_complex_is_non_pure_exactly_when_sizes_mix(graph):
     n, masks = graph
     brute = _brute_maximal_faces(n, masks)
     sizes = {s.bit_count() for s in brute}
-    supports = tuple(tuple(m >> i & 1 for i in range(n)) for m in masks)
+    supports = tuple(tuple(i for i in range(n) if m >> i & 1) for m in masks)
     dim = max(sizes)
     if len(sizes) > 1:
         with pytest.raises(NonPureComplex):
@@ -626,7 +631,7 @@ def test_twin_faces_expand_to_the_plain_dualization(graph):
         for s in _maximal_faces(n, masks)
     )
     sizes = {len(f) for f in plain}
-    supports = tuple(tuple(m >> i & 1 for i in range(n)) for m in masks)
+    supports = tuple(tuple(i for i in range(n) if m >> i & 1) for m in masks)
     dim = max(sizes, default=0)
     if len(sizes) > 1:
         with pytest.raises(NonPureComplex) as raised:
@@ -670,9 +675,8 @@ def lead_families(draw):
     gens = []
     for lead in leads:
         degree = sum(lead)
-        tail = [0] * n
-        tail[0 if lead[0] != degree else n - 1] = degree
-        gens.append(Binomial(tuple(lead), tuple(tail)))
+        tail = (0 if lead[0] != degree else n - 1,) * degree
+        gens.append(Binomial(word(lead), tail))
     return base._replace(generators=tuple(gens), tags=("eq1",) * len(gens))
 
 
@@ -680,7 +684,7 @@ def _with_multiples(family):
     """The family, its first generator again, and each generator times
     z1: the same minimal leads."""
     def times_z1(m):
-        return (m[0] + 1,) + m[1:]
+        return (0,) + m
 
     extra = family.generators[:1] + tuple(
         Binomial(times_z1(g.lead), times_z1(g.tail)) for g in family.generators
@@ -708,16 +712,16 @@ def test_initial_complex_reads_only_the_minimal_leads(family):
     # size asked for is the largest of the plain dualization's maximal
     # faces, so about half the draws give a pure complex
     every = _leads(family)
+    n = family.nvars
     minimal = tuple(
         m for m in set(every)
-        if not any(o != m and _divides(o, m) for o in every)
+        if not any(o != m and _divides(dense(o, n), dense(m, n)) for o in every)
     )
-    n = family.nvars
-    masks = [sum(1 << i for i, e in enumerate(m) if e) for m in minimal]
+    masks = [sum(1 << i for i in set(m)) for m in minimal]
     dim = max(s.bit_count() for s in _maximal_faces(n, masks))
     assert _complex_or_error(every, n, dim) == _complex_or_error(minimal, n, dim)
     assert _minimal_leads_squarefree(every) == all(
-        e <= 1 for m in minimal for e in m
+        e <= 1 for m in minimal for e in dense(m, n)
     )
 
 
@@ -725,13 +729,7 @@ def test_initial_complex_reads_only_the_minimal_leads(family):
 def _with_power_leads(family, variables, power):
     """The family plus x_v^power - y_d^power for each v in ``variables``."""
     n = family.nvars
-    added = []
-    for v in variables:
-        lead = [0] * n
-        lead[v] = power
-        tail = [0] * n
-        tail[n - 1] = power
-        added.append(Binomial(tuple(lead), tuple(tail)))
+    added = [Binomial((v,) * power, (n - 1,) * power) for v in variables]
     return family._replace(
         generators=family.generators + tuple(added),
         tags=family.tags + ("eq1",) * len(added),

@@ -14,7 +14,9 @@ from wpsimplex import (
     lattice_points_formula,
     summarize_triangulation,
 )
-from wpsimplex.oracles import buchberger_verify, make_weight_certificate, zsupport_shape
+from wpsimplex.oracles import (
+    buchberger_verify, dense_generators, make_weight_certificate, zsupport_shape
+)
 from wpsimplex.pipeline import Stage, check_hstar
 from wpsimplex.toric import include_excluded_pair, mutate_tail, pi_balance_failures
 from wpsimplex.triangulation import _family_faces
@@ -28,7 +30,7 @@ def _records():
         lattice_points_formula(q),
         hstar(q),
         family,
-        zsupport_shape(family.generators[0].lead, q),
+        zsupport_shape(dense_generators(family)[0].lead, q),
         summarize_triangulation(family),
         make_weight_certificate(family),
         check_hstar(q),

@@ -5,8 +5,9 @@ without a factorization of the configuration, an inverse carried from
 one facet to the next, a second lower-cell test or a weight vector, one
 function reads a triangulation, the certificate reads the leads without
 listing the minimal ones, check (b) is read in the family only, the
-family stage is the one entry point to check (a), and the dilations are
-walked slice by slice with no cache."""
+family stage is the one entry point to check (a), the dilations are
+walked slice by slice with no cache, and a monomial is its word on the
+command path, with the oracles converting the family at their entry."""
 
 import inspect
 
@@ -150,7 +151,6 @@ def test_what_the_oracles_share_with_the_walk_module():
         "_checked_volume",
         "_eliminate",
         "_minimal_transversals",
-        "_support_mask",
     }
 
 
@@ -204,3 +204,21 @@ def test_the_dilations_are_walked_uncached():
     assert not hasattr(simplex.enumerate_dilation_points, "cache_info")
     assert ehrhart._dilation_slices is simplex._dilation_slices
     assert not hasattr(ehrhart, "enumerate_dilation_points")
+
+
+def test_the_oracles_take_no_monomial_code_from_the_family_module():
+    # the oracles read exponent tuples of their own, converted from the
+    # family's words, so they share no pushforward, pi-balance or support
+    # code with the audits they are held against
+    taken = {
+        name
+        for name, value in vars(oracles).items()
+        if getattr(value, "__module__", None) == toric.__name__
+    }
+    assert taken == {"Binomial", "GroebnerFamily"}
+    assert toric not in vars(oracles).values()
+    assert callable(oracles.dense_generators)
+    for module in COMMAND_MODULES:
+        assert not hasattr(module, "dense_generators"), module.__name__
+    # the dense monomial's last builder went with it
+    assert not hasattr(toric, "total_vars")

@@ -1,7 +1,11 @@
+import tracemalloc
+from itertools import product
+
 import pytest
 
 from wpsimplex import (
     Binomial,
+    GroebnerFamily,
     binomial_text,
     build_B,
     build_q,
@@ -25,41 +29,72 @@ from wpsimplex.toric import (
     eq4_binomial,
     eq5_binomial,
     excluded_pair,
+    exponents,
     include_excluded_pair,
     mutate_tail,
     orientation_failures,
     pi_balance_failures,
-    total_vars,
     y_index,
     z_index,
 )
-from wpsimplex.oracles import is_toric_member, pi_image, zsupport
+from wpsimplex.oracles import dense_generators, is_toric_member, pi_image, zsupport
 
-from conftest import SMALL_GRID
+from conftest import SMALL_GRID, dense, dense_binomial, word
 
 
 def _mono(q, **powers):
-    """Build a monomial from keywords like z1=1, y2=3."""
-    exps = [0] * total_vars(q)
-    for name, e in powers.items():
-        idx = int(name[1:])
-        exps[z_index(idx) if name[0] == "z" else y_index(q.r1, idx)] = e
-    return tuple(exps)
+    """The word of a monomial given by keywords like z1=1, y2=3."""
+    return tuple(sorted(
+        z_index(int(name[1:])) if name[0] == "z" else y_index(q.r1, int(name[1:]))
+        for name, e in powers.items()
+        for _ in range(e)
+    ))
 
 
-# -- monomials as exponent tuples ----------------------------------------------
+def _dense(q, **powers):
+    """The same monomial as its exponent tuple, for the oracles."""
+    return dense(_mono(q, **powers), q.r1 + q.d + 3)
+
+
+# -- monomials as words ----------------------------------------------------------
 
 def test_monomial_text():
     q = build_q(2, 1)
-    assert monomial_text((0,) * 7, 2) == "1"
+    assert monomial_text((), 2) == "1"
     assert monomial_text(_mono(q, z2=2), 2) == "z2^2"
     assert monomial_text(_mono(q, z1=1, y2=1), 2) == "z1*y2"
+    assert _mono(q, z2=2, y1=1) == (1, 1, q.r1 + 3)
+    assert monomial_text((1, 1, q.r1 + 3), 2) == "z2^2*y1"
+
+
+def test_exponents_count_each_letter():
+    q = build_q(2, 1)
+    assert exponents((), 7) == [0] * 7
+    assert exponents(_mono(q, z2=2, z4=1, y1=3), 7) == [0, 2, 0, 1, 0, 3, 0]
 
 
 def test_zsupport():
     q = build_q(2, 1)
-    assert zsupport(_mono(q, z2=2, z4=1, y1=3), 2) == frozenset({2, 4})
-    assert zsupport(_mono(q, y1=1, y2=1), 2) == frozenset()
+    assert zsupport(_dense(q, z2=2, z4=1, y1=3), 2) == frozenset({2, 4})
+    assert zsupport(_dense(q, y1=1, y2=1), 2) == frozenset()
+
+
+def test_orientation_reads_lex_as_dense_tuple_order():
+    # every ordered pair of exponent vectors in {0, 1, 2}^4, as words:
+    # the audit's closed-word rule flags exactly the pairs whose lead is
+    # not greater than the tail in tuple order, which is pure lex
+    vectors = list(product(range(3), repeat=4))
+    pairs = list(product(vectors, repeat=2))
+    family = GroebnerFamily(
+        q=build_q(2, 1),
+        columns=((1,),) * 4,
+        generators=tuple(Binomial(*map(word, pair)) for pair in pairs),
+        tags=("pair",) * len(pairs),
+        b_pairs=(),
+    )
+    expected = tuple(i for i, (a, b) in enumerate(pairs) if not a > b)
+    assert len(pairs) == 6561
+    assert orientation_failures(family) == expected
 
 
 # -- the configuration matrix --------------------------------------------------
@@ -80,10 +115,10 @@ def test_homogenize_6_4_shape():
 def test_pi_image_examples():
     q = build_q(2, 1)
     cols = lattice_points_formula(q).homogenized
-    assert pi_image(cols, _mono(q, y1=1, y2=1)) == (1, 1, 2)
-    assert pi_image(cols, _mono(q, z2=1, z4=1)) == (-1, -3, 2)
+    assert pi_image(cols, _dense(q, y1=1, y2=1)) == (1, 1, 2)
+    assert pi_image(cols, _dense(q, z2=1, z4=1)) == (-1, -3, 2)
     # a different monomial with the same image: a relation in the making
-    assert pi_image(cols, _mono(q, z1=1, y2=1)) == (-1, -3, 2)
+    assert pi_image(cols, _dense(q, z1=1, y2=1)) == (-1, -3, 2)
 
 
 def test_pi_image_dimension_check():
@@ -95,7 +130,7 @@ def test_pi_image_dimension_check():
 def test_is_toric_member_counterexample():
     q = build_q(2, 1)
     cols = lattice_points_formula(q).homogenized
-    bad = Binomial(_mono(q, z2=1, z4=1), _mono(q, z2=1, z3=1))
+    bad = Binomial(_dense(q, z2=1, z4=1), _dense(q, z2=1, z3=1))
     assert not is_toric_member(cols, bad)
 
 
@@ -144,11 +179,8 @@ def test_companion_accepts_exactly_the_pair_set(r1):
 
 
 def _z_product(q, *indices):
-    """The exponent tuple of the product of z_i over ``indices``."""
-    exps = [0] * total_vars(q)
-    for i in indices:
-        exps[z_index(i)] += 1
-    return tuple(exps)
+    """The word of the product of z_i over ``indices``."""
+    return tuple(sorted(map(z_index, indices)))
 
 
 def _eq1_by_pair(family):
@@ -168,14 +200,16 @@ def test_companion_products_balance(r1, x1):
     for (i, j), (k, l) in family.b_pairs:
         assert (k, l) == companion(i, j, r1)
         assert eq1[i, j] == Binomial(_z_product(q, i, j), _z_product(q, k, l))
-        assert is_toric_member(cols, eq1[i, j])
+        assert is_toric_member(cols, dense_binomial(eq1[i, j], len(cols)))
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_excluded_pair_binomial_fails_balance(r1, x1):
     q = build_q(r1, x1)
     cols = lattice_points_formula(q).homogenized
-    assert not is_toric_member(cols, excluded_pair_binomial(q))
+    assert not is_toric_member(
+        cols, dense_binomial(excluded_pair_binomial(q), len(cols))
+    )
 
 
 def test_excluded_pair_binomial_text():
@@ -215,7 +249,7 @@ def test_eq3star_deep_split_6_1():
     assert binomial_text(eq3star_binomial(q, 5), 6) == "z1*y6 - z4*z5"
     cols = lattice_points_formula(q).homogenized
     for k in range(6):
-        assert is_toric_member(cols, eq3star_binomial(q, k))
+        assert is_toric_member(cols, dense_binomial(eq3star_binomial(q, k), len(cols)))
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
@@ -240,7 +274,7 @@ def test_family_tag_counts(r1, x1):
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_family_generators_sound(r1, x1):
     family = groebner_family(build_q(r1, x1))
-    for g in family.generators:
+    for g in dense_generators(family):
         assert sum(g.lead) == sum(g.tail)
         assert is_toric_member(family.columns, g)
         assert g.lead > g.tail  # lex-oriented
@@ -264,6 +298,17 @@ def test_mutate_tail_breaks_balance(family21):
 def test_include_excluded_pair_fails_audit(family21):
     sabotaged = include_excluded_pair(family21)
     assert pi_balance_failures(sabotaged) == (len(family21.generators),)
+
+
+def test_mutate_tail_moves_the_first_letter_and_sorts(family21):
+    # the first letter of the tail moves to the cyclically next variable,
+    # the last variable's to the first
+    q, n = family21.q, family21.nvars
+    wrapped = family21._replace(generators=(Binomial((0, 1), (n - 1, n - 1)),))
+    assert mutate_tail(wrapped, 0).generators[0].tail == (0, n - 1)
+    g = family21.generators[7]
+    assert monomial_text(g.tail, q.r1) == "z5^2"
+    assert monomial_text(mutate_tail(family21, 7).generators[7].tail, q.r1) == "z5*y1"
 
 
 def test_mutate_tail_index_check(family21):
@@ -306,7 +351,7 @@ def test_construction_audit_rejects_a_generator_with_lead_equal_to_tail(
 
 def _unbalanced_by_pi_image(family):
     return tuple(
-        i for i, g in enumerate(family.generators)
+        i for i, g in enumerate(dense_generators(family))
         if sum(g.lead) != sum(g.tail)
         or pi_image(family.columns, g.lead) != pi_image(family.columns, g.tail)
     )
@@ -314,7 +359,7 @@ def _unbalanced_by_pi_image(family):
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID + [(12, 3), (30, 1)])
 def test_packed_audit_flags_what_pi_image_flags(r1, x1):
-    # the audit compares packed images over nonzero exponents; pi_image,
+    # the audit compares packed images summed over the words; pi_image,
     # dense over every exponent, is the oracle, on the sound family, on
     # every sabotaged tail and with the excluded pair appended
     family = groebner_family(build_q(r1, x1))
@@ -327,10 +372,18 @@ def test_packed_audit_flags_what_pi_image_flags(r1, x1):
     )
 
 
-def test_packed_audit_rejects_a_monomial_of_the_wrong_length(family21):
-    g = family21.generators[0]
-    short = family21._replace(
-        generators=(Binomial(g.lead[:-1], g.tail[:-1]),) + family21.generators[1:]
-    )
-    with pytest.raises(DimensionMismatch):
-        pi_balance_failures(short)
+def test_the_family_holds_its_words_only():
+    # each generator holds two words of its degree, where exponent tuples
+    # would take 2n entries: at (100, 2), n = 204 and 5,252 generators,
+    # about 19 MiB as exponent tuples, columns and audit included
+    q = build_q(100, 2)
+    lattice_points_formula.cache_clear()
+    pi_balance_failures.cache_clear()
+    tracemalloc.start()
+    try:
+        family = groebner_family(q)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(family.generators), family.nvars) == (5252, 204)
+    assert held < 5 * 2**20, held

@@ -24,6 +24,7 @@ from wpsimplex.errors import (
 )
 from wpsimplex.oracles import (
     _maximal_faces,
+    dense_generators,
     facet_volume,
     is_lower_cell,
     make_weight_certificate,
@@ -82,7 +83,7 @@ def test_non_pure_complex_detected():
     # non-faces {1,2} and {1,3} on three vertices leave maximal faces
     # {1} and {2,3} of different sizes
     with pytest.raises(NonPureComplex):
-        initial_complex(((1, 1, 0), (1, 0, 1)), 3, 2)
+        initial_complex(((0, 1), (0, 2)), 3, 2)
 
 
 @pytest.mark.parametrize(
@@ -252,7 +253,7 @@ def test_failed_certificate_keeps_the_volume_flag(family21):
     # lead z2*z5, so the facets stand, but it is lex-lighter than its
     # tail: check (b) fails in the family, and the triangulation stage,
     # which reads no orientation, passes both of its flags
-    g = Binomial((0, 1, 0, 0, 2, 0, 0), (1, 0, 0, 0, 0, 1, 1))
+    g = Binomial((1, 4, 4), (0, 5, 6))
     fam = family21._replace(
         generators=family21.generators + (g,), tags=family21.tags + ("eq1",)
     )
@@ -319,7 +320,7 @@ def test_dropped_facet_fails(family21, facets21):
 def test_weight_certificate_2_1(family21):
     cert = make_weight_certificate(family21)
     assert cert.weights == (729, 243, 81, 27, 9, 3, 1)  # 3^6 .. 3^0
-    for g in family21.generators:
+    for g in dense_generators(family21):
         lead_w = sum(w * e for w, e in zip(cert.weights, g.lead))
         tail_w = sum(w * e for w, e in zip(cert.weights, g.tail))
         assert lead_w > tail_w
@@ -328,7 +329,7 @@ def test_weight_certificate_2_1(family21):
 def test_weight_certificate_first_base_3_2():
     family = groebner_family(build_q(3, 2))
     cert = make_weight_certificate(family)
-    max_degree = max(sum(g.lead) for g in family.generators)
+    max_degree = max(len(g.lead) for g in family.generators)
     assert cert.weights[0] == (max_degree + 1) ** (family.nvars - 1)
 
 
@@ -336,7 +337,7 @@ def test_weight_certificate_first_base_3_2():
 def test_weight_certificate_is_one_plus_the_top_lead_degree(r1, x1):
     # every family is balanced, so the top lead degree is the top degree
     family = groebner_family(build_q(r1, x1))
-    m_base = 1 + max(sum(g.lead) for g in family.generators)
+    m_base = 1 + max(len(g.lead) for g in family.generators)
     n = family.nvars
     assert make_weight_certificate(family).weights == tuple(
         m_base ** (n - 1 - i) for i in range(n)
@@ -344,7 +345,7 @@ def test_weight_certificate_is_one_plus_the_top_lead_degree(r1, x1):
 
 
 def test_weight_certificate_synthetic_linear(family21):
-    g = Binomial((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
+    g = Binomial((0,), (1,))
     fam = family21._replace(generators=(g,), tags=("eq1",))
     cert = make_weight_certificate(fam)
     assert cert.weights[0] > cert.weights[1]
@@ -457,10 +458,7 @@ def test_subdivision_oracle_dimension_guard():
 def test_pairwise_intersections_are_faces(r1, x1):
     family = groebner_family(build_q(r1, x1))
     facets = family_facets(family)
-    supports = [
-        frozenset(i + 1 for i, e in enumerate(m) if e)
-        for m in _leads(family)
-    ]
+    supports = [frozenset(v + 1 for v in m) for m in _leads(family)]
     for a in facets:
         for b in facets:
             common = set(a) & set(b)
@@ -471,9 +469,7 @@ def test_last_interior_column_is_not_a_cone_point(family21, facets21):
     # the lifted origin (column r1+3) sits in eq1 leads like z1*z{r1+3},
     # so some facets omit it
     origin_col = family21.q.r1 + 3
-    in_lead = any(
-        g.lead[origin_col - 1] > 0 for g in family21.generators
-    )
+    in_lead = any(origin_col - 1 in g.lead for g in family21.generators)
     assert in_lead
     assert any(origin_col not in facet for facet in facets21)
 
@@ -707,9 +703,7 @@ def test_a_non_pure_complex_names_the_face_the_plain_dualization_finds_first():
         for k in range(len(family.generators)):
             dropped = without(family, k)
             n, dim = dropped.nvars, dropped.q.d + 1
-            masks = [
-                _support_mask(m) for m in sorted(_leads(dropped), reverse=True)
-            ]
+            masks = list(map(_support_mask, _leads(dropped)))
             wrong = [
                 face for face in (
                     tuple(i + 1 for i in range(n) if s >> i & 1)
@@ -765,15 +759,15 @@ def test_certificate_never_lists_the_facets(run, monkeypatch, capsys):
 def test_triangulate_checks_the_facet_count_against_the_budget(
     argv, monkeypatch, capsys
 ):
-    # (2, 1) has 6 facets: a budget of 6 lists them, 5 exits 3 with one
-    # error line and no payload
-    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "6")
+    # (2, 1) has 6 facets of 3 columns: a budget of 18 entries lists
+    # them, 17 exits 3 with one error line and no payload
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "18")
     assert cli.main(argv) in (0, 2)
     assert capsys.readouterr().out
-    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "5")
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "17")
     assert cli.main(argv) == 3
     assert capsys.readouterr() == (
-        "", "error: 6 facets exceed the budget 5\n"
+        "", "error: 6 facets of 3 columns (18 entries) exceed the budget 17\n"
     )
 
 
@@ -798,13 +792,18 @@ def test_triangulate_dualizes_the_twin_quotient_once(argv, monkeypatch, capsys):
 
 
 def test_facet_list_builders_check_the_budget(family21, monkeypatch):
-    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "5")
+    # the list's entries are charged, dim per facet
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "17")
     for build in (
         lambda: family_facets(family21),
         lambda: initial_complex(_leads(family21), family21.nvars, 3),
     ):
-        with pytest.raises(BudgetExceeded, match="6 facets exceed the budget 5"):
+        with pytest.raises(BudgetExceeded, match=(
+            r"^6 facets of 3 columns \(18 entries\) exceed the budget 17$"
+        )):
             build()
+    monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "18")
+    assert family_facets(family21) == FACETS_2_1
     # the certificate lists no facet, so it needs no budget
     assert summarize_triangulation(family21).regular is True
 
