@@ -9,6 +9,7 @@ from .errors import (
     IndexOutOfRange,
     InternalConsistency,
     InvalidPair,
+    NonGraphSupport,
     NonPureComplex,
     ParameterOutOfRange,
     PointOutsideSimplex,

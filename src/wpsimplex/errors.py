@@ -37,6 +37,10 @@ class NonPureComplex(WpsimplexError, RuntimeError):
     """Facet enumeration found maximal faces of more than one size."""
 
 
+class NonGraphSupport(WpsimplexError, RuntimeError):
+    """A minimal lead support meets other than two twin classes."""
+
+
 class SingularFacet(WpsimplexError, ValueError):
     """A candidate facet spans a degenerate (determinant zero) simplex."""
 

@@ -6,16 +6,17 @@ independent oracle for the tests and the demos; no certificate runs it,
 and no module of the certified path imports this one.  Beside it sit
 rewriting to normal form, the standard monomials of one degree by a
 plain scan of every monomial (the oracle of the smoke test's join), the
-maximal faces of a hypergraph dualized without the twin quotient, a
+maximal faces of any hypergraph by Berge's dualization without the twin
+quotient, the family's faces from their closed form, reading no lead, a
 facet's volume eliminated from scratch, the lex weight certificate
 M^(n-1), ..., M, 1 of a family, one facet's lower-cell test under
 explicit weights by dense reduced costs, the regularity check of a facet
 list as that test on each facet, and the lower envelope found by testing
-every column subset.  None of them runs the face walk of
-``wpsimplex.triangulation``, which reads the lex lift symbolically and
-takes no weights; they share with it only the fraction-free elimination
-and its singular-facet check, the facet size check and the dualization
-of a hypergraph.
+every column subset.  None of them runs the twin quotient, the clique
+listing or the face walk of ``wpsimplex.triangulation``, which reads the
+lex lift symbolically and takes no weights; they share with it only the
+fraction-free elimination and its singular-facet check and the facet
+size check.
 
 The oracles read a monomial as its exponent tuple over the family's n
 variables, where Python's tuple order is pure lex: each one that takes
@@ -48,13 +49,12 @@ from .errors import (
     SingularFacet,
 )
 from .groebner import _check_budget
-from .simplex import QVector, h_description
+from .simplex import QVector, build_q, h_description
 from .toric import Binomial, GroebnerFamily
 from .triangulation import (
     _check_facet_size,
     _checked_volume,
     _eliminate,
-    _minimal_transversals,
 )
 
 #: Hard cap on rewrite steps for a single monomial; hitting it means a
@@ -215,15 +215,82 @@ def standard_monomials(family: GroebnerFamily, degree: int) -> list[tuple[int, .
     return out
 
 
+def _minimal_transversals(n: int, support_masks: list[int]) -> list[int]:
+    """The minimal subsets of {0..n-1} meeting every support mask, by
+    Berge's incremental dualization (Berge, *Hypergraphs*, 1989, ch. 2):
+    from the empty transversal, each support ``e`` keeps the transversals
+    meeting it and grows each one missing it by every vertex v of ``e``.
+    A grown t + v is dropped when it contains a kept set, which must pass
+    through v; it cannot contain another grown t' + v', as both meet
+    ``e`` only in v and the earlier transversals are minimal.  Small
+    supports go first, in a stable sort, to keep the intermediate
+    families small; a repeated support changes nothing.
+    """
+    transversals = [0]
+    for e in sorted(support_masks, key=int.bit_count):
+        kept = [t for t in transversals if t & e]
+        missed = [t for t in transversals if not t & e]
+        grown = []
+        for v in (1 << i for i in range(n) if e >> i & 1):
+            through = [k for k in kept if k & v]
+            grown += [
+                t | v for t in missed
+                if not any(k & (t | v) == k for k in through)
+            ]
+        transversals = kept + grown
+    return transversals
+
+
 def _maximal_faces(n: int, support_masks: list[int]) -> list[int]:
     """The reference facet enumeration: the maximal subsets of {0..n-1}
     containing no support mask, of any size, as the complements of the
-    minimal transversals of the supports themselves, with no twin
-    quotient.  The certified path dualizes the quotient and expands its
-    faces; the tests hold the two against each other and this one
-    against a filter of every vertex subset."""
+    minimal transversals of the supports themselves, by Berge, with no
+    twin quotient.  The certified path lists the cliques of the
+    quotient's graph and expands its faces; the tests hold the two
+    against each other and this one against a filter of every vertex
+    subset."""
     full = (1 << n) - 1
     return [full ^ t for t in _minimal_transversals(n, support_masks)]
+
+
+def family_faces_closed_form(
+    r1: int, x1: int
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """The family's faces read off their closed form, as the certificate
+    writes them (``(full, choices)``, see ``wpsimplex.triangulation``)
+    and in its order, by first member.  The twin classes are z_1, ...,
+    z_{r1+3}, Y1 = {y_1, ..., y_{r1-1}} and Y2 = {y_{r1}, ..., y_d}, and
+    the r1 + 4 cliques of classes no lead joins are the triangles
+    {z_i, z_{i+1}, z_{r1+1}} for i < r1, {z_{r1}, z_{r1+1}, z_{r1+2}},
+    {z_{r1+1}, z_{r1+2}, z_{r1+3}}, {z_{r1+1}, z_{r1+3}, Y1},
+    {z_{r1+2}, z_{r1+3}, Y2} and {z_{r1+3}, Y1, Y2}.  A face keeps its
+    clique's classes whole and omits one column of every other class.
+    No lead is read."""
+    d = build_q(r1, x1).d
+    # the classes as 1-based columns: z_1, ..., z_{r1+3}, Y1, Y2
+    classes = [(p,) for p in range(1, r1 + 4)]
+    classes += [tuple(range(r1 + 4, 2 * r1 + 3)), tuple(range(2 * r1 + 3, r1 + d + 4))]
+    y1, y2 = r1 + 3, r1 + 4
+    cliques = [(i, i + 1, r1) for i in range(r1 - 1)] + [
+        (r1 - 1, r1, r1 + 1), (r1, r1 + 1, r1 + 2), (r1, r1 + 2, y1),
+        (r1 + 1, r1 + 2, y2), (r1 + 2, y1, y2),
+    ]
+    faces = []
+    for clique in cliques:
+        kept = [c for i, c in enumerate(classes) if i in clique or len(c) > 1]
+        full = tuple(sorted(chain.from_iterable(kept)))
+        choices = tuple(
+            tuple(map(full.index, c))
+            for i, c in enumerate(classes) if i not in clique and len(c) > 1
+        )
+        faces.append((full, choices))
+
+    def first_member(face):
+        full, choices = face
+        lasts = {choice[-1] for choice in choices}
+        return tuple(p for i, p in enumerate(full) if i not in lasts)
+
+    return tuple(sorted(faces, key=first_member))
 
 
 def facet_volume(

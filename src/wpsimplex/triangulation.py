@@ -16,18 +16,19 @@ w(M) = (M^(n-1), ..., M, 1) induce for every large M (Sturmfels,
 De Loera, Rambau and Santos, *Triangulations*, 2010, sec. 4.3).
 
 Two columns are twins when they lie in exactly the same supports.  The
-minimal transversals are those of the twin quotient, with each class in
-them replaced by any one of its columns (Berge, *Hypergraphs*, 1989,
-ch. 2), so the facets come in faces: a face omits one column of each
-class of one quotient transversal, and its members are its facets, one
-per way to pick the omitted columns.  The family's supports fall into
-r1 + 5 twin classes and its facets into r1 + 4 faces.  A triangulation
-is its facet list, and ``summarize_triangulation`` is its one reader: it
-reads the family's faces and counts a face's members without listing
-them, or walks a given facet list facet by facet.  Only
-``family_facets``, for ``triangulate``, expands the faces into the
-sorted facet list, after charging its entries, d + 1 per facet, against
-the enumeration budget.
+minimal transversals are those of the twin quotient, each class in them
+replaced by any one of its columns, so the facets come in faces: a face
+omits one column of each class of one quotient transversal, and its
+members are its facets.  Each minimal support of the family meets two
+classes, so those transversals are the complements of the maximal
+cliques of the graph joining two classes that no support joins (Bron
+and Kerbosch, CACM 16, 1973); a minimal support meeting another number
+of classes raises NonGraphSupport.  The family has r1 + 5 twin classes
+and r1 + 4 faces.  A triangulation is its facet list, read only by
+``summarize_triangulation``, which counts a face's members without
+listing them or walks a given facet list facet by facet; only
+``family_facets``, for ``triangulate``, lists the facets, after charging
+d + 1 entries per facet against the enumeration budget.
 
 Write a column q off a facet F in F's columns, a_q = sum_p lambda_p(q)
 * a_p.  Under w(M), q's reduced cost w_q - sum_p lambda_p(q) * w_p is a
@@ -72,6 +73,7 @@ from typing import NamedTuple
 from .errors import (
     BudgetExceeded,
     IndexOutOfRange,
+    NonGraphSupport,
     NonPureComplex,
     ParameterOutOfRange,
     SingularFacet,
@@ -91,62 +93,57 @@ class TriangulationSummary(NamedTuple):
     regular: bool
 
 
-def _support_mask(word) -> int:
-    """Bit v set exactly when variable v occurs in the word."""
-    return sum(1 << v for v in set(word))
-
-
-def _minimal_transversals(n: int, support_masks: list[int]) -> list[int]:
-    """The minimal subsets of {0..n-1} meeting every support mask, by
-    Berge's incremental dualization (Berge, *Hypergraphs*, 1989, ch. 2):
-    from the empty transversal, each support ``e`` keeps the transversals
-    meeting it and grows each one missing it by every vertex v of ``e``.
-    A grown t + v is dropped when it contains a kept set, which must pass
-    through v; it cannot contain another grown t' + v', as both meet
-    ``e`` only in v and the earlier transversals are minimal.  Small
-    supports go first, in a stable sort, to keep the intermediate
-    families small; a repeated support changes nothing.
-    """
-    transversals = [0]
-    for e in sorted(support_masks, key=int.bit_count):
-        kept = [t for t in transversals if t & e]
-        missed = [t for t in transversals if not t & e]
-        grown = []
-        for v in (1 << i for i in range(n) if e >> i & 1):
-            through = [k for k in kept if k & v]
-            grown += [
-                t | v for t in missed
-                if not any(k & (t | v) == k for k in through)
-            ]
-        transversals = kept + grown
-    return transversals
-
-
 def _twin_quotient(
-    n: int, support_masks: list[int]
-) -> tuple[list[list[int]], list[int]]:
-    """The twin classes of {0..n-1} under the supports, each an ascending
-    list, in the order of their first vertices (the vertices in no
-    support make one class), and the supports as masks over the classes,
-    each kept once in first-seen order.  Each mask's bits are read once."""
+    n: int, supports: Sequence[tuple[int, ...]]
+) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """The twin classes of {0..n-1} under the distinct supports, each an
+    ascending list, in the order of their first vertices (the vertices in
+    no support make one class), and each support as the ascending tuple
+    of the classes it meets, in support order."""
     edges_of: list[list[int]] = [[] for _ in range(n)]
-    for j, e in enumerate(support_masks):
-        while e:
-            low = e & -e
-            edges_of[low.bit_length() - 1].append(j)
-            e ^= low
+    for j, support in enumerate(supports):
+        for v in support:
+            edges_of[v].append(j)
     ids: dict[tuple[int, ...], int] = {}
-    classes: list[list[int]] = []
-    for v, edges in enumerate(map(tuple, edges_of)):
-        c = ids.setdefault(edges, len(ids))
-        if c == len(classes):
-            classes.append([])
+    class_of = [ids.setdefault(tuple(edges), len(ids)) for edges in edges_of]
+    classes: list[list[int]] = [[] for _ in ids]
+    for v, c in enumerate(class_of):
         classes[c].append(v)
-    quotient = [0] * len(support_masks)
-    for edges, c in ids.items():
-        for j in edges:
-            quotient[j] |= 1 << c
-    return classes, list(dict.fromkeys(quotient))
+    return classes, [tuple(sorted({class_of[v] for v in s})) for s in supports]
+
+
+def _minimal_covers(
+    classes: list[list[int]], edges: list[tuple[int, ...]]
+) -> list[int]:
+    """The minimal sets of classes meeting every edge, as masks, when each
+    minimal edge is a pair: the complements of the maximal cliques of the
+    graph joining two classes that no pair joins, by Bron-Kerbosch on a
+    stack (CACM 16, 1973).  The edges go by size, so an edge holding no
+    pair is minimal; it raises NonGraphSupport, naming its columns."""
+    full, joined = (1 << len(classes)) - 1, [0] * len(classes)
+    for edge in sorted(edges, key=len):
+        if len(edge) == 2:
+            a, b = edge
+            joined[a] |= 1 << b
+            joined[b] |= 1 << a
+        elif not any(joined[a] >> b & 1 for a in edge for b in edge):
+            columns = tuple(sorted(v + 1 for c in edge for v in classes[c]))
+            raise NonGraphSupport(
+                f"lead support {columns} meets {len(edge)} twin classes, not 2"
+            )
+    apart = [full & ~j for j in joined]
+    covers, stack = [], [(0, full, 0)]
+    while stack:
+        clique, candidates, seen = stack.pop()
+        if not candidates | seen:
+            covers.append(full ^ clique)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            c = low.bit_length() - 1
+            stack.append((clique | low, candidates & apart[c], seen & apart[c]))
+            seen |= low
+    return covers
 
 
 #: A face of the lead-support complex, as ``(full, choices)``: ``full``
@@ -193,23 +190,21 @@ def _lead_faces(
     """The maximal faces of the complex on {1..n} whose non-faces are
     the sets holding a lead's support, as faces of members of size
     ``dim``, ordered by their first members.  The leads need not be
-    minimal (see the module docstring): their distinct supports are
-    dualized, in generator order.  The last call is cached, so the
+    minimal (see the module docstring).  The last call is cached, so the
     certificate and the facet list of one point share one dualization.
 
-    Twins, vertices in exactly the same supports, are interchangeable: a
-    minimal transversal holds at most one vertex of a class, and any
-    twin can take its place.  So the minimal transversals T of the twin
-    quotient give every maximal face, as the members that omit one
-    vertex of each class in T, and a face's members have n - |T|
-    vertices.  A face of any other size raises NonPureComplex, naming
-    its member without the first vertex of each class in T: purity is
-    part of what is being verified and is never repaired silently.
+    A minimal transversal holds at most one vertex of a twin class, and
+    any twin can take its place, so the minimal covers T of the twin
+    quotient give every maximal face, as the members that omit one vertex
+    of each class in T, of n - |T| vertices.  A face of any other size
+    raises NonPureComplex, naming its member without the first vertex of
+    each class in T: purity is part of what is being verified and is
+    never repaired silently.
     """
-    masks = list(dict.fromkeys(map(_support_mask, leads)))
-    classes, quotient = _twin_quotient(n, masks)
+    supports = dict.fromkeys(tuple(dict.fromkeys(lead)) for lead in leads)
+    classes, edges = _twin_quotient(n, supports)
     faces = []
-    for t in _minimal_transversals(len(classes), quotient):
+    for t in _minimal_covers(classes, edges):
         omitted = [c for i, c in enumerate(classes) if t >> i & 1]
         if n - len(omitted) != dim:
             firsts = {c[0] for c in omitted}
@@ -438,8 +433,8 @@ def summarize_triangulation(
     lift.  No generator's orientation is read here: the leads of a
     family that passes check (b), which the family stage reads
     (``toric.orientation_failures``), are its lex leads.  Raises
-    NonPureComplex for the family's faces, or SingularFacet for the first
-    singular facet in facet order, the sorted order."""
+    NonGraphSupport or NonPureComplex for the family's faces, or
+    SingularFacet for the first singular facet in sorted order."""
     faces = _family_faces(family) if facets is None else [(f, ()) for f in facets]
     cells = _walk_faces(family.columns, faces)
     singular = [face[0] for face, volume, _ in cells if not volume]

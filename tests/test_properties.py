@@ -6,7 +6,8 @@ monomials against a plain entrywise divisibility test (``_divides``),
 the complex and the squarefree flag read from all the leads against
 those of the minimal leads that test keeps, the facet enumeration
 against a filter of all vertex subsets, its faces on the twin quotient
-against the plain dualization, the oracles' certificate weights
+against the plain dualization and its refusals against a brute count of
+the twin classes each minimal support meets, the oracles' certificate weights
 against tuple order, and the walk's lex verdicts against the oracles'
 lower-cell test under explicit weights M^(n-1), ..., 1 with M above
 twice every coefficient of one column in a facet's."""
@@ -39,6 +40,7 @@ from wpsimplex import (
 from wpsimplex import simplex, triangulation
 from wpsimplex.errors import (
     BudgetExceeded,
+    NonGraphSupport,
     NonPureComplex,
     SingularFacet,
     WpsimplexError,
@@ -65,6 +67,8 @@ from wpsimplex.triangulation import (
     _lead_faces,
     _leads,
     _members,
+    _minimal_covers,
+    _twin_quotient,
     _walk_faces,
 )
 
@@ -561,6 +565,25 @@ def _brute_maximal_faces(n, masks):
     )
 
 
+def _refusals(n, masks):
+    """The refusal of each inclusion-minimal support that meets other
+    than two twin classes, the twins taken over all the supports given:
+    the certificate reads the complex off a graph, and refuses exactly
+    when there is one."""
+    twins = [
+        frozenset(i for i, m in enumerate(masks) if m >> v & 1) for v in range(n)
+    ]
+    refusals = set()
+    for m in set(masks):
+        if any(o & m == o != m for o in masks):
+            continue
+        met = len({twins[v] for v in range(n) if m >> v & 1})
+        if met != 2:
+            columns = tuple(v + 1 for v in range(n) if m >> v & 1)
+            refusals.add(f"lead support {columns} meets {met} twin classes, not 2")
+    return refusals
+
+
 # non-faces {0,1} and {0,2}: maximal faces {0} and {1,2}
 NON_PURE = (3, [0b011, 0b101])
 # a duplicate and a superset of {0,1} beside {2,3}
@@ -586,7 +609,12 @@ def test_initial_complex_is_non_pure_exactly_when_sizes_mix(graph):
     sizes = {s.bit_count() for s in brute}
     supports = tuple(tuple(i for i in range(n) if m >> i & 1) for m in masks)
     dim = max(sizes)
-    if len(sizes) > 1:
+    refusals = _refusals(n, masks)
+    if refusals:
+        with pytest.raises(NonGraphSupport) as raised:
+            initial_complex(supports, n, dim)
+        assert str(raised.value) in refusals
+    elif len(sizes) > 1:
         with pytest.raises(NonPureComplex):
             initial_complex(supports, n, dim)
     else:
@@ -633,6 +661,12 @@ def test_twin_faces_expand_to_the_plain_dualization(graph):
     sizes = {len(f) for f in plain}
     supports = tuple(tuple(i for i in range(n) if m >> i & 1) for m in masks)
     dim = max(sizes, default=0)
+    refusals = _refusals(n, masks)
+    if refusals:
+        with pytest.raises(NonGraphSupport) as raised:
+            _lead_faces(supports, n, dim)
+        assert str(raised.value) in refusals
+        return
     if len(sizes) > 1:
         with pytest.raises(NonPureComplex) as raised:
             _lead_faces(supports, n, dim)
@@ -652,6 +686,66 @@ def test_twin_faces_expand_to_the_plain_dualization(graph):
     assert initial_complex(supports, n, dim) == tuple(plain)
 
 
+@st.composite
+def twinned_graphs(draw):
+    """Pairs of k <= 7 classes, each class planted as one to three
+    columns at shuffled positions, beside up to two columns in no
+    support; some pairs are repeated and some enlarged into supersets by
+    more classes.  A pair whose classes turn out twins meets one class,
+    which the kernel refuses."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=7))
+    k, loose = len(sizes), draw(st.integers(0, 2))
+    order = draw(st.permutations(range(sum(sizes) + loose)))
+    classes, start = [], 0
+    for size in sizes:
+        classes.append(order[start:start + size])
+        start += size
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(
+            lambda pair: pair[0] != pair[1]
+        ),
+        max_size=12,
+    ))
+    base = [1 << a | 1 << b for a, b in pairs]
+    if base:
+        for edge in draw(st.lists(st.sampled_from(base), max_size=4)):
+            base.append(edge | draw(st.integers(0, (1 << k) - 1)))
+    masks = [
+        sum(1 << v for i, c in enumerate(classes) if b >> i & 1 for v in c)
+        for b in draw(st.permutations(base))
+    ]
+    return len(order), masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(twinned_graphs())
+@example((3, []))
+@example((2, [0b11]))
+@example(NON_PURE)
+@example(NESTED)
+def test_minimal_covers_expand_to_the_plain_dualization(graph):
+    # each cover of the twin quotient, expanded by one omitted column
+    # per class, is a maximal face of the plain dualization, and every
+    # one arises once; the kernel refuses exactly when a minimal support
+    # meets other than two twin classes
+    n, masks = graph
+    supports = dict.fromkeys(tuple(i for i in range(n) if m >> i & 1) for m in masks)
+    classes, edges = _twin_quotient(n, supports)
+    refusals = _refusals(n, masks)
+    if refusals:
+        with pytest.raises(NonGraphSupport) as raised:
+            _minimal_covers(classes, edges)
+        assert str(raised.value) in refusals
+        return
+    full = (1 << n) - 1
+    faces = [
+        full ^ sum(1 << v for v in omitted)
+        for t in _minimal_covers(classes, edges)
+        for omitted in product(*(c for i, c in enumerate(classes) if t >> i & 1))
+    ]
+    assert sorted(faces) == sorted(_maximal_faces(n, masks))
+
+
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_facets_are_sorted_distinct_column_indices(r1, x1):
     family = groebner_family(build_q(r1, x1))
@@ -666,17 +760,23 @@ def lead_families(draw):
     """The (2, 1) family with its generators replaced by binomials whose
     leads are drawn at random, with repeats, multiples and non-squarefree
     leads; the tails are pure powers of one variable."""
-    base = groebner_family(build_q(2, 1))
-    n = base.nvars
+    n = groebner_family(build_q(2, 1)).nvars
     leads = draw(st.lists(
         st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any),
         max_size=12,
     ))
-    gens = []
-    for lead in leads:
-        degree = sum(lead)
-        tail = (0 if lead[0] != degree else n - 1,) * degree
-        gens.append(Binomial(word(lead), tail))
+    return _with_leads(map(word, leads))
+
+
+def _with_leads(leads):
+    """The (2, 1) family with its generators replaced by binomials with
+    the given leads, as words, whose tails are pure powers of one
+    variable."""
+    base = groebner_family(build_q(2, 1))
+    gens = [
+        Binomial(lead, (0 if set(lead) != {0} else base.nvars - 1,) * len(lead))
+        for lead in leads
+    ]
     return base._replace(generators=tuple(gens), tags=("eq1",) * len(gens))
 
 
@@ -705,12 +805,17 @@ def _complex_or_error(monomials, n, dim):
 @settings(max_examples=200, deadline=None)
 @given(lead_families())
 @example(_with_multiples(groebner_family(build_q(2, 1))))
+# (4, 5, 6) splits 3 from 5: every lead is refused, the minimal ones
+# are not pure
+@example(_with_leads([(4, 6), (4, 5, 6), (3, 5, 6)]))
 def test_initial_complex_reads_only_the_minimal_leads(family):
     # every lead against the inclusion-minimal ones, kept by a plain
     # divisibility filter: the same facets or the same error, and the
     # squarefree flag is whether the minimal leads are squarefree.  The
     # size asked for is the largest of the plain dualization's maximal
-    # faces, so about half the draws give a pure complex
+    # faces, so about half the draws give a pure complex.  Each side is
+    # refused exactly when its twins, which the leads that are not
+    # minimal can split, leave a minimal support off the graph
     every = _leads(family)
     n = family.nvars
     minimal = tuple(
@@ -719,7 +824,14 @@ def test_initial_complex_reads_only_the_minimal_leads(family):
     )
     masks = [sum(1 << i for i in set(m)) for m in minimal]
     dim = max(s.bit_count() for s in _maximal_faces(n, masks))
-    assert _complex_or_error(every, n, dim) == _complex_or_error(minimal, n, dim)
+    outcomes = []
+    for leads in (every, minimal):
+        outcome = _complex_or_error(leads, n, dim)
+        refusals = _refusals(n, [sum(1 << i for i in set(m)) for m in leads])
+        assert (outcome is NonGraphSupport) == bool(refusals)
+        outcomes.append(outcome)
+    if NonGraphSupport not in outcomes:
+        assert outcomes[0] == outcomes[1]
     assert _minimal_leads_squarefree(every) == all(
         e <= 1 for m in minimal for e in dense(m, n)
     )

@@ -113,8 +113,9 @@ def test_one_triangulation_reader():
 
 
 def test_plain_facet_enumeration_is_the_reference_only():
-    # the certificate dualizes the twin quotient and walks its faces; the
-    # dualization of the supports themselves is the oracles' reference
+    # the certificate reads the twin quotient as a graph and walks its
+    # faces; the dualization of the supports themselves is the oracles'
+    # reference
     assert callable(oracles._maximal_faces)
     for name in ("_maximal_faces", "_walk_facets"):
         assert not hasattr(triangulation, name), name
@@ -146,12 +147,7 @@ def test_what_the_oracles_share_with_the_walk_module():
         for name, value in vars(oracles).items()
         if getattr(value, "__module__", None) == triangulation.__name__
     }
-    assert taken == {
-        "_check_facet_size",
-        "_checked_volume",
-        "_eliminate",
-        "_minimal_transversals",
-    }
+    assert taken == {"_check_facet_size", "_checked_volume", "_eliminate"}
 
 
 def test_the_walk_takes_no_weights():
@@ -170,13 +166,17 @@ def test_the_walk_takes_no_weights():
 def test_the_certificate_reads_the_leads():
     # the complex is dualized from all the leads and the squarefree flag
     # is read from them, so no minimal generating set is built; the
-    # support mask lives with its one command-path caller
+    # quotient reads the leads' words, with no support mask, and the
+    # hypergraph dualization is the oracles' reference only
     for name in ("initial_ideal", "InitialIdeal"):
         assert not hasattr(wpsimplex, name), name
         for module in COMMAND_MODULES:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert not hasattr(groebner, "_support_mask")
-    assert callable(triangulation._support_mask)
+    for name in ("_support_mask", "_minimal_transversals"):
+        for module in COMMAND_MODULES:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert callable(oracles._minimal_transversals)
+    assert callable(triangulation._minimal_covers)
 
 
 def test_check_b_is_read_in_the_family_only():

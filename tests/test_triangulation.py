@@ -18,6 +18,7 @@ from wpsimplex.errors import (
     DegenerateLift,
     DimensionMismatch,
     IndexOutOfRange,
+    NonGraphSupport,
     NonPureComplex,
     ParameterOutOfRange,
     SingularFacet,
@@ -26,6 +27,7 @@ from wpsimplex.oracles import (
     _maximal_faces,
     dense_generators,
     facet_volume,
+    family_faces_closed_form,
     is_lower_cell,
     make_weight_certificate,
     regular_subdivision_bruteforce,
@@ -40,7 +42,6 @@ from wpsimplex.triangulation import (
     _member,
     _members,
     _slack_frame,
-    _support_mask,
     _walk_faces,
     drop_facet,
     facet_support_function,
@@ -84,6 +85,45 @@ def test_non_pure_complex_detected():
     # {1} and {2,3} of different sizes
     with pytest.raises(NonPureComplex):
         initial_complex(((0, 1), (0, 2)), 3, 2)
+
+
+def test_a_support_off_the_graph_is_refused(family21):
+    # z5*y1*y2 meets three twin classes that no lead of the family joins
+    # pairwise, so it is a minimal support that is not a pair; the stage
+    # reads the leads only, so the tail is any other monomial
+    family = family21._replace(
+        generators=family21.generators + (Binomial((4, 5, 6), (6, 6, 6)),),
+        tags=family21.tags + ("eq1",),
+    )
+    stage = check_triangulation(family)
+    assert stage.flags == {
+        "triangulationUnimodular": False, "regularCertified": False
+    }
+    assert stage.errors == ("lead support (5, 6, 7) meets 3 twin classes, not 2",)
+    with pytest.raises(NonGraphSupport):
+        family_facets(family)
+
+
+def test_the_family_and_its_deletions_are_read_off_a_graph():
+    # every minimal lead support meets exactly two twin classes in each
+    # SMALL_GRID family and in each of its 137 single-generator
+    # deletions, so none is refused; 62 deletions are not pure
+    pure = non_pure = 0
+    for r1, x1 in SMALL_GRID:
+        family = groebner_family(build_q(r1, x1))
+        for k in range(-1, len(family.generators)):
+            try:
+                _family_faces(family if k < 0 else without(family, k))
+                pure += 1
+            except NonPureComplex:
+                non_pure += 1
+    assert (pure, non_pure) == (8 + 75, 62)
+
+
+@pytest.mark.parametrize("r1,x1", SMALL_GRID + BENCHMARK_POINTS + [(40, 3), (100, 2)])
+def test_the_faces_equal_their_closed_form(r1, x1):
+    family = groebner_family(build_q(r1, x1))
+    assert _family_faces(family) == family_faces_closed_form(r1, x1)
 
 
 @pytest.mark.parametrize(
@@ -703,7 +743,7 @@ def test_a_non_pure_complex_names_the_face_the_plain_dualization_finds_first():
         for k in range(len(family.generators)):
             dropped = without(family, k)
             n, dim = dropped.nvars, dropped.q.d + 1
-            masks = list(map(_support_mask, _leads(dropped)))
+            masks = [sum(1 << v for v in set(lead)) for lead in _leads(dropped)]
             wrong = [
                 face for face in (
                     tuple(i + 1 for i in range(n) if s >> i & 1)
@@ -778,13 +818,13 @@ def test_triangulate_checks_the_facet_count_against_the_budget(
 def test_triangulate_dualizes_the_twin_quotient_once(argv, monkeypatch, capsys):
     # the certificate and the facet list share one cached dualization
     calls = []
-    dualize = triangulation._minimal_transversals
+    dualize = triangulation._minimal_covers
 
-    def counted(n, support_masks):
-        calls.append(n)
-        return dualize(n, support_masks)
+    def counted(classes, edges):
+        calls.append(len(classes))
+        return dualize(classes, edges)
 
-    monkeypatch.setattr(triangulation, "_minimal_transversals", counted)
+    monkeypatch.setattr(triangulation, "_minimal_covers", counted)
     triangulation._lead_faces.cache_clear()
     assert cli.main(argv) in (0, 2)
     assert capsys.readouterr().out
