@@ -12,16 +12,21 @@ The gb and triangulate verifiers expose sabotage switches
 (--sabotage-tail, --include-excluded-pair, --drop-facet) that inject a
 known defect and must drive the exit code to 2; they exist to prove the
 verifiers have teeth.
+
+A command line with options spelled in full, each value the next
+argument, is read without argparse; --help, abbreviations, --opt=value
+and usage errors load it, a few milliseconds more at start.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import (
     BudgetExceeded,
@@ -58,11 +63,6 @@ EXIT_BUDGET = 3
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); we reserve 2
-        raise _UsageError(message)
 
 
 def _exit_code(ok: bool | None) -> int:
@@ -259,8 +259,10 @@ def cmd_sweep(args) -> int:
     r1s, x1s = zip(*grid)
     degrees = [args.max_degree] * len(grid)
     # the pool starts every worker at once, so ask for no more than the
-    # grid has points; only a parallel sweep pays for importing it
-    workers = min(args.jobs, len(grid))
+    # points and usable CPUs; only a parallel sweep pays for importing it
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(args.jobs, len(grid), cpus)
     pool = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -292,74 +294,122 @@ def cmd_sweep(args) -> int:
     return _emit(payload, args.json, _exit_code(overall))
 
 
-def build_parser() -> _Parser:
+class _Option(NamedTuple):
+    """An option or int positional of a subcommand; a converter of None
+    makes a store_true switch.  read() raises ValueError where argparse
+    refuses the token or might read it as an option."""
+
+    flag: str
+    help: str
+    convert: object = None
+    default: object = False
+    metavar: str | None = None
+    choices: tuple[str, ...] | None = None
+
+    def read(self, token: str):
+        if token.startswith("-") or self.choices and token not in self.choices:
+            raise ValueError(token)
+        return self.convert(token)
+
+
+_POINT = (_Option("r1", "r1 >= 2", int, None), _Option("x1", "x1 >= 1", int, None))
+_JSON = _Option("--json", "write the output to FILE instead of stdout",
+                str, None, "FILE")
+_MAX_DEGREE = _Option(
+    "--max-degree", "completeness smoke-test degree bound, >= 0 (default 3)", int, 3)
+_R1, _X1 = ("{}..{}".format(*bounds) for bounds in (DEFAULT_GRID_R1, DEFAULT_GRID_X1))
+
+#: The subcommands in --help order: (words, help, positionals, options).
+#: A group has options None and reads its subcommand into <word>_command.
+#: cmd_<words> handles a subcommand, looked up by name so a rebound one runs.
+_COMMANDS = (
+    (("points",), "lattice point list", _POINT, (_JSON, _Option(
+        "--verify", "cross-check against the brute-force enumerator"))),
+    (("hstar",), "h*-vector", _POINT, (_JSON, _Option(
+        "--verify", "check sum, linear coefficient, and dilation counts"))),
+    (("gb",), "binomial rewrite family", (), None),
+    (("gb", "dump"), "emit the generators", _POINT, (_JSON,)),
+    (("gb", "verify"), "run the verification stack", _POINT, (
+        _JSON, _MAX_DEGREE,
+        _Option("--sabotage-tail", "mutate generator K's tail", int, None, "K"),
+        _Option("--include-excluded-pair",
+                "append the excluded pair's literal binomial"))),
+    (("triangulate",), "facets, volumes, regularity", _POINT, (
+        _JSON,
+        _Option("--format", "json (default) or off, the plain-text OFF facet list",
+                str, "json", None, ("json", "off")),
+        _Option("--drop-facet", "drop facet K before verification", int, None, "K"))),
+    (("sweep",), "full pipeline over a grid", (), (
+        _Option("--r1", f"range, e.g. {_R1}", str, _R1),
+        _Option("--x1", f"range, e.g. {_X1}", str, _X1),
+        _MAX_DEGREE,
+        _Option("--fail-fast",
+                "stop after the first point that fails or skips a check"),
+        _Option("--jobs", "worker processes, >= 1 (default 1)", int, 1),
+        _JSON)),
+)
+
+
+def _plain_args(argv) -> SimpleNamespace | None:
+    """A well-formed line's arguments as argparse reads them, or None to
+    leave the line to argparse: --help, abbreviations, --opt=value, --,
+    any value or positional starting with "-", and every usage error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for words, _, positionals, options in _COMMANDS:
+        if options is not None and argv[:len(words)] == list(words):
+            break
+    else:
+        return None
+    by_flag = {option.flag: option for option in options}
+    values = {option: option.default for option in options}
+    given = []
+    tokens = iter(argv[len(words):])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                given.append(token)
+                continue
+            option = by_flag[token]
+            values[option] = (True if option.convert is None
+                              else option.read(next(tokens, "-")))
+        if len(given) != len(positionals):
+            return None
+        values.update((p, p.read(token)) for p, token in zip(positionals, given))
+    except (KeyError, ValueError):
+        return None
+    names = dict(zip(("command", f"{words[0]}_command"), words))
+    names.update((o.flag.lstrip("-").replace("-", "_"), v) for o, v in values.items())
+    return SimpleNamespace(**names, func=globals()["cmd_" + "_".join(words)])
+
+
+def build_parser():
+    """The argparse reader of ``_COMMANDS``, for the lines that
+    ``_plain_args`` leaves: help, abbreviations and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would exit(2); we reserve 2
+            raise _UsageError(message)
+
     parser = _Parser(prog="wpsimplex", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_point_args(p):
-        p.add_argument("r1", type=int, help="r1 >= 2")
-        p.add_argument("x1", type=int, help="x1 >= 1")
-        p.add_argument("--json", metavar="FILE", default=None,
-                       help="write the output to FILE instead of stdout")
-
-    p_points = sub.add_parser("points", help="lattice point list")
-    add_point_args(p_points)
-    p_points.add_argument("--verify", action="store_true",
-                          help="cross-check against the brute-force enumerator")
-    p_points.set_defaults(func=cmd_points)
-
-    p_hstar = sub.add_parser("hstar", help="h*-vector")
-    add_point_args(p_hstar)
-    p_hstar.add_argument("--verify", action="store_true",
-                         help="check sum, linear coefficient, and dilation counts")
-    p_hstar.set_defaults(func=cmd_hstar)
-
-    p_gb = sub.add_parser("gb", help="binomial rewrite family")
-    gb_sub = p_gb.add_subparsers(dest="gb_command", required=True)
-    p_dump = gb_sub.add_parser("dump", help="emit the generators")
-    add_point_args(p_dump)
-    p_dump.set_defaults(func=cmd_gb_dump)
-    p_verify = gb_sub.add_parser("verify", help="run the verification stack")
-    add_point_args(p_verify)
-    p_verify.add_argument("--max-degree", type=int, default=3,
-                          help="completeness smoke-test degree bound, >= 0 "
-                               "(default 3)")
-    p_verify.add_argument("--sabotage-tail", type=int, default=None,
-                          metavar="K", help="mutate generator K's tail")
-    p_verify.add_argument("--include-excluded-pair", action="store_true",
-                          help="append the excluded pair's literal binomial")
-    p_verify.set_defaults(func=cmd_gb_verify)
-
-    p_tri = sub.add_parser("triangulate", help="facets, volumes, regularity")
-    add_point_args(p_tri)
-    p_tri.add_argument("--format", choices=("json", "off"), default="json",
-                       help="json (default) or off, the plain-text OFF facet list")
-    p_tri.add_argument("--drop-facet", type=int, default=None, metavar="K",
-                       help="drop facet K before verification")
-    p_tri.set_defaults(func=cmd_triangulate)
-
-    p_sweep = sub.add_parser("sweep", help="full pipeline over a grid")
-    for flag, bounds in (("--r1", DEFAULT_GRID_R1), ("--x1", DEFAULT_GRID_X1)):
-        default = "{}..{}".format(*bounds)
-        p_sweep.add_argument(flag, default=default, help=f"range, e.g. {default}")
-    p_sweep.add_argument("--max-degree", type=int, default=3,
-                         help="completeness smoke-test degree bound, >= 0 "
-                              "(default 3)")
-    p_sweep.add_argument("--fail-fast", action="store_true",
-                         help="stop after the first point that fails or "
-                              "skips a check")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes, >= 1 (default 1)")
-    p_sweep.add_argument("--json", metavar="FILE", default=None,
-                         help="write the output to FILE instead of stdout")
-    p_sweep.set_defaults(func=cmd_sweep)
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, summary, positionals, options in _COMMANDS:
+        p = groups[words[:-1]].add_parser(words[-1], help=summary)
+        if options is None:
+            groups[words] = p.add_subparsers(dest=f"{words[-1]}_command", required=True)
+            continue
+        for o in positionals + options:
+            kind = {"action": "store_true"} if o.convert is None else {
+                "type": o.convert, "choices": o.choices, "default": o.default,
+                "metavar": o.metavar}
+            p.add_argument(o.flag, help=o.help, **kind)
+        p.set_defaults(func=globals()["cmd_" + "_".join(words)])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _plain_args(argv) or build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

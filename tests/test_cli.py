@@ -1,10 +1,13 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wpsimplex
 from wpsimplex import (
@@ -342,17 +345,27 @@ def test_sweep_asks_for_no_more_workers_than_points(capsys, monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
+    def sweep(x1, jobs, cpus):
+        # pins the usable CPUs, whatever machine runs the test
+        monkeypatch.setattr(cli.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        code, payload = run_json(capsys, "sweep", "--r1", "2", "--x1", x1,
+                                 "--jobs", jobs)
+        assert code == 0
+        return list(payload["perPoint"])
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    code, payload = run_json(capsys, "sweep", "--r1", "2", "--x1", "1..2",
-                             "--jobs", "64")
-    assert code == 0
-    assert list(payload["perPoint"]) == ["2,1", "2,2"]
+    assert sweep("1..2", "64", 8) == ["2,1", "2,2"]
     assert requested == [2]
     # one point needs one worker, which runs in this process
-    code, payload = run_json(capsys, "sweep", "--r1", "2", "--x1", "1",
-                             "--jobs", "64")
-    assert code == 0
+    assert sweep("1", "64", 8) == ["2,1"]
     assert requested == [2]
+    # so does one usable CPU
+    assert sweep("1..2", "64", 1) == ["2,1", "2,2"]
+    assert requested == [2]
+    # the CPUs cap the workers below the points
+    assert sweep("1..4", "64", 2) == ["2,1", "2,2", "2,3", "2,4"]
+    assert requested == [2, 2]
 
 
 def test_sweep_empty_range(capsys):
@@ -427,6 +440,111 @@ def test_every_argument_has_help():
                 assert action.help, (parser.prog, action.dest)
 
 
+# -- the plain reader against argparse -------------------------------------------
+
+_FLAGS = sorted({option.flag for _, _, _, options in cli._COMMANDS
+                 for option in options or ()})
+#: Spellings argparse reads and the plain reader leaves to it.
+_OTHER_SPELLINGS = [
+    "--max", "--js", "--sab", "--inc", "--fail", "--form", "--drop", "--jo",
+    "--ver", "--r", "-h", "--help", "--", "-1", "--json=out",
+    "--format=off", "--max-degree=2", "--jobs=2", "--r1=2..3",
+]
+_INTS = ["2", "1", "0", "3", "+1", " 3", "3 ", "1_0", "\u0663", "007"]
+_STRINGS = ["out", "2..3", "1", ""]
+_ODD_VALUES = ["-1", "", "x", "1.5", "1__0", "xml", "JSON", "-3..2", "3 1"]
+_ALPHABET = sorted({
+    *(word for words, _, _, _ in cli._COMMANDS for word in words),
+    *_FLAGS, *_OTHER_SPELLINGS, *_INTS, *_STRINGS, *_ODD_VALUES,
+})
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed line of one subcommand, positionals and options in
+    any order and options repeated, then up to three tokens inserted,
+    replaced or deleted: extra or missing positionals, abbreviations,
+    = forms, --, -h, signed, padded or non-ASCII ints, bad choices."""
+    words, _, positionals, options = draw(
+        st.sampled_from([command for command in cli._COMMANDS if command[3]]))
+    chunks = [[draw(st.sampled_from(_INTS))] for _ in positionals]
+    for option in draw(st.lists(st.sampled_from(options), max_size=4)):
+        if option.convert is None:
+            chunks.append([option.flag])
+        else:
+            values = option.choices or (_INTS if option.convert is int else _STRINGS)
+            chunks.append([option.flag, draw(st.sampled_from(values))])
+    line = [*words, *(t for chunk in draw(st.permutations(chunks)) for t in chunk)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(line)))
+        token = draw(st.sampled_from(_ALPHABET))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or at == len(line):
+            line.insert(at, token)
+        elif edit == "replace":
+            line[at] = token
+        else:
+            del line[at]
+    return line
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(["gb", "verify", "16", "--max-degree", "2", "1"])
+@example(["points", " 3", "+1", "--verify", "--verify"])
+@example(["triangulate", "1_0", "\u0663", "--format", "off", "--format", "json"])
+@example(["sweep", "--jobs", "2", "--r1", "2..3", "--json", "", "--fail-fast"])
+def test_the_plain_reader_reads_what_argparse_reads(argv):
+    args = cli._plain_args(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+_TIMINGS = re.compile(r'("\w*_ms": )\d+')
+
+
+def _main_output(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, _TIMINGS.sub(r"\g<1>0", out), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["points", "2", "1"], ["points", "2", "1", "--verify", "--verify"],
+    ["points", " 2", "+1"], ["points", "2", "\u0661"], ["points", "1", "1"],
+    ["points", "2", "1", "3"], ["points", "2", "1", "--json", ""],
+    ["hstar", "2", "1"], ["hstar", "2", "1", "--verify"],
+    ["gb", "dump", "2", "1"], ["gb", "verify", "2", "1"],
+    ["gb", "verify", "2", "--max-degree", "2", "1"],
+    ["gb", "verify", "2", "1", "--max-degree", "1", "--max-degree", "0"],
+    ["gb", "verify", "2", "1", "--max-degree", "-1"],
+    ["gb", "verify", "2", "1", "--sabotage-tail", "0"],
+    ["gb", "verify", "2", "1", "--include-excluded-pair"],
+    ["gb", "verify", "2", "1", "--max", "2"], ["gb", "verify", "x", "1"],
+    ["gb", "verify", "2", "1", "--", "3"], ["gb", "verify", "2"], ["gb"],
+    ["triangulate", "2", "1"], ["triangulate", "2", "1", "--format", "off"],
+    ["triangulate", "2", "1", "--format=off"],
+    ["triangulate", "2", "1", "--format", "xml"],
+    ["triangulate", "2", "1", "--drop-facet", "0"],
+    ["triangulate", "2", "1", "--drop-facet", "-1"],
+    ["triangulate", "2", "1", "--drop-facet"],
+    ["sweep", "--r1", "2", "--x1", "1"],
+    ["sweep", "--r1", "2", "--x1", "1", "--fail-fast", "--jobs", "1"],
+    ["sweep", "--r1", "3..2", "--x1", "1"], ["sweep", "--r1", "-3..2"],
+    ["sweep", "--jobs", "0"], [], ["nonsense"], ["points", "2"],
+    ["--help"], ["-h"], ["points", "--help"], ["hstar", "--help"],
+    ["gb", "--help"], ["gb", "dump", "--help"], ["gb", "verify", "--help"],
+    ["triangulate", "--help"], ["sweep", "--help"],
+], ids=" ".join)
+def test_main_prints_the_same_through_argparse(capsys, monkeypatch, argv):
+    plain = _main_output(capsys, argv)
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+    assert _main_output(capsys, argv) == plain
+
+
 def test_help_through_the_module_entry_exits_zero():
     proc = subprocess.run(
         [sys.executable, "-m", "wpsimplex", "--help"],
@@ -487,11 +605,11 @@ _COMMAND_MODULES = {
 }
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["triangulate", "2", "1"]])
-def test_cold_start_imports_no_dataclasses_inspect_or_ast(argv):
-    # -X importtime lists every module the process imports; -S keeps the
-    # .pth files of site-packages out of the list, and the environment
-    # holds no PYTHON* variable but the path to the package
+def _cold_start(argv):
+    """The exit code of ``python -m wpsimplex`` on argv, and the modules
+    it imported.  -X importtime lists every module the process imports;
+    -S keeps the .pth files of site-packages out of the list, and the
+    environment holds no PYTHON* variable but the path to the package."""
     package_root = os.path.dirname(os.path.dirname(wpsimplex.__file__))
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     proc = subprocess.run(
@@ -500,14 +618,36 @@ def test_cold_start_imports_no_dataclasses_inspect_or_ast(argv):
         text=True,
         env={**env, "PYTHONPATH": package_root},
     )
-    assert proc.returncode == 0, proc.stderr
     imported = {
         line.rpartition("|")[2].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
+    return proc.returncode, imported
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["triangulate", "2", "1"]])
+def test_cold_start_imports_no_dataclasses_inspect_or_ast(argv):
+    code, imported = _cold_start(argv)
+    assert code == 0
     assert not imported & {"dataclasses", "inspect", "ast"}
     assert {m for m in imported if m.startswith("wpsimplex")} == _COMMAND_MODULES
+
+
+@pytest.mark.parametrize("argv, code, parser", [
+    (["triangulate", "2", "1"], 0, False),
+    (["gb", "verify", "2", "1"], 0, False),
+    (["sweep", "--r1", "2", "--x1", "1"], 0, False),
+    # help and a usage error still go through argparse
+    (["--help"], 0, True),
+    (["gb", "verify", "2"], 1, True),
+])
+def test_a_plain_command_line_imports_no_argparse(argv, code, parser):
+    exited, imported = _cold_start(argv)
+    assert exited == code
+    assert ("argparse" in imported) == parser
+    if not parser:
+        assert not imported & {"argparse", "gettext", "locale"}
 
 
 # -- one implementation per check ------------------------------------------------
