@@ -11,7 +11,9 @@ counts as a smoke test at the low degrees.
 
 from wpsimplex import (
     binomial_text,
+    build_B,
     build_q,
+    companion,
     groebner_family,
     injectivity_check,
     monomial_text,
@@ -28,8 +30,8 @@ for tag, g in zip(family.tags, family.generators):
     print(f"  [{tag:>7}] {binomial_text(g, q.r1)}")
 
 print("\npair set with companions:")
-for pair, comp in family.b_pairs:
-    print(f"  {pair} -> {comp}")
+for i, j in build_B(q.r1):
+    print(f"  {(i, j)} -> {companion(i, j, q.r1)}")
 
 stage = check_family(family, check_triangulation(family))
 print(f"\nlead monomials: {len({g.lead for g in family.generators})} "

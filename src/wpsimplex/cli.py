@@ -170,8 +170,9 @@ def cmd_gb_dump(args) -> int:
             for g, tag in zip(family.generators, family.tags)
         ],
         "b_pairs": [
-            {"pair": list(pair), "companion": list(comp)}
-            for pair, comp in family.b_pairs
+            {"pair": [v + 1 for v in g.lead], "companion": [v + 1 for v in g.tail]}
+            for g, tag in zip(family.generators, family.tags)
+            if tag == "eq1"
         ],
     }
     return _emit(payload, args.json)

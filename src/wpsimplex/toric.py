@@ -32,7 +32,8 @@ The rewrite family consists of five groups:
 The pair set B excludes the single pair (r1, r1+2): the companion rule
 would emit z_{r1} z_{r1+2} - z_{r1} z_{r1+1}, which is not pi-balanced.
 That pair is kept available separately so the failure stays pinned by a
-regression test.
+regression test.  ``_generators`` writes each group's words straight
+from this table; the audits read the words, never the formulas.
 """
 
 from __future__ import annotations
@@ -53,18 +54,6 @@ from .simplex import QVector, lattice_points_formula
 
 #: The binomial lead - tail, both sides words.
 Binomial = namedtuple("Binomial", "lead tail")
-
-
-# -- variable bookkeeping ---------------------------------------------------
-
-def z_index(i: int) -> int:
-    """0-based position of z_i (1 <= i <= r1+3)."""
-    return i - 1
-
-
-def y_index(r1: int, j: int) -> int:
-    """0-based position of y_j (1 <= j <= d)."""
-    return r1 + 2 + j
 
 
 def var_name(index: int, r1: int) -> str:
@@ -129,27 +118,18 @@ def excluded_pair(r1: int) -> tuple[int, int]:
     return (r1, r1 + 2)
 
 
-def _in_B(i: int, j: int, r1: int) -> bool:
-    """Membership in B: j - i >= 2, 1 <= i <= r1, j <= r1 + 3 and
-    j != r1 + 1, and (i, j) is not the excluded pair (r1, r1 + 2)."""
-    return (
-        j - i >= 2
-        and 1 <= i <= r1
-        and j <= r1 + 3
-        and j != r1 + 1
-        and (i, j) != excluded_pair(r1)
-    )
-
-
 def build_B(r1: int) -> tuple[tuple[int, int], ...]:
-    """All pairs (i, j) of B (see ``_in_B``), in lex order."""
+    """The pair set B in lex order: 1 <= i <= r1, i + 2 <= j <= r1 + 3
+    and j != r1 + 1, less the excluded pair (r1, r1 + 2).  The one
+    definition of B: ``companion`` tests membership against it."""
     if r1 < 2:
         raise InvalidPair(f"need r1 >= 2, got {r1}")
+    excluded = excluded_pair(r1)
     return tuple(
         (i, j)
         for i in range(1, r1 + 1)
         for j in range(i + 2, r1 + 4)
-        if _in_B(i, j, r1)
+        if j != r1 + 1 and (i, j) != excluded
     )
 
 
@@ -168,7 +148,7 @@ def companion(i: int, j: int, r1: int) -> tuple[int, int]:
 
     Raises InvalidPair when (i, j) is not a member of B.
     """
-    if r1 < 2 or not _in_B(i, j, r1):
+    if r1 < 2 or (i, j) not in build_B(r1):
         raise InvalidPair(f"({i}, {j}) is not in the pair set for r1={r1}")
     return _companion_rule(i, j, r1)
 
@@ -180,97 +160,45 @@ def excluded_pair_binomial(q: QVector) -> Binomial:
     kept constructible so the exclusion stays pinned by tests.
     """
     pair = excluded_pair(q.r1)
-    return _quadric(q, pair, _companion_rule(*pair, q.r1))
+    return _quadric(pair, _companion_rule(*pair, q.r1))
 
 
-# -- generator constructors ----------------------------------------------------
+# -- the generators ------------------------------------------------------------
 
-def _check_k(k: int, upper: int) -> None:
-    if not 0 <= k <= upper:
-        raise IndexOutOfRange(f"k must lie in [0, {upper}], got {k}")
-
-
-def _monomial(q: QVector, z_powers, ys=()) -> tuple[int, ...]:
-    """The word of the product of z_i^e over (i, e) in ``z_powers`` and
-    of y_j over ascending j in ``ys`` (1-based indices)."""
-    zs = sorted(z_index(i) for i, e in z_powers for _ in range(e))
-    return (*zs, *(y_index(q.r1, j) for j in ys))
-
-
-def _quadric(q: QVector, pair, comp) -> Binomial:
-    """z_i z_j - z_k z_l for (i, j) = pair and (k, l) = comp."""
+def _quadric(pair, comp) -> Binomial:
+    """z_i z_j - z_k z_l for ascending (i, j) = pair and (k, l) = comp."""
     (i, j), (k, l) = pair, comp
-    return Binomial(
-        _monomial(q, ((i, 1), (j, 1))), _monomial(q, ((k, 1), (l, 1)))
-    )
+    return Binomial((i - 1, j - 1), (k - 1, l - 1))
 
 
-def eq2_binomial(q: QVector, k: int) -> Binomial:
-    """z_{k+1} y_1..y_{r1-1} - z_{r1+1}^{r1-k} z_{r1+3}^k, 0 <= k <= r1-1."""
-    _check_k(k, q.r1 - 1)
-    r1 = q.r1
-    return Binomial(
-        _monomial(q, ((k + 1, 1),), range(1, r1)),
-        _monomial(q, ((r1 + 1, r1 - k), (r1 + 3, k))),
-    )
-
-
-def eq3_lead(q: QVector, k: int) -> tuple[int, ...]:
-    """Shared lead z_{r1-k} y_{r1}..y_d of the k-th eq3/eq3* binomial."""
-    _check_k(k, q.r1 - 1)
-    return _monomial(q, ((q.r1 - k, 1),), range(q.r1, q.d + 1))
-
-
-def eq3_binomial(q: QVector, k: int) -> Binomial:
-    """z_{r1-k} y_{r1}..y_d - z_{r1}^k z_{r1+2}^{x1+1-k}.
-
-    Only defined for k <= x1 + 1; beyond that the z_{r1+2} exponent
-    would go negative and the eq3* tail takes over.
-    """
-    _check_k(k, q.r1 - 1)
-    if k > q.x1 + 1:
-        raise IndexOutOfRange(
-            f"k={k} exceeds x1+1={q.x1 + 1}; use the sliding-tail variant"
-        )
-    tail = _monomial(q, ((q.r1, k), (q.r1 + 2, q.x1 + 1 - k)))
-    return Binomial(eq3_lead(q, k), tail)
-
-
-def eq3star_binomial(q: QVector, k: int) -> Binomial:
-    """Same lead as eq3; tail support slides down the a-block as k grows.
-
-    For k <= x1 + 1 the tail agrees with eq3.  For larger k, write
-    k = s*(x1+1) + a with 1 <= a <= x1 + 1; the tail is
-    z_{r1-s}^a z_{r1-s+1}^{x1+1-a}, the unique degree-(x1+1) monomial on
-    two adjacent a-columns with the required pushforward.  (For
-    k <= 2*x1 + 2 this is the two-variable tail on z_{r1-1}, z_{r1};
-    deeper k keeps sliding, one a-column per x1+1 steps.)
-    """
-    _check_k(k, q.r1 - 1)
-    if k <= q.x1 + 1:
-        return eq3_binomial(q, k)
-    s = (k - 1) // (q.x1 + 1)
-    a = k - s * (q.x1 + 1)
-    tail = _monomial(q, ((q.r1 - s, a), (q.r1 - s + 1, q.x1 + 1 - a)))
-    return Binomial(eq3_lead(q, k), tail)
-
-
-def eq4_binomial(q: QVector) -> Binomial:
-    """z_{r1+2} y_1..y_{r1-1} - z_{r1+3}^{r1}."""
-    r1 = q.r1
-    return Binomial(
-        _monomial(q, ((r1 + 2, 1),), range(1, r1)),
-        _monomial(q, ((r1 + 3, r1),)),
-    )
-
-
-def eq5_binomial(q: QVector) -> Binomial:
-    """z_{r1+1} y_{r1}..y_d - z_{r1+2}^{x1} z_{r1+3}."""
-    r1 = q.r1
-    return Binomial(
-        _monomial(q, ((r1 + 1, 1),), range(r1, q.d + 1)),
-        _monomial(q, ((r1 + 2, q.x1), (r1 + 3, 1))),
-    )
+def _generators(q: QVector):
+    """The family's (tag, generator) pairs in order.  z_i is index i - 1,
+    y_1..y_{r1-1} are Y1 and y_{r1}..y_d are Y2, tuples whose index
+    objects the words share; every word is ascending as written."""
+    r1, x1 = q.r1, q.x1
+    Y1 = tuple(range(r1 + 3, 2 * r1 + 2))
+    Y2 = tuple(range(2 * r1 + 2, 2 * r1 + x1 + 2))
+    for pair in build_B(r1):
+        yield "eq1", _quadric(pair, _companion_rule(*pair, r1))
+    for k in range(r1):
+        yield "eq2", Binomial((k, *Y1), (r1,) * (r1 - k) + (r1 + 2,) * k)
+    # Past k = x1 + 1 the eq3 tail's z_{r1+2} exponent would go negative;
+    # the eq3* tail, for k = s*(x1+1) + a with 1 <= a <= x1 + 1, is
+    # z_{r1-s}^a z_{r1-s+1}^{x1+1-a}, the one degree-(x1+1) monomial on two
+    # adjacent a-columns with the lead's pushforward, sliding down the
+    # a-block one column per x1 + 1 steps.  k <= r1 - 1 gets there only
+    # when x1 < r1 - 2.
+    tag = "eq3star" if x1 < r1 - 2 else "eq3"
+    for k in range(r1):
+        if k <= x1 + 1:
+            tail = (r1 - 1,) * k + (r1 + 1,) * (x1 + 1 - k)
+        else:
+            s = (k - 1) // (x1 + 1)
+            a = k - s * (x1 + 1)
+            tail = (r1 - s - 1,) * a + (r1 - s,) * (x1 + 1 - a)
+        yield tag, Binomial((r1 - k - 1, *Y2), tail)
+    yield "eq4", Binomial((r1 + 1, *Y1), (r1 + 2,) * r1)
+    yield "eq5", Binomial((r1, *Y2), (r1 + 1,) * x1 + (r1 + 2,))
 
 
 # -- the assembled family -------------------------------------------------------
@@ -278,16 +206,16 @@ def eq5_binomial(q: QVector) -> Binomial:
 class GroebnerFamily(NamedTuple):
     """The full rewrite family for one parameter point, with provenance.
 
-    ``tags[i]`` records which group generator i came from; ``b_pairs``
-    lists each eq1 pair with its companion.  Generators are pi-balanced
-    and lex-oriented (lead > tail): ``groebner_family`` audits both.
+    ``tags[i]`` records which group generator i came from.  An eq1
+    generator's words are its pair (i, j) in B and its companion (k, l),
+    each index less one.  Generators are pi-balanced and lex-oriented
+    (lead > tail): ``groebner_family`` audits both.
     """
 
     q: QVector
     columns: tuple[tuple[int, ...], ...]
     generators: tuple[Binomial, ...]
     tags: tuple[str, ...]
-    b_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     @property
     def nvars(self) -> int:
@@ -334,40 +262,18 @@ def groebner_family(q: QVector) -> GroebnerFamily:
     or is not lex-oriented; either would mean a transcription bug, never
     a data-dependent condition.
     """
-    r1, x1 = q.r1, q.x1
-    columns = lattice_points_formula(q).homogenized
-    gens: list[Binomial] = []
-    tags: list[str] = []
-
-    b_pairs = tuple(((i, j), companion(i, j, r1)) for i, j in build_B(r1))
-    for pair, comp in b_pairs:
-        gens.append(_quadric(q, pair, comp))
-        tags.append("eq1")
-    for k in range(r1):
-        gens.append(eq2_binomial(q, k))
-        tags.append("eq2")
-    # below the depth eq3* is eq3: k <= r1 - 1 <= x1 + 1
-    tag = "eq3star" if x1 < r1 - 2 else "eq3"
-    for k in range(r1):
-        gens.append(eq3star_binomial(q, k))
-        tags.append(tag)
-    gens.append(eq4_binomial(q))
-    tags.append("eq4")
-    gens.append(eq5_binomial(q))
-    tags.append("eq5")
-
+    tags, gens = zip(*_generators(q))
     family = GroebnerFamily(
         q=q,
-        columns=columns,
-        generators=tuple(gens),
-        tags=tuple(tags),
-        b_pairs=b_pairs,
+        columns=lattice_points_formula(q).homogenized,
+        generators=gens,
+        tags=tags,
     )
     unbalanced = pi_balance_failures(family)
     if unbalanced:
         idx = unbalanced[0]
         raise InternalConsistency(
-            f"generator {idx} ({tags[idx]}) {binomial_text(gens[idx], r1)} "
+            f"generator {idx} ({tags[idx]}) {binomial_text(gens[idx], q.r1)} "
             f"is not pi-balanced"
         )
     misoriented = orientation_failures(family)

@@ -8,6 +8,11 @@ the complements of the minimal transversals of those supports, are the
 facets of a triangulation of the simplex.  A set meets every lead
 support exactly when it meets those of the minimal leads, so the
 transversals are read from all the leads and none is dropped first.
+The twin classes below are read from every support too, so a lead that
+is not minimal can split a class and get the complex refused with
+NonGraphSupport: a failed certificate, never a false pass (over the
+(2,1) columns, the leads z5*y2, z5*y1*y2 and z4*y1*y2).  No family
+reaches this.
 Facet volumes are exact integer determinants.  Regularity is read
 symbolically: the facets are the lower cells of Delta_lex, the placing
 triangulation of the column order, which the weights
@@ -190,8 +195,10 @@ def _lead_faces(
     """The maximal faces of the complex on {1..n} whose non-faces are
     the sets holding a lead's support, as faces of members of size
     ``dim``, ordered by their first members.  The leads need not be
-    minimal (see the module docstring).  The last call is cached, so the
-    certificate and the facet list of one point share one dualization.
+    minimal, though one that is not can split a twin class and get the
+    complex refused (see the module docstring).  The last call is cached,
+    so the certificate and the facet list of one point share one
+    dualization.
 
     A minimal transversal holds at most one vertex of a twin class, and
     any twin can take its place, so the minimal covers T of the twin

@@ -2,7 +2,7 @@ from math import isqrt, prod
 
 import pytest
 
-from wpsimplex import Binomial, build_q, groebner_family
+from wpsimplex import Binomial, build_q, groebner_family, toric
 from wpsimplex.ehrhart import ehrhart_value, hstar
 from wpsimplex.oracles import pi_image, standard_monomials
 from wpsimplex.triangulation import _walk_faces
@@ -40,6 +40,18 @@ def without(family, k):
         generators=family.generators[:k] + family.generators[k + 1:],
         tags=family.tags[:k] + family.tags[k + 1:],
     )
+
+
+def replacing(tag, make):
+    """A stand-in for ``toric._generators`` that writes ``make(q, g)``
+    for each generator g of group ``tag`` and the rest as they are, to
+    be set with monkeypatch: a defect injected into the build."""
+    build = toric._generators
+
+    def generators(q):
+        for t, g in build(q):
+            yield t, make(q, g) if t == tag else g
+    return generators
 
 
 def in_order(family, order):

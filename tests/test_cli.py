@@ -22,7 +22,7 @@ from wpsimplex import (
 from wpsimplex.oracles import dense_generators
 from wpsimplex.pipeline import Stage, evaluate_point, point_flags, verdict
 
-from conftest import SMALL_GRID, without
+from conftest import SMALL_GRID, replacing, without
 
 
 def run(capsys, *argv):
@@ -125,6 +125,18 @@ def test_gb_dump_prints_the_oracles_exponent_tuples(capsys, r1, x1):
     dense = dense_generators(groebner_family(build_q(r1, x1)))
     assert [(g["lead"], g["tail"]) for g in payload["generators"]] == [
         (list(g.lead), list(g.tail)) for g in dense
+    ]
+
+
+@pytest.mark.parametrize("r1,x1", SMALL_GRID + [(20, 10)])
+def test_gb_dump_lists_the_pair_set_with_its_companions(capsys, r1, x1):
+    # the family keeps no pair list: the dump reads each pair and its
+    # companion off an eq1 generator's words
+    code, payload = run_json(capsys, "gb", "dump", str(r1), str(x1))
+    assert code == 0
+    assert payload["b_pairs"] == [
+        {"pair": [i, j], "companion": list(wpsimplex.companion(i, j, r1))}
+        for i, j in wpsimplex.build_B(r1)
     ]
 
 
@@ -926,9 +938,12 @@ def _payload_text(payload):
 
 
 def test_gb_verify_reports_a_failed_family_build(capsys, monkeypatch):
-    # an eq5 constructor that emits the excluded pair's binomial stops the
-    # build; no family is cached, so the constructor runs
-    monkeypatch.setattr(toric, "eq5_binomial", wpsimplex.excluded_pair_binomial)
+    # an eq5 generator replaced by the excluded pair's binomial stops the
+    # build; no family is cached, so the builder runs
+    monkeypatch.setattr(
+        toric, "_generators",
+        replacing("eq5", lambda q, g: wpsimplex.excluded_pair_binomial(q)),
+    )
     code = cli.main(["gb", "verify", "2", "1"])
     out, err = capsys.readouterr()
     assert (code, err) == (2, "")

@@ -30,7 +30,7 @@ from wpsimplex.pipeline import (
 )
 from wpsimplex.oracles import buchberger_verify
 
-from conftest import SMALL_GRID, scanned_injectivity, without
+from conftest import SMALL_GRID, replacing, scanned_injectivity, without
 
 
 def _family_stage(family):
@@ -156,9 +156,12 @@ def test_a_point_enumerates_the_t1_dilation_once(monkeypatch):
 
 
 def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
-    # an eq5 constructor that emits the excluded pair's binomial stops the
-    # build; no family is cached, so the constructor runs
-    monkeypatch.setattr(toric, "eq5_binomial", wpsimplex.excluded_pair_binomial)
+    # an eq5 generator replaced by the excluded pair's binomial stops the
+    # build; no family is cached, so the builder runs
+    monkeypatch.setattr(
+        toric, "_generators",
+        replacing("eq5", lambda q, g: wpsimplex.excluded_pair_binomial(q)),
+    )
     entry = evaluate_point(2, 1)
     assert set(entry["timings"]) == set(pipeline.TIMINGS)
     del entry["timings"]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 from itertools import product
 
@@ -23,29 +25,23 @@ from wpsimplex.errors import (
     InvalidPair,
 )
 from wpsimplex.toric import (
-    eq2_binomial,
-    eq3_binomial,
-    eq3star_binomial,
-    eq4_binomial,
-    eq5_binomial,
     excluded_pair,
     exponents,
     include_excluded_pair,
     mutate_tail,
     orientation_failures,
     pi_balance_failures,
-    y_index,
-    z_index,
 )
 from wpsimplex.oracles import dense_generators, is_toric_member, pi_image, zsupport
 
-from conftest import SMALL_GRID, dense, dense_binomial, word
+from conftest import SMALL_GRID, dense, dense_binomial, replacing, word
 
 
 def _mono(q, **powers):
-    """The word of a monomial given by keywords like z1=1, y2=3."""
+    """The word of a monomial given by keywords like z1=1, y2=3: z_i is
+    index i - 1 and y_j is index r1 + 2 + j."""
     return tuple(sorted(
-        z_index(int(name[1:])) if name[0] == "z" else y_index(q.r1, int(name[1:]))
+        int(name[1:]) - 1 if name[0] == "z" else q.r1 + 2 + int(name[1:])
         for name, e in powers.items()
         for _ in range(e)
     ))
@@ -90,7 +86,6 @@ def test_orientation_reads_lex_as_dense_tuple_order():
         columns=((1,),) * 4,
         generators=tuple(Binomial(*map(word, pair)) for pair in pairs),
         tags=("pair",) * len(pairs),
-        b_pairs=(),
     )
     expected = tuple(i for i, (a, b) in enumerate(pairs) if not a > b)
     assert len(pairs) == 6561
@@ -178,29 +173,34 @@ def test_companion_accepts_exactly_the_pair_set(r1):
                     companion(i, j, r1)
 
 
-def _z_product(q, *indices):
+def _z_product(*indices):
     """The word of the product of z_i over ``indices``."""
-    return tuple(sorted(map(z_index, indices)))
+    return tuple(sorted(i - 1 for i in indices))
+
+
+def _group(family, *tags):
+    """The family's generators of the given groups, in order: the k-th
+    is the group's generator k."""
+    return [g for g, tag in zip(family.generators, family.tags) if tag in tags]
 
 
 def _eq1_by_pair(family):
     """The family's eq1 generators, each keyed by its pair in B."""
-    eq1 = [g for g, tag in zip(family.generators, family.tags) if tag == "eq1"]
-    assert len(eq1) == len(family.b_pairs)
-    return {pair: g for (pair, _), g in zip(family.b_pairs, eq1)}
+    eq1 = _group(family, "eq1")
+    pairs = build_B(family.q.r1)
+    assert len(eq1) == len(pairs)
+    return dict(zip(pairs, eq1))
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_companion_products_balance(r1, x1):
     q = build_q(r1, x1)
     cols = lattice_points_formula(q).homogenized
-    family = groebner_family(q)
-    eq1 = _eq1_by_pair(family)
-    assert tuple(eq1) == build_B(r1)
-    for (i, j), (k, l) in family.b_pairs:
-        assert (k, l) == companion(i, j, r1)
-        assert eq1[i, j] == Binomial(_z_product(q, i, j), _z_product(q, k, l))
-        assert is_toric_member(cols, dense_binomial(eq1[i, j], len(cols)))
+    eq1 = _eq1_by_pair(groebner_family(q))
+    for (i, j), g in eq1.items():
+        k, l = companion(i, j, r1)
+        assert g == Binomial(_z_product(i, j), _z_product(k, l))
+        assert is_toric_member(cols, dense_binomial(g, len(cols)))
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
@@ -220,43 +220,76 @@ def test_excluded_pair_binomial_text():
 
 def test_generators_2_1_texts():
     q = build_q(2, 1)
-    assert binomial_text(eq4_binomial(q), 2) == "z4*y1 - z5^2"
-    assert binomial_text(eq5_binomial(q), 2) == "z3*y2 - z4*z5"
-    assert binomial_text(eq3_binomial(q, 1), 2) == "z1*y2 - z2*z4"
-    assert binomial_text(eq2_binomial(q, 0), 2) == "z1*y1 - z3^2"
-    assert binomial_text(_eq1_by_pair(groebner_family(q))[1, 4], 2) == "z1*z4 - z2^2"
-
-
-def test_eq_k_ranges():
-    q = build_q(2, 1)
-    with pytest.raises(IndexOutOfRange):
-        eq2_binomial(q, 2)
-    with pytest.raises(IndexOutOfRange):
-        eq3_binomial(q, -1)
-
-
-def test_eq3_deep_k_rejected_shallow_variant():
-    q = build_q(6, 1)
-    with pytest.raises(IndexOutOfRange):
-        eq3_binomial(q, 3)  # x1 + 1 = 2 < 3
+    family = groebner_family(q)
+    (eq4,), (eq5,) = _group(family, "eq4"), _group(family, "eq5")
+    assert binomial_text(eq4, 2) == "z4*y1 - z5^2"
+    assert binomial_text(eq5, 2) == "z3*y2 - z4*z5"
+    assert binomial_text(_group(family, "eq3")[1], 2) == "z1*y2 - z2*z4"
+    assert binomial_text(_group(family, "eq2")[0], 2) == "z1*y1 - z3^2"
+    assert binomial_text(_eq1_by_pair(family)[1, 4], 2) == "z1*z4 - z2^2"
 
 
 def test_eq3star_deep_split_6_1():
     # x1 = 1 < r1 - 2 = 4: tails slide down one a-column per x1+1 steps
     q = build_q(6, 1)
-    assert binomial_text(eq3star_binomial(q, 3), 6) == "z3*y6 - z5*z6"
-    assert binomial_text(eq3star_binomial(q, 4), 6) == "z2*y6 - z5^2"
-    assert binomial_text(eq3star_binomial(q, 5), 6) == "z1*y6 - z4*z5"
+    eq3star = _group(groebner_family(q), "eq3star")
+    assert binomial_text(eq3star[3], 6) == "z3*y6 - z5*z6"
+    assert binomial_text(eq3star[4], 6) == "z2*y6 - z5^2"
+    assert binomial_text(eq3star[5], 6) == "z1*y6 - z4*z5"
     cols = lattice_points_formula(q).homogenized
-    for k in range(6):
-        assert is_toric_member(cols, dense_binomial(eq3star_binomial(q, k), len(cols)))
+    assert len(eq3star) == 6
+    for g in eq3star:
+        assert is_toric_member(cols, dense_binomial(g, len(cols)))
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_eq3_variants_share_leads(r1, x1):
+    # eq3 and the sliding eq3* tails hang off one lead, z_{r1-k}
+    # y_{r1}..y_d, whichever tail generator k has
     q = build_q(r1, x1)
-    for k in range(min(r1 - 1, x1 + 1) + 1):
-        assert eq3_binomial(q, k).lead == eq3star_binomial(q, k).lead
+    group = _group(groebner_family(q), "eq3", "eq3star")
+    assert len(group) == r1
+    for k, g in enumerate(group):
+        ys = {f"y{j}": 1 for j in range(r1, q.d + 1)}
+        assert g.lead == _mono(q, **{f"z{r1 - k}": 1}, **ys)
+
+
+#: sha256 of each family's tags and words, as written by the per-group
+#: constructors that the one builder replaced (first 16 hex digits)
+FAMILY_DIGESTS = {
+    (2, 1): "12eeb9310fdf48dc",
+    (3, 2): "465e44bdde70c917",
+    (4, 12): "6ffe0d4c0017fb86",
+    (6, 1): "5740d7835aaec540",
+    (6, 7): "d77a099e08e02c02",
+    (8, 4): "c68febf5f2bd49d1",
+    (12, 3): "b5fd52605953b86b",
+    (30, 1): "bb00cf0f9ec19d7f",
+    (40, 10): "0abece25c753e262",
+    (100, 2): "ffb996a90ded4b6b",
+}
+
+
+@pytest.mark.parametrize("r1,x1", FAMILY_DIGESTS)
+def test_the_family_is_pinned_word_for_word(r1, x1):
+    # eq3 alone, shallow eq3* and deep sliding tails, in family order
+    family = groebner_family(build_q(r1, x1))
+    text = json.dumps([
+        [tag, list(g.lead), list(g.tail)]
+        for tag, g in zip(family.tags, family.generators)
+    ])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == FAMILY_DIGESTS[r1, x1]
+
+
+def test_every_word_is_ascending_as_written():
+    # no word is sorted after it is written, so only the formulas keep
+    # the words ascending
+    points = [(r1, x1) for r1 in range(2, 25) for x1 in range(1, 9)]
+    assert len(points) == 184
+    for r1, x1 in points:
+        for g in groebner_family(build_q(r1, x1)).generators:
+            for w in g:
+                assert list(w) == sorted(w), (r1, x1, g)
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
@@ -286,7 +319,7 @@ def test_family_generators_sound(r1, x1):
 def test_family_2_1_size():
     family = groebner_family(build_q(2, 1))
     assert len(family.generators) == 9
-    assert len(family.b_pairs) == 3
+    assert family.tags.count("eq1") == len(build_B(2)) == 3
 
 
 def test_mutate_tail_breaks_balance(family21):
@@ -317,9 +350,12 @@ def test_mutate_tail_index_check(family21):
 
 
 def test_construction_audit_names_the_unbalanced_generator(monkeypatch):
-    # an eq5 constructor that emits the excluded pair's binomial must stop
+    # an eq5 generator replaced by the excluded pair's binomial must stop
     # the build with the generator's index, tag and text
-    monkeypatch.setattr(toric, "eq5_binomial", excluded_pair_binomial)
+    monkeypatch.setattr(
+        toric, "_generators",
+        replacing("eq5", lambda q, g: excluded_pair_binomial(q)),
+    )
     with pytest.raises(InternalConsistency) as info:
         groebner_family(build_q(2, 1))
     assert str(info.value) == "generator 8 (eq5) z2*z4 - z2*z3 is not pi-balanced"
@@ -331,7 +367,7 @@ def test_construction_audit_rejects_an_inhomogeneous_generator(monkeypatch):
     # pi-balance fails
     q = build_q(2, 1)
     skewed = Binomial(_mono(q, z4=1, y1=1), _mono(q, z5=1))
-    monkeypatch.setattr(toric, "eq4_binomial", lambda q: skewed)
+    monkeypatch.setattr(toric, "_generators", replacing("eq4", lambda q, g: skewed))
     with pytest.raises(InternalConsistency) as info:
         groebner_family(q)
     assert str(info.value) == "generator 7 (eq4) z4*y1 - z5 is not pi-balanced"
@@ -343,7 +379,9 @@ def test_construction_audit_rejects_a_generator_with_lead_equal_to_tail(
     # lead == tail is trivially pi-balanced, but not lex-oriented
     q = build_q(2, 1)
     square = _mono(q, z3=2)
-    monkeypatch.setattr(toric, "eq2_binomial", lambda q, k: Binomial(square, square))
+    monkeypatch.setattr(
+        toric, "_generators", replacing("eq2", lambda q, g: Binomial(square, square))
+    )
     with pytest.raises(InternalConsistency) as info:
         groebner_family(q)
     assert str(info.value) == "generator 3 (eq2) is not lex-oriented"
@@ -375,7 +413,9 @@ def test_packed_audit_flags_what_pi_image_flags(r1, x1):
 def test_the_family_holds_its_words_only():
     # each generator holds two words of its degree, where exponent tuples
     # would take 2n entries: at (100, 2), n = 204 and 5,252 generators,
-    # about 19 MiB as exponent tuples, columns and audit included
+    # about 19 MiB as exponent tuples, columns and audit included.  The
+    # family holds about 1.9 MiB; a second copy of the pair set, each
+    # pair with its companion, took it to 2.6 MiB
     q = build_q(100, 2)
     lattice_points_formula.cache_clear()
     pi_balance_failures.cache_clear()
@@ -386,4 +426,4 @@ def test_the_family_holds_its_words_only():
     finally:
         tracemalloc.stop()
     assert (len(family.generators), family.nvars) == (5252, 204)
-    assert held < 5 * 2**20, held
+    assert held < 2.25 * 2**20, held
