@@ -1,7 +1,7 @@
 """Run the whole verification pipeline over the default parameter grid.
 
 Per point: lattice points vs. enumeration, h* consistency and dilation
-counts, family construction, pi-balance and lex orientation, the
+counts, the family build, pi-balance and lex orientation, the
 Groebner basis certified by the triangulation (the buchbergerPass flag,
 which keeps its name but runs no S-pair), squarefree leads,
 completeness at degree <= 3 as a smoke test, unimodular facets, and the

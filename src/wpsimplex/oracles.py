@@ -58,7 +58,7 @@ from .triangulation import (
 )
 
 #: Hard cap on rewrite steps for a single monomial; hitting it means a
-#: mis-oriented generator slipped past construction.
+#: mis-oriented generator, one the family stage's check (b) refuses.
 _MAX_REWRITE_STEPS = 100_000
 
 
@@ -115,8 +115,8 @@ def _reduce_tuple(exps: tuple[int, ...], prepared) -> tuple[int, ...]:
 def normal_form(m: tuple[int, ...], family: GroebnerFamily) -> tuple[int, ...]:
     """Fully rewrite a monomial: while some generator's lead divides it,
     swap that lead for the tail.  The applicable generator with the
-    lex-largest lead is used at every step (construction order breaks
-    ties), so results are reproducible; each step strictly decreases the
+    lex-largest lead is used at every step (build order breaks ties),
+    so results are reproducible; each step strictly decreases the
     monomial in lex, so the loop terminates."""
     if len(m) != family.nvars:
         raise DimensionMismatch(f"monomial in {len(m)} variables, not {family.nvars}")

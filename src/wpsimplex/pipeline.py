@@ -36,7 +36,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, InternalConsistency, WpsimplexError
+from .errors import BudgetExceeded, WpsimplexError
 from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
 from .groebner import injectivity_check
 from .simplex import QVector, build_q, lattice_points_bruteforce, lattice_points_formula
@@ -273,17 +273,10 @@ def evaluate_point(r1: int, x1: int, max_degree: int = 3) -> dict:
         timed("points_ms", check_points, q),
         timed("hstar_ms", check_hstar, q),
     ]
-    try:
-        family = timed("gb_ms", groebner_family, q)
-    except InternalConsistency as exc:
-        flags = dict.fromkeys(FAMILY_FLAGS + TRIANGULATION_FLAGS, False)
-        stages.append(Stage(flags, errors=(str(exc),)))
-    else:
-        triangulation = timed("triangulate_ms", check_triangulation, family)
-        stages.append(
-            timed("gb_ms", check_family, family, triangulation, max_degree)
-        )
-        stages.append(triangulation)
+    family = timed("gb_ms", groebner_family, q)
+    triangulation = timed("triangulate_ms", check_triangulation, family)
+    stages += [timed("gb_ms", check_family, family, triangulation, max_degree),
+               triangulation]
 
     entry: dict = {k: v for stage in stages for k, v in stage.flags.items()}
     entry["timings"] = {k: int(s * 1000) for k, s in seconds.items()}

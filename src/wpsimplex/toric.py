@@ -12,12 +12,13 @@ one place, ``orientation_failures``; exponent lists are built only for
 is a valid relation exactly when both sides push forward to the same
 vector under the configuration matrix; we call that pi-balance.  Its
 last coordinate is the degree, so a pi-balanced binomial is homogeneous.
-``groebner_family`` audits every generator it builds for pi-balance
-(``pi_balance_failures``) and for the lex orientation lead > tail
-(``orientation_failures``, check (b)), and the family stage runs both
-audits again.  The plain pushforward ``pi_image``, the one-binomial
-test ``is_toric_member`` and the z-support of a monomial are lemma
-checks for the tests, in ``wpsimplex.oracles``.
+``groebner_family`` only builds; the family stage
+(``wpsimplex.pipeline.check_family``) audits every generator, once, for
+pi-balance (``pi_balance_failures``) and for the lex orientation
+lead > tail (``orientation_failures``, check (b)).  The plain
+pushforward ``pi_image``, the one-binomial test ``is_toric_member`` and
+the z-support of a monomial are lemma checks for the tests, in
+``wpsimplex.oracles``.
 
 The rewrite family consists of five groups:
 
@@ -39,16 +40,11 @@ from this table; the audits read the words, never the formulas.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import lru_cache
 from itertools import groupby
 from operator import mul
 from typing import NamedTuple
 
-from .errors import (
-    IndexOutOfRange,
-    InternalConsistency,
-    InvalidPair,
-)
+from .errors import IndexOutOfRange, InvalidPair
 from .simplex import QVector, lattice_points_formula
 
 
@@ -208,8 +204,8 @@ class GroebnerFamily(NamedTuple):
 
     ``tags[i]`` records which group generator i came from.  An eq1
     generator's words are its pair (i, j) in B and its companion (k, l),
-    each index less one.  Generators are pi-balanced and lex-oriented
-    (lead > tail): ``groebner_family`` audits both.
+    each index less one.  The family stage, not the builder, audits
+    that generators are pi-balanced and lex-oriented (lead > tail).
     """
 
     q: QVector
@@ -222,13 +218,9 @@ class GroebnerFamily(NamedTuple):
         return len(self.columns)
 
 
-@lru_cache(maxsize=1)
 def pi_balance_failures(family: GroebnerFamily) -> tuple[int, ...]:
-    """Indices of generators that are not pi-balanced (empty when sound).
-
-    Cached for the last family only: the construction audit and the
-    family stage of one point share one audit.  A family changed by a
-    sabotage hook is a new object, audited afresh after the original.
+    """Indices of generators that are not pi-balanced (empty when sound):
+    check (a), run once per family by the family stage.
 
     The columns are packed once, for the highest lead degree, so each
     generator costs two sums over its words."""
@@ -241,7 +233,7 @@ def pi_balance_failures(family: GroebnerFamily) -> tuple[int, ...]:
 
 def orientation_failures(family: GroebnerFamily) -> tuple[int, ...]:
     """Indices of generators whose lead is not lex-greater than their
-    tail: check (b), for the construction audit and the family stage.
+    tail: check (b), for the family stage.
 
     The one reading of pure lex: closed by n, past every index, a word
     sorts first exactly when it is lex-greater, since where two closed
@@ -255,32 +247,16 @@ def orientation_failures(family: GroebnerFamily) -> tuple[int, ...]:
 
 
 def groebner_family(q: QVector) -> GroebnerFamily:
-    """Construct the family and audit every generator.  Nothing is kept:
-    a command builds one family per point and passes it along.
-
-    Raises InternalConsistency if any emitted binomial fails pi-balance
-    or is not lex-oriented; either would mean a transcription bug, never
-    a data-dependent condition.
-    """
+    """Construct the family, unaudited: the family stage audits it.
+    Nothing is kept: a command builds one family per point and passes
+    it along."""
     tags, gens = zip(*_generators(q))
-    family = GroebnerFamily(
+    return GroebnerFamily(
         q=q,
         columns=lattice_points_formula(q).homogenized,
         generators=gens,
         tags=tags,
     )
-    unbalanced = pi_balance_failures(family)
-    if unbalanced:
-        idx = unbalanced[0]
-        raise InternalConsistency(
-            f"generator {idx} ({tags[idx]}) {binomial_text(gens[idx], q.r1)} "
-            f"is not pi-balanced"
-        )
-    misoriented = orientation_failures(family)
-    if misoriented:
-        idx = misoriented[0]
-        raise InternalConsistency(f"generator {idx} ({tags[idx]}) is not lex-oriented")
-    return family
 
 
 def mutate_tail(family: GroebnerFamily, index: int) -> GroebnerFamily:

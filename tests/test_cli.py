@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import wpsimplex
 from wpsimplex import (
+    Binomial,
     HStarVector,
     build_q,
     cli,
@@ -20,6 +21,7 @@ from wpsimplex import (
     toric,
 )
 from wpsimplex.oracles import dense_generators
+from wpsimplex.toric import mutate_tail
 from wpsimplex.pipeline import Stage, evaluate_point, point_flags, verdict
 
 from conftest import SMALL_GRID, replacing, without
@@ -176,7 +178,7 @@ def test_gb_verify_excluded_pair(capsys):
 @pytest.fixture
 def audited(monkeypatch):
     """The generators the pi-balance audit (``toric._balanced``) is asked
-    about, in order, counted from an empty pi-balance cache."""
+    about, in order."""
     calls = []
     balanced = toric._balanced
 
@@ -185,14 +187,13 @@ def audited(monkeypatch):
         return balanced(packed, b)
 
     monkeypatch.setattr(toric, "_balanced", counted)
-    toric.pi_balance_failures.cache_clear()
     return calls
 
 
 def test_gb_verify_audits_the_family_once(capsys, audited):
     code, payload = run_json(capsys, "gb", "verify", "16", "1")
     assert code == 0 and payload["pass"] is True
-    # the constructor's audit and the family stage share one audit
+    # the builder audits nothing; the family stage audits each generator
     family = groebner_family(build_q(16, 1))
     assert sorted(audited) == sorted(family.generators)
     assert len(audited) == payload["num_generators"] == 170
@@ -206,15 +207,15 @@ def test_gb_verify_audits_a_sabotaged_family_afresh(capsys, audited, switch, gen
     code, payload = run_json(capsys, "gb", "verify", "16", "1", *switch)
     assert code == 2 and payload["pass"] is False
     assert payload["failure"] == {"stage": "pi_balance", "generators": [generator]}
-    # the constructor audits the family's 170 generators; what follows is
-    # the sabotaged family, audited afresh, which differs from the
-    # family at the named generator alone
-    constructed, sabotaged = audited[:170], audited[170:]
-    assert constructed == list(groebner_family(build_q(16, 1)).generators)
-    assert len(sabotaged) == payload["num_generators"]
-    assert sabotaged.pop(generator) not in constructed
-    del constructed[generator:generator + 1]
-    assert sabotaged == constructed
+    # the builder audits nothing, so only the sabotaged family is
+    # audited: the 170 built generators with one changed, or with the
+    # excluded pair appended as generator 170
+    calls = 171 if generator == 170 else 170
+    assert len(audited) == payload["num_generators"] == calls
+    built = list(groebner_family(build_q(16, 1)).generators)
+    assert audited.pop(generator) not in built
+    del built[generator:generator + 1]
+    assert audited == built
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
@@ -340,33 +341,51 @@ def test_sweep_single_value_ranges(capsys):
     assert payload["grid"] == [[2, 1]]
 
 
-def test_sweep_asks_for_no_more_workers_than_points(capsys, monkeypatch):
+class InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: records the worker count
+    asked for in ``requested`` and maps in this process."""
+
+    requested: list = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """``InProcessPool`` in place of the process pool, with no worker
+    count asked for yet."""
     import concurrent.futures
 
-    requested = []
+    monkeypatch.setattr(InProcessPool, "requested", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return InProcessPool
 
-    class InProcessPool:
-        """Records the worker count asked for and maps in this process."""
 
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+def _usable_cpus(monkeypatch, cpus):
+    """Pins the usable CPUs, whatever machine runs the test."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
 
-        def shutdown(self, cancel_futures=False):
-            pass
+def test_sweep_asks_for_no_more_workers_than_points(
+    capsys, monkeypatch, in_process_pool
+):
+    requested = in_process_pool.requested
 
     def sweep(x1, jobs, cpus):
-        # pins the usable CPUs, whatever machine runs the test
-        monkeypatch.setattr(cli.os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
+        _usable_cpus(monkeypatch, cpus)
         code, payload = run_json(capsys, "sweep", "--r1", "2", "--x1", x1,
                                  "--jobs", jobs)
         assert code == 0
         return list(payload["perPoint"])
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     assert sweep("1..2", "64", 8) == ["2,1", "2,2"]
     assert requested == [2]
     # one point needs one worker, which runs in this process
@@ -378,6 +397,25 @@ def test_sweep_asks_for_no_more_workers_than_points(capsys, monkeypatch):
     # the CPUs cap the workers below the points
     assert sweep("1..4", "64", 2) == ["2,1", "2,2", "2,3", "2,4"]
     assert requested == [2, 2]
+
+
+def test_sweep_whose_worker_dies_exits_1(capsys, monkeypatch, in_process_pool):
+    # a worker killed after the first point, say by the out-of-memory
+    # killer, breaks the pool: one error line and exit 1, no traceback
+    from concurrent.futures.process import BrokenProcessPool
+
+    def map_then_die(self, fn, *iterables):
+        entries = map(fn, *iterables)
+        yield next(entries)
+        raise BrokenProcessPool("A child process terminated abruptly")
+
+    monkeypatch.setattr(in_process_pool, "map", map_then_die)
+    _usable_cpus(monkeypatch, 2)
+    code = cli.main(["sweep", "--r1", "2", "--x1", "1..2", "--jobs", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: a sweep worker died (BrokenProcessPool)\n"
+    assert in_process_pool.requested == [2]
 
 
 def test_sweep_empty_range(capsys):
@@ -938,8 +976,8 @@ def _payload_text(payload):
 
 
 def test_gb_verify_reports_a_failed_family_build(capsys, monkeypatch):
-    # an eq5 generator replaced by the excluded pair's binomial stops the
-    # build; no family is cached, so the builder runs
+    # an eq5 generator replaced by the excluded pair's binomial is built
+    # unaudited, and the family stage names it
     monkeypatch.setattr(
         toric, "_generators",
         replacing("eq5", lambda q, g: wpsimplex.excluded_pair_binomial(q)),
@@ -950,12 +988,72 @@ def test_gb_verify_reports_a_failed_family_build(capsys, monkeypatch):
     assert out == _payload_text({
         "schema": 1,
         "params": {"r1": 2, "x1": 1},
+        "num_generators": 9,
         "pass": False,
-        "failure": {
-            "stage": "construction",
-            "detail": "generator 8 (eq5) z2*z4 - z2*z3 is not pi-balanced",
-        },
+        "failure": {"stage": "pi_balance", "generators": [8]},
     })
+
+
+#: Defects at (2, 1), each a group tag and the generator written in place
+#: of each generator of that group: eq5 as the excluded pair's binomial,
+#: eq4 with its tail z5^2 cut to z5, eq2 as z3^2 - z3^2.
+_DEFECTS = [
+    ("eq5", lambda q, g: wpsimplex.excluded_pair_binomial(q)),
+    ("eq4", lambda q, g: Binomial(g.lead, g.tail[:1])),
+    ("eq2", lambda q, g: Binomial((2, 2), (2, 2))),
+]
+
+
+@pytest.mark.parametrize("tag, make", _DEFECTS, ids=[t for t, _ in _DEFECTS])
+def test_a_defect_reads_the_same_built_in_or_swapped_in(capsys, monkeypatch, tag, make):
+    # one path for a defective family: injected into the build, or
+    # swapped into a sound family after it, the family stage reports it
+    def swapped(q):
+        family = groebner_family(q)
+        return family._replace(generators=tuple(
+            make(q, g) if t == tag else g
+            for t, g in zip(family.tags, family.generators)
+        ))
+
+    runs = []
+    for target, name, stand_in in (
+        (toric, "_generators", replacing(tag, make)),
+        (cli, "groebner_family", swapped),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, stand_in)
+            code = cli.main(["gb", "verify", "2", "1"])
+            runs.append((code, *capsys.readouterr()))
+    built, swapped_in = runs
+    assert built == swapped_in
+    assert built[0] == 2 and built[2] == ""
+
+
+@pytest.mark.parametrize("r1,x1", SMALL_GRID + [(4, 12)])
+def test_triangulate_reads_only_the_leads(capsys, monkeypatch, r1, x1):
+    # a family with every tail changed triangulates as the sound one, and
+    # triangulate runs neither family audit
+    point = (str(r1), str(x1))
+    assert cli.main(["triangulate", *point]) == 0
+    sound = capsys.readouterr().out
+
+    def every_tail_changed(q):
+        family = groebner_family(q)
+        for k in range(len(family.generators)):
+            family = mutate_tail(family, k)
+        return family
+
+    audits = []
+    for module in (toric, pipeline):
+        for name in ("pi_balance_failures", "orientation_failures"):
+            monkeypatch.setattr(module, name, lambda *a, name=name: audits.append(name))
+    monkeypatch.setattr(cli, "groebner_family", every_tail_changed)
+    q = build_q(r1, x1)
+    pairs = zip(every_tail_changed(q).generators, groebner_family(q).generators)
+    assert all(g.tail != h.tail for g, h in pairs)
+    assert cli.main(["triangulate", *point]) == 0
+    assert capsys.readouterr().out == sound
+    assert audits == []
 
 
 def test_triangulate_reports_the_error_its_stage_caught(capsys, monkeypatch):

@@ -156,8 +156,8 @@ def test_a_point_enumerates_the_t1_dilation_once(monkeypatch):
 
 
 def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
-    # an eq5 generator replaced by the excluded pair's binomial stops the
-    # build; no family is cached, so the builder runs
+    # an eq5 generator replaced by the excluded pair's binomial is built
+    # unaudited; the entry holds the stages' own verdicts on that family
     monkeypatch.setattr(
         toric, "_generators",
         replacing("eq5", lambda q, g: wpsimplex.excluded_pair_binomial(q)),
@@ -165,11 +165,16 @@ def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
     entry = evaluate_point(2, 1)
     assert set(entry["timings"]) == set(pipeline.TIMINGS)
     del entry["timings"]
+    triangulated = check_triangulation(groebner_family(build_q(2, 1)))
+    assert triangulated.errors == (
+        "maximal face (3, 5, 6, 7) has 4 vertices, expected 3",
+    )
     assert entry == {
         "latticePointsOK": True,
         "hstarOK": True,
-        **dict.fromkeys(pipeline.FAMILY_FLAGS + pipeline.TRIANGULATION_FLAGS, False),
-        "errors": ["generator 8 (eq5) z2*z4 - z2*z3 is not pi-balanced"],
+        **dict.fromkeys(pipeline.FAMILY_FLAGS, False),
+        **triangulated.flags,
+        "errors": list(triangulated.errors),
     }
 
 
@@ -184,8 +189,9 @@ def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
 def test_per_point_caches_are_bounded(cached):
     # every reuse falls inside one point, so one entry keeps every hit
     # and a sweep keeps only its last point; no command reads a family
-    # twice, so none is kept
-    if cached is toric.groebner_family:
+    # twice, and the family stage audits each family once, so neither
+    # is kept
+    if cached in (toric.groebner_family, toric.pi_balance_failures):
         assert not hasattr(cached, "cache_info")
     else:
         assert cached.cache_info().maxsize == 1

@@ -21,7 +21,6 @@ from wpsimplex import toric
 from wpsimplex.errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    InternalConsistency,
     InvalidPair,
 )
 from wpsimplex.toric import (
@@ -32,6 +31,7 @@ from wpsimplex.toric import (
     orientation_failures,
     pi_balance_failures,
 )
+from wpsimplex.pipeline import check_family, check_triangulation
 from wpsimplex.oracles import dense_generators, is_toric_member, pi_image, zsupport
 
 from conftest import SMALL_GRID, dense, dense_binomial, replacing, word
@@ -349,42 +349,50 @@ def test_mutate_tail_index_check(family21):
         mutate_tail(family21, 99)
 
 
-def test_construction_audit_names_the_unbalanced_generator(monkeypatch):
-    # an eq5 generator replaced by the excluded pair's binomial must stop
-    # the build with the generator's index, tag and text
+def _family_failure(family):
+    """What the family stage names in ``family``, triangulated first as
+    every command does."""
+    return check_family(family, check_triangulation(family)).failure
+
+
+def test_the_family_stage_names_an_unbalanced_generator(monkeypatch):
+    # the builder does not audit: an eq5 generator replaced by the
+    # excluded pair's binomial is built, and the family stage names it
     monkeypatch.setattr(
         toric, "_generators",
         replacing("eq5", lambda q, g: excluded_pair_binomial(q)),
     )
-    with pytest.raises(InternalConsistency) as info:
-        groebner_family(build_q(2, 1))
-    assert str(info.value) == "generator 8 (eq5) z2*z4 - z2*z3 is not pi-balanced"
+    family = groebner_family(build_q(2, 1))
+    assert binomial_text(family.generators[8], 2) == "z2*z4 - z2*z3"
+    assert _family_failure(family) == {"stage": "pi_balance", "generators": [8]}
 
 
-def test_construction_audit_rejects_an_inhomogeneous_generator(monkeypatch):
+def test_the_family_stage_rejects_an_inhomogeneous_generator(monkeypatch):
     # eq4 with its tail z5^2 cut to z5 stays lex-oriented but has degrees
     # 2 and 1; the last homogenized coordinate is the degree, so
     # pi-balance fails
     q = build_q(2, 1)
     skewed = Binomial(_mono(q, z4=1, y1=1), _mono(q, z5=1))
     monkeypatch.setattr(toric, "_generators", replacing("eq4", lambda q, g: skewed))
-    with pytest.raises(InternalConsistency) as info:
-        groebner_family(q)
-    assert str(info.value) == "generator 7 (eq4) z4*y1 - z5 is not pi-balanced"
+    family = groebner_family(q)
+    assert family.generators[7] == skewed
+    assert _family_failure(family) == {"stage": "pi_balance", "generators": [7]}
 
 
-def test_construction_audit_rejects_a_generator_with_lead_equal_to_tail(
+def test_the_family_stage_rejects_a_generator_with_lead_equal_to_tail(
     monkeypatch,
 ):
-    # lead == tail is trivially pi-balanced, but not lex-oriented
+    # lead == tail is trivially pi-balanced, but not lex-oriented; both
+    # eq2 generators at r1 = 2 are replaced, and the stage names each
     q = build_q(2, 1)
     square = _mono(q, z3=2)
     monkeypatch.setattr(
         toric, "_generators", replacing("eq2", lambda q, g: Binomial(square, square))
     )
-    with pytest.raises(InternalConsistency) as info:
-        groebner_family(q)
-    assert str(info.value) == "generator 3 (eq2) is not lex-oriented"
+    family = groebner_family(q)
+    assert family.tags[3:5] == ("eq2", "eq2")
+    assert family.generators[3:5] == (Binomial(square, square),) * 2
+    assert _family_failure(family) == {"stage": "orientation", "generators": [3, 4]}
 
 
 def _unbalanced_by_pi_image(family):
@@ -418,7 +426,6 @@ def test_the_family_holds_its_words_only():
     # pair with its companion, took it to 2.6 MiB
     q = build_q(100, 2)
     lattice_points_formula.cache_clear()
-    pi_balance_failures.cache_clear()
     tracemalloc.start()
     try:
         family = groebner_family(q)
