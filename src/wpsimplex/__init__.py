@@ -4,15 +4,12 @@ families, and regular unimodular triangulations."""
 
 from .errors import (
     BudgetExceeded,
-    DegenerateLift,
-    DimensionMismatch,
     IndexOutOfRange,
     InternalConsistency,
     InvalidPair,
     NonGraphSupport,
     NonPureComplex,
     ParameterOutOfRange,
-    PointOutsideSimplex,
     SingularFacet,
     WpsimplexError,
 )

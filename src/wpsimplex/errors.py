@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types of the command modules.  The three that only the
+oracles raise live in ``wpsimplex.oracles``."""
 
 
 class WpsimplexError(Exception):
@@ -15,14 +16,6 @@ class IndexOutOfRange(WpsimplexError, ValueError):
 
 class BudgetExceeded(WpsimplexError, RuntimeError):
     """An enumeration would exceed the configured work budget."""
-
-
-class PointOutsideSimplex(WpsimplexError, ValueError):
-    """A point violates one of the simplex's defining inequalities."""
-
-
-class DimensionMismatch(WpsimplexError, ValueError):
-    """Operands disagree on dimension or variable count."""
 
 
 class InvalidPair(WpsimplexError, ValueError):
@@ -43,7 +36,3 @@ class NonGraphSupport(WpsimplexError, RuntimeError):
 
 class SingularFacet(WpsimplexError, ValueError):
     """A candidate facet spans a degenerate (determinant zero) simplex."""
-
-
-class DegenerateLift(WpsimplexError, RuntimeError):
-    """Lifted heights are not generic: a point lies on a facet hyperplane."""

@@ -52,28 +52,16 @@ from itertools import groupby
 from math import comb
 from operator import itemgetter
 
-from .errors import BudgetExceeded
 from .ehrhart import ehrhart_value, hstar
-from .simplex import resolve_enum_budget
+from .simplex import charge
 from .toric import GroebnerFamily, _packed_columns
-
-
-def _check_budget(nvars: int, degree: int) -> None:
-    """Raise BudgetExceeded when the C(n + degree - 1, degree) monomials
-    of the degree exceed the enumeration budget."""
-    candidates = comb(nvars + degree - 1, degree)
-    limit = resolve_enum_budget()
-    if candidates > limit:
-        raise BudgetExceeded(
-            f"{candidates} degree-{degree} monomials exceed the budget {limit}"
-        )
 
 
 def _standard_images(family: GroebnerFamily, max_degree: int):
     """Yield, for each degree t = 1 .. max_degree, the packed
     pushforwards of the degree-t standard monomials, one per monomial in
     ``combinations_with_replacement`` order of its variables.  Each
-    degree is checked against the enumeration budget before it is built.
+    degree is charged its C(n + t - 1, t) monomials before it is built.
 
     Degree t >= 2 is joined from the standard words of degree t - 1,
     kept only while a next degree joins them.  Every standard w = c +
@@ -91,7 +79,8 @@ def _standard_images(family: GroebnerFamily, max_degree: int):
     packed = _packed_columns(family.columns, max_degree)
     leads = {g.lead for g in family.generators}
     for t in range(1, max_degree + 1):
-        _check_budget(n, t)
+        monomials = comb(n + t - 1, t)
+        charge(monomials, f"{monomials} degree-{t} monomials")
         if t == 1:
             # a constant lead divides every monomial
             layer = [(v,) for v in range(n) if () not in leads and (v,) not in leads]

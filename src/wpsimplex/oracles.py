@@ -29,6 +29,9 @@ at a point, the point count read off h*_1, a monomial's pushforward and
 the pi-balance of one binomial, and the z-support shapes of standard
 monomials.  No command calls them; the tests check the paper's lemmas
 with them.
+
+The exceptions that only the oracles raise, ``PointOutsideSimplex``,
+``DimensionMismatch`` and ``DegenerateLift``, are defined here.
 """
 
 from __future__ import annotations
@@ -36,26 +39,37 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement
+from math import comb
 from operator import mul
 from typing import NamedTuple
 
 from .ehrhart import hstar
 from .errors import (
-    DegenerateLift,
-    DimensionMismatch,
     InternalConsistency,
     ParameterOutOfRange,
-    PointOutsideSimplex,
     SingularFacet,
+    WpsimplexError,
 )
-from .groebner import _check_budget
-from .simplex import QVector, build_q, h_description
+from .simplex import QVector, build_q, charge, h_description
 from .toric import Binomial, GroebnerFamily
 from .triangulation import (
     _check_facet_size,
     _checked_volume,
     _eliminate,
 )
+
+
+class PointOutsideSimplex(WpsimplexError, ValueError):
+    """A point violates one of the simplex's defining inequalities."""
+
+
+class DimensionMismatch(WpsimplexError, ValueError):
+    """Operands disagree on dimension or variable count."""
+
+
+class DegenerateLift(WpsimplexError, RuntimeError):
+    """Lifted heights are not generic: a point lies on a facet hyperplane."""
+
 
 #: Hard cap on rewrite steps for a single monomial; hitting it means a
 #: mis-oriented generator, one the family stage's check (b) refuses.
@@ -195,7 +209,7 @@ def standard_monomials(family: GroebnerFamily, degree: int) -> list[tuple[int, .
     ``combinations_with_replacement`` order of their variables.
 
     The plain scan: the candidate count C(n + degree - 1, degree) is
-    checked against the enumeration budget up front, then every
+    charged against the enumeration budget up front, then every
     candidate is kept when ``_divisor`` finds no lead dividing it, with
     no use of the order-ideal join of ``groebner._standard_images``,
     which the tests hold against this scan.
@@ -203,7 +217,8 @@ def standard_monomials(family: GroebnerFamily, degree: int) -> list[tuple[int, .
     if degree < 0:
         raise ParameterOutOfRange(f"degree must be >= 0, got {degree}")
     n = family.nvars
-    _check_budget(n, degree)
+    monomials = comb(n + degree - 1, degree)
+    charge(monomials, f"{monomials} degree-{degree} monomials")
     prepared = _prepared(family)
     out = []
     for combo in combinations_with_replacement(range(n), degree):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, WpsimplexError
@@ -49,34 +49,10 @@ DEFAULT_GRID_R1 = (2, 6)
 DEFAULT_GRID_X1 = (1, 5)
 
 FAMILY_FLAGS = ("gbConstructed", "buchbergerPass", "squarefree", "injectivityPass")
-TRIANGULATION_FLAGS = ("triangulationUnimodular", "regularCertified")
 TIMINGS = ("points_ms", "hstar_ms", "gb_ms", "triangulate_ms")
 
 #: Keys of a per-point entry that are not certificate flags.
 _NOT_FLAGS = ("timings", "skipped", "errors")
-
-
-class _EmptyMapping(Mapping):
-    """The default ``report`` and ``skipped`` of a ``Stage``.  Every such
-    stage shares one instance, so it is read-only; unlike an empty
-    ``types.MappingProxyType`` it pickles."""
-
-    __slots__ = ()
-
-    def __getitem__(self, key):
-        raise KeyError(key)
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def __repr__(self) -> str:
-        return "_EmptyMapping()"
-
-
-_NOTHING = _EmptyMapping()
 
 
 def grid_points(
@@ -105,13 +81,12 @@ class Stage(NamedTuple):
     ``skipped`` maps each check skipped over budget to the budget
     message; ``failure`` names the check that failed, as ``gb verify``
     prints it; ``errors`` holds the messages of exceptions the stage
-    caught.  ``report`` and ``skipped`` default to an empty read-only
-    mapping.
+    caught.  ``report`` and ``skipped`` default to None, read as empty.
     """
 
     flags: dict[str, bool | None]
-    report: Mapping = _NOTHING
-    skipped: Mapping[str, str] = _NOTHING
+    report: dict | None = None
+    skipped: dict[str, str] | None = None
     failure: dict | None = None
     errors: tuple[str, ...] = ()
 
@@ -156,7 +131,7 @@ def check_hstar(q: QVector) -> Stage:
             skipped[f"dilation_t{t}"] = str(exc)
     return Stage(
         {"hstarOK": None if ok and skipped else ok},
-        report={"hstar": h.to_json_list(), "dilations_checked": checked},
+        report={"dilations_checked": checked},
         skipped=skipped,
     )
 
@@ -213,7 +188,7 @@ def check_family(
         dict(zip(FAMILY_FLAGS, (True, certified, squarefree, injective))),
         report={
             "num_generators": len(family.generators),
-            "num_facets": triangulation.report.get("num_facets"),
+            "num_facets": (triangulation.report or {}).get("num_facets"),
             "squarefree": squarefree,
             "injectivity_max_degree": max_degree,
         },
@@ -281,7 +256,7 @@ def evaluate_point(r1: int, x1: int, max_degree: int = 3) -> dict:
     entry: dict = {k: v for stage in stages for k, v in stage.flags.items()}
     entry["timings"] = {k: int(s * 1000) for k, s in seconds.items()}
     for key in ("skipped", "errors"):
-        found = [item for stage in stages for item in getattr(stage, key)]
+        found = [item for stage in stages for item in getattr(stage, key) or ()]
         if found:
             entry[key] = found
     return entry

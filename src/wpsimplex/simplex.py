@@ -19,9 +19,11 @@ exact: plain Python integers throughout, so overflow cannot occur.
 
 The enumeration budget has one source, the environment variable
 ``WPSIMPLEX_ENUM_BUDGET``, read on every call by ``resolve_enum_budget``;
-no function takes a budget argument.  The facet functionals' values and
-tightness profiles at a point, lemma checks for the tests, live in
-``wpsimplex.oracles``.
+no function takes a budget argument.  Work counted before it runs is
+charged against it by ``charge``; the slice walk, whose total is known
+only as it walks, keeps its own running count.  The facet functionals'
+values and tightness profiles at a point, lemma checks for the tests,
+live in ``wpsimplex.oracles``.
 """
 
 from __future__ import annotations
@@ -62,6 +64,14 @@ def resolve_enum_budget() -> int:
             f"non-negative integer, got {source!r}"
         )
     return value
+
+
+def charge(steps: int, what: str) -> None:
+    """Raise BudgetExceeded when ``steps``, counted before the work runs,
+    exceed the enumeration budget; ``what`` names them in the message."""
+    limit = resolve_enum_budget()
+    if steps > limit:
+        raise BudgetExceeded(f"{what} exceed the budget {limit}")
 
 
 class QVector(NamedTuple):

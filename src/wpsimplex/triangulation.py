@@ -76,14 +76,13 @@ from operator import add, mul, not_
 from typing import NamedTuple
 
 from .errors import (
-    BudgetExceeded,
     IndexOutOfRange,
     NonGraphSupport,
     NonPureComplex,
     ParameterOutOfRange,
     SingularFacet,
 )
-from .simplex import QVector, resolve_enum_budget
+from .simplex import QVector, charge
 from .toric import GroebnerFamily
 
 
@@ -240,12 +239,8 @@ def initial_complex(
     any other size raises NonPureComplex.
     """
     faces = _lead_faces(leads, n, dim)
-    count, limit = sum(map(_face_size, faces)), resolve_enum_budget()
-    if count * dim > limit:
-        raise BudgetExceeded(
-            f"{count} facets of {dim} columns ({count * dim} entries) "
-            f"exceed the budget {limit}"
-        )
+    count = sum(map(_face_size, faces))
+    charge(count * dim, f"{count} facets of {dim} columns ({count * dim} entries)")
     return tuple(sorted(chain.from_iterable(map(_members, faces))))
 
 

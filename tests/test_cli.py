@@ -24,7 +24,7 @@ from wpsimplex.oracles import dense_generators
 from wpsimplex.toric import mutate_tail
 from wpsimplex.pipeline import Stage, evaluate_point, point_flags, verdict
 
-from conftest import SMALL_GRID, replacing, without
+from conftest import SMALL_GRID, in_order, replacing, without
 
 
 def run(capsys, *argv):
@@ -266,6 +266,82 @@ def test_gb_verify_sabotage_fails_without_a_budget(capsys, monkeypatch):
     assert payload["failure"] == {"stage": "pi_balance", "generators": [0]}
 
 
+@pytest.fixture
+def built_as(monkeypatch):
+    """Set ``cli.groebner_family`` to build the family and pass it
+    through ``change``: a defect injected where no switch reaches."""
+    build = cli.groebner_family
+
+    def set_change(change):
+        monkeypatch.setattr(cli, "groebner_family", lambda q: change(build(q)))
+    return set_change
+
+
+def _reversed(k):
+    """Swap generator k's lead and tail: still balanced, mis-oriented."""
+    def change(family):
+        g = family.generators[k]
+        generators = list(family.generators)
+        generators[k] = Binomial(g.tail, g.lead)
+        return family._replace(generators=tuple(generators))
+    return change
+
+
+def _failing(monkeypatch, *checks):
+    for name in checks:
+        monkeypatch.setattr(pipeline, name, lambda *args, **kwargs: False)
+
+
+def _gb_verify_failure(capsys, *point):
+    code = cli.main(["gb", "verify", *point])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    payload = json.loads(captured.out)
+    assert payload["pass"] is False
+    return payload["failure"]
+
+
+@pytest.mark.parametrize("point, change, failing, failure", [
+    (("3", "2"), _reversed(3), (), {"stage": "orientation", "generators": [3]}),
+    # generator 6 deleted at (2,3) passes every S-pair and the smoke
+    # test; its complex is not pure
+    (("2", "3"), lambda family: without(family, 6), (), {
+        "stage": "triangulation",
+        "detail": "maximal face (1, 7, 8, 9) has 4 vertices, expected 5",
+    }),
+    # no balanced family fails these two checks alone, so each is made
+    # to fail
+    (("3", "2"), None, ("_minimal_leads_squarefree",), {"stage": "squarefree"}),
+    (("3", "2"), None, ("injectivity_check",), {"stage": "injectivity"}),
+], ids=["orientation", "triangulation", "squarefree", "injectivity"])
+def test_gb_verify_names_each_documented_failure(
+    capsys, monkeypatch, built_as, point, change, failing, failure
+):
+    if change:
+        built_as(change)
+    _failing(monkeypatch, *failing)
+    assert _gb_verify_failure(capsys, *point) == failure
+
+
+def test_gb_verify_failure_precedence(capsys, monkeypatch, built_as):
+    # orientation, then triangulation, then squarefree, then injectivity:
+    # the defects accumulate, and the earliest failed check is named
+    _failing(monkeypatch, "injectivity_check")
+    assert _gb_verify_failure(capsys, "3", "2") == {"stage": "injectivity"}
+    _failing(monkeypatch, "_minimal_leads_squarefree")
+    assert _gb_verify_failure(capsys, "3", "2") == {"stage": "squarefree"}
+    built_as(lambda family: without(family, 6))
+    assert _gb_verify_failure(capsys, "2", "3")["stage"] == "triangulation"
+    # the reversed generator's complex is refused too
+    change = _reversed(3)
+    refused = pipeline.check_triangulation(change(groebner_family(build_q(3, 2))))
+    assert refused.verdict is False
+    built_as(change)
+    assert _gb_verify_failure(capsys, "3", "2") == {
+        "stage": "orientation", "generators": [3]
+    }
+
+
 def test_triangulate(capsys):
     code, payload = run_json(capsys, "triangulate", "2", "1")
     assert code == 0
@@ -312,6 +388,33 @@ def test_triangulate_drop_facet(capsys):
 
 def test_triangulate_drop_facet_bad_index(capsys):
     assert cli.main(["triangulate", "2", "1", "--drop-facet", "17"]) == 1
+
+
+def test_triangulate_reports_a_cell_that_is_not_lower(capsys, built_as):
+    # the same complex read under another column order: unimodular
+    # facets summing to N, one of them not a lower cell of the lex lift
+    built_as(lambda family: in_order(family, [7, 4, 2, 5, 0, 1, 3, 6]))
+    code = cli.main(["triangulate", "2", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    payload = json.loads(captured.out)
+    assert payload["all_unimodular"] is True
+    assert payload["volume_sum"] == 10
+    assert payload["regular_certified"] is False
+    assert payload["pass"] is False
+
+
+def test_triangulate_reports_a_refused_complex(capsys, built_as):
+    built_as(lambda family: without(family, 0))
+    code = cli.main(["triangulate", "2", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert json.loads(captured.out) == {
+        "schema": 1,
+        "params": {"r1": 2, "x1": 1},
+        "pass": False,
+        "failure": "maximal face (1, 2, 3, 4) has 4 vertices, expected 3",
+    }
 
 
 def test_sweep(capsys):

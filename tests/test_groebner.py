@@ -13,9 +13,10 @@ from wpsimplex import (
     injectivity_check,
     monomial_text,
 )
-from wpsimplex.errors import BudgetExceeded, DimensionMismatch
+from wpsimplex.errors import BudgetExceeded
 from wpsimplex.groebner import _standard_images
 from wpsimplex.oracles import (
+    DimensionMismatch,
     SupportCase,
     buchberger_verify,
     dense_generators,

@@ -78,10 +78,7 @@ def test_records_survive_a_pickle_round_trip(record):
 
 
 def test_default_stages_share_no_writable_dict():
-    first, second = Stage({}), Stage({})
-    for name in ("report", "skipped"):
-        try:
-            getattr(first, name)["key"] = "value"
-        except TypeError:
-            pass
-        assert dict(getattr(second, name)) == {}
+    # a default report or skip list is None, so there is no shared
+    # object to write through, and its readers take None as empty
+    stage = Stage({})
+    assert stage.report is None and stage.skipped is None

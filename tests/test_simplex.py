@@ -13,9 +13,8 @@ from wpsimplex.errors import (
     BudgetExceeded,
     InternalConsistency,
     ParameterOutOfRange,
-    PointOutsideSimplex,
 )
-from wpsimplex.oracles import facet_volume, tightness_profile
+from wpsimplex.oracles import PointOutsideSimplex, facet_volume, tightness_profile
 
 from conftest import SMALL_GRID
 

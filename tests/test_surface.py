@@ -3,13 +3,16 @@ the environment variable, the paper's lemma checks live with the
 oracles, which no command imports, the facet walk reads its lower cells
 without a factorization of the configuration, an inverse carried from
 one facet to the next, a second lower-cell test or a weight vector, one
-function reads a triangulation, the certificate reads the leads without
-listing the minimal ones, check (b) is read in the family only, the
-family stage is the one entry point to check (a), the dilations are
-walked slice by slice with no cache, and a monomial is its word on the
-command path, with the oracles converting the family at their entry."""
+function reads a triangulation, one meter charges the work counted
+before it runs, the exceptions only the oracles raise live with them,
+the certificate reads the leads without listing the minimal ones, check
+(b) is read in the family only, the family stage is the one entry point
+to check (a), the dilations are walked slice by slice with no cache, and
+a monomial is its word on the command path, with the oracles converting
+the family at their entry."""
 
 import inspect
+import re
 
 import pytest
 
@@ -17,6 +20,7 @@ import wpsimplex
 from wpsimplex import (
     cli,
     ehrhart,
+    errors,
     groebner,
     oracles,
     pipeline,
@@ -65,6 +69,49 @@ def test_budget_is_read_from_the_environment_on_every_call(monkeypatch):
     assert simplex.resolve_enum_budget() == simplex.DEFAULT_ENUM_BUDGET
     monkeypatch.delenv(simplex.ENUM_BUDGET_ENV)
     assert simplex.resolve_enum_budget() == simplex.DEFAULT_ENUM_BUDGET
+
+
+def test_one_budget_meter():
+    # work counted before it runs is charged by simplex.charge; only the
+    # slice walk, whose total is known as it walks, keeps its own count
+    raises = {
+        module.__name__: inspect.getsource(module).count("raise BudgetExceeded")
+        for module in (*COMMAND_MODULES, oracles)
+    }
+    assert raises == {**dict.fromkeys(raises, 0), simplex.__name__: 2}
+    for meter in (simplex.charge, simplex._dilation_slices):
+        assert inspect.getsource(meter).count("raise BudgetExceeded") == 1
+
+
+def test_the_pipeline_keeps_no_unread_name():
+    # the triangulation flags are read off its stage, and hstar prints
+    # its own h*, so the h* stage reports only the dilations it checked
+    for name in ("TRIANGULATION_FLAGS", "_EmptyMapping", "_NOTHING"):
+        assert not hasattr(pipeline, name), name
+    assert pipeline.check_hstar(simplex.build_q(2, 1)).report == {
+        "dilations_checked": [1, 2]
+    }
+
+
+#: The exceptions that only the oracles raise.
+ORACLE_ERRORS = ("DegenerateLift", "DimensionMismatch", "PointOutsideSimplex")
+
+
+def test_the_oracles_exceptions_live_with_the_oracles():
+    # every exception class of the command modules is raised by one of
+    # them; the three that only the oracles raise are defined there
+    command_source = "".join(map(inspect.getsource, COMMAND_MODULES))
+    for module in (*COMMAND_MODULES, errors):
+        for name, value in _callables(module):
+            if (isinstance(value, type) and issubclass(value, Exception)
+                    and value is not errors.WpsimplexError):
+                assert re.search(rf"raise {name}\b", command_source), name
+    oracle_source = inspect.getsource(oracles)
+    for name in ORACLE_ERRORS:
+        assert getattr(oracles, name).__module__ == oracles.__name__
+        assert f"raise {name}(" in oracle_source, name
+        for module in (wpsimplex, errors, *COMMAND_MODULES):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 @pytest.mark.parametrize("name", MOVED)
@@ -123,8 +170,8 @@ def test_plain_facet_enumeration_is_the_reference_only():
 
 def test_the_smoke_test_join_has_one_caller_and_the_oracle_scans():
     # the join yields only what injectivity_check reads; the oracle of
-    # the standard monomials scans, sharing with groebner only the
-    # budget check
+    # the standard monomials scans, taking nothing from groebner: both
+    # are charged through the one budget meter, simplex.charge
     assert not hasattr(groebner, "_order_ideal")
     assert callable(groebner._standard_images)
     for module in (*COMMAND_MODULES, oracles):
@@ -135,8 +182,10 @@ def test_the_smoke_test_join_has_one_caller_and_the_oracle_scans():
         for name, value in vars(oracles).items()
         if getattr(value, "__module__", None) == groebner.__name__
     }
-    assert taken == {"_check_budget"}
+    assert taken == set()
     assert groebner not in vars(oracles).values()
+    assert not hasattr(groebner, "_check_budget")
+    assert oracles.charge is groebner.charge is simplex.charge
 
 
 def test_what_the_oracles_share_with_the_walk_module():

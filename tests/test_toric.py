@@ -18,11 +18,7 @@ from wpsimplex import (
     monomial_text,
 )
 from wpsimplex import toric
-from wpsimplex.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidPair,
-)
+from wpsimplex.errors import IndexOutOfRange, InvalidPair
 from wpsimplex.toric import (
     excluded_pair,
     exponents,
@@ -32,7 +28,9 @@ from wpsimplex.toric import (
     pi_balance_failures,
 )
 from wpsimplex.pipeline import check_family, check_triangulation
-from wpsimplex.oracles import dense_generators, is_toric_member, pi_image, zsupport
+from wpsimplex.oracles import (
+    DimensionMismatch, dense_generators, is_toric_member, pi_image, zsupport
+)
 
 from conftest import SMALL_GRID, dense, dense_binomial, replacing, word
 

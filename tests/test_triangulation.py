@@ -15,8 +15,6 @@ from wpsimplex import (
 )
 from wpsimplex.errors import (
     BudgetExceeded,
-    DegenerateLift,
-    DimensionMismatch,
     IndexOutOfRange,
     NonGraphSupport,
     NonPureComplex,
@@ -24,6 +22,8 @@ from wpsimplex.errors import (
     SingularFacet,
 )
 from wpsimplex.oracles import (
+    DegenerateLift,
+    DimensionMismatch,
     _maximal_faces,
     dense_generators,
     facet_volume,
