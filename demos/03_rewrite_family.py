@@ -19,14 +19,15 @@ from wpsimplex import (
     monomial_text,
 )
 from wpsimplex.oracles import buchberger_verify, normal_form, standard_monomials
-from wpsimplex.toric import exponents
+from wpsimplex.toric import exponents, tagged_generators
 from wpsimplex.pipeline import check_family, check_triangulation
 
 q = build_q(3, 2)
 family = groebner_family(q)
 print(f"q = {q.entries}: {len(family.generators)} generators over "
       f"{family.nvars} variables\n")
-for tag, g in zip(family.tags, family.generators):
+# the family holds the binomials; the builder names each one's group
+for tag, g in tagged_generators(q):
     print(f"  [{tag:>7}] {binomial_text(g, q.r1)}")
 
 print("\npair set with companions:")

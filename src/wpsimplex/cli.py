@@ -35,6 +35,7 @@ from .errors import (
     WpsimplexError,
 )
 from .ehrhart import hstar
+from .groebner import DEFAULT_MAX_DEGREE
 from .pipeline import (
     DEFAULT_GRID_R1,
     DEFAULT_GRID_X1,
@@ -50,7 +51,8 @@ from .pipeline import (
 )
 from .simplex import build_q, lattice_points_formula, resolve_enum_budget
 from .toric import (
-    binomial_text, exponents, groebner_family, include_excluded_pair, mutate_tail
+    binomial_text, exponents, groebner_family, include_excluded_pair, mutate_tail,
+    tagged_generators,
 )
 from .triangulation import drop_facet, family_facets
 
@@ -90,13 +92,14 @@ def _probe(path: str) -> None:
 def _emit(payload: dict | str, path: str | None, code: int = EXIT_PASS) -> int:
     """Print the payload, as JSON unless it is already text, or write it
     to ``path``; return ``code``, or 1 when the file or stdout cannot be
-    written.  A reader that closed stdout leaves it pointed at the null
-    device, so the flush at exit stays silent."""
+    written.  A stdout that cannot be written, because its reader closed
+    it or its device is full, is left pointed at the null device, so the
+    flush at exit stays silent."""
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if path is None:
         try:
             print(text, flush=True)
-        except BrokenPipeError as exc:
+        except OSError as exc:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
@@ -120,16 +123,22 @@ def _conclude(payload: dict, stage: Stage, json_path: str | None) -> int:
 
 
 def _parse_range(spec: str) -> tuple[int, int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return int(lo), int(hi)
-    value = int(spec)
-    return value, value
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return int(lo), int(hi)
+        value = int(spec)
+        return value, value
+    except ValueError as exc:
+        raise ParameterOutOfRange(f"bad range: {exc}") from None
 
 
 def cmd_points(args) -> int:
     q = build_q(args.r1, args.x1)
-    payload = {"schema": 1, **lattice_points_formula(q).to_json_dict()}
+    config = lattice_points_formula(q)
+    columns = [{"label": label, "coords": list(col)}
+               for label, col in zip(config.labels, config.columns)]
+    payload = {"schema": 1, "r1": q.r1, "x1": q.x1, "d": q.d, "columns": columns}
     if not args.verify:
         return _emit(payload, args.json)
     stage = check_points(q)
@@ -142,7 +151,7 @@ def cmd_hstar(args) -> int:
     payload = {
         "schema": 1,
         "params": {"r1": q.r1, "x1": q.x1},
-        "hstar": hstar(q).to_json_list(),
+        "hstar": list(hstar(q).coeffs),
     }
     if not args.verify:
         return _emit(payload, args.json)
@@ -154,23 +163,24 @@ def cmd_hstar(args) -> int:
 
 def cmd_gb_dump(args) -> int:
     q = build_q(args.r1, args.x1)
-    family = groebner_family(q)
+    n = len(lattice_points_formula(q).columns)
+    tagged = tuple(tagged_generators(q))
     payload = {
         "schema": 1,
         "params": {"r1": q.r1, "x1": q.x1},
-        "num_generators": len(family.generators),
+        "num_generators": len(tagged),
         "generators": [
             {
                 "tag": tag,
                 "text": binomial_text(g, q.r1),
-                "lead": exponents(g.lead, family.nvars),
-                "tail": exponents(g.tail, family.nvars),
+                "lead": exponents(g.lead, n),
+                "tail": exponents(g.tail, n),
             }
-            for g, tag in zip(family.generators, family.tags)
+            for tag, g in tagged
         ],
         "b_pairs": [
             {"pair": [v + 1 for v in g.lead], "companion": [v + 1 for v in g.tail]}
-            for g, tag in zip(family.generators, family.tags)
+            for tag, g in tagged
             if tag == "eq1"
         ],
     }
@@ -234,21 +244,14 @@ def cmd_triangulate(args) -> int:
 def cmd_sweep(args) -> int:
     _at_least(args.max_degree, 0, "--max-degree")
     _at_least(args.jobs, 1, "--jobs")
-    try:
-        grid = grid_points(_parse_range(args.r1), _parse_range(args.x1))
-    except ValueError as exc:
-        print(f"error: bad range: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    grid = grid_points(_parse_range(args.r1), _parse_range(args.x1))
     if not grid:
-        print("error: empty sweep grid", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParameterOutOfRange("empty sweep grid")
     for r1, x1 in grid:
         if r1 < 2 or x1 < 1:
-            print(
-                f"error: grid point ({r1}, {x1}) outside r1 >= 2, x1 >= 1",
-                file=sys.stderr,
+            raise ParameterOutOfRange(
+                f"grid point ({r1}, {x1}) outside r1 >= 2, x1 >= 1"
             )
-            return EXIT_USAGE
 
     t0 = time.perf_counter()
     r1s, x1s = zip(*grid)
@@ -316,7 +319,9 @@ _POINT = (_Option("r1", "r1 >= 2", int, None), _Option("x1", "x1 >= 1", int, Non
 _JSON = _Option("--json", "write the output to FILE instead of stdout",
                 str, None, "FILE")
 _MAX_DEGREE = _Option(
-    "--max-degree", "completeness smoke-test degree bound, >= 0 (default 3)", int, 3)
+    "--max-degree",
+    f"completeness smoke-test degree bound, >= 0 (default {DEFAULT_MAX_DEGREE})",
+    int, DEFAULT_MAX_DEGREE)
 _R1, _X1 = ("{}..{}".format(*bounds) for bounds in (DEFAULT_GRID_R1, DEFAULT_GRID_X1))
 
 #: The subcommands in --help order: (words, help, positionals, options).

@@ -37,9 +37,6 @@ class HStarVector(NamedTuple):
                 return False
         return True
 
-    def to_json_list(self) -> list[int]:
-        return list(self.coeffs)
-
 
 def weight(q: QVector, b: int) -> int:
     """The residue weight b - x1*floor(b/(1+x1*r1)) - (r1-1)*floor(b/r1).

@@ -56,6 +56,9 @@ from .ehrhart import ehrhart_value, hstar
 from .simplex import charge
 from .toric import GroebnerFamily, _packed_columns
 
+#: The smoke test's degree bound, unless a caller names another.
+DEFAULT_MAX_DEGREE = 3
+
 
 def _standard_images(family: GroebnerFamily, max_degree: int):
     """Yield, for each degree t = 1 .. max_degree, the packed
@@ -114,7 +117,9 @@ def _standard_images(family: GroebnerFamily, max_degree: int):
         yield images
 
 
-def injectivity_check(family: GroebnerFamily, max_degree: int = 3) -> bool:
+def injectivity_check(
+    family: GroebnerFamily, max_degree: int = DEFAULT_MAX_DEGREE
+) -> bool:
     """Bounded-degree completeness check.
 
     For every degree t <= max_degree the standard monomials must have

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, WpsimplexError
 from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
-from .groebner import injectivity_check
+from .groebner import DEFAULT_MAX_DEGREE, injectivity_check
 from .simplex import QVector, build_q, lattice_points_bruteforce, lattice_points_formula
 from .toric import (
     GroebnerFamily, groebner_family, orientation_failures, pi_balance_failures
@@ -148,7 +148,7 @@ def _minimal_leads_squarefree(leads: Sequence[tuple[int, ...]]) -> bool:
 
 
 def check_family(
-    family: GroebnerFamily, triangulation: Stage, max_degree: int = 3
+    family: GroebnerFamily, triangulation: Stage, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> Stage:
     """Pi-balance and lex orientation of every generator, squarefree
     minimal leads, and ``triangulation``, the triangulation stage of the
@@ -204,22 +204,21 @@ def check_triangulation(
     lex lift, as ``summarize_triangulation`` reads them: by default the
     family's initial complex, certified face by face without listing its
     facets, else the given facets, each walked on its own."""
-    flags: dict[str, bool | None] = {}
     try:
         summary = summarize_triangulation(family, facets)
-        flags["triangulationUnimodular"] = verify_unimodular(summary, family.q)
-        flags["regularCertified"] = summary.regular
+        unimodular = verify_unimodular(summary, family.q)
     except WpsimplexError as exc:
-        flags.setdefault("triangulationUnimodular", False)
-        flags["regularCertified"] = False
-        return Stage(flags, errors=(str(exc),))
+        return Stage(
+            {"triangulationUnimodular": False, "regularCertified": False},
+            errors=(str(exc),),
+        )
     return Stage(
-        flags,
+        {"triangulationUnimodular": unimodular, "regularCertified": summary.regular},
         report={
             "num_facets": summary.num_facets,
             "all_unimodular": summary.all_unimodular,
             "volume_sum": summary.volume_sum,
-            "regular_certified": flags["regularCertified"],
+            "regular_certified": summary.regular,
         },
     )
 
@@ -229,7 +228,7 @@ def point_flags(entry: dict) -> dict[str, bool | None]:
     return {k: v for k, v in entry.items() if k not in _NOT_FLAGS}
 
 
-def evaluate_point(r1: int, x1: int, max_degree: int = 3) -> dict:
+def evaluate_point(r1: int, x1: int, max_degree: int = DEFAULT_MAX_DEGREE) -> dict:
     """Run every stage at (r1, x1) and return the sweep's per-point
     entry: the flags and timings in stage order, and the skipped checks
     and caught errors when there are any.  The triangulation stage runs

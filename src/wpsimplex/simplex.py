@@ -107,17 +107,6 @@ class PointConfiguration(NamedTuple):
         """Each column extended by a final coordinate 1."""
         return tuple(col + (1,) for col in self.columns)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "r1": self.q.r1,
-            "x1": self.q.x1,
-            "d": self.q.d,
-            "columns": [
-                {"label": lab, "coords": list(col)}
-                for lab, col in zip(self.labels, self.columns)
-            ],
-        }
-
 
 def build_q(r1: int, x1: int) -> QVector:
     """Build the weight vector for parameters (r1, x1).

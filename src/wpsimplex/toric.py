@@ -33,8 +33,9 @@ The rewrite family consists of five groups:
 The pair set B excludes the single pair (r1, r1+2): the companion rule
 would emit z_{r1} z_{r1+2} - z_{r1} z_{r1+1}, which is not pi-balanced.
 That pair is kept available separately so the failure stays pinned by a
-regression test.  ``_generators`` writes each group's words straight
-from this table; the audits read the words, never the formulas.
+regression test.  ``tagged_generators`` writes each group's words
+straight from this table, each beside its group's tag, the one record
+of provenance; the audits read the words, never the formulas.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def _quadric(pair, comp) -> Binomial:
     return Binomial((i - 1, j - 1), (k - 1, l - 1))
 
 
-def _generators(q: QVector):
+def tagged_generators(q: QVector):
     """The family's (tag, generator) pairs in order.  z_i is index i - 1,
     y_1..y_{r1-1} are Y1 and y_{r1}..y_d are Y2, tuples whose index
     objects the words share; every word is ascending as written."""
@@ -200,18 +201,18 @@ def _generators(q: QVector):
 # -- the assembled family -------------------------------------------------------
 
 class GroebnerFamily(NamedTuple):
-    """The full rewrite family for one parameter point, with provenance.
+    """The full rewrite family for one parameter point.
 
-    ``tags[i]`` records which group generator i came from.  An eq1
-    generator's words are its pair (i, j) in B and its companion (k, l),
-    each index less one.  The family stage, not the builder, audits
-    that generators are pi-balanced and lex-oriented (lead > tail).
+    ``tagged_generators``, not the family, names the group each
+    generator came from.  An eq1 generator's words are its pair (i, j)
+    in B and its companion (k, l), each index less one.  The family
+    stage, not the builder, audits that generators are pi-balanced and
+    lex-oriented (lead > tail).
     """
 
     q: QVector
     columns: tuple[tuple[int, ...], ...]
     generators: tuple[Binomial, ...]
-    tags: tuple[str, ...]
 
     @property
     def nvars(self) -> int:
@@ -250,12 +251,10 @@ def groebner_family(q: QVector) -> GroebnerFamily:
     """Construct the family, unaudited: the family stage audits it.
     Nothing is kept: a command builds one family per point and passes
     it along."""
-    tags, gens = zip(*_generators(q))
     return GroebnerFamily(
         q=q,
         columns=lattice_points_formula(q).homogenized,
-        generators=gens,
-        tags=tags,
+        generators=tuple(g for _, g in tagged_generators(q)),
     )
 
 
@@ -279,7 +278,4 @@ def mutate_tail(family: GroebnerFamily, index: int) -> GroebnerFamily:
 def include_excluded_pair(family: GroebnerFamily) -> GroebnerFamily:
     """Sabotage hook: append the excluded pair's literal binomial."""
     bad = excluded_pair_binomial(family.q)
-    return family._replace(
-        generators=family.generators + (bad,),
-        tags=family.tags + ("eq1",),
-    )
+    return family._replace(generators=family.generators + (bad,))

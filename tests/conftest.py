@@ -37,16 +37,22 @@ def family21():
 def without(family, k):
     """The family with generator k deleted."""
     return family._replace(
-        generators=family.generators[:k] + family.generators[k + 1:],
-        tags=family.tags[:k] + family.tags[k + 1:],
+        generators=family.generators[:k] + family.generators[k + 1:]
     )
 
 
+def tags(q):
+    """The group tag of each generator of the family at ``q``, in order,
+    as its builder writes them."""
+    return tuple(tag for tag, _ in toric.tagged_generators(q))
+
+
 def replacing(tag, make):
-    """A stand-in for ``toric._generators`` that writes ``make(q, g)``
-    for each generator g of group ``tag`` and the rest as they are, to
-    be set with monkeypatch: a defect injected into the build."""
-    build = toric._generators
+    """A stand-in for ``toric.tagged_generators`` that writes
+    ``make(q, g)`` for each generator g of group ``tag`` and the rest as
+    they are, to be set with monkeypatch: a defect injected into the
+    build."""
+    build = toric.tagged_generators
 
     def generators(q):
         for t, g in build(q):

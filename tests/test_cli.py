@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import re
@@ -24,7 +25,7 @@ from wpsimplex.oracles import dense_generators
 from wpsimplex.toric import mutate_tail
 from wpsimplex.pipeline import Stage, evaluate_point, point_flags, verdict
 
-from conftest import SMALL_GRID, in_order, replacing, without
+from conftest import SMALL_GRID, in_order, replacing, tags, without
 
 
 def run(capsys, *argv):
@@ -529,6 +530,31 @@ def test_sweep_bad_grid_point(capsys):
     assert cli.main(["sweep", "--r1", "1..2", "--x1", "1..1"]) == 1
 
 
+#: Grid refusals, each its options and its one line on stderr: an empty
+#: grid, a point outside the family and a range with no upper end.
+_GRID_REFUSALS = [
+    (["--r1", "3..2"], "error: empty sweep grid\n"),
+    (["--r1", "1..3", "--x1", "1"],
+     "error: grid point (1, 1) outside r1 >= 2, x1 >= 1\n"),
+    (["--r1", "5..", "--x1", "1"],
+     "error: bad range: invalid literal for int() with base 10: ''\n"),
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("options, err", _GRID_REFUSALS,
+                         ids=[" ".join(o) for o, _ in _GRID_REFUSALS])
+def test_sweep_refuses_a_bad_grid_before_any_pool_starts(
+    capsys, monkeypatch, in_process_pool, options, err, jobs
+):
+    # the refusal is raised and printed by main as every command's is,
+    # before the sweep asks for a worker
+    _usable_cpus(monkeypatch, 2)
+    code = cli.main(["sweep", *options, "--jobs", jobs])
+    assert (code, *capsys.readouterr()) == (1, "", err)
+    assert in_process_pool.requested == []
+
+
 def test_sweep_json_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code = cli.main(
@@ -720,6 +746,48 @@ def test_closed_stdout_is_one_error_line_not_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert stderr == "error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_is_one_error_line_not_a_traceback():
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wpsimplex", "points", "2", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+class _FullStdout:
+    """A stdout on a device with no space left: every write fails."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def flush(self):
+        pass
+
+
+def test_a_full_stdout_is_refused_and_left_on_the_null_device(
+    capsys, monkeypatch, tmp_path
+):
+    # the in-process twin of the /dev/full run: one error line, exit 1,
+    # and the stdout descriptor now writes to the null device
+    with open(tmp_path / "out", "w") as out:
+        monkeypatch.setattr(sys, "stdout", _FullStdout(out.fileno()))
+        assert cli.main(["points", "2", "1"]) == 1
+        assert os.path.samestat(os.fstat(out.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == (
+        "error: cannot write stdout: No space left on device\n"
+    )
 
 
 _STARTUP_PROBE = """
@@ -1082,7 +1150,7 @@ def test_gb_verify_reports_a_failed_family_build(capsys, monkeypatch):
     # an eq5 generator replaced by the excluded pair's binomial is built
     # unaudited, and the family stage names it
     monkeypatch.setattr(
-        toric, "_generators",
+        toric, "tagged_generators",
         replacing("eq5", lambda q, g: wpsimplex.excluded_pair_binomial(q)),
     )
     code = cli.main(["gb", "verify", "2", "1"])
@@ -1115,12 +1183,12 @@ def test_a_defect_reads_the_same_built_in_or_swapped_in(capsys, monkeypatch, tag
         family = groebner_family(q)
         return family._replace(generators=tuple(
             make(q, g) if t == tag else g
-            for t, g in zip(family.tags, family.generators)
+            for t, g in zip(tags(q), family.generators)
         ))
 
     runs = []
     for target, name, stand_in in (
-        (toric, "_generators", replacing(tag, make)),
+        (toric, "tagged_generators", replacing(tag, make)),
         (cli, "groebner_family", swapped),
     ):
         with monkeypatch.context() as patch:

@@ -30,7 +30,7 @@ from wpsimplex.oracles import (
 from wpsimplex.pipeline import check_family, check_triangulation
 
 from conftest import (
-    SMALL_GRID, dense_binomial, scanned_injectivity, without, word
+    SMALL_GRID, dense_binomial, scanned_injectivity, tags, without, word
 )
 
 
@@ -154,8 +154,8 @@ def test_confluence_spot_check(family21):
 
 def test_s_polynomial_example(family21):
     by_text = {
-        (family21.tags[i], monomial_text(g.lead, 2)): g
-        for i, g in enumerate(family21.generators)
+        (tag, monomial_text(g.lead, 2)): g
+        for tag, g in zip(tags(family21.q), family21.generators)
     }
     g1 = dense_binomial(by_text[("eq1", "z1*z4")], 7)  # z1 z4 - z2^2
     g2 = dense_binomial(by_text[("eq4", "z4*y1")], 7)  # z4 y1 - z5^2
@@ -238,17 +238,17 @@ def test_buchberger_detects_non_basis(family21):
     # their S-pair cannot reduce to zero
     g1 = Binomial((0, 3), (1, 1))  # z1 z4 - z2^2
     g2 = Binomial((0, 3), (2, 4))  # z1 z4 - z3 z5
-    broken = family21._replace(generators=(g1, g2), tags=("eq1", "eq1"))
+    broken = family21._replace(generators=(g1, g2))
     report = buchberger_verify(broken)
     assert not report.passed
     assert report.failures == ((0, 1),)
 
 
 def test_buchberger_vacuous_cases(family21):
-    empty = family21._replace(generators=(), tags=())
+    empty = family21._replace(generators=())
     assert buchberger_verify(empty).passed
     single = family21._replace(
-        generators=(family21.generators[0],), tags=("eq1",)
+        generators=(family21.generators[0],)
     )
     report = buchberger_verify(single)
     assert report.passed and report.pairs_total == 0
@@ -285,7 +285,7 @@ def test_initial_ideal_minimalizes(family21):
     # the lead z1^2*z4 is divided by z1*z4, so it is no minimal generator
     # and its square does not count
     fam = family21._replace(
-        generators=(family21.generators[0], Z1_SQUARED_Z4), tags=("eq1", "eq1")
+        generators=(family21.generators[0], Z1_SQUARED_Z4)
     )
     assert _squarefree_flag(fam) is True
 
@@ -294,13 +294,13 @@ def test_initial_ideal_squarefree_flag(family21):
     # alone, or beside a copy of itself, z1^2*z4 is a minimal lead
     for generators in [(Z1_SQUARED_Z4,), (Z1_SQUARED_Z4,) * 2]:
         fam = family21._replace(
-            generators=generators, tags=("eq1",) * len(generators)
+            generators=generators
         )
         assert _squarefree_flag(fam) is False
 
 
 def test_initial_ideal_empty(family21):
-    fam = family21._replace(generators=(), tags=())
+    fam = family21._replace(generators=())
     assert _squarefree_flag(fam) is True
 
 
@@ -335,14 +335,13 @@ def test_injectivity_checks_each_degree_before_the_next_budget(
         injectivity_check(family21, max_degree=3)
     assert str(caught.value) == "28 degree-2 monomials exceed the budget 10"
     # the budget is checked before the degree-2 count, which fails here
-    crippled = without(family21, family21.tags.index("eq4"))
+    crippled = without(family21, tags(family21.q).index("eq4"))
     with pytest.raises(BudgetExceeded):
         injectivity_check(crippled, max_degree=3)
     # a linear lead z1 - z2 makes the degree-1 count fail first
     linear = Binomial((0,), (1,))
     cut = family21._replace(
         generators=family21.generators + (linear,),
-        tags=family21.tags + ("eq1",),
     )
     assert injectivity_check(cut, max_degree=3) is False
 
@@ -375,10 +374,9 @@ def test_injectivity_detects_missing_generator(family21):
     # dropping a generator frees its lead monomial, so the degree-2
     # standard count exceeds the dilation value
     kept = tuple(
-        g for g, tag in zip(family21.generators, family21.tags) if tag != "eq4"
+        g for g, tag in zip(family21.generators, tags(family21.q)) if tag != "eq4"
     )
-    tags = tuple(tag for tag in family21.tags if tag != "eq4")
-    crippled = family21._replace(generators=kept, tags=tags)
+    crippled = family21._replace(generators=kept)
     assert len(standard_monomials(crippled, 2)) == 20
     assert not injectivity_check(crippled, max_degree=2)
 

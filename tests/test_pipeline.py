@@ -159,7 +159,7 @@ def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
     # an eq5 generator replaced by the excluded pair's binomial is built
     # unaudited; the entry holds the stages' own verdicts on that family
     monkeypatch.setattr(
-        toric, "_generators",
+        toric, "tagged_generators",
         replacing("eq5", lambda q, g: wpsimplex.excluded_pair_binomial(q)),
     )
     entry = evaluate_point(2, 1)

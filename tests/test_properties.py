@@ -373,7 +373,7 @@ def _with_generators(family, pairs):
     """The family with its generators replaced by the pairs of exponent
     tuples, as words."""
     gens = tuple(Binomial(word(a), word(b)) for a, b in pairs)
-    return family._replace(generators=gens, tags=("eq1",) * len(gens))
+    return family._replace(generators=gens)
 
 
 @st.composite
@@ -777,7 +777,7 @@ def _with_leads(leads):
         Binomial(lead, (0 if set(lead) != {0} else base.nvars - 1,) * len(lead))
         for lead in leads
     ]
-    return base._replace(generators=tuple(gens), tags=("eq1",) * len(gens))
+    return base._replace(generators=tuple(gens))
 
 
 def _with_multiples(family):
@@ -791,7 +791,6 @@ def _with_multiples(family):
     )
     return family._replace(
         generators=family.generators + extra,
-        tags=family.tags + ("eq1",) * len(extra),
     )
 
 
@@ -844,7 +843,6 @@ def _with_power_leads(family, variables, power):
     added = [Binomial((v,) * power, (n - 1,) * power) for v in variables]
     return family._replace(
         generators=family.generators + tuple(added),
-        tags=family.tags + ("eq1",) * len(added),
     )
 
 

@@ -51,7 +51,7 @@ def test_records_are_immutable_and_have_no_instance_dict(record):
     lambda family: mutate_tail(family, 0),
     include_excluded_pair,
 ], ids=["mutate_tail", "include_excluded_pair"])
-def test_sabotage_builds_a_new_family_and_keeps_the_cached_audits(sabotage):
+def test_sabotage_builds_a_new_family_and_keeps_the_cached_faces(sabotage):
     # the sabotaged family is a new family, audited on its own; the original
     # keeps its generators and its cached dualization
     family = groebner_family(build_q(3, 2))

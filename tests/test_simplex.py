@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from wpsimplex import simplex
+from wpsimplex import cli, simplex
 from wpsimplex import (
     build_q,
     ehrhart_bruteforce,
@@ -219,9 +221,10 @@ def test_vertex_simplex_has_normalized_volume_n(r1, x1):
     assert facet_volume(columns, facet) == q.volume
 
 
-def test_json_dict():
-    cfg = lattice_points_formula(build_q(2, 1))
-    payload = cfg.to_json_dict()
+def test_json_dict(capsys):
+    # the points command writes the configuration's JSON
+    assert cli.main(["points", "2", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["r1"] == 2 and payload["x1"] == 1 and payload["d"] == 2
     assert payload["columns"][0] == {"label": "a1", "coords": [-2, -3]}
     for entry in payload["columns"]:

@@ -9,7 +9,9 @@ the certificate reads the leads without listing the minimal ones, check
 (b) is read in the family only, the family stage is the one entry point
 to check (a), the dilations are walked slice by slice with no cache, and
 a monomial is its word on the command path, with the oracles converting
-the family at their entry."""
+the family at their entry, the builder alone records each generator's
+group, the command line alone writes JSON, the smoke test owns its
+default degree and the sweep refuses a bad grid through ``main``."""
 
 import inspect
 import re
@@ -271,3 +273,34 @@ def test_the_oracles_take_no_monomial_code_from_the_family_module():
         assert not hasattr(module, "dense_generators"), module.__name__
     # the dense monomial's last builder went with it
     assert not hasattr(toric, "total_vars")
+
+
+def test_the_builder_alone_records_each_generators_group():
+    # the family carries its binomials only; the (tag, generator) pairs
+    # are read from the builder, and no second tuple rides beside them
+    assert toric.GroebnerFamily._fields == ("q", "columns", "generators")
+    assert not hasattr(toric, "_generators")
+    assert callable(toric.tagged_generators)
+
+
+def test_the_records_write_no_json():
+    # the command line builds the JSON it prints
+    for record in (simplex.PointConfiguration, ehrhart.HStarVector):
+        assert not [a for a in dir(record) if a.startswith("to_json")], record
+
+
+def test_the_smoke_test_owns_its_default_degree():
+    for function in (groebner.injectivity_check, pipeline.check_family,
+                     pipeline.evaluate_point):
+        default = inspect.signature(function).parameters["max_degree"].default
+        assert default is groebner.DEFAULT_MAX_DEGREE, function.__name__
+    assert cli._MAX_DEGREE.default is groebner.DEFAULT_MAX_DEGREE
+    assert f"(default {groebner.DEFAULT_MAX_DEGREE})" in cli._MAX_DEGREE.help
+
+
+def test_the_sweep_refuses_through_main():
+    # a bad grid raises, as every command's bad parameters do; the one
+    # line the sweep prints itself is the dead worker's
+    source = inspect.getsource(cli.cmd_sweep)
+    assert source.count("print(") == 1
+    assert 'print(f"error: a sweep worker died' in source

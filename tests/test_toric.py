@@ -32,7 +32,7 @@ from wpsimplex.oracles import (
     DimensionMismatch, dense_generators, is_toric_member, pi_image, zsupport
 )
 
-from conftest import SMALL_GRID, dense, dense_binomial, replacing, word
+from conftest import SMALL_GRID, dense, dense_binomial, replacing, tags, word
 
 
 def _mono(q, **powers):
@@ -83,7 +83,6 @@ def test_orientation_reads_lex_as_dense_tuple_order():
         q=build_q(2, 1),
         columns=((1,),) * 4,
         generators=tuple(Binomial(*map(word, pair)) for pair in pairs),
-        tags=("pair",) * len(pairs),
     )
     expected = tuple(i for i, (a, b) in enumerate(pairs) if not a > b)
     assert len(pairs) == 6561
@@ -176,10 +175,12 @@ def _z_product(*indices):
     return tuple(sorted(i - 1 for i in indices))
 
 
-def _group(family, *tags):
+def _group(family, *groups):
     """The family's generators of the given groups, in order: the k-th
     is the group's generator k."""
-    return [g for g, tag in zip(family.generators, family.tags) if tag in tags]
+    return [
+        g for g, tag in zip(family.generators, tags(family.q)) if tag in groups
+    ]
 
 
 def _eq1_by_pair(family):
@@ -274,7 +275,7 @@ def test_the_family_is_pinned_word_for_word(r1, x1):
     family = groebner_family(build_q(r1, x1))
     text = json.dumps([
         [tag, list(g.lead), list(g.tail)]
-        for tag, g in zip(family.tags, family.generators)
+        for tag, g in zip(tags(family.q), family.generators)
     ])
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == FAMILY_DIGESTS[r1, x1]
 
@@ -293,12 +294,12 @@ def test_every_word_is_ascending_as_written():
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_family_tag_counts(r1, x1):
     family = groebner_family(build_q(r1, x1))
-    tags = family.tags
-    assert tags.count("eq1") == len(build_B(r1))
-    assert tags.count("eq2") == r1
-    assert tags.count("eq3") + tags.count("eq3star") == r1
-    assert tags.count("eq4") == 1
-    assert tags.count("eq5") == 1
+    groups = tags(family.q)
+    assert groups.count("eq1") == len(build_B(r1))
+    assert groups.count("eq2") == r1
+    assert groups.count("eq3") + groups.count("eq3star") == r1
+    assert groups.count("eq4") == 1
+    assert groups.count("eq5") == 1
     assert len(family.generators) == len(build_B(r1)) + 2 * r1 + 2
 
 
@@ -317,7 +318,7 @@ def test_family_generators_sound(r1, x1):
 def test_family_2_1_size():
     family = groebner_family(build_q(2, 1))
     assert len(family.generators) == 9
-    assert family.tags.count("eq1") == len(build_B(2)) == 3
+    assert tags(family.q).count("eq1") == len(build_B(2)) == 3
 
 
 def test_mutate_tail_breaks_balance(family21):
@@ -357,7 +358,7 @@ def test_the_family_stage_names_an_unbalanced_generator(monkeypatch):
     # the builder does not audit: an eq5 generator replaced by the
     # excluded pair's binomial is built, and the family stage names it
     monkeypatch.setattr(
-        toric, "_generators",
+        toric, "tagged_generators",
         replacing("eq5", lambda q, g: excluded_pair_binomial(q)),
     )
     family = groebner_family(build_q(2, 1))
@@ -371,7 +372,9 @@ def test_the_family_stage_rejects_an_inhomogeneous_generator(monkeypatch):
     # pi-balance fails
     q = build_q(2, 1)
     skewed = Binomial(_mono(q, z4=1, y1=1), _mono(q, z5=1))
-    monkeypatch.setattr(toric, "_generators", replacing("eq4", lambda q, g: skewed))
+    monkeypatch.setattr(
+        toric, "tagged_generators", replacing("eq4", lambda q, g: skewed)
+    )
     family = groebner_family(q)
     assert family.generators[7] == skewed
     assert _family_failure(family) == {"stage": "pi_balance", "generators": [7]}
@@ -385,10 +388,11 @@ def test_the_family_stage_rejects_a_generator_with_lead_equal_to_tail(
     q = build_q(2, 1)
     square = _mono(q, z3=2)
     monkeypatch.setattr(
-        toric, "_generators", replacing("eq2", lambda q, g: Binomial(square, square))
+        toric, "tagged_generators",
+        replacing("eq2", lambda q, g: Binomial(square, square)),
     )
     family = groebner_family(q)
-    assert family.tags[3:5] == ("eq2", "eq2")
+    assert tags(q)[3:5] == ("eq2", "eq2")
     assert family.generators[3:5] == (Binomial(square, square),) * 2
     assert _family_failure(family) == {"stage": "orientation", "generators": [3, 4]}
 

@@ -93,7 +93,6 @@ def test_a_support_off_the_graph_is_refused(family21):
     # reads the leads only, so the tail is any other monomial
     family = family21._replace(
         generators=family21.generators + (Binomial((4, 5, 6), (6, 6, 6)),),
-        tags=family21.tags + ("eq1",),
     )
     stage = check_triangulation(family)
     assert stage.flags == {
@@ -295,7 +294,7 @@ def test_failed_certificate_keeps_the_volume_flag(family21):
     # which reads no orientation, passes both of its flags
     g = Binomial((1, 4, 4), (0, 5, 6))
     fam = family21._replace(
-        generators=family21.generators + (g,), tags=family21.tags + ("eq1",)
+        generators=family21.generators + (g,)
     )
     stage = check_triangulation(fam)
     assert stage.flags == {
@@ -386,7 +385,7 @@ def test_weight_certificate_is_one_plus_the_top_lead_degree(r1, x1):
 
 def test_weight_certificate_synthetic_linear(family21):
     g = Binomial((0,), (1,))
-    fam = family21._replace(generators=(g,), tags=("eq1",))
+    fam = family21._replace(generators=(g,))
     cert = make_weight_certificate(fam)
     assert cert.weights[0] > cert.weights[1]
 
@@ -398,7 +397,6 @@ def test_weight_certificate_rejects_mis_oriented_generator(family21, facets21):
     g = family21.generators[0]
     fam = family21._replace(
         generators=family21.generators + (Binomial(g.tail, g.lead),),
-        tags=family21.tags + ("eq1",),
     )
     triangulated = check_triangulation(fam, facets21)
     assert triangulated.verdict is True
@@ -423,7 +421,7 @@ def test_the_summary_reads_no_orientation(r1, x1):
 
 
 def test_weight_certificate_empty_family(family21):
-    empty = family21._replace(generators=(), tags=())
+    empty = family21._replace(generators=())
     assert make_weight_certificate(empty).weights == (1,) * 7
     with pytest.raises(NonPureComplex):
         summarize_triangulation(empty)
