@@ -20,8 +20,6 @@ and usage errors load it, a few milliseconds more at start.
 
 from __future__ import annotations
 
-import gc
-import json
 import os
 import sys
 import time
@@ -89,22 +87,96 @@ def _probe(path: str) -> None:
         tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
 
 
+#: ``ensure_ascii``'s escapes for the ASCII characters that have one.
+_ESCAPES = {
+    **{chr(i): f"\\u{i:04x}" for i in (*range(0x20), 0x7F)},
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+    "\r": "\\r", "\t": "\\t",
+}
+
+
+def _escape(char: str) -> str:
+    n = ord(char)
+    if n < 0x80:
+        return _ESCAPES.get(char, char)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000
+    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+def _json_string(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``value`` byte for byte as ``json.dumps(value, indent=2)`` writes
+    it, so that no command imports ``json``; ``indent`` is the newline
+    and indentation of the enclosing lines.  Takes dicts with str keys,
+    lists, tuples, ints, True, False, None and str; anything else raises
+    TypeError, a float included, since a payload holds exact integers
+    only.  A list of plain ints is joined at once: the facet lists."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON key {key!r} is not a str")
+            items.append(f"{_json_string(key)}: {_json(item, inner)}")
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(item) is int for item in value):
+            items = map(str, value)
+        else:
+            items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"{type(value).__name__} {value!r} is not written as JSON")
+
+
+def _flush_stdout(text: str | None = None, code: int = EXIT_PASS) -> int:
+    """Print ``text``, if any, and flush stdout; return ``code``, or 1
+    when stdout cannot be written.  A stdout that cannot be written,
+    because its reader closed it or its device is full, is left pointed
+    at the null device, so a later flush stays silent."""
+    try:
+        if text is not None:
+            # print writes the newline on its own: on an unbuffered
+            # stdout whose reader closes mid-payload, the payload's write
+            # stops short without an error, and only the next one fails
+            print(text, flush=True)
+        elif sys.stdout is not None:  # None: closed when the process began
+            sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _cannot_write("stdout", exc)
+    return code
+
+
 def _emit(payload: dict | str, path: str | None, code: int = EXIT_PASS) -> int:
     """Print the payload, as JSON unless it is already text, or write it
     to ``path``; return ``code``, or 1 when the file or stdout cannot be
-    written.  A stdout that cannot be written, because its reader closed
-    it or its device is full, is left pointed at the null device, so the
-    flush at exit stays silent."""
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+    written."""
+    text = payload if isinstance(payload, str) else _json(payload)
     if path is None:
-        try:
-            print(text, flush=True)
-        except OSError as exc:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return _cannot_write("stdout", exc)
-        return code
+        return _flush_stdout(text, code)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -444,12 +516,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """The console script and ``python -m wpsimplex``.  The heap is
-    frozen on the way out, ``--help``'s SystemExit included, so that
-    interpreter teardown does not run full collections over every
-    long-lived object; atexit handlers, stream flushes and finalizers
-    still run."""
+    """The console script and ``python -m wpsimplex``.  Runs ``main()``,
+    or ``--help``, which exits inside it, flushes stdout and stderr, and
+    ends the process with ``os._exit``: the interpreter's teardown, its
+    atexit handlers, finalizers and collections, is skipped, since no
+    command leaves work for it.  A stdout that cannot be flushed is one
+    error line and exit 1, as in ``_emit``.  An uncaught exception
+    still ends the normal way, with its traceback."""
     try:
-        sys.exit(main())
-    finally:
-        gc.freeze()
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    code = _flush_stdout(code=code)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)

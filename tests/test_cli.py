@@ -585,8 +585,20 @@ def test_console_entry_point():
     (SystemExit(0), 0),  # --help exits inside main
     (2, 2),
 ])
-def test_entry_freezes_the_heap_on_every_way_out(monkeypatch, outcome, code):
-    frozen = []
+def test_entry_flushes_both_streams_then_exits_on_every_way_out(
+    monkeypatch, outcome, code
+):
+    events = []
+
+    class Stream:
+        def __init__(self, name):
+            self.name = name
+
+        def write(self, text):
+            events.append((self.name, text))
+
+        def flush(self):
+            events.append(self.name)
 
     def fake_main():
         if isinstance(outcome, BaseException):
@@ -594,11 +606,71 @@ def test_entry_freezes_the_heap_on_every_way_out(monkeypatch, outcome, code):
         return outcome
 
     monkeypatch.setattr(cli, "main", fake_main)
-    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
-    with pytest.raises(SystemExit) as exited:
-        cli.entry()
-    assert exited.value.code == code
-    assert frozen == [True]
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+    # the real os._exit would end the test run
+    monkeypatch.setattr(cli.os, "_exit", lambda status: events.append(status))
+    cli.entry()
+    assert events == ["stdout", "stderr", code]
+
+
+def _module_run(*argv, flags=(), **kwargs):
+    """``python <flags> -m wpsimplex`` on argv, its environment holding
+    no PYTHON* variable but the path to the package, so stdout is
+    buffered as it is by default."""
+    package_root = os.path.dirname(os.path.dirname(wpsimplex.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "wpsimplex", *argv], text=True,
+        env={**env, "PYTHONPATH": package_root}, **kwargs,
+    )
+
+
+def test_a_pooled_sweep_leaves_no_process_holding_stdout():
+    # the pipe reaches its end only when every process holding it has
+    # exited, so a pool worker left behind by os._exit would hang the read
+    proc = _module_run("sweep", "--r1", "2..3", "--x1", "1..2", "--jobs", "2",
+                       capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert set(json.loads(proc.stdout)["perPoint"]) == {"2,1", "2,2", "3,1", "3,2"}
+
+
+def test_a_json_file_holds_the_whole_payload_after_the_exit(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    proc = _module_run("triangulate", "4", "12", "--json", str(target),
+                       capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert run(capsys, "triangulate", "4", "12") == (0, target.read_text())
+
+
+@pytest.mark.parametrize("fds, argv, stderr", [
+    ((1,), ["points", "2", "1"], ""),
+    ((1,), ["--help"], "usage: wpsimplex"),
+    ((1, 2), ["points", "2", "1"], None),
+], ids=["stdout-points", "stdout-help", "both-points"])
+def test_a_stream_closed_from_the_start_is_no_traceback(fds, argv, stderr):
+    # Python reads a stdout closed at start as a stream of None, and a
+    # stderr closed with it too; print skips it, and so does the flush
+    # on the way out
+    def close():
+        for fd in fds:
+            os.close(fd)
+
+    proc = _module_run(*argv, preexec_fn=close,
+                       stderr=None if stderr is None else subprocess.PIPE)
+    assert proc.returncode == 0
+    if stderr is not None:
+        assert proc.stderr.startswith(stderr) and "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_help_on_a_full_stdout_is_one_error_line():
+    # argparse leaves the help page in the stdout buffer, so the write
+    # fails only at the flush on the way out
+    with open("/dev/full", "w") as full:
+        proc = _module_run("--help", stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 def test_every_argument_has_help():
@@ -790,6 +862,53 @@ def test_a_full_stdout_is_refused_and_left_on_the_null_device(
     )
 
 
+# -- the JSON writer ---------------------------------------------------------------
+
+_TEXT = st.text(st.sampled_from(
+    ['"', "\\", "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", " ", "a",
+     "~", "\x80", "\xe9", "\u2265", "\ud800", "\uffff", "\U00010000",
+     "\U0001d4b3", "\U0010ffff"]), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+    | _TEXT,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_VALUES)
+@example({"": [], "a": {}, "b": (), "c": [[1, -2], [True, 3]], "d": [None]})
+@example(["\U0001f600\x7f\u00e9\"\\\b\x01"])
+def test_the_writer_prints_what_json_dumps_prints(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.0, [0, 1.5], {"a": float("nan")}, {1, 2}, {"a": frozenset()}, {1: 2},
+    {None: 0}, {"a": {(1, 2): 3}}, b"bytes", object(),
+])
+def test_the_writer_refuses_what_the_payloads_never_hold(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["points", "2", "1"], ["points", "2", "1", "--verify"],
+    ["hstar", "2", "1"], ["hstar", "2", "1", "--verify"],
+    ["gb", "dump", "2", "1"], ["gb", "verify", "2", "1"],
+    ["gb", "verify", "2", "1", "--sabotage-tail", "0"],
+    ["triangulate", "2", "1"], ["triangulate", "2", "1", "--drop-facet", "0"],
+    ["triangulate", "4", "12"], ["sweep", "--r1", "2", "--x1", "1"],
+], ids=" ".join)
+def test_every_command_prints_what_json_dumps_prints(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code in (0, 2)
+    assert out == _payload_text(json.loads(out))
+
+
 _STARTUP_PROBE = """
 import contextlib, io, sys
 from wpsimplex import cli
@@ -829,16 +948,8 @@ _COMMAND_MODULES = {
 def _cold_start(argv):
     """The exit code of ``python -m wpsimplex`` on argv, and the modules
     it imported.  -X importtime lists every module the process imports;
-    -S keeps the .pth files of site-packages out of the list, and the
-    environment holds no PYTHON* variable but the path to the package."""
-    package_root = os.path.dirname(os.path.dirname(wpsimplex.__file__))
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "wpsimplex", *argv],
-        capture_output=True,
-        text=True,
-        env={**env, "PYTHONPATH": package_root},
-    )
+    -S keeps the .pth files of site-packages out of the list."""
+    proc = _module_run(*argv, flags=("-S", "-X", "importtime"), capture_output=True)
     imported = {
         line.rpartition("|")[2].strip()
         for line in proc.stderr.splitlines()
@@ -847,11 +958,16 @@ def _cold_start(argv):
     return proc.returncode, imported
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["triangulate", "2", "1"]])
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["triangulate", "2", "1"], ["gb", "verify", "2", "1"],
+    ["sweep", "--r1", "2", "--x1", "1"],
+])
 def test_cold_start_imports_no_dataclasses_inspect_or_ast(argv):
     code, imported = _cold_start(argv)
     assert code == 0
     assert not imported & {"dataclasses", "inspect", "ast"}
+    # the payload is written by cli._json, not by the json module
+    assert "json" not in imported
     assert {m for m in imported if m.startswith("wpsimplex")} == _COMMAND_MODULES
 
 
