@@ -18,8 +18,6 @@ argument, is read without argparse; --help, abbreviations, --opt=value
 and usage errors load it, a few milliseconds more at start.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 import time
@@ -149,11 +147,19 @@ def _json(value, indent: str = "\n") -> str:
     raise TypeError(f"{type(value).__name__} {value!r} is not written as JSON")
 
 
+def _stdout_failed(exc: OSError) -> int:
+    """Report a stdout that cannot be written, because its reader closed
+    it or its device is full, and return 1.  It is left pointed at the
+    null device, so a later flush stays silent."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return _cannot_write("stdout", exc)
+
+
 def _flush_stdout(text: str | None = None, code: int = EXIT_PASS) -> int:
     """Print ``text``, if any, and flush stdout; return ``code``, or 1
-    when stdout cannot be written.  A stdout that cannot be written,
-    because its reader closed it or its device is full, is left pointed
-    at the null device, so a later flush stays silent."""
+    when stdout cannot be written."""
     try:
         if text is not None:
             # print writes the newline on its own: on an unbuffered
@@ -163,10 +169,7 @@ def _flush_stdout(text: str | None = None, code: int = EXIT_PASS) -> int:
         elif sys.stdout is not None:  # None: closed when the process began
             sys.stdout.flush()
     except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return _cannot_write("stdout", exc)
+        return _stdout_failed(exc)
     return code
 
 
@@ -467,6 +470,17 @@ def build_parser():
     class _Parser(argparse.ArgumentParser):
         def error(self, message):  # argparse would exit(2); we reserve 2
             raise _UsageError(message)
+
+        def _print_message(self, message, file=None):
+            # argparse drops a failed write; a help page that an
+            # unbuffered stdout cannot take fails here, not at the flush
+            # on the way out, and ends as that flush's failure does
+            if file is None or file is not sys.stdout:
+                return super()._print_message(message, file)
+            try:
+                file.write(message)
+            except OSError as exc:
+                self.exit(_stdout_failed(exc))
 
     parser = _Parser(prog="wpsimplex", description=__doc__)
     groups = {(): parser.add_subparsers(dest="command", required=True)}

@@ -5,18 +5,18 @@ family is a degree-d polynomial in t whose generating-series numerator
 coefficients (the h*-vector) come from a closed-form floor-function
 weight on residues b in [0, N).  The independent cross-check counts a
 dilate's points, listing none, over the checked slices of the facet
-inequalities (``simplex._dilation_slices``).  The point count read off
-h*_1, a lemma check for the tests, lives in ``wpsimplex.oracles``.
+inequalities (``simplex._dilation_slices``); the last count is kept, so
+the point check's t = 1 walk serves the h* check too.  The point count
+read off h*_1, a lemma check for the tests, lives in
+``wpsimplex.oracles``.
 """
-
-from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
 from .errors import IndexOutOfRange, InternalConsistency, ParameterOutOfRange
-from .simplex import QVector, _dilation_slices
+from .simplex import QVector, _dilation_count
 
 
 class HStarVector(NamedTuple):
@@ -72,5 +72,7 @@ def ehrhart_value(h: HStarVector, t: int) -> int:
 
 def ehrhart_bruteforce(q: QVector, t: int) -> int:
     """Independent oracle: the points of the t-fold dilate, counted from
-    the checked slices as C(r + d - 1, r) each, without listing them."""
-    return sum(comb(r + q.d - 1, r) for _, r in _dilation_slices(q, t))
+    the checked slices as C(r + d - 1, r) each, without listing them.
+    The last count is kept for a second reader, which is charged its
+    walk's steps again (``simplex._dilation_count``)."""
+    return _dilation_count(q, t)

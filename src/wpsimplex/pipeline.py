@@ -29,8 +29,6 @@ So the triangulation stage runs first, and ``check_family`` takes it:
 when (a), (b), (c) and the triangulation verdict all hold.
 """
 
-from __future__ import annotations
-
 import time
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -39,7 +37,7 @@ from typing import NamedTuple
 from .errors import BudgetExceeded, WpsimplexError
 from .ehrhart import ehrhart_bruteforce, ehrhart_value, hstar
 from .groebner import DEFAULT_MAX_DEGREE, injectivity_check
-from .simplex import QVector, build_q, lattice_points_bruteforce, lattice_points_formula
+from .simplex import QVector, build_q, lattice_points_formula, within_dilate
 from .toric import (
     GroebnerFamily, groebner_family, orientation_failures, pi_balance_failures
 )
@@ -96,17 +94,19 @@ class Stage(NamedTuple):
 
 
 def check_points(q: QVector) -> Stage:
-    """The closed-form point list equals the enumerated one, has
-    r1 + d + 3 entries and no repeated column."""
+    """The closed-form point list is every lattice point of the simplex:
+    r1 + d + 3 distinct columns, each inside it by the slice walk's row
+    check, as many as the walk counts at t = 1.  That is the set
+    equality with the walk's points, which lie under every facet row,
+    without listing them; the count is the h* check's t = 1 count."""
     columns = lattice_points_formula(q).columns
     try:
-        brute = lattice_points_bruteforce(q)
+        count = ehrhart_bruteforce(q, 1)
     except BudgetExceeded as exc:
         return Stage({"latticePointsOK": None}, skipped={"latticePoints": str(exc)})
     ok = (
-        set(columns) == brute
-        and len(columns) == q.r1 + q.d + 3
-        and len(set(columns)) == len(columns)
+        len(set(columns)) == len(columns) == q.r1 + q.d + 3 == count
+        and within_dilate(q, columns, 1)
     )
     return Stage({"latticePointsOK": ok})
 

@@ -13,25 +13,27 @@ reflexive; its normalized volume is N = r1 * (x1*r1 + 1).
 This module builds q, the facet inequalities, and the closed-form list
 of all lattice points of the simplex.  An independent walk over the
 slices of the dilates, each checked whole against the facet
-inequalities, lists the points of the simplex to cross-check that list
-and counts those of a dilate for the h* check.  All arithmetic is
-exact: plain Python integers throughout, so overflow cannot occur.
+inequalities, counts the points of a dilate without listing them.  Its
+t = 1 count cross-checks that list, whose points pass the walk's own
+row check, and the h* check reads the same count: a point walks t = 1
+once.  The walk's frame, built from the facet rows, is kept for the
+point.  All arithmetic is exact: plain Python integers throughout, so
+overflow cannot occur.
 
 The enumeration budget has one source, the environment variable
 ``WPSIMPLEX_ENUM_BUDGET``, read on every call by ``resolve_enum_budget``;
 no function takes a budget argument.  Work counted before it runs is
 charged against it by ``charge``; the slice walk, whose total is known
-only as it walks, keeps its own running count.  The facet functionals'
-values and tightness profiles at a point, lemma checks for the tests,
-live in ``wpsimplex.oracles``.
+only as it walks, charges its running count by ``_charge_walk``, and a
+kept count charges its walk's steps again on every read.  The facet
+functionals' values and tightness profiles at a point, lemma checks for
+the tests, live in ``wpsimplex.oracles``.
 """
 
-from __future__ import annotations
-
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from math import comb
 from operator import add, mul
 from typing import NamedTuple
@@ -141,6 +143,53 @@ def h_description(q: QVector) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=1)
+def _walk_frame(rows: tuple[tuple[int, ...], ...]) -> tuple:
+    """The slice walk's frame for the facet rows ``rows``, built once per
+    point: the distinct denominators D_k, how many coordinates share
+    each, each coordinate's denominator slot, and ``fits(lows, r, t)``,
+    the whole-slice row check.  Keyed on the rows, not on q, so rows
+    swapped in for a test get a frame of their own.
+
+    ``fits`` holds when no row exceeds t on the slice: a row's maximum
+    there is row . lows + r*max(row), taken at lows + r*e_j for a j
+    where the row is largest.  Each row is read as the last row plus its
+    nonzero differences from it, O(d) per slice here, where each row
+    differs from the last in one entry; the rows of at most one
+    difference are checked together by map, the others one by one.
+    """
+    d = len(rows) - 1
+    denoms = [1 - rows[k][k] for k in range(d)]
+    distinct = sorted(set(denoms))
+    counts = [denoms.count(dk) for dk in distinct]
+    slot = [distinct.index(dk) for dk in denoms]
+
+    base = rows[-1]
+    singles: list[tuple[int, int, int]] = []
+    multi: list[tuple[list[tuple[int, int]], int]] = []
+    for row in rows:
+        diff = [(j, c - b) for j, (c, b) in enumerate(zip(row, base)) if c != b]
+        if len(diff) > 1:
+            multi.append((diff, max(row)))
+        else:
+            singles.append((*(diff or [(0, 0)])[0], max(row)))
+    cols, deltas, tops = zip(*singles)
+
+    def fits(lows: tuple[int, ...], remaining: int, t: int) -> bool:
+        value = sum(map(mul, base, lows))
+        worst = map(mul, deltas, map(lows.__getitem__, cols))
+        if remaining:  # a one-point slice has no r*max(row) term
+            worst = map(add, worst, map(remaining.__mul__, tops))
+        if value + max(worst) > t:
+            return False
+        for diff, top in multi:
+            if value + sum(delta * lows[j] for j, delta in diff) + remaining * top > t:
+                return False
+        return True
+
+    return distinct, counts, slot, fits
+
+
+@lru_cache(maxsize=1)
 def lattice_points_formula(q: QVector) -> PointConfiguration:
     """The closed-form list of all r1 + d + 3 lattice points.
 
@@ -180,6 +229,21 @@ def enumerate_dilation_points(q: QVector, t: int) -> frozenset[tuple[int, ...]]:
     return frozenset(found)
 
 
+def within_dilate(q: QVector, points: Iterable[tuple[int, ...]], t: int) -> bool:
+    """True when every point passes the slice walk's row check as the
+    one-point slice (point, 0) of the t-fold dilate: no facet row
+    exceeds t at it."""
+    *_, fits = _walk_frame(h_description(q))
+    return all(map(fits, points, repeat(0), repeat(t)))
+
+
+def _charge_walk(steps: int, limit: int) -> None:
+    """Raise BudgetExceeded when the slice walk's ``steps`` exceed
+    ``limit``, the budget it read."""
+    if steps > limit:
+        raise BudgetExceeded(f"enumeration visited more than {limit} cells")
+
+
 def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The non-empty slices sum(p) = s of the t-fold dilate, each as
     (lows, r): its points are lows + c for every c >= 0 with sum(c) = r.
@@ -192,40 +256,20 @@ def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[tuple[int, ...], int]
     one per slice and falls only where some s = t + 1 (mod D_k).
 
     Each slice is checked whole against the raw rows before it is
-    yielded, so a slip in that algebra cannot pass silently: a row's
-    maximum over the slice is row . lows + r*max(row), taken at
-    lows + r*e_j for a j where the row is largest, and a failure names
-    that point.  Each row is read as the last row plus its nonzero
-    differences from it: O(d) per slice here, where each row differs
-    from the last in one entry.
+    yielded, by the frame's ``fits``, so a slip in that algebra cannot
+    pass silently; a failure names the slice's worst point.
 
     The budget caps the steps: one per slice, plus C(r + d - 1, r) per
     non-empty slice, the points it holds, whether they are listed or
-    counted.  Exceeding it raises BudgetExceeded.
+    counted; a whole walk charges t*N + 1 steps plus its points.
+    Exceeding the budget raises BudgetExceeded.
     """
     if t < 0:
         raise ParameterOutOfRange(f"dilation factor must be >= 0, got {t}")
     rows = h_description(q)
+    distinct, counts, slot, fits = _walk_frame(rows)
     limit = resolve_enum_budget()
     d = q.d
-    denoms = [1 - rows[k][k] for k in range(d)]
-    distinct = sorted(set(denoms))
-    counts = [denoms.count(dk) for dk in distinct]
-    slot = [distinct.index(dk) for dk in denoms]
-
-    # each row as the last row plus its nonzero differences from it, and
-    # its largest entry; the rows of at most one difference are checked
-    # together by map, the others one by one
-    base = rows[-1]
-    singles: list[tuple[int, int, int]] = []
-    multi: list[tuple[list[tuple[int, int]], int]] = []
-    for row in rows:
-        diff = [(j, c - b) for j, (c, b) in enumerate(zip(row, base)) if c != b]
-        if len(diff) > 1:
-            multi.append((diff, max(row)))
-        else:
-            singles.append((*(diff or [(0, 0)])[0], max(row)))
-    cols, deltas, tops = zip(*singles)
 
     visited = 0
     s, stop = -t * sum(q.entries), t + 1
@@ -244,18 +288,11 @@ def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[tuple[int, ...], int]
         else:
             visited += 1 + comb(remaining + d - 1, remaining)
             s += 1
-        if visited > limit:
-            raise BudgetExceeded(f"enumeration visited more than {limit} cells")
+        _charge_walk(visited, limit)
         if remaining < 0:
             continue
         lows = tuple(map(low.__getitem__, slot))
-        value = sum(map(mul, base, lows))
-        worst = max(map(add, map(mul, deltas, map(lows.__getitem__, cols)),
-                        map(remaining.__mul__, tops)))
-        if value + worst > t or any(
-            value + sum(delta * lows[j] for j, delta in diff) + remaining * top > t
-            for diff, top in multi
-        ):
+        if not fits(lows, remaining, t):
             row = next(row for row in rows
                        if sum(map(mul, row, lows)) + remaining * max(row) > t)
             point = list(lows)
@@ -264,6 +301,32 @@ def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[tuple[int, ...], int]
                 f"slice enumeration emitted an infeasible point {tuple(point)}"
             )
         yield lows, remaining
+
+
+@lru_cache(maxsize=1)
+def _walk_count(
+    rows: tuple[tuple[int, ...], ...], q: QVector, t: int
+) -> tuple[int, int]:
+    """The points of the t-fold dilate, counted over the checked slices
+    as C(r + d - 1, r) each, and the steps the walk charged: one per
+    slice s, t*N + 1 of them, and each point.  Keyed on the facet rows
+    the walk reads too, so rows swapped in for a test are walked."""
+    points = sum(comb(r + q.d - 1, r) for _, r in _dilation_slices(q, t))
+    return points, t * q.volume + 1 + points
+
+
+def _dilation_count(q: QVector, t: int) -> int:
+    """The points of the t-fold dilate, without listing them.
+
+    The last count is kept with the steps its walk charged, and every
+    read charges them against the budget read now, so a kept count
+    passes, or exceeds the budget with the same message, exactly as a
+    fresh walk would.  So the point check and the h* check share one
+    t = 1 walk.
+    """
+    points, steps = _walk_count(h_description(q), q, t)
+    _charge_walk(steps, resolve_enum_budget())
+    return points
 
 
 def lattice_points_bruteforce(q: QVector) -> frozenset[tuple[int, ...]]:

@@ -38,8 +38,6 @@ straight from this table, each beside its group's tag, the one record
 of provenance; the audits read the words, never the formulas.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 from itertools import groupby
 from operator import mul

@@ -65,8 +65,6 @@ this against, one facet's volume and the lower-cell test under explicit
 weights among them, are in ``wpsimplex.oracles``.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from collections.abc import Sequence
 from functools import lru_cache

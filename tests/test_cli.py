@@ -1,5 +1,6 @@
 import argparse
 import errno
+import functools
 import json
 import os
 import re
@@ -79,6 +80,65 @@ def test_points_budget_exhausted(capsys, monkeypatch):
     monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "1")
     code = cli.main(["points", "2", "1", "--verify"])
     assert code == 3
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_verify(command, budget):
+    """``<command> 2 1 --verify`` in a fresh process: its exit code,
+    stdout and stderr, under ``budget``, the budget the caller has set."""
+    assert os.environ["WPSIMPLEX_ENUM_BUDGET"] == budget
+    proc = _module_run(command, "2", "1", "--verify", capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("first", ["points", "hstar"])
+@pytest.mark.parametrize("second", ["points", "hstar"])
+def test_a_kept_count_is_charged_as_a_fresh_walk(capsys, monkeypatch, first, second):
+    # the first check passes and keeps its last count, of 14 steps at
+    # t = 1 or 32 at t = 2; under a lower budget the next check that
+    # reads it passes or exits 3 exactly as a fresh process does
+    for budget in ("13", "14", "31", "32"):
+        monkeypatch.delenv("WPSIMPLEX_ENUM_BUDGET", raising=False)
+        assert cli.main([first, "2", "1", "--verify"]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", budget)
+        code = cli.main([second, "2", "1", "--verify"])
+        assert (code, *capsys.readouterr()) == _fresh_verify(second, budget), budget
+
+
+def _moved_out(columns):
+    # a1 = -q pushed further along its ray, out of the simplex
+    return (tuple(2 * v for v in columns[0]), *columns[1:])
+
+
+def _copied(columns):
+    return (columns[0], columns[0], *columns[2:])
+
+
+def _dropped(columns):
+    return columns[:-1]
+
+
+def _replaced_outside(columns):
+    # the origin replaced by (1, ..., 1): an integer point outside the
+    # simplex, so the count of distinct columns stays r1 + d + 3
+    return (*columns[:-1], (1,) * len(columns[-1]))
+
+
+@pytest.mark.parametrize("defect", [_moved_out, _copied, _dropped, _replaced_outside],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_the_point_check_catches_a_planted_defect(capsys, monkeypatch, defect):
+    formula = pipeline.lattice_points_formula
+
+    def planted(q):
+        config = formula(q)
+        return config._replace(columns=defect(config.columns))
+
+    monkeypatch.setattr(pipeline, "lattice_points_formula", planted)
+    code, payload = run_json(capsys, "points", "2", "1", "--verify")
+    assert (code, payload["verified"]) == (2, False)
+    code, payload = run_json(capsys, "sweep", "--r1", "2", "--x1", "1")
+    assert (code, payload["perPoint"]["2,1"]["latticePointsOK"]) == (2, False)
 
 
 def test_points_json_file(capsys, tmp_path):
@@ -522,14 +582,6 @@ def test_sweep_whose_worker_dies_exits_1(capsys, monkeypatch, in_process_pool):
     assert in_process_pool.requested == [2]
 
 
-def test_sweep_empty_range(capsys):
-    assert cli.main(["sweep", "--r1", "3..2", "--x1", "1..1"]) == 1
-
-
-def test_sweep_bad_grid_point(capsys):
-    assert cli.main(["sweep", "--r1", "1..2", "--x1", "1..1"]) == 1
-
-
 #: Grid refusals, each its options and its one line on stderr: an empty
 #: grid, a point outside the family and a range with no upper end.
 _GRID_REFUSALS = [
@@ -665,12 +717,17 @@ def test_a_stream_closed_from_the_start_is_no_traceback(fds, argv, stderr):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_help_on_a_full_stdout_is_one_error_line():
-    # argparse leaves the help page in the stdout buffer, so the write
-    # fails only at the flush on the way out
-    with open("/dev/full", "w") as full:
-        proc = _module_run("--help", stdout=full, stderr=subprocess.PIPE)
-    assert proc.returncode == 1
-    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+    # on a buffered stdout argparse leaves the help page in the buffer,
+    # so the write fails only at the flush on the way out; on an
+    # unbuffered one (-u) the page's own write fails
+    for flags in ((), ("-u",)):
+        for argv in (["--help"], ["gb", "verify", "--help"]):
+            with open("/dev/full", "w") as full:
+                proc = _module_run(*argv, flags=flags, stdout=full,
+                                   stderr=subprocess.PIPE)
+            assert (proc.returncode, proc.stderr) == (
+                1, "error: cannot write stdout: No space left on device\n"
+            ), (flags, argv)
 
 
 def test_every_argument_has_help():

@@ -135,24 +135,32 @@ def test_the_certified_path_leaves_the_oracles_to_their_module():
 
 
 def test_a_point_enumerates_the_t1_dilation_once(monkeypatch):
-    # the point check lists the t = 1 dilation; the h* check counts its
-    # dilations without listing them
-    listed = []
-    enumerate_points = simplex.enumerate_dilation_points
+    # the point check counts the t = 1 dilation and the h* check reads
+    # that count again, then counts t = 2: one walk each, and nothing is
+    # listed
+    walked, listed = [], []
+    walk, enumerate_points = simplex._dilation_slices, simplex.enumerate_dilation_points
 
-    def spy(q, t):
+    def walk_spy(q, t):
+        walked.append(t)
+        return walk(q, t)
+
+    def list_spy(q, t):
         listed.append(t)
         return enumerate_points(q, t)
 
-    # every binding of the lister in the command modules, so a call by
-    # any name is seen
+    # every binding of the walk and the lister in the command modules,
+    # so a call by any name is seen; no count is kept from an earlier test
     for module in (simplex, ehrhart, pipeline):
         for name, value in list(vars(module).items()):
-            if value is enumerate_points:
-                monkeypatch.setattr(module, name, spy)
+            if value is walk:
+                monkeypatch.setattr(module, name, walk_spy)
+            elif value is enumerate_points:
+                monkeypatch.setattr(module, name, list_spy)
+    simplex._walk_count.cache_clear()
     entry = evaluate_point(3, 2)
     assert entry["latticePointsOK"] is True and entry["hstarOK"] is True
-    assert listed == [1]
+    assert (walked, listed) == ([1, 2], [])
 
 
 def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
@@ -182,6 +190,8 @@ def test_a_failed_family_build_fails_the_family_and_triangulation(monkeypatch):
     toric.groebner_family,
     simplex.lattice_points_formula,
     simplex.h_description,
+    simplex._walk_frame,
+    simplex._walk_count,
     ehrhart.hstar,
     toric.pi_balance_failures,
     triangulation._lead_faces,

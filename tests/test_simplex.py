@@ -190,6 +190,21 @@ def test_dilation_recheck_rejects_a_point_the_slices_emit(monkeypatch):
                 ehrhart_bruteforce(q, t)
 
 
+def test_a_kept_count_is_read_only_over_the_rows_it_walked(monkeypatch):
+    # a count kept from the real rows is not read back over rows swapped
+    # in: the walk runs again and its slice check catches them
+    q = build_q(2, 1)
+    for t in (1, 2):
+        assert ehrhart_bruteforce(q, t) == (7, 19)[t - 1]
+        rows = [list(row) for row in h_description(q)]
+        rows[0][1] += 1
+        with monkeypatch.context() as patched:
+            patched.setattr(simplex, "h_description", lambda _: tuple(map(tuple, rows)))
+            with pytest.raises(InternalConsistency, match="infeasible point"):
+                ehrhart_bruteforce(q, t)
+        assert ehrhart_bruteforce(q, t) == (7, 19)[t - 1]
+
+
 @pytest.mark.parametrize("r1,x1", [(2, 1), (3, 2), (4, 1)])
 def test_tightness_profiles(r1, x1):
     q = build_q(r1, x1)

@@ -7,11 +7,13 @@ function reads a triangulation, one meter charges the work counted
 before it runs, the exceptions only the oracles raise live with them,
 the certificate reads the leads without listing the minimal ones, check
 (b) is read in the family only, the family stage is the one entry point
-to check (a), the dilations are walked slice by slice with no cache, and
-a monomial is its word on the command path, with the oracles converting
-the family at their entry, the builder alone records each generator's
-group, the command line alone writes JSON, the smoke test owns its
-default degree and the sweep refuses a bad grid through ``main``."""
+to check (a), the dilations are counted slice by slice, the last count
+kept and charged again on each read, and a monomial is its word on the
+command path, with the oracles converting the family at their entry,
+the builder alone records each generator's group, the command line
+alone writes JSON, the smoke test owns its default degree, the sweep
+refuses a bad grid through ``main`` and the records compile no
+annotation at import."""
 
 import inspect
 import re
@@ -74,15 +76,19 @@ def test_budget_is_read_from_the_environment_on_every_call(monkeypatch):
 
 
 def test_one_budget_meter():
-    # work counted before it runs is charged by simplex.charge; only the
-    # slice walk, whose total is known as it walks, keeps its own count
+    # work counted before it runs is charged by simplex.charge; the slice
+    # walk, whose total is known as it walks, keeps its own count, which
+    # one meter charges as the walk goes and again on each read of a
+    # kept count
     raises = {
         module.__name__: inspect.getsource(module).count("raise BudgetExceeded")
         for module in (*COMMAND_MODULES, oracles)
     }
     assert raises == {**dict.fromkeys(raises, 0), simplex.__name__: 2}
-    for meter in (simplex.charge, simplex._dilation_slices):
+    for meter in (simplex.charge, simplex._charge_walk):
         assert inspect.getsource(meter).count("raise BudgetExceeded") == 1
+    for walker in (simplex._dilation_slices, simplex._dilation_count):
+        assert inspect.getsource(walker).count("_charge_walk(") == 1
 
 
 def test_the_pipeline_keeps_no_unread_name():
@@ -249,12 +255,29 @@ def test_check_a_is_read_by_the_family_stage_only():
 
 
 def test_the_dilations_are_walked_uncached():
-    # the point check lists the checked slices and the h* check counts
-    # them, so no enumeration is kept for a second reader
+    # the point check and the h* check count the checked slices, and
+    # only the last count is kept, for the point's second reader: no
+    # enumeration is listed or kept
     assert not hasattr(simplex, "_dilation_points")
     assert not hasattr(simplex.enumerate_dilation_points, "cache_info")
-    assert ehrhart._dilation_slices is simplex._dilation_slices
-    assert not hasattr(ehrhart, "enumerate_dilation_points")
+    assert ehrhart._dilation_count is simplex._dilation_count
+    for module in (ehrhart, pipeline):
+        assert not hasattr(module, "enumerate_dilation_points"), module.__name__
+        assert not hasattr(module, "lattice_points_bruteforce"), module.__name__
+
+
+def test_the_records_compile_no_annotation_at_import():
+    # a NamedTuple compiles each string annotation into a ForwardRef when
+    # its class is created, so the modules that define one evaluate their
+    # annotations as they are defined
+    for module in (simplex, ehrhart, toric, triangulation, pipeline, cli):
+        assert not hasattr(module, "annotations"), module.__name__
+    records = (simplex.QVector, simplex.PointConfiguration, ehrhart.HStarVector,
+               toric.GroebnerFamily, triangulation.TriangulationSummary,
+               pipeline.Stage, cli._Option)
+    for record in records:
+        kinds = {type(a) for a in record.__annotations__.values()}
+        assert str not in kinds, record.__name__
 
 
 def test_the_oracles_take_no_monomial_code_from_the_family_module():
