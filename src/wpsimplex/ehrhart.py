@@ -3,15 +3,18 @@
 The number of lattice points in the t-fold dilate of a simplex from this
 family is a degree-d polynomial in t whose generating-series numerator
 coefficients (the h*-vector) come from a closed-form floor-function
-weight on residues b in [0, N).  The independent cross-check counts a
+weight on residues b in [0, N), tallied by runs: the weight rises by one
+per b between the jumps of its two floors, so each run fills a range of
+coefficients at once.  The independent cross-check counts a
 dilate's points, listing none, over the checked slices of the facet
 inequalities (``simplex._dilation_slices``); the last count is kept, so
 the point check's t = 1 walk serves the h* check too.  The point count
-read off h*_1, a lemma check for the tests, lives in
-``wpsimplex.oracles``.
+read off h*_1, a lemma check for the tests, and the tally one residue at
+a time, the tests' oracle for the runs, live in ``wpsimplex.oracles``.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
@@ -51,14 +54,29 @@ def weight(q: QVector, b: int) -> int:
 
 @lru_cache(maxsize=1)
 def hstar(q: QVector) -> HStarVector:
-    """Tally the residue weights: coeffs[i] = #{b : weight(q, b) = i}."""
-    coeffs = [0] * (q.d + 1)
-    for b in range(q.volume):
+    """Tally the residue weights: coeffs[i] = #{b : weight(q, b) = i}.
+
+    The floors in the weight jump only at the multiples of r1 and of
+    1 + x1*r1, and between jumps the weight rises by one per b, so each
+    run of b adds one to a contiguous range of coefficients, kept in a
+    difference array: O(N/r1 + N/(1 + x1*r1) + d) steps, one ``weight``
+    per run.  The range guard reads each run's ends and names the first
+    b whose weight leaves [0, d].
+    """
+    d, n = q.d, q.volume
+    starts = sorted({*range(0, n, q.r1), *range(0, n, 1 + q.x1 * q.r1)})
+    rises = [0] * (d + 2)
+    for b, end in zip(starts, starts[1:] + [n]):
         w = weight(q, b)
-        if not 0 <= w <= q.d:
-            raise InternalConsistency(f"weight {w} at b={b} outside [0, {q.d}]")
-        coeffs[w] += 1
-    return HStarVector(coeffs=tuple(coeffs))
+        last = w + end - b - 1
+        if w < 0 or last > d:
+            bad = b if not 0 <= w <= d else b + d + 1 - w
+            raise InternalConsistency(
+                f"weight {w + bad - b} at b={bad} outside [0, {d}]"
+            )
+        rises[w] += 1
+        rises[last + 1] -= 1
+    return HStarVector(coeffs=tuple(accumulate(rises[:-1])))
 
 
 def ehrhart_value(h: HStarVector, t: int) -> int:

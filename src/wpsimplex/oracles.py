@@ -11,10 +11,11 @@ quotient, the family's faces from their closed form, reading no lead, a
 facet's volume eliminated from scratch, the lex weight certificate
 M^(n-1), ..., M, 1 of a family, one facet's lower-cell test under
 explicit weights by dense reduced costs, the regularity check of a facet
-list as that test on each facet, and the lower envelope found by testing
-every column subset.  None of them runs the twin quotient, the clique
-listing or the face walk of ``wpsimplex.triangulation``, which reads the
-lex lift symbolically and takes no weights; they share with it only the
+list as that test on each facet, the lower envelope found by testing
+every column subset, and the h*-vector tallied one residue at a time.
+None of them runs the twin quotient, the clique listing or the face
+walk of ``wpsimplex.triangulation``, which reads the lex lift
+symbolically and takes no weights; they share with it only the
 fraction-free elimination and its singular-facet check and the facet
 size check.
 
@@ -43,7 +44,7 @@ from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .ehrhart import hstar
+from .ehrhart import HStarVector, hstar, weight
 from .errors import (
     InternalConsistency,
     ParameterOutOfRange,
@@ -425,6 +426,20 @@ def regular_subdivision_bruteforce(
         except SingularFacet:
             pass
     return tuple(facets)
+
+
+def hstar_by_residues(q: QVector) -> HStarVector:
+    """Independent oracle: the h*-vector tallied one residue at a time,
+    coeffs[i] = #{b in [0, N) : weight(q, b) = i}, in O(N) steps where
+    ``ehrhart.hstar`` adds whole runs; a weight outside [0, d] raises
+    InternalConsistency naming the first such b."""
+    coeffs = [0] * (q.d + 1)
+    for b in range(q.volume):
+        w = weight(q, b)
+        if not 0 <= w <= q.d:
+            raise InternalConsistency(f"weight {w} at b={b} outside [0, {q.d}]")
+        coeffs[w] += 1
+    return HStarVector(coeffs=tuple(coeffs))
 
 
 # -- the paper's lemma checks ---------------------------------------------------

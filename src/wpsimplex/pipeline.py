@@ -95,10 +95,12 @@ class Stage(NamedTuple):
 
 def check_points(q: QVector) -> Stage:
     """The closed-form point list is every lattice point of the simplex:
-    r1 + d + 3 distinct columns, each inside it by the slice walk's row
-    check, as many as the walk counts at t = 1.  That is the set
-    equality with the walk's points, which lie under every facet row,
-    without listing them; the count is the h* check's t = 1 count."""
+    r1 + d + 3 distinct columns, each inside it, as many as the walk
+    counts at t = 1.  A column is inside when it lies in the t = 1 slice
+    of its coordinate sum and that slice passes the walk's row check, run
+    once per distinct sum.  That is the set equality with the walk's
+    points, which lie under every facet row, without listing them; the
+    count is the h* check's t = 1 count."""
     columns = lattice_points_formula(q).columns
     try:
         count = ehrhart_bruteforce(q, 1)

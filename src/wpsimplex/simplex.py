@@ -17,8 +17,12 @@ inequalities, counts the points of a dilate without listing them.  Its
 t = 1 count cross-checks that list, whose points pass the walk's own
 row check, and the h* check reads the same count: a point walks t = 1
 once.  The walk's frame, built from the facet rows, is kept for the
-point.  All arithmetic is exact: plain Python integers throughout, so
-overflow cannot occur.
+point.  A slice's lower bounds are constant on the coordinates that
+share a facet denominator, so the walk and its row check read a slice
+per denominator group, two numbers here, and a point is checked as a
+member of its slice, one row check per distinct coordinate sum.  All
+arithmetic is exact: plain Python integers throughout, so overflow
+cannot occur.
 
 The enumeration budget has one source, the environment variable
 ``WPSIMPLEX_ENUM_BUDGET``, read on every call by ``resolve_enum_budget``;
@@ -33,9 +37,9 @@ the tests, live in ``wpsimplex.oracles``.
 import os
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations_with_replacement, compress
 from math import comb
-from operator import add, mul
+from operator import ge, mul, ne, sub
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, InternalConsistency, ParameterOutOfRange
@@ -134,55 +138,63 @@ def h_description(q: QVector) -> tuple[tuple[int, ...], ...]:
     elsewhere; the last one is all ones.
     """
     r1, x1, d = q.r1, q.x1, q.d
-    rows = []
-    for k in range(d):
-        coeff = -x1 * r1 if k < x1 else -(r1 - 1)
-        rows.append(tuple(coeff if j == k else 1 for j in range(d)))
-    rows.append((1,) * d)
-    return tuple(rows)
+    diagonal = (-x1 * r1,) * x1 + (-(r1 - 1),) * (r1 - 1)
+    return tuple(
+        (1,) * k + (coeff,) + (1,) * (d - 1 - k) for k, coeff in enumerate(diagonal)
+    ) + ((1,) * d,)
 
 
 @lru_cache(maxsize=1)
 def _walk_frame(rows: tuple[tuple[int, ...], ...]) -> tuple:
     """The slice walk's frame for the facet rows ``rows``, built once per
     point: the distinct denominators D_k, how many coordinates share
-    each, each coordinate's denominator slot, and ``fits(lows, r, t)``,
+    each, each coordinate's denominator slot, and ``fits(low, r, t)``,
     the whole-slice row check.  Keyed on the rows, not on q, so rows
     swapped in for a test get a frame of their own.
+
+    A slice's lows are constant on the coordinates that share a
+    denominator, so the walk reads a slice as its per-denominator
+    ``low`` (two entries here), and the frame folds each row into
+    per-group terms: the last row's sum over each group, the distinct
+    (group, delta, max) triples of the rows at most one entry away from
+    it, and the per-group sums of the differences of the other rows.
 
     ``fits`` holds when no row exceeds t on the slice: a row's maximum
     there is row . lows + r*max(row), taken at lows + r*e_j for a j
     where the row is largest.  Each row is read as the last row plus its
-    nonzero differences from it, O(d) per slice here, where each row
-    differs from the last in one entry; the rows of at most one
-    difference are checked together by map, the others one by one.
+    differences from it, O(groups) per slice here: three triples and no
+    other row.
     """
     d = len(rows) - 1
     denoms = [1 - rows[k][k] for k in range(d)]
     distinct = sorted(set(denoms))
     counts = [denoms.count(dk) for dk in distinct]
     slot = [distinct.index(dk) for dk in denoms]
+    masks = [tuple(map(g.__eq__, slot)) for g in range(len(distinct))]
+
+    def group_sums(row: tuple[int, ...]) -> list[int]:
+        return [sum(compress(row, mask)) for mask in masks]
 
     base = rows[-1]
-    singles: list[tuple[int, int, int]] = []
-    multi: list[tuple[list[tuple[int, int]], int]] = []
+    base_sums = group_sums(base)
+    singles: set[tuple[int, int, int]] = set()
+    multi: list[tuple[list[int], int]] = []
     for row in rows:
-        diff = [(j, c - b) for j, (c, b) in enumerate(zip(row, base)) if c != b]
+        diff = list(compress(range(d), map(ne, row, base)))
         if len(diff) > 1:
-            multi.append((diff, max(row)))
+            multi.append((list(map(sub, group_sums(row), base_sums)), max(row)))
         else:
-            singles.append((*(diff or [(0, 0)])[0], max(row)))
-    cols, deltas, tops = zip(*singles)
+            j = (diff or [0])[0]
+            singles.add((slot[j], row[j] - base[j], max(row)))
+    triples = sorted(singles)
 
-    def fits(lows: tuple[int, ...], remaining: int, t: int) -> bool:
-        value = sum(map(mul, base, lows))
-        worst = map(mul, deltas, map(lows.__getitem__, cols))
-        if remaining:  # a one-point slice has no r*max(row) term
-            worst = map(add, worst, map(remaining.__mul__, tops))
-        if value + max(worst) > t:
-            return False
-        for diff, top in multi:
-            if value + sum(delta * lows[j] for j, delta in diff) + remaining * top > t:
+    def fits(low: list[int], remaining: int, t: int) -> bool:
+        bound = t - sum(map(mul, base_sums, low))
+        for group, delta, top in triples:
+            if delta * low[group] + remaining * top > bound:
+                return False
+        for coeffs, top in multi:
+            if sum(map(mul, coeffs, low)) + remaining * top > bound:
                 return False
         return True
 
@@ -195,20 +207,16 @@ def lattice_points_formula(q: QVector) -> PointConfiguration:
 
     a_{r1+1} = inner = ((-1)^x1, (-x1)^(r1-1)), a_{r1+2} = step =
     (0^x1, (-1)^(r1-1)), a_{r1+3} = 0, a_i = (r1-i+1)*inner + step for
-    i <= r1 (so a_1 = -q), and b_j = e_{d-j+1}.  Each column is built
-    from its coefficients m on inner, s on step and its unit vector.
+    i <= r1 (so a_1 = -q), and b_j = e_{d-j+1}.  Each a-column is
+    written by blocks from its coefficients m on inner and s on step,
+    and each b-column as zeros around its unit entry.
     """
     r1, x1, d = q.r1, q.x1, q.d
-    inner = (-1,) * x1 + (-x1,) * (r1 - 1)
-    step = (0,) * x1 + (-1,) * (r1 - 1)
-    # (m, s, u): the column m * inner + s * step + e_u, where u = d
-    # means no unit vector
-    shapes = [(r1 - i + 1, 1, d) for i in range(1, r1 + 1)]
-    shapes += [(1, 0, d), (0, 1, d), (0, 0, d)]
-    shapes += [(0, 0, d - j) for j in range(1, d + 1)]
-    cols = tuple(
-        tuple(m * a + s * b + (t == u) for t, (a, b) in enumerate(zip(inner, step)))
-        for m, s, u in shapes
+    # m * inner + s * step is -m on the first x1 coordinates and
+    # -(x1*m + s) on the other r1 - 1; b_j has its 1 at index d - j
+    ray = [(m, 1) for m in range(r1, 0, -1)] + [(1, 0), (0, 1), (0, 0)]
+    cols = tuple((-m,) * x1 + (-x1 * m - s,) * (r1 - 1) for m, s in ray) + tuple(
+        (0,) * (d - j) + (1,) + (0,) * (j - 1) for j in range(1, d + 1)
     )
     labels = tuple(f"a{i}" for i in range(1, r1 + 4)) + tuple(
         f"b{j}" for j in range(1, d + 1)
@@ -219,8 +227,10 @@ def lattice_points_formula(q: QVector) -> PointConfiguration:
 def enumerate_dilation_points(q: QVector, t: int) -> frozenset[tuple[int, ...]]:
     """All integer points with every facet functional at most t: the
     points of the checked slices of ``_dilation_slices``, listed."""
+    slot = _walk_frame(h_description(q))[2]
     found: list[tuple[int, ...]] = []
-    for lows, remaining in _dilation_slices(q, t):
+    for low, remaining in _dilation_slices(q, t):
+        lows = tuple(map(low.__getitem__, slot))
         for combo in combinations_with_replacement(range(q.d), remaining):
             point = list(lows)
             for i in combo:
@@ -230,11 +240,24 @@ def enumerate_dilation_points(q: QVector, t: int) -> frozenset[tuple[int, ...]]:
 
 
 def within_dilate(q: QVector, points: Iterable[tuple[int, ...]], t: int) -> bool:
-    """True when every point passes the slice walk's row check as the
-    one-point slice (point, 0) of the t-fold dilate: no facet row
-    exceeds t at it."""
-    *_, fits = _walk_frame(h_description(q))
-    return all(map(fits, points, repeat(0), repeat(t)))
+    """True when every point lies in a slice of the t-fold dilate that
+    passes the slice walk's row check: with s = sum(p) <= t, p >= the
+    lows of slice s componentwise, and that slice fits.  A point that
+    breaks a facet row lies in a slice whose maximum breaks it too, so
+    this is the walk's one row check, run once per distinct sum."""
+    distinct, counts, slot, fits = _walk_frame(h_description(q))
+    slices: dict[int, tuple[int, ...] | None] = {}
+    for p in points:
+        s = sum(p)
+        if s not in slices:
+            low = [-((t - s) // dk) for dk in distinct]
+            remaining = s - sum(map(mul, low, counts))
+            inside = s <= t and remaining >= 0 and fits(low, remaining, t)
+            slices[s] = tuple(map(low.__getitem__, slot)) if inside else None
+        lows = slices[s]
+        if lows is None or not all(map(ge, p, lows)):
+            return False
+    return True
 
 
 def _charge_walk(steps: int, limit: int) -> None:
@@ -244,16 +267,20 @@ def _charge_walk(steps: int, limit: int) -> None:
         raise BudgetExceeded(f"enumeration visited more than {limit} cells")
 
 
-def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[list[int], int]]:
     """The non-empty slices sum(p) = s of the t-fold dilate, each as
-    (lows, r): its points are lows + c for every c >= 0 with sum(c) = r.
+    (low, r): its points are lows + c for every c >= 0 with sum(c) = r,
+    where lows gives coordinate k the entry low[slot[k]] of its
+    denominator's group.
 
     Row k <= d reads sum(p) - D_k*p_k <= t with D_k = 1 - row_k[k], so a
     slice's points are those with p_k >= ceil((s - t)/D_k), the lows, and
     r = s - sum(lows).  The walk runs s from -t*sum(q) (the apex) up to
     t, one ceil division per distinct D_k (two here); from an empty slice
     (r < 0) it jumps over the empty run that follows, since r rises by
-    one per slice and falls only where some s = t + 1 (mod D_k).
+    one per slice and falls only where some s = t + 1 (mod D_k).  A
+    slice costs O(groups): the lows are expanded to d coordinates only
+    where a point is named or listed.
 
     Each slice is checked whole against the raw rows before it is
     yielded, by the frame's ``fits``, so a slip in that algebra cannot
@@ -281,7 +308,7 @@ def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[tuple[int, ...], int]
             # every slice before the next s = t + 1 (mod D), where a
             # lower bound rises, and before s - remaining is empty too
             empty_to = min(
-                s - remaining, stop, *(s + 1 + (t - s) % dk for dk in distinct)
+                s - remaining, stop, *[s + 1 + (t - s) % dk for dk in distinct]
             )
             visited += empty_to - s
             s = empty_to
@@ -291,8 +318,8 @@ def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[tuple[int, ...], int]
         _charge_walk(visited, limit)
         if remaining < 0:
             continue
-        lows = tuple(map(low.__getitem__, slot))
-        if not fits(lows, remaining, t):
+        if not fits(low, remaining, t):
+            lows = tuple(map(low.__getitem__, slot))
             row = next(row for row in rows
                        if sum(map(mul, row, lows)) + remaining * max(row) > t)
             point = list(lows)
@@ -300,7 +327,7 @@ def _dilation_slices(q: QVector, t: int) -> Iterator[tuple[tuple[int, ...], int]
             raise InternalConsistency(
                 f"slice enumeration emitted an infeasible point {tuple(point)}"
             )
-        yield lows, remaining
+        yield low, remaining
 
 
 @lru_cache(maxsize=1)

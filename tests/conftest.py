@@ -12,6 +12,24 @@ from wpsimplex.triangulation import _walk_faces
 SMALL_GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 2), (6, 1)]
 
 
+def row_sabotages(q):
+    """The raised cells (row, column) of two sabotaged facet row sets.
+    The slice bounds read only the diagonal of each row, so raising
+    off-diagonal entries makes the slices hold points a raised row
+    rejects.  The first leaves row 0 two entries away from the last row;
+    the second raises column 0 of every other row, the last one too, so
+    each row stays one entry away from it."""
+    return [(0, 1)], [(k, 0) for k in range(1, q.d + 1)]
+
+
+def sabotaged_rows(rows, cells):
+    """The facet rows with each (row, column) of ``cells`` raised by one."""
+    rows = [list(row) for row in rows]
+    for k, j in cells:
+        rows[k][j] += 1
+    return tuple(map(tuple, rows))
+
+
 def dense(m, n):
     """A word (``wpsimplex.toric``) as its exponent tuple over n
     variables, the oracles' format."""

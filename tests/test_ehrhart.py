@@ -8,8 +8,11 @@ from wpsimplex import (
     lattice_points_formula,
     weight,
 )
-from wpsimplex.errors import BudgetExceeded, IndexOutOfRange, ParameterOutOfRange
-from wpsimplex.oracles import lattice_point_count_from_h1
+from wpsimplex import ehrhart, oracles
+from wpsimplex.errors import (
+    BudgetExceeded, IndexOutOfRange, InternalConsistency, ParameterOutOfRange
+)
+from wpsimplex.oracles import hstar_by_residues, lattice_point_count_from_h1
 
 from conftest import SMALL_GRID
 
@@ -42,6 +45,69 @@ def test_hstar_invariants(r1, x1):
     assert h.coeffs[1] == r1 + 2
     assert sum(h.coeffs) == q.volume
     assert h.is_unimodal()
+
+
+def test_hstar_by_runs_equals_the_residue_tally_on_a_grid():
+    for r1 in range(2, 41):
+        for x1 in range(1, 13):
+            q = build_q(r1, x1)
+            assert hstar(q) == hstar_by_residues(q), (r1, x1)
+
+
+@pytest.mark.parametrize("r1,x1", [(500, 1), (3000, 1)])
+def test_hstar_by_runs_equals_the_residue_tally_at_the_frontier(r1, x1):
+    q = build_q(r1, x1)
+    assert hstar(q) == hstar_by_residues(q)
+
+
+@pytest.mark.parametrize("r1,x1", [(2, 1), (7, 3), (40, 12), (500, 1), (3000, 1)])
+def test_hstar_reads_one_weight_per_run(monkeypatch, r1, x1):
+    # the runs start at the multiples of r1 and of 1 + x1*r1 below N,
+    # which share only 0: r1 + x1*r1 of them, against N = r1*(1 + x1*r1)
+    # residues
+    read = []
+    real = ehrhart.weight
+
+    def spy(q, b):
+        read.append(b)
+        return real(q, b)
+
+    monkeypatch.setattr(ehrhart, "weight", spy)
+    ehrhart.hstar.cache_clear()
+    q = build_q(r1, x1)
+    assert sum(hstar(q).coeffs) == q.volume
+    period = 1 + x1 * r1
+    assert read == sorted({*range(0, q.volume, r1), *range(0, q.volume, period)})
+    assert len(read) == r1 + x1 * r1
+
+
+@pytest.mark.parametrize("shift", [1, -1, 2, -3])
+@pytest.mark.parametrize("r1,x1", [(2, 1), (5, 3), (40, 7)])
+def test_the_range_guard_names_the_first_residue_out_of_range(
+    monkeypatch, r1, x1, shift
+):
+    # a weight pushed out of [0, d] is reported at the first b where it
+    # leaves, as the residue tally reports it
+    real = ehrhart.weight
+
+    def shifted(q, b):
+        return real(q, b) + shift
+
+    monkeypatch.setattr(ehrhart, "weight", shifted)
+    monkeypatch.setattr(oracles, "weight", shifted)
+    ehrhart.hstar.cache_clear()
+    q = build_q(r1, x1)
+    with pytest.raises(InternalConsistency) as by_runs:
+        hstar(q)
+    with pytest.raises(InternalConsistency) as by_residues:
+        hstar_by_residues(q)
+    assert str(by_runs.value) == str(by_residues.value)
+    expected = {
+        (2, 1, -1): "weight -1 at b=0 outside [0, 2]",
+        (40, 7, 1): "weight 47 at b=11239 outside [0, 46]",
+    }
+    if (r1, x1, shift) in expected:
+        assert str(by_runs.value) == expected[r1, x1, shift]
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)

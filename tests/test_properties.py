@@ -38,6 +38,7 @@ from wpsimplex import (
     lattice_points_formula,
 )
 from wpsimplex import simplex, triangulation
+from wpsimplex.simplex import within_dilate
 from wpsimplex.errors import (
     BudgetExceeded,
     NonGraphSupport,
@@ -73,7 +74,8 @@ from wpsimplex.triangulation import (
 )
 
 from conftest import (
-    SMALL_GRID, dense, in_order, lex_weights, walk_facets, without, word
+    SMALL_GRID, dense, in_order, lex_weights, row_sabotages, sabotaged_rows,
+    walk_facets, without, word,
 )
 
 PARAMS = st.tuples(st.integers(2, 4), st.integers(1, 3))
@@ -150,6 +152,69 @@ def test_skipped_slices_are_counted_one_each(r1, x1, t):
             enumerate_dilation_points(q, t)
         with pytest.raises(BudgetExceeded):
             ehrhart_bruteforce(q, t)
+
+
+@st.composite
+def row_sets(draw):
+    """A family member with r1 <= 12 and x1 <= 8, its facet rows as they
+    are or under one of the two sabotages, and a dilation factor t <= 3."""
+    q = build_q(draw(st.integers(2, 12)), draw(st.integers(1, 8)))
+    cells = draw(st.sampled_from([[], *row_sabotages(q)]))
+    return q, sabotaged_rows(h_description(q), cells), draw(st.integers(0, 3))
+
+
+def _sabotaged_cases(r1, x1, t):
+    q = build_q(r1, x1)
+    return [(q, sabotaged_rows(h_description(q), cells), t)
+            for cells in row_sabotages(q)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_sets())
+@example((build_q(12, 8), h_description(build_q(12, 8)), 3))
+@example(_sabotaged_cases(2, 1, 1)[0])
+@example(_sabotaged_cases(2, 1, 1)[1])
+@example(_sabotaged_cases(2, 1, 2)[0])
+@example(_sabotaged_cases(2, 1, 2)[1])
+def test_the_group_row_check_reads_the_raw_rows(case):
+    # a slice's lows are constant on each denominator group, so the
+    # frame's per-group fits(low, r, u) holds on every non-empty slice
+    # exactly when u is at least the largest raw row's maximum there,
+    # row . lows + r*max(row), read here coordinate by coordinate
+    q, rows, t = case
+    distinct, counts, slot, fits = simplex._walk_frame(rows)
+    for s in range(-t * sum(q.entries), t + 1):
+        low = [-((t - s) // dk) for dk in distinct]
+        r = s - sum(map(mul, low, counts))
+        if r < 0:
+            continue
+        lows = [low[g] for g in slot]
+        top = max(sum(map(mul, row, lows)) + r * max(row) for row in rows)
+        assert fits(low, r, top) and not fits(low, r, top - 1), (s, lows, r)
+
+
+@pytest.mark.parametrize("r1,x1,t", [(2, 1, 0), (2, 1, 3), (3, 2, 1), (2, 4, 1), (4, 1, 2)])
+def test_the_point_check_reads_the_raw_rows(monkeypatch, r1, x1, t):
+    # on every point of the dilate's bounding box, the point check is
+    # the raw row check; under either sabotage, where a slice the walk
+    # would emit breaks a row, it still passes no point a raw row rejects
+    q = build_q(r1, x1)
+    box = list(product(*(range(-t * e, t + 1) for e in q.entries)))
+
+    def under_every_row(rows, p):
+        return all(sum(map(mul, row, p)) <= t for row in rows)
+
+    rows = h_description(q)
+    for p in box:
+        assert within_dilate(q, [p], t) == under_every_row(rows, p), p
+    inside = [p for p in box if under_every_row(rows, p)]
+    assert within_dilate(q, inside, t) is True
+    assert within_dilate(q, box, t) is (inside == box)
+    for cells in row_sabotages(q):
+        sabotaged = sabotaged_rows(rows, cells)
+        monkeypatch.setattr(simplex, "h_description", lambda _: sabotaged)
+        for p in box:
+            assert not within_dilate(q, [p], t) or under_every_row(sabotaged, p), p
 
 
 def _leibniz_det(rows):

@@ -18,7 +18,7 @@ from wpsimplex.errors import (
 )
 from wpsimplex.oracles import PointOutsideSimplex, facet_volume, tightness_profile
 
-from conftest import SMALL_GRID
+from conftest import SMALL_GRID, row_sabotages, sabotaged_rows
 
 
 def test_build_q_2_1():
@@ -169,25 +169,22 @@ def test_dilation_budget_counts_slices_and_points(monkeypatch, r1, x1, t, total)
 
 
 def test_dilation_recheck_rejects_a_point_the_slices_emit(monkeypatch):
-    # the slice bounds read only the diagonal of each row, so raising
-    # off-diagonal entries makes them emit points that a raised row
-    # rejects: the slice check against the raw rows must catch one, also
-    # where the dilation is counted and nothing is listed.  The first
-    # sabotage leaves row 0 two entries away from the last row; the
-    # second raises column 0 of every other row, the last one too, so
-    # each row stays one entry away from it
+    # a slice that a sabotaged row exceeds is caught by the slice check
+    # against the raw rows, also where the dilation is counted and
+    # nothing is listed, and the report names the slice's worst point:
+    # its lows with the remainder on the first largest entry of the
+    # first broken row
     q = build_q(2, 1)
-    for cells in ([(0, 1)], [(k, 0) for k in range(1, q.d + 1)]):
-        rows = [list(row) for row in h_description(q)]
-        for k, j in cells:
-            rows[k][j] += 1
-        sabotaged = tuple(map(tuple, rows))
+    worst = [((0, 1), (0, 2)), ((1, 0), (1, -1))]
+    for cells, points in zip(row_sabotages(q), worst):
+        sabotaged = sabotaged_rows(h_description(q), cells)
         monkeypatch.setattr(simplex, "h_description", lambda _: sabotaged)
-        with pytest.raises(InternalConsistency, match="infeasible point"):
-            enumerate_dilation_points(q, 1)
-        for t in (1, 2):
-            with pytest.raises(InternalConsistency, match="infeasible point"):
-                ehrhart_bruteforce(q, t)
+        for t, point in zip((1, 2), points):
+            message = f"slice enumeration emitted an infeasible point {point}"
+            for walk in (enumerate_dilation_points, ehrhart_bruteforce):
+                with pytest.raises(InternalConsistency) as raised:
+                    walk(q, t)
+                assert str(raised.value) == message
 
 
 def test_a_kept_count_is_read_only_over_the_rows_it_walked(monkeypatch):

@@ -46,6 +46,7 @@ MOVED = (
     "SupportCase",
     "ZSupportShape",
     "zsupport_shape",
+    "hstar_by_residues",
 )
 
 
