@@ -85,28 +85,10 @@ def _probe(path: str) -> None:
         tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
 
 
-#: ``ensure_ascii``'s escapes for the ASCII characters that have one.
-_ESCAPES = {
-    **{chr(i): f"\\u{i:04x}" for i in (*range(0x20), 0x7F)},
-    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
-    "\r": "\\r", "\t": "\\t",
-}
-
-
-def _escape(char: str) -> str:
-    n = ord(char)
-    if n < 0x80:
-        return _ESCAPES.get(char, char)
-    if n < 0x10000:
-        return f"\\u{n:04x}"
-    n -= 0x10000
-    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-
-
 def _json_string(text: str) -> str:
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
-    return '"' + "".join(map(_escape, text)) + '"'
+    raise TypeError(f"str {text!r} is not written as JSON")
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -115,7 +97,10 @@ def _json(value, indent: str = "\n") -> str:
     and indentation of the enclosing lines.  Takes dicts with str keys,
     lists, tuples, ints, True, False, None and str; anything else raises
     TypeError, a float included, since a payload holds exact integers
-    only.  A list of plain ints is joined at once: the facet lists."""
+    only.  A str is printable ASCII with no ``"`` or ``\\``, written as
+    it is, since no payload holds one that needs an escape; any other
+    str raises TypeError too.  A list of plain ints is joined at once:
+    the facet lists."""
     if isinstance(value, str):
         return _json_string(value)
     if value is None:

@@ -39,7 +39,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import combinations_with_replacement, compress
 from math import comb
-from operator import ge, mul, ne, sub
+from operator import ge, mul
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, InternalConsistency, ParameterOutOfRange
@@ -154,16 +154,14 @@ def _walk_frame(rows: tuple[tuple[int, ...], ...]) -> tuple:
 
     A slice's lows are constant on the coordinates that share a
     denominator, so the walk reads a slice as its per-denominator
-    ``low`` (two entries here), and the frame folds each row into
-    per-group terms: the last row's sum over each group, the distinct
-    (group, delta, max) triples of the rows at most one entry away from
-    it, and the per-group sums of the differences of the other rows.
+    ``low`` (two entries here), and the frame folds each row into its
+    sums over the groups and its largest entry; rows that fold alike
+    are checked once, three folded rows here.
 
     ``fits`` holds when no row exceeds t on the slice: a row's maximum
     there is row . lows + r*max(row), taken at lows + r*e_j for a j
-    where the row is largest.  Each row is read as the last row plus its
-    differences from it, O(groups) per slice here: three triples and no
-    other row.
+    where the row is largest, and row . lows is its group sums . low,
+    O(groups) per folded row.
     """
     d = len(rows) - 1
     denoms = [1 - rows[k][k] for k in range(d)]
@@ -171,30 +169,14 @@ def _walk_frame(rows: tuple[tuple[int, ...], ...]) -> tuple:
     counts = [denoms.count(dk) for dk in distinct]
     slot = [distinct.index(dk) for dk in denoms]
     masks = [tuple(map(g.__eq__, slot)) for g in range(len(distinct))]
-
-    def group_sums(row: tuple[int, ...]) -> list[int]:
-        return [sum(compress(row, mask)) for mask in masks]
-
-    base = rows[-1]
-    base_sums = group_sums(base)
-    singles: set[tuple[int, int, int]] = set()
-    multi: list[tuple[list[int], int]] = []
-    for row in rows:
-        diff = list(compress(range(d), map(ne, row, base)))
-        if len(diff) > 1:
-            multi.append((list(map(sub, group_sums(row), base_sums)), max(row)))
-        else:
-            j = (diff or [0])[0]
-            singles.add((slot[j], row[j] - base[j], max(row)))
-    triples = sorted(singles)
+    folded = sorted({
+        (tuple(sum(compress(row, mask)) for mask in masks), max(row))
+        for row in rows
+    })
 
     def fits(low: list[int], remaining: int, t: int) -> bool:
-        bound = t - sum(map(mul, base_sums, low))
-        for group, delta, top in triples:
-            if delta * low[group] + remaining * top > bound:
-                return False
-        for coeffs, top in multi:
-            if sum(map(mul, coeffs, low)) + remaining * top > bound:
+        for sums, top in folded:
+            if sum(map(mul, sums, low)) + remaining * top > t:
                 return False
         return True
 

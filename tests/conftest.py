@@ -16,9 +16,8 @@ def row_sabotages(q):
     """The raised cells (row, column) of two sabotaged facet row sets.
     The slice bounds read only the diagonal of each row, so raising
     off-diagonal entries makes the slices hold points a raised row
-    rejects.  The first leaves row 0 two entries away from the last row;
-    the second raises column 0 of every other row, the last one too, so
-    each row stays one entry away from it."""
+    rejects.  The first raises one cell of row 0; the second raises
+    column 0 of every other row, the last one too."""
     return [(0, 1)], [(k, 0) for k in range(1, q.d + 1)]
 
 

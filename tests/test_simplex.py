@@ -202,6 +202,30 @@ def test_a_kept_count_is_read_only_over_the_rows_it_walked(monkeypatch):
         assert ehrhart_bruteforce(q, t) == (7, 19)[t - 1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["points", "2", "1", "--verify"], ["hstar", "2", "1", "--verify"],
+    ["sweep", "--r1", "2", "--x1", "1"],
+], ids=" ".join)
+def test_a_caught_slice_ends_the_command_with_exit_2(capsys, monkeypatch, argv):
+    # the walk's InternalConsistency reaches cli.main, which prints its
+    # one line and exits 2 with nothing on stdout
+    q = build_q(2, 1)
+    for cells, point in zip(row_sabotages(q), ((0, 1), (1, 0))):
+        sabotaged = sabotaged_rows(h_description(q), cells)
+        monkeypatch.setattr(simplex, "h_description", lambda _: sabotaged)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: slice enumeration emitted an infeasible point {point}\n"
+        )
+
+
+@pytest.mark.parametrize("walk", [enumerate_dilation_points, ehrhart_bruteforce])
+def test_the_walk_refuses_a_negative_dilation(walk):
+    with pytest.raises(ParameterOutOfRange) as raised:
+        walk(build_q(2, 1), -1)
+    assert str(raised.value) == "dilation factor must be >= 0, got -1"
+
+
 @pytest.mark.parametrize("r1,x1", [(2, 1), (3, 2), (4, 1)])
 def test_tightness_profiles(r1, x1):
     q = build_q(r1, x1)

@@ -136,6 +136,12 @@ def test_build_B_r3():
     assert set(build_B(3)) == {(1, 3), (1, 5), (1, 6), (2, 5), (2, 6), (3, 6)}
 
 
+def test_build_B_refuses_r1_below_2():
+    with pytest.raises(InvalidPair) as raised:
+        build_B(1)
+    assert str(raised.value) == "need r1 >= 2, got 1"
+
+
 def test_pair_r1_plus_1_rejected():
     assert (1, 3) not in build_B(2)  # j = r1 + 1 is never allowed
 
