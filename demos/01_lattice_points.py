@@ -7,13 +7,8 @@ collinear interior points from -q to the origin, two extra generators,
 and the basis vectors.
 """
 
-from wpsimplex import (
-    build_q,
-    h_description,
-    lattice_points_bruteforce,
-    lattice_points_formula,
-)
-from wpsimplex.oracles import tightness_profile
+from wpsimplex import build_q, h_description, lattice_points_formula
+from wpsimplex.oracles import enumerate_dilation_points, tightness_profile
 
 q = build_q(6, 4)
 print(f"q = {q.entries}")
@@ -33,7 +28,7 @@ print(f"\n{len(rows)} facet inequalities, e.g. the first:")
 print(" ", rows[0], "<= 1")
 
 # Independent cross-check: enumerate points straight from the inequalities.
-brute = lattice_points_bruteforce(q)
+brute = enumerate_dilation_points(q, 1)
 print(f"\nbrute-force enumeration finds {len(brute)} points;",
       "sets agree:" , set(cfg.columns) == brute)
 

@@ -17,9 +17,7 @@ from .simplex import (
     PointConfiguration,
     QVector,
     build_q,
-    enumerate_dilation_points,
     h_description,
-    lattice_points_bruteforce,
     lattice_points_formula,
 )
 from .ehrhart import (

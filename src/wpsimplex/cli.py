@@ -196,7 +196,7 @@ def _parse_range(spec: str) -> tuple[int, int]:
 def cmd_points(args) -> int:
     q = build_q(args.r1, args.x1)
     config = lattice_points_formula(q)
-    columns = [{"label": label, "coords": list(col)}
+    columns = [{"label": label, "coords": col}
                for label, col in zip(config.labels, config.columns)]
     payload = {"schema": 1, "r1": q.r1, "x1": q.x1, "d": q.d, "columns": columns}
     if not args.verify:
@@ -211,7 +211,7 @@ def cmd_hstar(args) -> int:
     payload = {
         "schema": 1,
         "params": {"r1": q.r1, "x1": q.x1},
-        "hstar": list(hstar(q).coeffs),
+        "hstar": hstar(q).coeffs,
     }
     if not args.verify:
         return _emit(payload, args.json)
@@ -286,7 +286,7 @@ def cmd_triangulate(args) -> int:
     # only this command lists the facets; a dropped facet's list is the
     # triangulation it checked
     facets = family_facets(family) if dropped is None else dropped
-    payload["facets"] = [list(f) for f in facets]
+    payload["facets"] = facets
     payload["pass"] = stage.verdict
     code = _exit_code(stage.verdict)
     if args.format == "json":
@@ -349,7 +349,7 @@ def cmd_sweep(args) -> int:
     overall = verdict(flags)
     payload = {
         "schema": 1,
-        "grid": [list(p) for p in grid],
+        "grid": grid,
         "perPoint": per_point,
         "overallPass": overall is True,
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),

@@ -46,8 +46,6 @@ squarefree or not, because a lead that properly divides w divides one
 of those degree-(t - 1) divisors.
 """
 
-from __future__ import annotations
-
 from itertools import groupby
 from math import comb
 from operator import itemgetter

@@ -12,12 +12,13 @@ facet's volume eliminated from scratch, the lex weight certificate
 M^(n-1), ..., M, 1 of a family, one facet's lower-cell test under
 explicit weights by dense reduced costs, the regularity check of a facet
 list as that test on each facet, the lower envelope found by testing
-every column subset, and the h*-vector tallied one residue at a time.
-None of them runs the twin quotient, the clique listing or the face
-walk of ``wpsimplex.triangulation``, which reads the lex lift
-symbolically and takes no weights; they share with it only the
-fraction-free elimination and its singular-facet check and the facet
-size check.
+every column subset, the h*-vector tallied one residue at a time, and
+the points of a dilate listed over the checked slices of the walk in
+``wpsimplex.simplex``, which the commands only count.  None of them
+runs the twin quotient, the clique listing or the face walk of
+``wpsimplex.triangulation``, which reads the lex lift symbolically and
+takes no weights; they share with it only the fraction-free
+elimination and its singular-facet check and the facet size check.
 
 The oracles read a monomial as its exponent tuple over the family's n
 variables, where Python's tuple order is pure lex: each one that takes
@@ -51,7 +52,9 @@ from .errors import (
     SingularFacet,
     WpsimplexError,
 )
-from .simplex import QVector, build_q, charge, h_description
+from .simplex import (
+    QVector, _dilation_slices, _walk_frame, build_q, charge, h_description,
+)
 from .toric import Binomial, GroebnerFamily
 from .triangulation import (
     _check_facet_size,
@@ -426,6 +429,21 @@ def regular_subdivision_bruteforce(
         except SingularFacet:
             pass
     return tuple(facets)
+
+
+def enumerate_dilation_points(q: QVector, t: int) -> frozenset[tuple[int, ...]]:
+    """All integer points with every facet functional at most t: the
+    points of the checked slices of ``_dilation_slices``, listed."""
+    slot = _walk_frame(h_description(q))[2]
+    found: list[tuple[int, ...]] = []
+    for low, remaining in _dilation_slices(q, t):
+        lows = tuple(map(low.__getitem__, slot))
+        for combo in combinations_with_replacement(range(q.d), remaining):
+            point = list(lows)
+            for i in combo:
+                point[i] += 1
+            found.append(tuple(point))
+    return frozenset(found)
 
 
 def hstar_by_residues(q: QVector) -> HStarVector:

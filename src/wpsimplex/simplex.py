@@ -31,13 +31,14 @@ charged against it by ``charge``; the slice walk, whose total is known
 only as it walks, charges its running count by ``_charge_walk``, and a
 kept count charges its walk's steps again on every read.  The facet
 functionals' values and tightness profiles at a point, lemma checks for
-the tests, live in ``wpsimplex.oracles``.
+the tests, and the lister of a dilate's points over the same walk, the
+tests' oracle, live in ``wpsimplex.oracles``.
 """
 
 import os
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import combinations_with_replacement, compress
+from itertools import compress
 from math import comb
 from operator import ge, mul
 from typing import NamedTuple
@@ -96,7 +97,8 @@ class QVector(NamedTuple):
 
 
 class PointConfiguration(NamedTuple):
-    """Ordered lattice point list of the simplex.
+    """Ordered, labelled lattice point list of the simplex, as
+    ``lattice_points_formula(q)`` builds it; the caller keeps q.
 
     Columns come in two blocks: a1..a{r1+3} (the collinear interior ray
     from -q down to the origin, plus its two generators), then b1..bd
@@ -104,7 +106,6 @@ class PointConfiguration(NamedTuple):
     bj = e_{d-j+1}).
     """
 
-    q: QVector
     labels: tuple[str, ...]
     columns: tuple[tuple[int, ...], ...]
 
@@ -203,22 +204,7 @@ def lattice_points_formula(q: QVector) -> PointConfiguration:
     labels = tuple(f"a{i}" for i in range(1, r1 + 4)) + tuple(
         f"b{j}" for j in range(1, d + 1)
     )
-    return PointConfiguration(q=q, labels=labels, columns=cols)
-
-
-def enumerate_dilation_points(q: QVector, t: int) -> frozenset[tuple[int, ...]]:
-    """All integer points with every facet functional at most t: the
-    points of the checked slices of ``_dilation_slices``, listed."""
-    slot = _walk_frame(h_description(q))[2]
-    found: list[tuple[int, ...]] = []
-    for low, remaining in _dilation_slices(q, t):
-        lows = tuple(map(low.__getitem__, slot))
-        for combo in combinations_with_replacement(range(q.d), remaining):
-            point = list(lows)
-            for i in combo:
-                point[i] += 1
-            found.append(tuple(point))
-    return frozenset(found)
+    return PointConfiguration(labels=labels, columns=cols)
 
 
 def within_dilate(q: QVector, points: Iterable[tuple[int, ...]], t: int) -> bool:
@@ -336,9 +322,3 @@ def _dilation_count(q: QVector, t: int) -> int:
     points, steps = _walk_count(h_description(q), q, t)
     _charge_walk(steps, resolve_enum_budget())
     return points
-
-
-def lattice_points_bruteforce(q: QVector) -> frozenset[tuple[int, ...]]:
-    """Independent oracle: enumerate the simplex's lattice points directly
-    from the facet inequalities, without using the closed-form list."""
-    return enumerate_dilation_points(q, 1)

@@ -23,7 +23,6 @@ from wpsimplex import (
     family_facets,
     groebner_family,
     hstar,
-    lattice_points_bruteforce,
     lattice_points_formula,
     summarize_triangulation,
     verify_unimodular,
@@ -33,6 +32,7 @@ from wpsimplex.oracles import (
     SupportCase,
     buchberger_verify,
     dense_generators,
+    enumerate_dilation_points,
     facet_volume,
     is_toric_member,
     make_weight_certificate,
@@ -95,7 +95,7 @@ def test_criterion_01_lattice_points():
     for r1, x1 in GRID:
         q = build_q(r1, x1)
         cfg = lattice_points_formula(q)
-        assert set(cfg.columns) == lattice_points_bruteforce(q), (r1, x1)
+        assert set(cfg.columns) == enumerate_dilation_points(q, 1), (r1, x1)
         assert len(cfg.columns) == r1 + q.d + 3, (r1, x1)
         assert len(set(cfg.columns)) == len(cfg.columns), (r1, x1)
     elapsed = time.perf_counter() - t0

@@ -582,6 +582,21 @@ def test_sweep_whose_worker_dies_exits_1(capsys, monkeypatch, in_process_pool):
     assert in_process_pool.requested == [2]
 
 
+def test_sweep_without_sched_getaffinity_reads_the_cpu_count(
+    capsys, monkeypatch, in_process_pool
+):
+    # a platform without sched_getaffinity, such as macOS, counts the
+    # CPUs by os.cpu_count, and one that returns None counts as one CPU:
+    # the sweep then runs serially, with the serial sweep's payload
+    argv = ["sweep", "--r1", "2..3", "--x1", "1"]
+    serial = _main_output(capsys, argv)
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert _main_output(capsys, [*argv, "--jobs", "2"]) == serial
+    assert serial[0] == 0
+    assert in_process_pool.requested == []
+
+
 #: Grid refusals, each its options and its one line on stderr: an empty
 #: grid, a point outside the family and a range with no upper end.
 _GRID_REFUSALS = [
@@ -916,6 +931,30 @@ def test_a_full_stdout_is_refused_and_left_on_the_null_device(
         assert os.path.samestat(os.fstat(out.fileno()), os.stat(os.devnull))
     assert capsys.readouterr().err == (
         "error: cannot write stdout: No space left on device\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["points", "2", "1"], ["triangulate", "2", "1", "--format", "off"],
+], ids=" ".join)
+def test_a_json_file_that_fails_at_the_write_is_one_error_line(
+    capsys, monkeypatch, argv
+):
+    # /dev/full passes the up-front probe, so the command does its work
+    # and only the payload's write fails: exit 1, nothing on stdout and
+    # one error line
+    emitted, emit = [], cli._emit
+
+    def spy(payload, path, code=cli.EXIT_PASS):
+        emitted.append(path)
+        return emit(payload, path, code)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    assert cli.main([*argv, "--json", "/dev/full"]) == 1
+    assert emitted == ["/dev/full"]
+    assert capsys.readouterr() == (
+        "", "error: cannot write /dev/full: No space left on device\n"
     )
 
 

@@ -13,7 +13,7 @@ from wpsimplex import (
     injectivity_check,
     monomial_text,
 )
-from wpsimplex.errors import BudgetExceeded
+from wpsimplex.errors import BudgetExceeded, InternalConsistency, ParameterOutOfRange
 from wpsimplex.groebner import _standard_images
 from wpsimplex.oracles import (
     DimensionMismatch,
@@ -104,6 +104,18 @@ def test_normal_form_dimension_check(family21):
             normal_form(exps, family21)
 
 
+def test_normal_form_refuses_a_rewrite_cycle(family21):
+    # x1 -> x2 and x2 -> x1 rewrite x1 for ever; the step cap ends it
+    cycle = family21._replace(
+        generators=(Binomial((0,), (1,)), Binomial((1,), (0,)))
+    )
+    with pytest.raises(InternalConsistency) as raised:
+        normal_form((1,) + (0,) * 6, cycle)
+    assert str(raised.value) == (
+        "rewrite did not terminate; a generator must be mis-oriented"
+    )
+
+
 def _all_monomials(n, degree):
     from itertools import combinations_with_replacement
 
@@ -170,6 +182,14 @@ def test_s_polynomial_identical_is_zero(family21):
     assert s_polynomial(g, g) is None
 
 
+def test_s_polynomial_of_a_pair_that_cancels_is_zero():
+    # x1 - x2 and x1*x3 - x2*x3 over three variables: both tails
+    # multiply up to x2*x3 at the leads' lcm x1*x3
+    g1 = Binomial((1, 0, 0), (0, 1, 0))
+    g2 = Binomial((1, 0, 1), (0, 1, 1))
+    assert s_polynomial(g1, g2) is None
+
+
 def test_s_polynomial_orientation(family21):
     gens = dense_generators(family21)
     for g1 in gens:
@@ -201,6 +221,17 @@ def test_buchberger_2_1(family21):
     assert report.pairs_reduced_to_zero == 36
     assert report.failures == ()
     assert report.passed
+
+
+def test_buchberger_counts_a_repeated_generator(family21):
+    # generator 0 appended again adds nine pairs, one of them the
+    # generator with its own copy, whose S-pair is zero at once
+    doubled = family21._replace(
+        generators=family21.generators + family21.generators[:1]
+    )
+    report = buchberger_verify(doubled)
+    assert (report.pairs_total, report.pairs_reduced_to_zero) == (45, 45)
+    assert report.failures == () and report.passed
 
 
 def test_sympy_oracle_2_1(family21):
@@ -418,6 +449,21 @@ def test_zsupport_shape_cases():
     assert shape.zsupport == frozenset({5})
     lead = _mono_of_text(7, (0, 1), (3, 1))  # z1 z4: not standard
     assert zsupport_shape(lead, q).case is SupportCase.VIOLATION
+
+
+def test_standard_monomials_refuse_a_negative_degree(family21):
+    with pytest.raises(ParameterOutOfRange) as raised:
+        standard_monomials(family21, -1)
+    assert str(raised.value) == "degree must be >= 0, got -1"
+
+
+def test_zsupport_shape_middle_case_violation():
+    # at (4,1), z4*z7 starts at z_{r1} = z4 but leaves {z4, z5, z6}
+    q = build_q(4, 1)
+    m = _mono_of_text(q.r1 + q.d + 3, (3, 1), (6, 1))
+    shape = zsupport_shape(m, q)
+    assert shape.case is SupportCase.VIOLATION
+    assert shape.zsupport == frozenset({4, 7})
 
 
 def test_zsupport_shape_middle_case():

@@ -137,9 +137,9 @@ def test_the_certified_path_leaves_the_oracles_to_their_module():
 def test_a_point_enumerates_the_t1_dilation_once(monkeypatch):
     # the point check counts the t = 1 dilation and the h* check reads
     # that count again, then counts t = 2: one walk each, and nothing is
-    # listed
+    # listed by the oracles' lister
     walked, listed = [], []
-    walk, enumerate_points = simplex._dilation_slices, simplex.enumerate_dilation_points
+    walk, enumerate_points = simplex._dilation_slices, oracles.enumerate_dilation_points
 
     def walk_spy(q, t):
         walked.append(t)
@@ -149,9 +149,10 @@ def test_a_point_enumerates_the_t1_dilation_once(monkeypatch):
         listed.append(t)
         return enumerate_points(q, t)
 
-    # every binding of the walk and the lister in the command modules,
-    # so a call by any name is seen; no count is kept from an earlier test
-    for module in (simplex, ehrhart, pipeline):
+    # every binding of the walk and the lister in the command modules and
+    # the oracles, so a call by any name is seen; no count is kept from
+    # an earlier test
+    for module in (simplex, ehrhart, pipeline, oracles):
         for name, value in list(vars(module).items()):
             if value is walk:
                 monkeypatch.setattr(module, name, walk_spy)

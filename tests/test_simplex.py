@@ -6,9 +6,7 @@ from wpsimplex import cli, simplex
 from wpsimplex import (
     build_q,
     ehrhart_bruteforce,
-    enumerate_dilation_points,
     h_description,
-    lattice_points_bruteforce,
     lattice_points_formula,
 )
 from wpsimplex.errors import (
@@ -16,7 +14,12 @@ from wpsimplex.errors import (
     InternalConsistency,
     ParameterOutOfRange,
 )
-from wpsimplex.oracles import PointOutsideSimplex, facet_volume, tightness_profile
+from wpsimplex.oracles import (
+    PointOutsideSimplex,
+    enumerate_dilation_points,
+    facet_volume,
+    tightness_profile,
+)
 
 from conftest import SMALL_GRID, row_sabotages, sabotaged_rows
 
@@ -125,18 +128,18 @@ def test_point_list_structure(r1, x1):
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_formula_equals_bruteforce(r1, x1):
     q = build_q(r1, x1)
-    assert set(lattice_points_formula(q).columns) == lattice_points_bruteforce(q)
+    assert set(lattice_points_formula(q).columns) == enumerate_dilation_points(q, 1)
 
 
 def test_bruteforce_counts():
-    assert len(lattice_points_bruteforce(build_q(2, 1))) == 7
-    assert len(lattice_points_bruteforce(build_q(2, 2))) == 8
+    assert len(enumerate_dilation_points(build_q(2, 1), 1)) == 7
+    assert len(enumerate_dilation_points(build_q(2, 2), 1)) == 8
 
 
 @pytest.mark.parametrize("r1,x1", SMALL_GRID)
 def test_vertices_are_lattice_points(r1, x1):
     q = build_q(r1, x1)
-    points = lattice_points_bruteforce(q)
+    points = enumerate_dilation_points(q, 1)
     assert tuple(-e for e in q.entries) in points
     for j in range(q.d):
         assert tuple(1 if i == j else 0 for i in range(q.d)) in points
@@ -145,7 +148,7 @@ def test_vertices_are_lattice_points(r1, x1):
 def test_bruteforce_budget(monkeypatch):
     monkeypatch.setenv("WPSIMPLEX_ENUM_BUDGET", "5")
     with pytest.raises(BudgetExceeded):
-        lattice_points_bruteforce(build_q(4, 3))
+        enumerate_dilation_points(build_q(4, 3), 1)
 
 
 @pytest.mark.parametrize("r1,x1,t,total", [

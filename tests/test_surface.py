@@ -258,11 +258,11 @@ def test_check_a_is_read_by_the_family_stage_only():
 def test_the_dilations_are_walked_uncached():
     # the point check and the h* check count the checked slices, and
     # only the last count is kept, for the point's second reader: no
-    # enumeration is listed or kept
+    # enumeration is listed or kept, and the lister is the oracles'
     assert not hasattr(simplex, "_dilation_points")
-    assert not hasattr(simplex.enumerate_dilation_points, "cache_info")
+    assert not hasattr(oracles.enumerate_dilation_points, "cache_info")
     assert ehrhart._dilation_count is simplex._dilation_count
-    for module in (ehrhart, pipeline):
+    for module in (wpsimplex, simplex, ehrhart, pipeline):
         assert not hasattr(module, "enumerate_dilation_points"), module.__name__
         assert not hasattr(module, "lattice_points_bruteforce"), module.__name__
 
@@ -305,6 +305,11 @@ def test_the_builder_alone_records_each_generators_group():
     assert toric.GroebnerFamily._fields == ("q", "columns", "generators")
     assert not hasattr(toric, "_generators")
     assert callable(toric.tagged_generators)
+
+
+def test_the_point_list_keeps_no_q():
+    # the caller holds q; the list is its labels and columns only
+    assert simplex.PointConfiguration._fields == ("labels", "columns")
 
 
 def test_the_records_write_no_json():
